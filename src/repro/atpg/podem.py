@@ -15,6 +15,7 @@ PODEM succeeds under the base constraints.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -26,6 +27,19 @@ FRAME1 = 1
 FRAME2 = 2
 
 Objective = Tuple[int, int, int]  # (frame, net, value)
+
+#: How the backtrace steers an objective through a gate (see
+#: :func:`_choose_input`).
+STEER_DIRECT = 0  # BUF, AND*, OR*: drive an X input to the objective
+STEER_INVERT = 1  # INV, NAND*, NOR*: drive an X input to its inverse
+STEER_XOR = 2
+STEER_XNOR = 3
+STEER_MUX = 4
+STEER_AOI = 5  # AOI21 / OAI21: drive C (else an X input) to the inverse
+STEER_NONE = 6  # TIE cells: nothing to drive
+
+# Per-gate steering classes of each live state, built on first use.
+_STEER_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class PodemStatus(enum.Enum):
@@ -170,18 +184,18 @@ def _backtrace(
     Returns ``(flop, bit)`` or None when the objective is unreachable
     (hits constants or already-assigned state).
     """
-    netlist = state.netlist
     frame, net, val = objective
-    guard = 4 * netlist.n_nets  # cycle guard (paranoia; logic is acyclic)
+    net_gate = state._net_gate
+    steer = _steer_table(state)
+    gate_ins = state._gate_ins
+    guard = 4 * state.netlist.n_nets  # cycle guard (paranoia; acyclic)
     while guard > 0:
         guard -= 1
-        drv = netlist.driver_of(net)
-        if drv is None:
-            return None
-        kind, idx = drv
-        if kind == "pi":
-            return None  # primary inputs are held constant
-        if kind == "flop":
+        gi = net_gate[net]
+        if gi < 0:
+            idx = state._net_flop[net]
+            if idx < 0:
+                return None  # primary input (held constant) or floating
             if frame == FRAME2:
                 source = state.frame2_source(idx)
                 if source is None:
@@ -198,9 +212,8 @@ def _backtrace(
                 return None  # decision already made; can't re-drive
             return (target, val)
 
-        gate = netlist.gates[idx]
         vals = state.f1 if frame == FRAME1 else state.g2
-        step = _choose_input(gate.kind, gate.inputs, vals, val,
+        step = _choose_input(steer[gi], gate_ins[gi], vals, val,
                              arrival=state.arrival)
         if step is None:
             return None
@@ -208,8 +221,31 @@ def _backtrace(
     return None
 
 
+def _steer_class(kind: str) -> int:
+    if kind in ("BUF", "CLKBUF") or kind.startswith(("AND", "OR")):
+        return STEER_DIRECT
+    if kind == "INV" or kind.startswith(("NAND", "NOR")):
+        return STEER_INVERT
+    return {
+        "XOR2": STEER_XOR,
+        "XNOR2": STEER_XNOR,
+        "MUX2": STEER_MUX,
+        "AOI21": STEER_AOI,
+        "OAI21": STEER_AOI,
+    }.get(kind, STEER_NONE)
+
+
+def _steer_table(state: TwoFrameState) -> List[int]:
+    """Steering class of every gate of *state*'s netlist (cached)."""
+    table = _STEER_TABLES.get(state)
+    if table is None:
+        table = [_steer_class(g.kind) for g in state.netlist.gates]
+        _STEER_TABLES[state] = table
+    return table
+
+
 def _choose_input(
-    kind: str,
+    steer: int,
     inputs: Tuple[int, ...],
     vals: List[int],
     desired: int,
@@ -217,8 +253,9 @@ def _choose_input(
 ) -> Optional[Tuple[int, int]]:
     """Pick one X input of a gate and the value to drive it toward.
 
-    With an *arrival* map, X inputs are considered latest-arriving
-    first (timing-aware long-path preference); otherwise in pin order.
+    *steer* is the gate's steering class (``STEER_*``).  With an
+    *arrival* map, X inputs are considered latest-arriving first
+    (timing-aware long-path preference); otherwise in pin order.
     """
     xs = [p for p in inputs if vals[p] == X]
     if not xs:
@@ -226,31 +263,22 @@ def _choose_input(
     if arrival is not None and len(xs) > 1:
         xs = sorted(xs, key=lambda p: -float(arrival[p]))
 
-    if kind == "INV":
-        return (inputs[0], 1 - desired)
-    if kind in ("BUF", "CLKBUF"):
-        return (inputs[0], desired)
+    if steer == STEER_DIRECT:
+        # BUF, AND (one controlling 0 or all 1s), OR (one 1 or all 0s).
+        return (xs[0], desired)
+    if steer == STEER_INVERT:
+        return (xs[0], 1 - desired)
 
-    if kind.startswith(("AND", "NAND")):
-        inverted = kind.startswith("NAND")
-        core = desired ^ (1 if inverted else 0)
-        # core==0: one controlling 0 suffices; core==1: all must be 1.
-        return (xs[0], 0 if core == 0 else 1)
-    if kind.startswith(("OR", "NOR")):
-        inverted = kind.startswith("NOR")
-        core = desired ^ (1 if inverted else 0)
-        return (xs[0], 1 if core == 1 else 0)
-
-    if kind in ("XOR2", "XNOR2"):
+    if steer == STEER_XOR or steer == STEER_XNOR:
         a, b = inputs
-        parity = 1 if kind == "XNOR2" else 0
+        parity = 1 if steer == STEER_XNOR else 0
         if vals[a] != X and vals[b] == X:
             return (b, desired ^ vals[a] ^ parity)
         if vals[b] != X and vals[a] == X:
             return (a, desired ^ vals[b] ^ parity)
         return (xs[0], desired ^ parity)
 
-    if kind == "MUX2":
+    if steer == STEER_MUX:
         d0, d1, sel = inputs
         if vals[sel] == 0 and vals[d0] == X:
             return (d0, desired)
@@ -260,27 +288,13 @@ def _choose_input(
             return (sel, 0)
         return (xs[0], desired)
 
-    if kind == "AOI21":
-        a, b, c = inputs
-        if desired == 1:  # need (a&b)|c == 0
-            if vals[c] == X:
-                return (c, 0)
-            return (xs[0], 0)
-        # need (a&b)|c == 1
+    if steer == STEER_AOI:
+        # AOI21 output 1 needs (a&b)|c == 0, OAI21 output 1 needs
+        # (a|b)&c == 0: either way drive C first, to the inverse.
+        c = inputs[2]
         if vals[c] == X:
-            return (c, 1)
-        return (xs[0], 1)
+            return (c, 1 - desired)
+        return (xs[0], 1 - desired)
 
-    if kind == "OAI21":
-        a, b, c = inputs
-        if desired == 1:  # need (a|b)&c == 0
-            if vals[c] == X:
-                return (c, 0)
-            return (xs[0], 0)
-        # need (a|b)&c == 1
-        if vals[c] == X:
-            return (c, 1)
-        return (xs[0], 1)
-
-    # TIE cells and anything exotic: nothing to drive.
+    # TIE cells: nothing to drive.
     return None

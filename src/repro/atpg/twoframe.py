@@ -15,21 +15,48 @@ combinational logic:
 The engine is incremental: assigning one scan bit propagates three-valued
 values only through the affected cones, and every write lands on a trail
 so PODEM can backtrack in O(changes).
+
+Implication is table driven.  Each gate is one record ``(output, truth
+table, in0, in1, in2, in3)``: its output value is a single index into
+the base-3 :func:`~repro.atpg.values.truth_table` of its kind, and the
+input slots a gate does not use point at a pad net that always reads 0.
+The value lists ``f1``/``g2``/``f2`` therefore hold ``n_nets + 1``
+entries, the last being that pad.  Outside the fault site's
+transitive-fanout cone the faulty machine always equals the good one, so
+frame 2 is evaluated once there and written to both.  Every trail entry
+names the container it wrote to, so undo is ``container[key] = old``
+with no dispatch on the entry's kind.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import AtpgError
-from ..netlist.cells import CELL_FUNCTIONS
 from ..netlist.levelize import levelize
 from ..netlist.netlist import Netlist
 from .faults import TransitionFault
-from .values import EVAL3, X
+from .values import MAX_TABLE_ARITY, X, truth_table
 
-_F1, _G2, _F2 = 0, 1, 2
+
+class _KeyRemover:
+    """Trail target that undoes an insertion: ``r[key] = old`` removes
+    *key* from the wrapped dict or set."""
+
+    __slots__ = ("_remove",)
+
+    def __init__(self, remove: Callable[[int], Any]):
+        self._remove = remove
+
+    def __setitem__(self, key: int, _old: int) -> None:
+        self._remove(key)
+
+
+def _settle(vals: List[int], order, records) -> None:
+    """Evaluate every gate once in topological *order* into *vals*."""
+    for gi in order:
+        out, tbl, a, b, c, d = records[gi]
+        vals[out] = tbl[vals[a] + 3 * vals[b] + 9 * vals[c] + 27 * vals[d]]
 
 
 class TwoFrameState:
@@ -65,27 +92,31 @@ class TwoFrameState:
         self.protocol = protocol
         netlist.freeze()
         n = netlist.n_nets
+        flops = netlist.flops
+        gates = netlist.gates
 
         # Negative-edge cells are masked during the at-speed cycle (they
         # live on a dedicated chain in the case study), so only
         # positive-edge domain flops launch and capture.
         self.pulsed: Tuple[int, ...] = tuple(
             fi
-            for fi, f in enumerate(netlist.flops)
+            for fi, f in enumerate(flops)
             if f.clock_domain == domain and f.edge == "pos"
         )
         if not self.pulsed:
             raise AtpgError(f"domain {domain!r} has no flops")
         self._pulsed_set = set(self.pulsed)
+        self._flop_q = tuple(f.q for f in flops)
 
-        # LOC: D-net -> pulsed flops loading it (launch-state link).
-        self._pulsed_loads: List[Tuple[int, ...]] = [()] * n
+        # LOC: D-net -> frame-2 Q nets of the pulsed flops loading it
+        # (launch-state link).
+        self._launch_qs: List[Tuple[int, ...]] = [()] * n
         if protocol == "loc":
             loads: Dict[int, List[int]] = {}
             for fi in self.pulsed:
-                loads.setdefault(netlist.flops[fi].d, []).append(fi)
-            for net, flops in loads.items():
-                self._pulsed_loads[net] = tuple(flops)
+                loads.setdefault(flops[fi].d, []).append(flops[fi].q)
+            for net, qs in loads.items():
+                self._launch_qs[net] = tuple(qs)
 
         # LOS: per-flop chain neighbours (every scan cell shifts during
         # the launch shift, whatever its domain).
@@ -103,17 +134,38 @@ class TwoFrameState:
 
         # Capture observation points: D nets of pulsed flops.
         self.capture_nets: Tuple[int, ...] = tuple(
-            sorted({netlist.flops[fi].d for fi in self.pulsed})
+            sorted({flops[fi].d for fi in self.pulsed})
         )
+        self._capture_set = frozenset(self.capture_nets)
 
-        # Flattened gate tables.
-        self._gate_eval = [EVAL3[g.kind] for g in netlist.gates]
-        self._gate_ins = [g.inputs for g in netlist.gates]
-        self._gate_out = [g.output for g in netlist.gates]
+        # Flattened gate tables.  Implication reads one record per gate
+        # (output, truth table, four input slots padded with net n).
+        self._gate_ins = [g.inputs for g in gates]
+        self._gate_out = [g.output for g in gates]
         self._fanout_gates: List[Tuple[int, ...]] = [
             tuple(gi for gi, _pin in netlist.gate_fanouts_of(net))
             for net in range(n)
         ]
+        pad = (n,) * MAX_TABLE_ARITY
+        records = [
+            (g.output, truth_table(g.kind, len(g.inputs)))
+            + (tuple(g.inputs) + pad)[:MAX_TABLE_ARITY]
+            for g in gates
+        ]
+        self._fanout_records = [
+            tuple(records[gi] for gi in fanout)
+            for fanout in self._fanout_gates
+        ]
+
+        # Backtrace tables: each net's driving gate / flop (-1 if none).
+        self._net_gate = [-1] * n
+        self._net_flop = [-1] * n
+        for net in range(n):
+            drv = netlist.driver_of(net)
+            if drv is not None and drv[0] == "gate":
+                self._net_gate[net] = drv[1]
+            elif drv is not None and drv[0] == "flop":
+                self._net_flop[net] = drv[1]
 
         # Static observability distance: gates to the nearest capture
         # net along the fanout graph (inf when a net cannot reach one).
@@ -122,27 +174,22 @@ class TwoFrameState:
         obs = [inf] * n
         for net in self.capture_nets:
             obs[net] = 0.0
-        order_rev = list(reversed(levelize(netlist)[0]))
+        order, _ = levelize(netlist)
         # Iterate in reverse topological order so each gate sees its
         # output's final distance before its inputs are relaxed.
-        for gi in order_rev:
-            out_d = obs[netlist.gates[gi].output]
+        for gi in reversed(order):
+            out_d = obs[gates[gi].output]
             if out_d + 1.0 < inf:
-                for p in netlist.gates[gi].inputs:
+                for p in gates[gi].inputs:
                     if out_d + 1.0 < obs[p]:
                         obs[p] = out_d + 1.0
         self.obs_dist = obs
 
         # Baseline (constants-only) implied state, computed once.
-        base = [X] * n
+        base = [X] * n + [0]
         for net in netlist.primary_inputs:
             base[net] = 0  # PIs held constant low during test
-        order, _ = levelize(netlist)
-        self._order = order
-        for gi in order:
-            base[self._gate_out[gi]] = self._gate_eval[gi](
-                [base[p] for p in self._gate_ins[gi]]
-            )
+        _settle(base, order, records)
         self._base = base
 
         # Frame-2 baseline: constants plus whatever launch-state values
@@ -152,17 +199,14 @@ class TwoFrameState:
         base2 = list(base)
         if protocol == "loc":
             for fi in self.pulsed:
-                d_val = base[netlist.flops[fi].d]
+                d_val = base[flops[fi].d]
                 if d_val != X:
-                    base2[netlist.flops[fi].q] = d_val
+                    base2[flops[fi].q] = d_val
         else:
             for fi, up in self.los_upstream.items():
                 if up is None:
-                    base2[netlist.flops[fi].q] = 0
-        for gi in order:
-            base2[self._gate_out[gi]] = self._gate_eval[gi](
-                [base2[p] for p in self._gate_ins[gi]]
-            )
+                    base2[flops[fi].q] = 0
+        _settle(base2, order, records)
         self._base2 = base2
 
         #: Optional per-net static arrival estimate (ns).  When set,
@@ -174,12 +218,16 @@ class TwoFrameState:
 
         # Per-fault mutable state (populated by set_fault).
         self.fault: Optional[TransitionFault] = None
+        self._site = -1
+        self._cone: FrozenSet[int] = frozenset()
         self.f1: List[int] = []
         self.g2: List[int] = []
         self.f2: List[int] = []
         self.v1: Dict[int, int] = {}
-        self.d_nets: Set[int] = set()
-        self._trail: List[Tuple[int, int, int]] = []
+        self.d_nets: set = set()
+        self._v1_undo = _KeyRemover(self.v1.__delitem__)
+        self._d_undo = _KeyRemover(self.d_nets.discard)
+        self._trail: List[Tuple[Any, int, int]] = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -187,19 +235,30 @@ class TwoFrameState:
     def set_fault(self, fault: TransitionFault) -> None:
         """Reset all state and install *fault* (forced in frame 2)."""
         self.fault = fault
+        site = self._site = fault.net
+        self._cone = self.fanout_cone(site)
         self.f1 = list(self._base)
         self.g2 = list(self._base2)
         self.f2 = list(self._base2)
-        self.v1 = {}
-        self.d_nets = set()
+        self.v1.clear()
+        self.d_nets.clear()
         self._trail = []
         # Force the faulty machine's stem; re-derive its fanout cone in f2.
-        site = fault.net
         stuck = fault.initial_value
         if self.f2[site] != stuck:
             self.f2[site] = stuck
             self._check_d(site)
-            self._propagate2(deque([site]), faulty_only=True)
+            self._propagate_faulty(site)
+
+    def fanout_cone(self, site: int) -> FrozenSet[int]:
+        """*site* plus the output of every gate in its combinational
+        transitive fanout: the only nets where the faulty frame 2 can
+        differ from the good one."""
+        out = self._gate_out
+        return frozenset(
+            [site]
+            + [out[gi] for gi in self.netlist.transitive_fanout_gates(site)]
+        )
 
     def mark(self) -> int:
         """Current trail position; pass to :meth:`undo_to`."""
@@ -208,21 +267,10 @@ class TwoFrameState:
     def undo_to(self, mark: int) -> None:
         """Roll back every write made after *mark*."""
         trail = self._trail
-        while len(trail) > mark:
-            kind, key, old = trail.pop()
-            if kind == _F1:
-                self.f1[key] = old
-            elif kind == _G2:
-                self.g2[key] = old
-            elif kind == _F2:
-                self.f2[key] = old
-            elif kind == 3:  # v1 assignment
-                if old == X:
-                    del self.v1[key]
-                else:
-                    self.v1[key] = old
-            else:  # d_nets insertion
-                self.d_nets.discard(key)
+        if len(trail) > mark:
+            for target, key, old in reversed(trail[mark:]):
+                target[key] = old
+            del trail[mark:]
 
     # ------------------------------------------------------------------
     # assignment + implication
@@ -231,11 +279,11 @@ class TwoFrameState:
         """Assign scan bit V1[flop] and imply both frames."""
         if flop in self.v1:
             raise AtpgError(f"flop {flop} already assigned")
-        self._trail.append((3, flop, X))
+        self._trail.append((self._v1_undo, flop, X))
         self.v1[flop] = bit
 
-        q = self.netlist.flops[flop].q
-        seeds2: deque = deque()
+        q = self._flop_q[flop]
+        seeds2: List[int] = []
         if self.protocol == "loc":
             if flop not in self._pulsed_set:
                 # Held domain / masked cell: frame-2 Q equals V1.
@@ -245,11 +293,14 @@ class TwoFrameState:
             # flop off every chain (none in generated designs) holds.
             down = self._los_downstream.get(flop)
             if down is not None:
-                self._write2(self.netlist.flops[down].q, bit, seeds2)
+                self._write2(self._flop_q[down], bit, seeds2)
             if flop not in self.los_upstream:
                 self._write2(q, bit, seeds2)
-        self._write1_and_link(q, bit, seeds2)
-        self._propagate1(deque([q]), seeds2)
+        self._trail.append((self.f1, q, self.f1[q]))
+        self.f1[q] = bit
+        for launch_q in self._launch_qs[q]:
+            self._write2(launch_q, bit, seeds2)
+        self._propagate1([q], seeds2)
         self._propagate2(seeds2)
 
     def frame2_source(self, flop: int):
@@ -271,22 +322,16 @@ class TwoFrameState:
             return ("v1", up)
         return ("v1", flop)
 
-    def _write1_and_link(self, net: int, val: int, seeds2: deque) -> None:
-        self._trail.append((_F1, net, self.f1[net]))
-        self.f1[net] = val
-        for fi in self._pulsed_loads[net]:
-            self._write2(self.netlist.flops[fi].q, val, seeds2)
-
-    def _write2(self, net: int, val: int, seeds2: deque) -> None:
-        site = self.fault.net if self.fault is not None else -1
+    def _write2(self, net: int, val: int, seeds2: List[int]) -> None:
+        g2, f2 = self.g2, self.f2
         changed = False
-        if self.g2[net] != val:
-            self._trail.append((_G2, net, self.g2[net]))
-            self.g2[net] = val
+        if g2[net] != val:
+            self._trail.append((g2, net, g2[net]))
+            g2[net] = val
             changed = True
-        if net != site and self.f2[net] != val:
-            self._trail.append((_F2, net, self.f2[net]))
-            self.f2[net] = val
+        if net != self._site and f2[net] != val:
+            self._trail.append((f2, net, f2[net]))
+            f2[net] = val
             changed = True
         if changed:
             self._check_d(net)
@@ -296,43 +341,103 @@ class TwoFrameState:
         g, f = self.g2[net], self.f2[net]
         if g != X and f != X and g != f and net not in self.d_nets:
             self.d_nets.add(net)
-            self._trail.append((4, net, 0))
+            self._trail.append((self._d_undo, net, 0))
 
-    def _propagate1(self, queue: deque, seeds2: deque) -> None:
+    # The propagation loops iterate a list while appending to it: a FIFO
+    # queue in visit order, identical to the breadth-first deque order.
+    # Implication is monotone (values only refine from X), so a gate
+    # whose output is already defined cannot change and is not
+    # evaluated.
+    def _propagate1(self, queue: List[int], seeds2: List[int]) -> None:
         f1 = self.f1
-        while queue:
-            net = queue.popleft()
-            for gi in self._fanout_gates[net]:
-                out = self._gate_out[gi]
-                new = self._gate_eval[gi](
-                    [f1[p] for p in self._gate_ins[gi]]
-                )
-                if new != f1[out]:
-                    self._write1_and_link(out, new, seeds2)
+        push = self._trail.append
+        records = self._fanout_records
+        launch_qs = self._launch_qs
+        for net in queue:
+            for out, tbl, a, b, c, d in records[net]:
+                if f1[out] != X:
+                    continue
+                new = tbl[f1[a] + 3 * f1[b] + 9 * f1[c] + 27 * f1[d]]
+                if new != X:
+                    push((f1, out, X))
+                    f1[out] = new
+                    for launch_q in launch_qs[out]:
+                        self._write2(launch_q, new, seeds2)
                     queue.append(out)
 
-    def _propagate2(self, queue: deque, faulty_only: bool = False) -> None:
+    def _propagate2(self, queue: List[int]) -> None:
         g2, f2 = self.g2, self.f2
-        site = self.fault.net if self.fault is not None else -1
-        while queue:
-            net = queue.popleft()
-            for gi in self._fanout_gates[net]:
-                out = self._gate_out[gi]
-                ins = self._gate_ins[gi]
+        push = self._trail.append
+        records = self._fanout_records
+        cone = self._cone
+        site = self._site
+        d_nets = self.d_nets
+        d_undo = self._d_undo
+        for net in queue:
+            for out, tbl, a, b, c, d in records[net]:
+                g = g2[out]
+                if g != X:
+                    if f2[out] != X:
+                        continue
+                    # Only the faulty machine is open here, which puts
+                    # the gate inside the cone (and not at the site,
+                    # whose faulty value is forced).
+                    f = tbl[f2[a] + 3 * f2[b] + 9 * f2[c] + 27 * f2[d]]
+                    if f != X:
+                        push((f2, out, X))
+                        f2[out] = f
+                        if g != f and out not in d_nets:
+                            d_nets.add(out)
+                            push((d_undo, out, 0))
+                        queue.append(out)
+                    continue
+                g = tbl[g2[a] + 3 * g2[b] + 9 * g2[c] + 27 * g2[d]]
+                if out not in cone:
+                    # Outside the fault cone f2 == g2: one evaluation
+                    # serves both machines, and there is never a D.
+                    if g != X:
+                        push((g2, out, X))
+                        push((f2, out, X))
+                        g2[out] = f2[out] = g
+                        queue.append(out)
+                    continue
                 changed = False
-                if not faulty_only:
-                    new_g = self._gate_eval[gi]([g2[p] for p in ins])
-                    if new_g != g2[out]:
-                        self._trail.append((_G2, out, g2[out]))
-                        g2[out] = new_g
-                        changed = True
-                if out != site:
-                    new_f = self._gate_eval[gi]([f2[p] for p in ins])
-                    if new_f != f2[out]:
-                        self._trail.append((_F2, out, f2[out]))
-                        f2[out] = new_f
+                if g != X:
+                    push((g2, out, X))
+                    g2[out] = g
+                    changed = True
+                f = f2[out]
+                if f == X and out != site:
+                    f = tbl[f2[a] + 3 * f2[b] + 9 * f2[c] + 27 * f2[d]]
+                    if f != X:
+                        push((f2, out, X))
+                        f2[out] = f
                         changed = True
                 if changed:
+                    if g != X and f != X and g != f and out not in d_nets:
+                        d_nets.add(out)
+                        push((d_undo, out, 0))
+                    queue.append(out)
+
+    def _propagate_faulty(self, site: int) -> None:
+        """Re-derive the faulty frame 2 below a newly forced stem.
+
+        The stem may flip between defined values, so this pass is not
+        monotone and evaluates every gate it reaches.  A reconvergent net
+        can pass through a D and settle back; its ``d_nets`` entry stays
+        (:meth:`d_frontier` still offers its fanout), which is why
+        :meth:`detected` checks values.
+        """
+        f2 = self.f2
+        push = self._trail.append
+        records = self._fanout_records
+        queue = [site]
+        for net in queue:
+            for out, tbl, a, b, c, d in records[net]:
+                new = tbl[f2[a] + 3 * f2[b] + 9 * f2[c] + 27 * f2[d]]
+                if new != f2[out]:
+                    push((f2, out, f2[out]))
+                    f2[out] = new
                     self._check_d(out)
                     queue.append(out)
 
@@ -356,11 +461,17 @@ class TwoFrameState:
         return v != X and v != self.fault.final_value
 
     def detected(self) -> bool:
-        """Fault effect captured: activated and D at a capture D net."""
+        """Fault effect captured: activated and D at a capture D net.
+
+        Every D net is in ``d_nets``, so only capture nets in it are
+        checked.  The check is still needed: forcing the stem in
+        :meth:`set_fault` is not monotone, and a reconvergent net can
+        glitch to a D and back, leaving a ``d_nets`` entry with no D.
+        """
         if not self.activated():
             return False
         g2, f2 = self.g2, self.f2
-        for net in self.capture_nets:
+        for net in self.d_nets.intersection(self._capture_set):
             g, f = g2[net], f2[net]
             if g != X and f != X and g != f:
                 return True

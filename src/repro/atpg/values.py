@@ -8,7 +8,8 @@ when the defined inputs cannot determine it (e.g. AND with a 0 input is
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+import functools
+from typing import Callable, Dict, Sequence, Tuple
 
 from ..errors import AtpgError
 
@@ -147,3 +148,30 @@ def eval3(kind: str, inputs: Sequence[int]) -> int:
     if fn is None:
         raise AtpgError(f"no three-valued evaluator for kind {kind!r}")
     return fn(inputs)
+
+
+#: Widest gate a base-3 truth table covers (3**4 = 81 entries).
+MAX_TABLE_ARITY = 4
+
+
+@functools.lru_cache(maxsize=None)
+def truth_table(kind: str, arity: int) -> Tuple[int, ...]:
+    """Base-3 truth table of *kind* with *arity* inputs, built from
+    :data:`EVAL3`.
+
+    Entry ``v[0] + 3*v[1] + 9*v[2] + 27*v[3]`` is the output for input
+    values ``v`` (pin 0 is the least significant digit), so an input
+    slot that always reads 0 leaves the index unchanged.
+    """
+    fn = EVAL3.get(kind)
+    if fn is None:
+        raise AtpgError(f"no three-valued evaluator for kind {kind!r}")
+    if not 0 <= arity <= MAX_TABLE_ARITY:
+        raise AtpgError(
+            f"{kind} with {arity} inputs exceeds the "
+            f"{MAX_TABLE_ARITY}-input truth-table limit"
+        )
+    return tuple(
+        fn([(index // 3 ** pin) % 3 for pin in range(arity)])
+        for index in range(3 ** arity)
+    )

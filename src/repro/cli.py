@@ -140,13 +140,34 @@ def cmd_atpg(args) -> int:
     return 0
 
 
+def _load_patterns(path: str):
+    """Read a STIL pattern file for the CLI, or ``None`` after a one-line
+    error on stderr (the :func:`_load_run_report` contract)."""
+    from .dft import read_stil
+    from .errors import ScanError
+
+    try:
+        with open(path) as fh:
+            return read_stil(fh)
+    except FileNotFoundError:
+        print(f"error: no pattern file at {path!r}", file=sys.stderr)
+    except (OSError, ScanError, ValueError) as exc:
+        print(
+            f"error: unreadable pattern file {path!r}: {exc}",
+            file=sys.stderr,
+        )
+    return None
+
+
 def cmd_scap(args) -> int:
     from .core import validate_pattern_set
-    from .dft import read_stil
 
+    # Parse the file before building the case study: a bad path fails
+    # in milliseconds instead of after the design build.
+    patterns = _load_patterns(args.patterns)
+    if patterns is None:
+        return 2
     study = _study(args)
-    with open(args.patterns) as fh:
-        patterns = read_stil(fh)
     report = validate_pattern_set(
         study.calculator, patterns, study.thresholds_mw
     )

@@ -52,6 +52,36 @@ class TestCli:
         assert "patterns exceed" in out
         assert code in (0, 1)  # 1 when violations exist
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "no pattern file"),
+            ("", "not a STIL pattern file"),
+            ("STIL 1.0;\nPattern 0 {\n  Load 01;\n}\n", "missing Load/Mask"),
+            ("STIL 1.0;\nPattern 0 {\n  Load 0z;\n  Mask 11;\n}\n",
+             "unreadable pattern file"),
+        ],
+        ids=["missing", "empty", "truncated", "corrupt"],
+    )
+    def test_scap_bad_pattern_file_is_one_line_error(
+        self, tmp_path, capsys, monkeypatch, content, message
+    ):
+        from repro import cli
+
+        def no_study(args):  # the file must be rejected before the build
+            raise AssertionError("case study built for a bad pattern file")
+
+        monkeypatch.setattr(cli, "_study", no_study)
+        path = tmp_path / "pats.stil"
+        if content is not None:
+            path.write_text(content)
+        assert main(["scap", str(path), "--scale", "tiny"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])
