@@ -28,6 +28,7 @@ import os
 import time
 from pathlib import Path
 
+from repro import RunContext
 from repro.core import run_noise_tolerant_flow
 from repro.obs import NullTelemetry
 from repro.soc import build_turbo_eagle
@@ -90,7 +91,9 @@ def test_disabled_telemetry_overhead_under_budget():
     assert baseline is not None
 
     counter = CountingTelemetry()
-    counted, _ = run_noise_tolerant_flow(design, seed=1, telemetry=counter)
+    counted, _ = run_noise_tolerant_flow(
+        design, seed=1, context=RunContext(telemetry=counter)
+    )
 
     # Telemetry only observes: the flow's output must not change.
     assert counted is not None

@@ -35,8 +35,7 @@ from repro.netlist.cells import CELL_FUNCTIONS
 from repro.perf.cache import PatternProfileCache
 from repro.perf.dispatch import usable_cpus
 from repro.perf.kernel_cache import KernelCache, use_kernel_cache
-from repro.perf.pool import resolve_workers
-from repro.perf.shm import active_segments
+from repro.perf.resilient import resolve_workers
 from repro.power.calculator import ScapCalculator
 from repro.power.scap import PatternPowerProfile
 from repro.sim.event import TimingResult, build_launch_events
@@ -249,25 +248,9 @@ def test_perf_pipeline(benchmark, rig):
     for _ in range(3):
         loc_launch_capture(lsim, packed_vec, domain, mask=mask_vec)
     logic_s = (time.perf_counter() - t0) / 3
-
-    big = lsim.run(packed_vec, mask=mask_vec, engine="bigint")
-    vec = lsim.run(packed_vec, mask=mask_vec, engine="vector")
-    assert vec == big, "vector logic engine is not bit-identical"
-    t0 = time.perf_counter()
-    for _ in range(3):
-        lsim.run(packed_vec, mask=mask_vec, engine="bigint")
-    bigint_s = (time.perf_counter() - t0) / 3
-    t0 = time.perf_counter()
-    for _ in range(3):
-        lsim.run(packed_vec, mask=mask_vec, engine="vector")
-    vector_s = (time.perf_counter() - t0) / 3
     report["logic_sim"] = {
         "n_patterns": int(matrix.shape[0]),
         "patterns_per_s": matrix.shape[0] / logic_s,
-        "bigint_propagate_s": bigint_s,
-        "vector_propagate_s": vector_s,
-        "speedup_vector_vs_bigint": bigint_s / max(1e-9, vector_s),
-        "bit_identical": True,
     }
 
     # -- persistent kernel cache ---------------------------------------
@@ -325,17 +308,9 @@ def test_perf_pipeline(benchmark, rig):
         t0 = time.perf_counter()
         det_par = fsim.run_batch(
             matrix, faults, lane_width=matrix.shape[0],
-            n_workers=REQUESTED_WORKERS, transport="inherit",
+            n_workers=REQUESTED_WORKERS,
         )
         par_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        det_shm = fsim.run_batch(
-            matrix, faults, lane_width=matrix.shape[0],
-            n_workers=REQUESTED_WORKERS, transport="shm",
-        )
-        shm_s = time.perf_counter() - t0
-    assert active_segments() == [], "leaked shared-memory segments"
 
     t0 = time.perf_counter()
     det_drop = fsim.run_batch(matrix, faults, lane_width=64, drop=True)
@@ -343,14 +318,12 @@ def test_perf_pipeline(benchmark, rig):
 
     assert det_batch == det_seed, "batched fault sim is not bit-identical"
     assert det_par == det_seed, "parallel fault sim is not bit-identical"
-    assert det_shm == det_seed, "shm-pool fault sim is not bit-identical"
     assert set(det_drop) == set(det_seed)
 
     fp = len(faults) * matrix.shape[0]
     modes = {
         "batch": seed_s / batch_s,
         "parallel": seed_s / par_s,
-        "parallel_shm": seed_s / shm_s,
     }
     best_mode = max(modes, key=modes.get)
     report["fault_sim"] = {
@@ -361,13 +334,11 @@ def test_perf_pipeline(benchmark, rig):
         "seed_s": seed_s,
         "batch_s": batch_s,
         "parallel_s": par_s,
-        "parallel_shm_s": shm_s,
         "drop_grading_s": drop_s,
         "seed_fault_patterns_per_s": fp / seed_s,
         "batch_fault_patterns_per_s": fp / batch_s,
         "speedup_batch_vs_seed": modes["batch"],
         "speedup_parallel_vs_seed": modes["parallel"],
-        "speedup_parallel_shm_vs_seed": modes["parallel_shm"],
         "best_mode": best_mode,
         "speedup_vs_seed": modes[best_mode],
         "bit_identical": True,
@@ -389,20 +360,12 @@ def test_perf_pipeline(benchmark, rig):
 
     t0 = time.perf_counter()
     prof_par = calc.profile_patterns(
-        scap_matrix, n_workers=REQUESTED_WORKERS, transport="inherit"
+        scap_matrix, n_workers=REQUESTED_WORKERS
     )
     par_scap_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    prof_shm = calc.profile_patterns(
-        scap_matrix, n_workers=REQUESTED_WORKERS, transport="shm"
-    )
-    shm_scap_s = time.perf_counter() - t0
-    assert active_segments() == [], "leaked shared-memory segments"
-
     assert prof_batch == prof_seed, "batched SCAP profiles differ from seed"
     assert prof_par == prof_seed, "parallel SCAP profiles differ from seed"
-    assert prof_shm == prof_seed, "shm-pool SCAP profiles differ from seed"
 
     cache = PatternProfileCache()
     calc_cached = ScapCalculator(design, domain, cache=cache)
@@ -416,7 +379,6 @@ def test_perf_pipeline(benchmark, rig):
     modes = {
         "batch": seed_scap_s / batch_scap_s,
         "parallel": seed_scap_s / par_scap_s,
-        "parallel_shm": seed_scap_s / shm_scap_s,
     }
     best_mode = max(modes, key=modes.get)
     report["scap"] = {
@@ -425,10 +387,8 @@ def test_perf_pipeline(benchmark, rig):
         "seed_ms_per_pattern": 1000 * seed_scap_s / n,
         "batch_ms_per_pattern": 1000 * batch_scap_s / n,
         "parallel_ms_per_pattern": 1000 * par_scap_s / n,
-        "parallel_shm_ms_per_pattern": 1000 * shm_scap_s / n,
         "speedup_batch_vs_seed": modes["batch"],
         "speedup_parallel_vs_seed": modes["parallel"],
-        "speedup_parallel_shm_vs_seed": modes["parallel_shm"],
         "best_mode": best_mode,
         "speedup_vs_seed": modes[best_mode],
         "profiles_identical": True,
@@ -461,8 +421,6 @@ def test_perf_pipeline(benchmark, rig):
     # still reported above.
     if parallel_comparable:
         assert report["kernel_cache"]["warm_load_s"] < 0.1
-        fault_par = max(
-            report["fault_sim"]["speedup_parallel_vs_seed"],
-            report["fault_sim"]["speedup_parallel_shm_vs_seed"],
-        )
-        assert fault_par > 1.0, "parallel fault sim lost to the seed"
+        assert (
+            report["fault_sim"]["speedup_parallel_vs_seed"] > 1.0
+        ), "parallel fault sim lost to the seed"

@@ -33,7 +33,6 @@ from .perf import (
     PatternProfileCache,
     RetryPolicy,
     execution_policy,
-    pool_map,
     resilient_map,
 )
 from .power import PatternPowerProfile, ScapCalculator
@@ -89,7 +88,6 @@ __all__ = [
     "ir_scaled_endpoint_comparison",
     "prescreen_pattern_set",
     "prescreened_endpoint_comparison",
-    "pool_map",
     "resilient_map",
     "run_drc",
     "run_noise_tolerant_flow",

@@ -24,8 +24,7 @@ Three throughput layers sit on top of the plain cone walk:
   once — warm-loading compiled kernels from the persistent
   :mod:`repro.perf.kernel_cache` the parent populated — good-simulates
   every lane once, then grades its fault chunks against the memoized
-  frames; matrices ride a zero-copy :mod:`repro.perf.shm` segment when
-  big enough, and ``n_workers="auto"`` defers the batch/pool call to
+  frames; ``n_workers="auto"`` defers the batch/pool call to
   :mod:`repro.perf.dispatch`).
 """
 
@@ -40,14 +39,13 @@ from ..errors import AtpgError
 from ..netlist.levelize import levelize
 from ..netlist.netlist import Netlist
 from ..obs import current_telemetry
-from ..perf.dispatch import current_dispatch, decide_fsim, wants_auto
+from ..perf.dispatch import decide_fsim, wants_auto
 from ..perf.kernel_cache import (
     KernelCache,
     current_kernel_cache,
     netlist_fingerprint,
 )
-from ..perf.pool import chunked, pool_map, resolve_workers
-from ..perf.shm import shared_matrix, shm_available, resolve_matrix
+from ..perf.resilient import chunked, resilient_map, resolve_workers
 from ..sim.logic import (
     LogicSim,
     launch_capture_with_state,
@@ -409,7 +407,6 @@ class FaultSimulator:
         lane_width: int = DEFAULT_LANE_WIDTH,
         drop: bool = False,
         n_workers: Union[int, str, None] = 1,
-        transport: Optional[str] = None,
         exec_policy=None,
     ) -> Dict[TransitionFault, int]:
         """Fault-simulate an arbitrarily large batch in fixed-width lanes.
@@ -434,18 +431,13 @@ class FaultSimulator:
             (coverage grading), not when counting detections per fault.
         n_workers:
             Fan the fault list out across a process pool in chunked
-            partitions (each worker rebuilds the simulator once from
-            the warm kernel cache, good-simulates every lane once, then
-            grades its fault chunks against the settled frames).
-            ``<= 1`` stays serial in-process; ``"auto"`` lets
+            partitions (each worker receives the pattern matrices
+            through its initializer's arguments, rebuilds the simulator
+            once from the warm kernel cache, good-simulates every lane
+            once, then grades its fault chunks against the settled
+            frames).  ``<= 1`` stays serial in-process; ``"auto"`` lets
             :func:`repro.perf.dispatch.decide_fsim` pick batch or pool
             from the work size and usable cores.
-        transport:
-            How pool workers receive the pattern matrices: ``"inherit"``
-            ships them through pickled initargs, ``"shm"`` through one
-            packed :mod:`repro.perf.shm` segment per matrix (zero-copy).
-            ``None`` (default) decides from matrix size via the ambient
-            :class:`~repro.perf.dispatch.DispatchPolicy`.
         exec_policy:
             Optional :class:`~repro.perf.resilient.RetryPolicy` for
             the pooled path (per-chunk timeouts, retries, crash
@@ -457,8 +449,6 @@ class FaultSimulator:
             raise AtpgError("v1_matrix must be (n_patterns, n_flops)")
         if lane_width <= 0:
             raise AtpgError("lane_width must be positive")
-        if transport not in (None, "inherit", "shm"):
-            raise AtpgError("transport must be None, 'inherit' or 'shm'")
         n_pat = v1_matrix.shape[0]
         faults = list(faults)
         if n_pat == 0 or not faults:
@@ -466,23 +456,10 @@ class FaultSimulator:
 
         tel = current_telemetry()
         if wants_auto(n_workers):
-            decision = decide_fsim(
-                n_pat, len(faults), matrix_bytes=int(v1_matrix.nbytes)
-            )
+            decision = decide_fsim(n_pat, len(faults))
             eff = decision.n_workers if decision.mode == "pool" else 1
-            use_shm = (
-                decision.use_shm if transport is None else transport == "shm"
-            )
         else:
             eff = resolve_workers(n_workers, len(faults))
-            if transport is None:
-                use_shm = (
-                    int(v1_matrix.nbytes) // 8
-                    >= current_dispatch().shm_min_bytes
-                )
-            else:
-                use_shm = transport == "shm"
-        use_shm = use_shm and eff > 1 and shm_available()
         with tel.span(
             "fsim.run_batch",
             domain=self.domain,
@@ -490,7 +467,6 @@ class FaultSimulator:
             n_faults=len(faults),
             workers=eff,
             drop=drop,
-            shm=use_shm,
         ):
             tel.count("fsim.faults_graded", len(faults))
             if eff > 1:
@@ -502,28 +478,23 @@ class FaultSimulator:
                 # Chunked fault partitions; a few chunks per worker
                 # keeps the load balanced when cone sizes are skewed.
                 chunks = chunked(faults, eff * 4)
-                with shared_matrix(
-                    v1_matrix if use_shm else None
-                ) as h1, shared_matrix(
-                    v2_matrix if use_shm else None
-                ) as h2:
-                    results = pool_map(
-                        _fsim_worker_task,
-                        chunks,
-                        n_workers=eff,
-                        policy=exec_policy,
-                        initializer=_fsim_worker_init,
-                        initargs=(
-                            self.netlist,
-                            self.domain,
-                            h1 if h1 is not None else v1_matrix,
-                            protocol,
-                            scan,
-                            h2 if h2 is not None else v2_matrix,
-                            lane_width,
-                            drop,
-                        ),
-                    )
+                results = resilient_map(
+                    _fsim_worker_task,
+                    chunks,
+                    n_workers=eff,
+                    policy=exec_policy,
+                    initializer=_fsim_worker_init,
+                    initargs=(
+                        self.netlist,
+                        self.domain,
+                        v1_matrix,
+                        protocol,
+                        scan,
+                        v2_matrix,
+                        lane_width,
+                        drop,
+                    ),
+                )
                 merged: Dict[TransitionFault, int] = {}
                 for part in results:
                     merged.update(part)
@@ -569,25 +540,21 @@ _FSIM_WORKER_STATE: Optional[Tuple] = None
 def _fsim_worker_init(
     netlist: Netlist,
     domain: str,
-    v1_source,
+    v1: np.ndarray,
     protocol: str,
     scan,
-    v2_source,
+    v2: Optional[np.ndarray],
     lane_width: int,
     drop: bool,
 ) -> None:
     """Build the per-worker grading context, once per worker process.
 
-    The matrices arrive either inline or as :mod:`repro.perf.shm`
-    handles (resolved here); the simulator warm-loads its kernels from
-    the persistent cache the parent just populated; and the good
-    machine is simulated over every lane *once* — fault chunks then
-    grade against the memoized settled frames instead of re-running the
-    good machine per chunk.
+    The simulator warm-loads its kernels from the persistent cache the
+    parent just populated, and the good machine is simulated over every
+    lane *once* — fault chunks then grade against the memoized settled
+    frames instead of re-running the good machine per chunk.
     """
     global _FSIM_WORKER_STATE
-    v1 = resolve_matrix(v1_source)
-    v2 = resolve_matrix(v2_source)
     sim = FaultSimulator(netlist, domain)
     frames: List[Tuple[int, List[int], List[int], int]] = []
     for start in range(0, v1.shape[0], lane_width):

@@ -62,21 +62,28 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=list(LOG_LEVELS),
                         help="stdlib logging level for the repro tree "
                              "(default: warning)")
-    parser.add_argument("--workers", default="1", metavar="N|auto",
+    parser.add_argument("--workers", type=_workers_arg, default=1,
+                        metavar="N|auto",
                         help="worker processes for grading pools: a "
                              "count, or 'auto' to size from the work "
                              "and usable cores (default: 1)")
 
 
-def _workers(args):
-    raw = getattr(args, "workers", "1")
-    return raw if raw == "auto" else int(raw)
+def _workers_arg(raw: str):
+    """``--workers`` value: a positive count or ``"auto"``."""
+    if raw == "auto":
+        return raw
+    if raw.isdigit() and int(raw) >= 1:
+        return int(raw)
+    raise argparse.ArgumentTypeError(
+        f"expected a positive integer or 'auto', got {raw!r}"
+    )
 
 
 def _study(args) -> CaseStudy:
     return CaseStudy(
         scale=args.scale, seed=args.seed,
-        n_workers=_workers(args),
+        n_workers=args.workers,
         checkpoint_dir=getattr(args, "checkpoint", None),
     )
 
@@ -126,7 +133,7 @@ def cmd_atpg(args) -> int:
     design = study.design
     engine = AtpgEngine(
         design.netlist, design.dominant_domain(), scan=design.scan,
-        protocol=args.protocol, seed=1,
+        protocol=args.protocol, seed=1, n_workers=args.workers,
     )
     result = engine.run(fill=args.fill)
     print(
@@ -271,6 +278,7 @@ def cmd_flow(args) -> int:
         timing_prescreen=args.timing_prescreen,
         timing_max_patterns=args.timing_max_patterns,
         seed=1,
+        n_workers=args.workers,
     )
     if report.timing is not None:
         if "error" in report.timing:

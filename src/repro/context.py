@@ -34,7 +34,7 @@ what :func:`use_run_context` does.
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .obs import AnyTelemetry, current_telemetry, use_telemetry
@@ -76,12 +76,6 @@ class RunContext:
     dispatch: Optional[DispatchPolicy] = None
     #: Compiled-kernel cache (``None`` disables caching in the scope).
     kernel_cache: Union[KernelCache, None, _InheritCache] = INHERIT_CACHE
-
-    def with_telemetry(
-        self, telemetry: Optional[AnyTelemetry]
-    ) -> "RunContext":
-        """A copy with *telemetry* (the deprecation-shim helper)."""
-        return replace(self, telemetry=telemetry)
 
     def overriding(self, other: "RunContext") -> "RunContext":
         """Compose two contexts: *other*'s explicit fields win.

@@ -8,7 +8,6 @@ number in EXPERIMENTS.md has a single authoritative source.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -19,7 +18,7 @@ from ..atpg.faults import build_fault_universe
 from ..config import ElectricalEnv
 from ..context import RunContext, use_run_context
 from ..errors import ConfigError
-from ..obs import AnyTelemetry, current_telemetry
+from ..obs import current_telemetry
 from ..pgrid.dynamic_ir import DynamicIrResult, dynamic_ir_for_pattern
 from ..pgrid.grid import GridModel
 from ..perf.cache import PatternProfileCache
@@ -49,7 +48,6 @@ class CaseStudy:
         n_workers: Union[int, str, None] = 1,
         checkpoint_dir: Optional[str] = None,
         drc: bool = True,
-        telemetry: Optional[AnyTelemetry] = None,
         context: Optional[RunContext] = None,
     ):
         """``n_workers`` fans fault simulation and SCAP grading out
@@ -78,8 +76,6 @@ class CaseStudy:
         one session object configures telemetry, execution policy,
         dispatch policy and the kernel cache for the whole case study;
         inherit-valued fields leave the ambient configuration alone.
-        The legacy ``telemetry`` kwarg is deprecated sugar for
-        ``context=RunContext(telemetry=...)``.
         """
         self.design = build_turbo_eagle(scale, seed)
         self.domain = self.design.dominant_domain()
@@ -104,15 +100,6 @@ class CaseStudy:
             )
             self._checkpoint = CheckpointStore(checkpoint_dir, fingerprint)
         self.context = context if context is not None else RunContext()
-        if telemetry is not None:
-            warnings.warn(
-                "telemetry= is deprecated; pass "
-                "context=RunContext(telemetry=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.context.telemetry is None:
-                self.context = self.context.with_telemetry(telemetry)
         self.telemetry = self.context.telemetry
         self.drc_enabled = drc
         self._drc_gate_report = None

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -31,7 +30,7 @@ from ..atpg.fsim import FaultSimulator, first_detection_index
 from ..atpg.patterns import PatternSet
 from ..context import RunContext, use_run_context
 from ..errors import ConfigError, DrcError, PowerGridError
-from ..obs import AnyTelemetry, current_telemetry, use_telemetry
+from ..obs import current_telemetry, use_telemetry
 from ..perf.resilient import collect_reports
 from ..reporting.checkpoint import CheckpointStore, config_fingerprint
 from ..reporting.runreport import (
@@ -484,7 +483,6 @@ def run_noise_tolerant_flow(
     report_path: Optional[str] = None,
     drc: bool = True,
     drc_waivers=None,
-    telemetry: Optional[AnyTelemetry] = None,
     context: Optional[RunContext] = None,
     schedule_budget_mw: Optional[float] = None,
     schedule_strategy: str = "binpack",
@@ -519,11 +517,9 @@ def run_noise_tolerant_flow(
 
     *context* (a :class:`~repro.context.RunContext`) scopes the whole
     session configuration — telemetry, execution policy, dispatch
-    policy and kernel cache — over the run.  The legacy *telemetry*
-    kwarg is deprecated sugar for ``context=RunContext(telemetry=...)``
-    (a :class:`DeprecationWarning` is emitted); either way ``None``
-    telemetry runs with the null facade: no signals, bit-identical
-    results, and the telemetry snapshot lands in ``report.telemetry``.
+    policy and kernel cache — over the run.  ``None`` telemetry runs
+    with the null facade: no signals, bit-identical results, and the
+    telemetry snapshot lands in ``report.telemetry``.
 
     With *schedule_budget_mw* set, a successful generation run is
     followed by a SOC test-scheduling stage: per-block test powers come
@@ -548,15 +544,6 @@ def run_noise_tolerant_flow(
     many patterns the stage screens.
     """
     ctx = context if context is not None else RunContext()
-    if telemetry is not None:
-        warnings.warn(
-            "telemetry= is deprecated; pass "
-            "context=RunContext(telemetry=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if ctx.telemetry is None:
-            ctx = ctx.with_telemetry(telemetry)
     # The non-telemetry knobs scope ambiently; telemetry keeps the
     # historical contract that ``None`` *forces* the null facade (it
     # does not inherit), so it is scoped explicitly.

@@ -22,9 +22,12 @@ the cost of one method call, flow results are bit-identical either
 way, and ``benchmarks/bench_obs_overhead.py`` enforces the <5%
 disabled-path budget.  Enable with::
 
+    from repro import RunContext
     from repro.obs import Telemetry
     tel = Telemetry(profile=True)
-    result, report = run_noise_tolerant_flow(design, telemetry=tel)
+    result, report = run_noise_tolerant_flow(
+        design, context=RunContext(telemetry=tel)
+    )
     tel.save_trace_jsonl("trace.jsonl")
     tel.save_metrics_prometheus("metrics.prom")
 

@@ -16,11 +16,12 @@ line).  Flow results are bit-identical either way — telemetry only
 observes.
 
 The facade travels two ways: explicitly (``run_noise_tolerant_flow(...,
-telemetry=tel)``) and ambiently via :func:`use_telemetry` /
-:func:`current_telemetry`, which is how deep layers (fault simulation,
-SCAP grading, DRC rules, the resilient executor) see the run's
-telemetry without threading a parameter through every signature —
-the same pattern as :func:`repro.perf.resilient.execution_policy`.
+context=RunContext(telemetry=tel))``) and ambiently via
+:func:`use_telemetry` / :func:`current_telemetry`, which is how deep
+layers (fault simulation, SCAP grading, DRC rules, the resilient
+executor) see the run's telemetry without threading a parameter through
+every signature — the same pattern as
+:func:`repro.perf.resilient.execution_policy`.
 """
 
 from __future__ import annotations

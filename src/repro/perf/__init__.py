@@ -6,14 +6,14 @@ block, and the staged noise-aware procedure repeats both per stage per
 clock domain.  This package supplies the shared machinery that makes
 those hot paths cheap:
 
-* :mod:`~repro.perf.pool` — a fork/spawn-safe process-pool map with
-  per-worker one-time initialisation (rebuild the netlist/simulator
-  once per worker, not once per task), chunk helpers, ordered result
-  merge and a graceful serial fallback,
-* :mod:`~repro.perf.resilient` — the fault-tolerant execution layer
-  under :func:`~repro.perf.pool.pool_map`: per-chunk futures, bounded
-  retries with backoff, per-task timeouts with hung-worker
-  cancellation, crash isolation onto rebuilt pools, and a structured
+* :mod:`~repro.perf.resilient` — the one way grading runs on a worker
+  pool: :func:`~repro.perf.resilient.resilient_map` with per-worker
+  one-time initialisation (rebuild the netlist/simulator once per
+  worker, not once per task; pattern matrices ride the initializer's
+  arguments), chunk helpers, ordered results, per-chunk futures,
+  bounded retries with backoff, per-task timeouts with hung-worker
+  cancellation, crash isolation onto rebuilt pools, a serial fallback
+  reserved for infrastructure failure, and a structured
   :class:`~repro.perf.resilient.ExecutionReport` of what was survived,
 * :mod:`~repro.perf.chaos` — deterministic fault injection (kill /
   hang / transient-fail chosen workers on chosen chunks) so every
@@ -24,13 +24,10 @@ those hot paths cheap:
   fault simulator's compiled cone kernels, keyed by a structural
   netlist fingerprint, so the per-netlist compile tax is paid once per
   machine instead of once per run per worker,
-* :mod:`~repro.perf.shm` — zero-copy pattern transport: packed bit
-  matrices in named shared-memory segments that pool workers attach by
-  handle instead of unpickling,
 * :mod:`~repro.perf.dispatch` — the work-size-aware dispatcher behind
   ``n_workers="auto"``: estimates serial cost, counts the cores this
-  process may actually use, and picks batch or pool (and the shm
-  transport) instead of hoping the pool wins.
+  process may actually use, and picks batch or pool instead of hoping
+  the pool wins.
 
 The consumers are :meth:`repro.atpg.fsim.FaultSimulator.run_batch`
 (multi-word fault simulation with chunked fault partitions) and
@@ -55,30 +52,18 @@ from .kernel_cache import (
     netlist_fingerprint,
     use_kernel_cache,
 )
-from .pool import (
-    available_workers,
-    chunk_slices,
-    chunked,
-    pool_map,
-    resolve_workers,
-)
-from .shm import (
-    SharedPatternMatrix,
-    ShmHandle,
-    active_segments,
-    resolve_matrix,
-    shared_matrix,
-    shm_available,
-)
 from .resilient import (
     ChunkFailure,
     ExecutionReport,
     RetryPolicy,
+    chunk_slices,
+    chunked,
     collect_reports,
     default_policy,
     execution_policy,
     last_report,
     resilient_map,
+    resolve_workers,
 )
 
 __all__ = [
@@ -89,10 +74,6 @@ __all__ = [
     "KernelCache",
     "PatternProfileCache",
     "RetryPolicy",
-    "SharedPatternMatrix",
-    "ShmHandle",
-    "active_segments",
-    "available_workers",
     "chaos",
     "chunk_slices",
     "chunked",
@@ -107,12 +88,8 @@ __all__ = [
     "execution_policy",
     "last_report",
     "netlist_fingerprint",
-    "pool_map",
     "resilient_map",
-    "resolve_matrix",
     "resolve_workers",
-    "shared_matrix",
-    "shm_available",
     "usable_cpus",
     "use_kernel_cache",
 ]

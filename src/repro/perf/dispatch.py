@@ -1,4 +1,4 @@
-"""Work-size-aware execution dispatch (serial / batch / pool / shm).
+"""Work-size-aware execution dispatch (batch or pool).
 
 ``BENCH_perf.json`` taught us the hard lesson: a process pool is not a
 speedup, it is a *bet* — pool spin-up, per-worker initialisation and
@@ -17,9 +17,7 @@ hoping:
   :meth:`~repro.atpg.fsim.FaultSimulator.run_batch`,
   :meth:`~repro.power.calculator.ScapCalculator.profile_patterns`, the
   flows — resolves against one policy without threading knobs through
-  every signature;
-* transport selection: pool work ships its pattern matrix zero-copy
-  over :mod:`repro.perf.shm` when the matrix is big enough to matter.
+  every signature.
 
 Decision tree (documented in docs/architecture.md)::
 
@@ -28,9 +26,8 @@ Decision tree (documented in docs/architecture.md)::
       forced mode in policy       -> that mode
       usable_cpus() < 2           -> batch
       est_serial_s * (1 - 1/w)
-         <= pool_overhead_s       -> batch (pool cannot win back setup)
-      else                        -> pool(w), shm transport if the
-                                     matrix >= shm_min_bytes
+         <= POOL_OVERHEAD_S       -> batch (pool cannot win back setup)
+      else                        -> pool(w)
 """
 
 from __future__ import annotations
@@ -43,12 +40,18 @@ from typing import Iterator, List, Optional, Union
 
 from ..errors import ConfigError
 from ..obs import current_telemetry
-from .shm import shm_available
 
 #: Accepted ``mode`` values for a :class:`DispatchPolicy`.
 MODES = ("auto", "batch", "pool")
-#: Accepted ``transport`` values.
-TRANSPORTS = ("auto", "inherit", "shm")
+
+#: Estimated fixed cost of going parallel: pool creation plus
+#: per-worker context rebuild (with a warm kernel cache).
+POOL_OVERHEAD_S = 0.25
+#: Throughput estimates feeding the serial-cost model.  They only need
+#: to be right within ~an order of magnitude — the decision is a step
+#: function, not a regression.
+FSIM_FAULT_PATTERNS_PER_S = 10e6
+SCAP_S_PER_PATTERN = 1.5e-3
 
 
 def usable_cpus() -> int:
@@ -72,27 +75,10 @@ class DispatchPolicy:
     mode: str = "auto"
     #: Worker-count ceiling for pool decisions (None = usable cores).
     n_workers: Optional[int] = None
-    #: "auto" ships matrices over shared memory when big enough;
-    #: "inherit"/"shm" force the transport.
-    transport: str = "auto"
-    #: Estimated fixed cost of going parallel: pool creation plus
-    #: per-worker context rebuild (with a warm kernel cache).
-    pool_overhead_s: float = 0.25
-    #: Throughput estimates feeding the serial-cost model.  They only
-    #: need to be right within ~an order of magnitude — the decision is
-    #: a step function, not a regression.
-    fsim_fault_patterns_per_s: float = 10e6
-    scap_s_per_pattern: float = 1.5e-3
-    #: Matrices below this many packed bytes ride initargs; above, shm.
-    shm_min_bytes: int = 1 << 14
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"dispatch mode must be one of {MODES}")
-        if self.transport not in TRANSPORTS:
-            raise ConfigError(
-                f"dispatch transport must be one of {TRANSPORTS}"
-            )
 
 
 DEFAULT_DISPATCH = DispatchPolicy()
@@ -130,7 +116,6 @@ class Decision:
 
     mode: str  # "batch" | "pool"
     n_workers: int  # 1 for batch
-    use_shm: bool
     est_serial_s: float
     reason: str
 
@@ -140,50 +125,34 @@ def _workers(policy: DispatchPolicy, n_items: int) -> int:
     return max(1, min(int(cap), max(1, n_items)))
 
 
-def _transport(
-    policy: DispatchPolicy, matrix_bytes: int, n_workers: int
-) -> bool:
-    if n_workers <= 1 or not shm_available():
-        return False
-    if policy.transport == "shm":
-        return True
-    if policy.transport == "inherit":
-        return False
-    return matrix_bytes // 8 >= policy.shm_min_bytes  # packed size
-
 def _decide(
     kind: str,
     est_serial_s: float,
     n_items: int,
-    matrix_bytes: int,
     policy: Optional[DispatchPolicy],
 ) -> Decision:
     policy = policy if policy is not None else current_dispatch()
     w = _workers(policy, n_items)
     if policy.mode == "batch" or w <= 1:
         decision = Decision(
-            "batch", 1, False, est_serial_s,
+            "batch", 1, est_serial_s,
             "forced batch" if policy.mode == "batch" else "single core",
         )
     elif policy.mode == "pool":
-        decision = Decision(
-            "pool", w, _transport(policy, matrix_bytes, w),
-            est_serial_s, "forced pool",
-        )
+        decision = Decision("pool", w, est_serial_s, "forced pool")
     else:
         # The pool saves at most est * (1 - 1/w) of wall clock and
-        # costs ~pool_overhead_s to stand up.
+        # costs ~POOL_OVERHEAD_S to stand up.
         saving = est_serial_s * (1.0 - 1.0 / w)
-        if saving > policy.pool_overhead_s:
+        if saving > POOL_OVERHEAD_S:
             decision = Decision(
-                "pool", w, _transport(policy, matrix_bytes, w),
-                est_serial_s,
-                f"saving {saving:.2f}s > overhead {policy.pool_overhead_s}s",
+                "pool", w, est_serial_s,
+                f"saving {saving:.2f}s > overhead {POOL_OVERHEAD_S}s",
             )
         else:
             decision = Decision(
-                "batch", 1, False, est_serial_s,
-                f"saving {saving:.2f}s <= overhead {policy.pool_overhead_s}s",
+                "batch", 1, est_serial_s,
+                f"saving {saving:.2f}s <= overhead {POOL_OVERHEAD_S}s",
             )
     current_telemetry().count(
         f"dispatch.{kind}", mode=decision.mode
@@ -194,24 +163,20 @@ def _decide(
 def decide_fsim(
     n_patterns: int,
     n_faults: int,
-    matrix_bytes: int = 0,
     policy: Optional[DispatchPolicy] = None,
 ) -> Decision:
     """Batch or pool for a fault-simulation grading call."""
-    policy = policy if policy is not None else current_dispatch()
-    est = (n_patterns * n_faults) / policy.fsim_fault_patterns_per_s
-    return _decide("fsim", est, n_faults, matrix_bytes, policy)
+    est = (n_patterns * n_faults) / FSIM_FAULT_PATTERNS_PER_S
+    return _decide("fsim", est, n_faults, policy)
 
 
 def decide_scap(
     n_patterns: int,
-    matrix_bytes: int = 0,
     policy: Optional[DispatchPolicy] = None,
 ) -> Decision:
     """Batch or pool for a SCAP pattern-grading call."""
-    policy = policy if policy is not None else current_dispatch()
-    est = n_patterns * policy.scap_s_per_pattern
-    return _decide("scap", est, n_patterns, matrix_bytes, policy)
+    est = n_patterns * SCAP_S_PER_PATTERN
+    return _decide("scap", est, n_patterns, policy)
 
 
 #: Sentinel accepted by ``n_workers=`` at grading call sites.

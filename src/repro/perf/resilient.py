@@ -1,7 +1,16 @@
 """Fault-tolerant per-chunk execution on a worker pool.
 
-:func:`resilient_map` replaces the all-or-nothing ``pool.map`` path:
-every work item is its own future, so one crashed, hung, or flaky
+The workloads this serves (fault-simulating a fault partition, SCAP-
+grading a pattern chunk) all share one shape: an expensive read-only
+context (netlist, simulators, delay model) plus many small independent
+work items.  :func:`resilient_map` therefore takes an *initializer*
+that runs once per worker process and stashes the rebuilt context in a
+module-level slot; tasks then only ship their small work item.
+``n_workers <= 1`` (or a single work item) runs serially in the
+calling process, invoking the initializer locally first.  Results are
+always returned in input order.
+
+Every work item is its own future, so one crashed, hung, or flaky
 worker costs exactly the chunks it was holding — never the completed
 results of its neighbours.  The recovery ladder, in order:
 
@@ -25,8 +34,8 @@ results of its neighbours.  The recovery ladder, in order:
 
 Task exceptions outside ``retry_on`` are real bugs: they propagate
 immediately as :class:`~repro.errors.ExecutionError` with the original
-exception chained — they never trigger retries or the serial fallback
-(see ``pool_map``'s history for why that matters).
+exception chained — they never trigger retries or the serial fallback,
+which would silently double the runtime of a broken kernel.
 
 Every call fills an :class:`ExecutionReport` (per-chunk attempt counts,
 failure log, rebuild/timeout tallies); the most recent report is
@@ -39,6 +48,7 @@ of these paths lives in :mod:`repro.perf.chaos`.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import pickle
 import random
 import time
@@ -67,6 +77,51 @@ from ..errors import (
 )
 from ..obs import current_telemetry, worker_event
 from . import chaos as _chaos
+from .dispatch import usable_cpus
+
+
+def resolve_workers(n_workers: Optional[int], n_items: int) -> int:
+    """Effective worker count for *n_items* work items.
+
+    ``None`` means "every core this process may use"
+    (:func:`~repro.perf.dispatch.usable_cpus`); explicit counts are
+    honoured as given (oversubscription is the caller's choice) but
+    never exceed the number of work items — an idle worker is pure fork
+    cost.
+    """
+    if n_workers is None:
+        n_workers = usable_cpus()
+    return max(1, min(int(n_workers), max(1, n_items)))
+
+
+def chunk_slices(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
+    """Contiguous near-equal ``(start, stop)`` slices covering *n_items*."""
+    n_chunks = max(1, min(n_chunks, n_items)) if n_items else 0
+    slices: List[Tuple[int, int]] = []
+    base, extra = divmod(n_items, n_chunks) if n_chunks else (0, 0)
+    start = 0
+    for i in range(n_chunks):
+        stop = start + base + (1 if i < extra else 0)
+        slices.append((start, stop))
+        start = stop
+    return slices
+
+
+def chunked(items: Sequence[Any], n_chunks: int) -> List[List[Any]]:
+    """Split *items* into at most *n_chunks* contiguous near-equal runs."""
+    return [
+        list(items[start:stop])
+        for start, stop in chunk_slices(len(items), n_chunks)
+    ]
+
+
+def _mp_context():
+    """Prefer fork (cheap copy-on-write context inheritance); fall back
+    to spawn where fork is unavailable (Windows, some macOS setups)."""
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods:
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context("spawn")
 
 
 def backoff_delay_s(
@@ -222,7 +277,7 @@ def collect_reports():
     handle through every layer::
 
         with collect_reports() as reports:
-            ...  # any number of pool_map/resilient_map calls
+            ...  # any number of resilient_map calls
         retries = sum(r.total_retries for r in reports)
     """
     global _COLLECTOR
@@ -321,16 +376,17 @@ def resilient_map(
     Results are returned in input order and are bit-identical to a
     serial ``[task(i) for i in items]`` whatever failures were survived
     along the way.  *task* and *initializer* must be module-level
-    callables (picklable by reference).  See the module docstring for
-    the recovery ladder; see :class:`ExecutionReport` for what is
-    recorded about it.
+    callables (picklable by reference); the initializer runs once per
+    worker before any task.  *n_workers* goes through
+    :func:`resolve_workers`.  See the module docstring for the recovery
+    ladder; see :class:`ExecutionReport` for what is recorded about it.
+    *policy* (a :class:`RetryPolicy`) defaults to the ambient
+    :func:`default_policy`; *report* is filled in place when given.
 
     Raises :class:`ExecutionError` (task bug), :class:`WorkerCrashError`
     or :class:`TaskTimeoutError` (retries exhausted) — each carrying
     ``chunk_index``, ``attempts`` and the chained cause.
     """
-    from .pool import _mp_context, resolve_workers  # circular-safe
-
     global _LAST_REPORT
     items = list(items)
     policy = policy if policy is not None else default_policy()

@@ -35,9 +35,8 @@ from ..config import VDD_NOMINAL
 from ..errors import ConfigError
 from ..obs import current_telemetry
 from ..perf.cache import PatternProfileCache, digest_key
-from ..perf.dispatch import current_dispatch, decide_scap, wants_auto
-from ..perf.pool import chunk_slices, pool_map, resolve_workers
-from ..perf.shm import resolve_matrix, shared_matrix, shm_available
+from ..perf.dispatch import decide_scap, wants_auto
+from ..perf.resilient import chunk_slices, resilient_map, resolve_workers
 from ..sim.delays import DelayModel
 from ..sim.event import EventTimingSim, TimingResult, build_launch_events
 from ..sim.fasttiming import FastTimingSim
@@ -210,7 +209,6 @@ class ScapCalculator:
         patterns,
         *,
         n_workers: Union[int, str, None] = 1,
-        transport: Optional[str] = None,
         lane_width: int = MAX_LANE_WIDTH,
         protocol: str = "loc",
         v2_matrix: Optional[np.ndarray] = None,
@@ -228,17 +226,12 @@ class ScapCalculator:
         ----------
         n_workers:
             Fan per-pattern timing simulations out across a process
-            pool (each worker rebuilds the calculator once).  ``<= 1``
-            stays serial; ``"auto"`` lets
+            pool (each worker rebuilds the calculator once and receives
+            the pattern matrix through its initializer's arguments;
+            work items are ``(indices, start, stop)`` row ranges).
+            ``<= 1`` stays serial; ``"auto"`` lets
             :func:`repro.perf.dispatch.decide_scap` pick batch or pool
             from the work size and usable cores.
-        transport:
-            How pool workers receive the pattern matrix: ``"inherit"``
-            pickles it into initargs, ``"shm"`` ships one packed
-            :mod:`repro.perf.shm` segment; work items are always just
-            ``(indices, start, stop)`` row ranges.  ``None`` (default)
-            decides from matrix size via the ambient
-            :class:`~repro.perf.dispatch.DispatchPolicy`.
         lane_width:
             Patterns per bit-parallel logic-simulation lane (clamped to
             one machine word).
@@ -265,8 +258,6 @@ class ScapCalculator:
                 )
         elif protocol not in ("loc", "los"):
             raise ConfigError(f"unknown protocol {protocol!r}")
-        if transport not in (None, "inherit", "shm"):
-            raise ConfigError("transport must be None, 'inherit' or 'shm'")
 
         lane_width = max(1, min(int(lane_width), MAX_LANE_WIDTH))
         cache = self.cache if protocol == "loc" and v2_matrix is None else None
@@ -314,7 +305,7 @@ class ScapCalculator:
                 )
                 profiles = self._dispatch(
                     miss_indices, miss_matrix, protocol, miss_v2,
-                    lane_width, n_workers, transport, exec_policy,
+                    lane_width, n_workers, exec_policy,
                 )
                 for row, profile in zip(miss_rows, profiles):
                     out[row] = profile
@@ -339,25 +330,14 @@ class ScapCalculator:
         v2_matrix: Optional[np.ndarray],
         lane_width: int,
         n_workers: Union[int, str, None],
-        transport: Optional[str] = None,
         exec_policy=None,
     ) -> List[PatternPowerProfile]:
         n_rows = matrix.shape[0]
         if wants_auto(n_workers):
-            decision = decide_scap(n_rows, matrix_bytes=int(matrix.nbytes))
+            decision = decide_scap(n_rows)
             eff = decision.n_workers if decision.mode == "pool" else 1
-            use_shm = (
-                decision.use_shm if transport is None else transport == "shm"
-            )
         else:
             eff = resolve_workers(n_workers, n_rows)
-            if transport is None:
-                use_shm = (
-                    int(matrix.nbytes) // 8
-                    >= current_dispatch().shm_min_bytes
-                )
-            else:
-                use_shm = transport == "shm"
         if eff > 1 and not self._default_delays:
             warnings.warn(
                 "custom delay models cannot be rebuilt in workers; "
@@ -366,37 +346,29 @@ class ScapCalculator:
                 stacklevel=3,
             )
             eff = 1
-        use_shm = use_shm and eff > 1 and shm_available()
         if eff <= 1:
             return self._profile_serial(
                 indices, matrix, protocol, v2_matrix, lane_width
             )
-        # The matrix ships once per worker (initargs — shm handle or
-        # pickled inline); items shrink to (indices, start, stop) row
-        # ranges instead of each dragging its own matrix slice along.
+        # The matrix ships once per worker (initargs); items shrink to
+        # (indices, start, stop) row ranges instead of each dragging its
+        # own matrix slice along.
         slices = chunk_slices(n_rows, eff * 2)
         items = [
             (tuple(indices[start:stop]), start, stop)
             for start, stop in slices
         ]
-        with shared_matrix(
-            matrix if use_shm else None
-        ) as h1, shared_matrix(
-            v2_matrix if use_shm else None
-        ) as h2:
-            results = pool_map(
-                _scap_worker_task,
-                items,
-                n_workers=eff,
-                policy=exec_policy,
-                initializer=_scap_worker_init,
-                initargs=(
-                    self.design, self.domain, self.engine, self.vdd,
-                    protocol, lane_width,
-                    h1 if h1 is not None else matrix,
-                    h2 if h2 is not None else v2_matrix,
-                ),
-            )
+        results = resilient_map(
+            _scap_worker_task,
+            items,
+            n_workers=eff,
+            policy=exec_policy,
+            initializer=_scap_worker_init,
+            initargs=(
+                self.design, self.domain, self.engine, self.vdd,
+                protocol, lane_width, matrix, v2_matrix,
+            ),
+        )
         merged: List[PatternPowerProfile] = []
         for part in results:
             merged.extend(part)
@@ -528,21 +500,21 @@ def _scap_worker_init(
     vdd: float,
     protocol: str,
     lane_width: int,
-    v1_source=None,
-    v2_source=None,
+    v1: np.ndarray,
+    v2: Optional[np.ndarray],
 ) -> None:
     """Rebuild the calculator once per worker process.
 
-    The pattern matrices arrive either inline or as
-    :mod:`repro.perf.shm` handles; tasks then only carry row ranges.
+    The pattern matrices arrive with the initializer's arguments; tasks
+    then only carry row ranges.
     """
     global _SCAP_WORKER_STATE
     _SCAP_WORKER_STATE = (
         ScapCalculator(design, domain, engine=engine, vdd=vdd),
         protocol,
         lane_width,
-        resolve_matrix(v1_source),
-        resolve_matrix(v2_source),
+        v1,
+        v2,
     )
 
 

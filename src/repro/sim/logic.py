@@ -5,25 +5,12 @@ arbitrary-precision integers (bit *k* of a net's word is the net's value
 under pattern *k*), so one pass over the levelised gate list simulates
 every pattern in the batch simultaneously.  This is the engine behind
 launch-state computation, fault simulation and coverage measurement.
-
-Two interchangeable inner loops sit behind :meth:`LogicSim.run`:
-
-* the **bigint** loop — one Python call per gate over packed bigints
-  (cheap at small design sizes and arbitrary batch widths);
-* the **vectorised** loop (:meth:`LogicSim.propagate_words`) — net
-  values held as a ``(n_nets, n_words)`` ``uint64`` matrix and gates
-  evaluated per (level, kind) *group* with a handful of numpy bitwise
-  ops each, extending the :func:`pack_matrix` ``np.packbits`` win into
-  the simulation itself.  Per-gate Python dispatch disappears, so the
-  win grows with design size; ``run`` auto-selects it for designs past
-  :data:`VECTOR_MIN_GATES` and batches past :data:`VECTOR_MIN_PATTERNS`
-  (both paths are bit-identical — asserted in tests and benchmarks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,53 +52,6 @@ def pack_matrix(matrix: np.ndarray) -> Tuple[Dict[int, int], int]:
     )
 
 
-#: Designs below this gate count stay on the bigint loop — numpy group
-#: dispatch only amortises once levels hold enough gates.
-VECTOR_MIN_GATES = 2000
-#: Batches below one machine word stay on the bigint loop (the word
-#: matrix would be all conversion, no amortisation).
-VECTOR_MIN_PATTERNS = 64
-#: Very wide batches favour bigints again (CPython's multi-limb ops
-#: amortise the per-gate overhead; the word matrix starts paying real
-#: memory traffic for the gather/scatter).
-VECTOR_MAX_PATTERNS = 4096
-
-_WORD_BITS = 64
-_U64_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def values_to_words(values: Sequence[int], n_patterns: int) -> np.ndarray:
-    """Packed bigint values -> ``(n_nets, n_words)`` uint64 matrix."""
-    n_words = max(1, (n_patterns + _WORD_BITS - 1) // _WORD_BITS)
-    nbytes = n_words * 8
-    buf = b"".join(v.to_bytes(nbytes, "little") for v in values)
-    return (
-        np.frombuffer(buf, dtype="<u8")
-        .reshape(len(values), n_words)
-        .astype(np.uint64, copy=True)
-    )
-
-
-def words_to_values(words: np.ndarray, mask: int) -> List[int]:
-    """``(n_nets, n_words)`` uint64 matrix -> packed bigint values.
-
-    The tail word is masked so bits past the batch width never leak
-    into the bigints (keeps the vector path bit-identical with the
-    masked bigint loop).
-    """
-    w = np.ascontiguousarray(words, dtype="<u8")
-    n_words = w.shape[1]
-    tail = mask >> (_WORD_BITS * (n_words - 1))
-    w[:, -1] &= np.uint64(tail)
-    raw = w.tobytes()
-    step = n_words * 8
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(raw[i * step:(i + 1) * step], "little")
-        for i in range(w.shape[0])
-    ]
-
-
 class LogicSim:
     """Reusable zero-delay simulator bound to one netlist.
 
@@ -122,18 +62,11 @@ class LogicSim:
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
         netlist.freeze()
-        order, _levels = levelize(netlist)
-        self._order = order
-        self._levels = _levels
+        order, _ = levelize(netlist)
         # Pre-resolve function pointers and connectivity into flat lists.
         self._fns = [CELL_FUNCTIONS[netlist.gates[gi].kind] for gi in order]
         self._ins = [netlist.gates[gi].inputs for gi in order]
         self._outs = [netlist.gates[gi].output for gi in order]
-        #: (kind, input-net id arrays, output-net id array) per
-        #: (level, kind, fan-in) group — built lazily on first vector run.
-        self._vector_plan: Optional[
-            List[Tuple[str, np.ndarray, np.ndarray]]
-        ] = None
 
     def propagate(self, values: List[int], mask: int) -> List[int]:
         """Evaluate all gates in place given source nets already set.
@@ -154,127 +87,11 @@ class LogicSim:
         """A zeroed value array sized for this netlist."""
         return [0] * self.netlist.n_nets
 
-    # ------------------------------------------------------------------
-    # vectorised inner loop
-    # ------------------------------------------------------------------
-    def vector_plan(self) -> List[Tuple[str, np.ndarray, np.ndarray]]:
-        """Level-ordered (kind, inputs, outputs) gate groups.
-
-        Gates of one level share no data dependencies, so every
-        ``(level, kind, fan-in)`` group evaluates with a few whole-group
-        numpy ops: ``ins`` is ``(fan_in, n_group)`` net ids, ``outs``
-        ``(n_group,)``.
-        """
-        if self._vector_plan is None:
-            gates = self.netlist.gates
-            by_level: Dict[int, List[int]] = {}
-            for gi in self._order:
-                by_level.setdefault(self._levels[gi], []).append(gi)
-            plan: List[Tuple[str, np.ndarray, np.ndarray]] = []
-            for level in sorted(by_level):
-                groups: Dict[Tuple[str, int], List[int]] = {}
-                for gi in by_level[level]:
-                    g = gates[gi]
-                    groups.setdefault((g.kind, len(g.inputs)), []).append(gi)
-                for (kind, fan_in), members in groups.items():
-                    ins = np.array(
-                        [
-                            [gates[gi].inputs[k] for gi in members]
-                            for k in range(fan_in)
-                        ],
-                        dtype=np.intp,
-                    ).reshape(fan_in, len(members))
-                    outs = np.array(
-                        [gates[gi].output for gi in members], dtype=np.intp
-                    )
-                    plan.append((kind, ins, outs))
-            self._vector_plan = plan
-        return self._vector_plan
-
-    def propagate_words(self, words: np.ndarray) -> np.ndarray:
-        """Evaluate all gates in place on a ``(n_nets, n_words)`` matrix.
-
-        Bits past the batch width may hold garbage afterwards (bitwise
-        ops never mix bit positions, so they cannot contaminate live
-        bits); :func:`words_to_values` masks the tail on the way out.
-        Returns *words* for chaining.
-        """
-        for kind, ins, outs in self.vector_plan():
-            if kind == "TIE0":
-                words[outs] = 0
-                continue
-            if kind == "TIE1":
-                words[outs] = _U64_ONES
-                continue
-            a = words[ins[0]]
-            if kind in ("BUF", "CLKBUF"):
-                r = a
-            elif kind == "INV":
-                r = ~a
-            elif kind.startswith(("AND", "NAND")):
-                r = a.copy()
-                for k in range(1, ins.shape[0]):
-                    r &= words[ins[k]]
-                if kind.startswith("NAND"):
-                    np.invert(r, out=r)
-            elif kind.startswith(("OR", "NOR")):
-                r = a.copy()
-                for k in range(1, ins.shape[0]):
-                    r |= words[ins[k]]
-                if kind.startswith("NOR"):
-                    np.invert(r, out=r)
-            elif kind == "XOR2":
-                r = a ^ words[ins[1]]
-            elif kind == "XNOR2":
-                r = ~(a ^ words[ins[1]])
-            elif kind == "MUX2":
-                sel = words[ins[2]]
-                r = (a & ~sel) | (words[ins[1]] & sel)
-            elif kind == "AOI21":
-                r = ~((a & words[ins[1]]) | words[ins[2]])
-            elif kind == "OAI21":
-                r = ~((a | words[ins[1]]) & words[ins[2]])
-            else:
-                raise SimulationError(
-                    f"no vector evaluator for cell kind {kind!r}"
-                )
-            words[outs] = r
-        return words
-
-    def _vector_profitable(self, n_patterns: int) -> bool:
-        return (
-            self.netlist.n_gates >= VECTOR_MIN_GATES
-            and VECTOR_MIN_PATTERNS <= n_patterns <= VECTOR_MAX_PATTERNS
-        )
-
-    def _run_vector(
-        self,
-        flop_q: Mapping[int, int],
-        pi: Optional[Mapping[int, int]],
-        mask: int,
-    ) -> List[int]:
-        n_pat = mask.bit_length()
-        n_words = max(1, (n_pat + _WORD_BITS - 1) // _WORD_BITS)
-        nbytes = n_words * 8
-        words = np.zeros((self.netlist.n_nets, n_words), dtype=np.uint64)
-        flops = self.netlist.flops
-        for fi, word in flop_q.items():
-            words[flops[fi].q] = np.frombuffer(
-                (word & mask).to_bytes(nbytes, "little"), dtype="<u8"
-            )
-        if pi:
-            for net, word in pi.items():
-                words[net] = np.frombuffer(
-                    (word & mask).to_bytes(nbytes, "little"), dtype="<u8"
-                )
-        return words_to_values(self.propagate_words(words), mask)
-
     def run(
         self,
         flop_q: Mapping[int, int],
         pi: Optional[Mapping[int, int]] = None,
         mask: int = 1,
-        engine: str = "auto",
     ) -> List[int]:
         """Simulate the combinational logic from a register/PI state.
 
@@ -288,17 +105,7 @@ class LogicSim:
             (the paper holds primary inputs constant during test).
         mask:
             ``(1 << n_patterns) - 1``.
-        engine:
-            ``"auto"`` (default) picks the vectorised loop for large
-            designs and machine-word-or-wider batches; ``"bigint"`` /
-            ``"vector"`` force a path.  All paths are bit-identical.
         """
-        if engine not in ("auto", "bigint", "vector"):
-            raise SimulationError(f"unknown logic engine {engine!r}")
-        if engine == "vector" or (
-            engine == "auto" and self._vector_profitable(mask.bit_length())
-        ):
-            return self._run_vector(flop_q, pi, mask)
         values = self.blank_values()
         for fi, word in flop_q.items():
             values[self.netlist.flops[fi].q] = word & mask

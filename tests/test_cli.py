@@ -90,6 +90,44 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["floorplan", "--scale", "huge"])
 
+    @pytest.mark.parametrize("value", ["foo", "0"])
+    @pytest.mark.parametrize("command", ["casestudy", "flow", "atpg"])
+    def test_bad_workers_is_usage_error(self, capsys, command, value):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--workers", value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].endswith(
+            f"argument --workers: expected a positive integer or "
+            f"'auto', got {value!r}"
+        )
+
+    def test_flow_and_atpg_pass_workers_on(self, monkeypatch):
+        import repro.atpg
+        import repro.core
+
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def fake_flow(design, **kwargs):
+            seen["flow"] = kwargs["n_workers"]
+            raise Stop
+
+        def fake_engine(*args, **kwargs):
+            seen["atpg"] = kwargs["n_workers"]
+            raise Stop
+
+        monkeypatch.setattr(repro.core, "run_noise_tolerant_flow", fake_flow)
+        monkeypatch.setattr(repro.atpg, "AtpgEngine", fake_engine)
+        with pytest.raises(Stop):
+            main(["flow", "--scale", "tiny", "--workers", "auto"])
+        with pytest.raises(Stop):
+            main(["atpg", "--scale", "tiny", "--workers", "3"])
+        assert seen == {"flow": "auto", "atpg": 3}
+
 
 class TestFlowCli:
     def test_flow_stop_resume_and_report(self, tmp_path, capsys):

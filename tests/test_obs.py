@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro import RunContext
 from repro.obs import (
     LOG_LEVELS,
     NULL_TELEMETRY,
@@ -298,7 +299,8 @@ class TestFlowTelemetry:
 
         tel = Telemetry(run_id="flowtest")
         result, report = run_noise_tolerant_flow(
-            tiny_design, max_patterns=12, telemetry=tel, seed=1,
+            tiny_design, max_patterns=12, seed=1,
+            context=RunContext(telemetry=tel),
         )
         assert report.status == "completed"
         # span tree covers the whole stack and stays well-nested
@@ -325,7 +327,7 @@ class TestFlowTelemetry:
 
         with_tel, _ = run_noise_tolerant_flow(
             tiny_design, max_patterns=12, seed=1,
-            telemetry=Telemetry(run_id="a"),
+            context=RunContext(telemetry=Telemetry(run_id="a")),
         )
         without, _ = run_noise_tolerant_flow(
             tiny_design, max_patterns=12, seed=1,

@@ -22,18 +22,15 @@ from repro.errors import ExecutionError, TransientError, WorkerCrashError
 from repro.netlist.cells import CELL_FUNCTIONS
 from repro.perf import chaos
 from repro.perf.cache import PatternProfileCache, digest_key
-from repro.perf.pool import (
-    available_workers,
-    chunk_slices,
-    chunked,
-    pool_map,
-    resolve_workers,
-)
+from repro.perf.dispatch import usable_cpus
 from repro.perf.resilient import (
     RetryPolicy,
+    chunk_slices,
+    chunked,
     default_policy,
     execution_policy,
     resilient_map,
+    resolve_workers,
 )
 from repro.power.calculator import ScapCalculator
 from repro.sim.logic import loc_launch_capture, pack_matrix
@@ -280,23 +277,30 @@ class TestPerfUtilities:
         assert resolve_workers(4, 100) == 4
         assert resolve_workers(4, 2) == 2
         assert resolve_workers(0, 100) == 1
-        assert resolve_workers(None, 10_000) == min(
-            available_workers(), 10_000
-        )
+        assert resolve_workers(None, 10_000) == min(usable_cpus(), 10_000)
 
-    def test_pool_map_serial_equals_parallel(self):
+    def test_resolve_workers_none_counts_usable_cpus(self, monkeypatch):
+        # A cpuset-limited process on a big machine: "all cores" means
+        # the cores it may run on, not os.cpu_count().
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            "os.sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert resolve_workers(None, 100) == 1
+
+    def test_resilient_map_serial_equals_parallel(self):
         items = list(range(40))
-        serial = pool_map(_square, items, n_workers=1)
+        serial = resilient_map(_square, items, n_workers=1)
         assert serial == [x * x for x in items]
-        parallel = pool_map(_square, items, n_workers=2)
+        parallel = resilient_map(_square, items, n_workers=2)
         assert parallel == serial
 
-    def test_pool_map_falls_back_on_unpicklable_task(self):
+    def test_resilient_map_falls_back_on_unpicklable_task(self):
         items = [1, 2, 3]
         bad = lambda x: x + 1  # noqa: E731 — lambdas don't pickle
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = pool_map(bad, items, n_workers=2)
+            out = resilient_map(bad, items, n_workers=2)
         assert out == [2, 3, 4]
         assert any(
             issubclass(w.category, RuntimeWarning) for w in caught
@@ -345,13 +349,13 @@ class TestResilientMap:
     """The recovery ladder, rung by rung, under deterministic chaos."""
 
     def test_task_bug_propagates_never_degrades(self):
-        # The historical pool_map bug: a task exception silently
-        # re-ran everything serially.  Now it must propagate with the
-        # original exception chained — and no fallback warning.
+        # A task exception must never silently re-run everything
+        # serially: it propagates with the original exception chained
+        # — and no fallback warning.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ExecutionError) as info:
-                pool_map(_buggy, [1, 2, 3, 4], n_workers=2)
+                resilient_map(_buggy, [1, 2, 3, 4], n_workers=2)
         assert isinstance(info.value.__cause__, ValueError)
         assert info.value.chunk_index == 2
         assert not any(

@@ -125,25 +125,6 @@ class TestFlowContextApi:
             == via_ctx.pattern_set.as_matrix().tobytes()
         )
 
-    def test_telemetry_kwarg_warns_and_still_works(self, design):
-        tel = Telemetry(metrics=True)
-        with pytest.warns(DeprecationWarning, match="telemetry="):
-            result, report = run_noise_tolerant_flow(
-                design, max_patterns=10, telemetry=tel
-            )
-        assert result is not None
-        assert report.telemetry is not None
-        assert report.telemetry["run_id"] == tel.run_id
-
-    def test_casestudy_telemetry_kwarg_warns(self):
-        from repro import CaseStudy
-
-        tel = Telemetry(metrics=True)
-        with pytest.warns(DeprecationWarning, match="telemetry="):
-            study = CaseStudy(scale="tiny", telemetry=tel)
-        assert study.context.telemetry is tel
-        assert study.telemetry is tel
-
     def test_no_warning_on_context_api(self, design):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
