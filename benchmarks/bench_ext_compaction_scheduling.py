@@ -10,7 +10,7 @@ from repro.atpg import (
     coverage_of_set,
     reverse_order_compaction,
 )
-from repro.core import schedule_block_tests, tasks_from_flow
+from repro.core import ScheduleBudget, schedule_tests, specs_from_flow
 from repro.reporting import format_table
 
 
@@ -38,31 +38,36 @@ def test_ext_reverse_order_compaction(benchmark, tiny_study):
 
 
 def test_ext_power_aware_scheduling(benchmark, tiny_study):
-    flow = tiny_study.staged()
+    design = tiny_study.design
     thresholds = tiny_study.thresholds_mw
-    tasks = tasks_from_flow(tiny_study.design, flow, thresholds)
-    budget = sum(thresholds.values()) * 0.6  # chip functional budget
+    specs = specs_from_flow(design, tiny_study.staged(), thresholds)
+    budget = ScheduleBudget(
+        power_mw=sum(thresholds.values()) * 0.6,  # chip functional budget
+        tam_width=design.tam_width,
+    )
 
     def run():
-        return schedule_block_tests(tasks, power_budget_mw=budget)
+        return schedule_tests(specs, budget)
 
     schedule = benchmark.pedantic(run, rounds=1, iterations=1)
+    schedule.validate()
     print()
     rows = [
-        {
-            "session": i,
-            "blocks": ",".join(t.block for t in s.tasks),
-            "power_mW": s.power_mw,
-            "time_us": s.time_us,
-        }
-        for i, s in enumerate(schedule.sessions)
+        p.to_dict()
+        for p in sorted(
+            schedule.placements, key=lambda p: (p.start_us, p.tam_offset)
+        )
     ]
-    print(format_table(rows, title=f"Schedule (budget {budget:.2f} mW):"))
+    print(format_table(
+        rows,
+        title=f"Schedule (budget {budget.power_mw:.2f} mW, "
+              f"TAM width {budget.tam_width}):",
+    ))
     print(
         f"makespan {schedule.makespan_us:.1f} us vs serial "
         f"{schedule.serial_time_us:.1f} us "
         f"(speedup {schedule.speedup:.2f}x, peak "
         f"{schedule.peak_power_mw:.2f} mW)"
     )
-    assert schedule.peak_power_mw <= budget
+    assert schedule.peak_power_mw <= budget.power_mw
     assert schedule.speedup >= 1.0

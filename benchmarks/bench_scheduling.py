@@ -28,7 +28,7 @@ from repro.core.scheduling import (
     ScheduleBudget,
     budget_sweep,
     generate_block_specs,
-    get_scheduler,
+    schedule_tests,
     specs_from_flow,
 )
 from repro.power.static_bound import StaticScapBound
@@ -56,7 +56,7 @@ def _sweep(specs, tam_width):
         budget = ScheduleBudget(power_mw=budget_mw, tam_width=tam_width)
         row = {"budget_mw": round(budget_mw, 4)}
         for strategy in ("greedy", "binpack"):
-            schedule = get_scheduler(strategy).schedule(specs, budget)
+            schedule = schedule_tests(specs, budget, strategy=strategy)
             schedule.validate()
             assert schedule.peak_power_mw <= budget_mw + 1e-9
             row[f"{strategy}_makespan_us"] = round(schedule.makespan_us, 4)

@@ -23,7 +23,7 @@ from repro.atpg import (
     collapse_faults,
     reverse_order_compaction,
 )
-from repro.core import ftas_analysis, schedule_block_tests, tasks_from_flow
+from repro.core import ftas_analysis
 from repro.dft import shift_activity_summary
 from repro.pgrid import dynamic_ir_for_pattern
 from repro.power import power_waveform, render_waveform_ascii
@@ -88,11 +88,10 @@ def main(scale: str = "tiny") -> None:
           f"({stats['dropped']} dropped at zero coverage cost)")
 
     print("\n== power-constrained test scheduling ==")
-    tasks = tasks_from_flow(design, study.staged(), study.thresholds_mw)
-    budget = sum(study.thresholds_mw.values()) * 0.6
-    schedule = schedule_block_tests(tasks, power_budget_mw=budget)
-    print(f"   budget {budget:.2f} mW -> {len(schedule.sessions)} sessions, "
-          f"speedup {schedule.speedup:.2f}x over serial, peak "
+    schedule = study.schedule()
+    print(f"   budget {schedule.power_budget_mw:.2f} mW -> "
+          f"{len(schedule.placements)} blocks on {schedule.tam_width} TAM "
+          f"lines, speedup {schedule.speedup:.2f}x over serial, peak "
           f"{schedule.peak_power_mw:.2f} mW")
 
     print("\n== shift activity (scan-cell toggles per load) ==")

@@ -69,15 +69,25 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "and usable cores (default: 1)")
 
 
+def _positive_int(raw: str) -> int:
+    """An argparse ``type`` for counts that must be at least 1."""
+    if raw.isdecimal() and int(raw) >= 1:
+        return int(raw)
+    raise argparse.ArgumentTypeError(
+        f"expected a positive integer, got {raw!r}"
+    )
+
+
 def _workers_arg(raw: str):
     """``--workers`` value: a positive count or ``"auto"``."""
     if raw == "auto":
         return raw
-    if raw.isdigit() and int(raw) >= 1:
-        return int(raw)
-    raise argparse.ArgumentTypeError(
-        f"expected a positive integer or 'auto', got {raw!r}"
-    )
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer or 'auto', got {raw!r}"
+        ) from None
 
 
 def _study(args) -> CaseStudy:
@@ -357,46 +367,43 @@ def cmd_schedule(args) -> int:
         ScheduleBudget,
         budget_sweep,
         generate_block_specs,
-        get_scheduler,
+        schedule_tests,
+        specs_from_design,
     )
     from .errors import ConfigError
+    from .power.static_bound import StaticScapBound
 
-    if args.synthetic:
-        specs = generate_block_specs(args.synthetic, seed=args.seed)
-        tam = args.tam_width
-    else:
-        from .core.scheduling import specs_from_design
-        from .power.static_bound import StaticScapBound
-
-        study = _study(args)
-        design = study.design
-        bound = StaticScapBound(design, study.domain)
-        specs = specs_from_design(
-            design,
-            bound.test_power_bounds_mw(),
-            {b: args.patterns for b in design.blocks()},
-        )
-        tam = (
-            args.tam_width
-            if args.tam_width is not None
-            else design.tam_width
-        )
-
-    if args.power_budget is not None:
-        budgets = [args.power_budget]
-    else:
-        budgets = budget_sweep(specs)
     strategies = (
         ["greedy", "binpack"] if args.strategy == "both"
         else [args.strategy]
     )
-
     rows = []
     try:
+        if args.synthetic is not None:
+            specs = generate_block_specs(args.synthetic, seed=args.seed)
+            tam = args.tam_width
+        else:
+            study = _study(args)
+            design = study.design
+            bound = StaticScapBound(design, study.domain)
+            specs = specs_from_design(
+                design,
+                bound.test_power_bounds_mw(),
+                {b: args.patterns for b in design.blocks()},
+            )
+            tam = (
+                args.tam_width
+                if args.tam_width is not None
+                else design.tam_width
+            )
+        if args.power_budget is not None:
+            budgets = [args.power_budget]
+        else:
+            budgets = budget_sweep(specs)
         for budget_mw in budgets:
             budget = ScheduleBudget(power_mw=budget_mw, tam_width=tam)
             for strategy in strategies:
-                schedule = get_scheduler(strategy).schedule(specs, budget)
+                schedule = schedule_tests(specs, budget, strategy=strategy)
                 schedule.validate()
                 rows.append({
                     "budget_mw": round(budget_mw, 3),
@@ -1020,12 +1027,13 @@ def main(argv=None) -> int:
     p.add_argument("--power-budget", type=float, metavar="MW",
                    help="chip-wide power envelope (default: sweep a "
                         "Pareto range derived from the block powers)")
-    p.add_argument("--tam-width", type=int, metavar="W",
+    p.add_argument("--tam-width", type=_positive_int, metavar="W",
                    help="TAM width in lines (default: the design's)")
-    p.add_argument("--patterns", type=int, default=64, metavar="N",
+    p.add_argument("--patterns", type=_positive_int, default=64,
+                   metavar="N",
                    help="pattern count per block when scheduling the "
                         "generated design (default: 64)")
-    p.add_argument("--synthetic", type=int, metavar="N",
+    p.add_argument("--synthetic", type=_positive_int, metavar="N",
                    help="schedule a generated N-block abstract SOC "
                         "instead of the Turbo-Eagle design")
     p.add_argument("--json", dest="json_out", metavar="FILE",

@@ -23,24 +23,14 @@ from .validation import ScapViolation, ValidationReport, validate_pattern_set
 from .irscale import IrScaledComparison, ir_scaled_endpoint_comparison
 from .casestudy import CaseStudy
 from .scheduling import (
-    BinPackingScheduler,
     BlockTestSpec,
-    BlockTestTask,
-    GreedyScheduler,
     Placement,
     ScheduleBudget,
-    ScheduleSession,
-    Scheduler,
     TamCandidate,
     TestSchedule,
-    available_schedulers,
-    get_scheduler,
-    register_scheduler,
-    schedule_block_tests,
     schedule_tests,
     specs_from_design,
     specs_from_flow,
-    tasks_from_flow,
 )
 from .ftas import FtasReport, PatternFtas, ftas_analysis
 from .fullchip import DomainOutcome, FullChipResult, run_full_chip
@@ -49,18 +39,11 @@ from .overkill import OverkillReport, PatternOverkill, overkill_analysis
 from .repair import RepairOutcome, repair_pattern_set
 
 __all__ = [
-    "BinPackingScheduler",
     "BinningResult",
     "BlockTestSpec",
-    "BlockTestTask",
-    "GreedyScheduler",
     "Placement",
     "ScheduleBudget",
-    "Scheduler",
     "TamCandidate",
-    "available_schedulers",
-    "get_scheduler",
-    "register_scheduler",
     "schedule_tests",
     "specs_from_design",
     "specs_from_flow",
@@ -84,13 +67,10 @@ __all__ = [
     "NoiseAwarePatternGenerator",
     "STAGE_PLAN_TURBO_EAGLE",
     "ScapViolation",
-    "ScheduleSession",
     "TestSchedule",
     "ValidationReport",
     "derive_scap_thresholds",
     "ir_scaled_endpoint_comparison",
     "run_noise_tolerant_flow",
-    "schedule_block_tests",
-    "tasks_from_flow",
     "validate_pattern_set",
 ]

@@ -28,6 +28,7 @@ from ..reporting.checkpoint import CheckpointStore, config_fingerprint
 from ..soc.generator import build_turbo_eagle
 from .flow import ConventionalFlow, FlowResult, NoiseAwarePatternGenerator
 from .irscale import IrScaledComparison, ir_scaled_endpoint_comparison
+from .scheduling import TestSchedule, schedule_flow
 from .thresholds import derive_scap_thresholds
 from .validation import ValidationReport, validate_pattern_set
 
@@ -450,7 +451,7 @@ class CaseStudy:
         strategy: str = "binpack",
         tam_width: Optional[int] = None,
         flow_name: str = "staged",
-    ):
+    ) -> TestSchedule:
         """Power/TAM-constrained SOC test schedule for one flow.
 
         Per-block test powers are the sound chip-wide
@@ -462,41 +463,22 @@ class CaseStudy:
         *tam_width*).
 
         Without *power_budget_mw* a feasible default is derived from
-        the bounds themselves: 60 % of the summed per-block minima
-        (some parallelism possible, full parallelism not), floored just
-        above the hungriest single block.  Returns a validated
-        :class:`~repro.core.scheduling.TestSchedule`.
+        the bounds themselves (see
+        :func:`~repro.core.scheduling.schedule_flow`).  Returns a
+        validated :class:`~repro.core.scheduling.TestSchedule`.
         """
-        from ..power.static_bound import StaticScapBound
-        from .scheduling import ScheduleBudget, get_scheduler, specs_from_flow
-
         flow = (
             self.conventional()
             if flow_name == "conventional"
             else self.staged()
         )
-        with self._tel_scope() as tel:
-            with tel.span("flow.schedule", strategy=strategy):
-                bound = StaticScapBound(self.design, self.domain)
-                powers = bound.test_power_bounds_mw()
-                specs = specs_from_flow(self.design, flow, powers)
-                budget = power_budget_mw
-                if budget is None:
-                    floor = max(s.min_power_mw for s in specs)
-                    budget = max(
-                        0.6 * sum(s.min_power_mw for s in specs),
-                        floor * 1.01,
-                    )
-                width = (
-                    tam_width
-                    if tam_width is not None
-                    else self.design.tam_width
-                )
-                schedule = get_scheduler(strategy).schedule(
-                    specs, ScheduleBudget(power_mw=budget, tam_width=width)
-                )
-                schedule.validate()
-        return schedule
+        with self._tel_scope():
+            return schedule_flow(
+                self.design, self.domain, flow,
+                budget_mw=power_budget_mw,
+                strategy=strategy,
+                tam_width=tam_width,
+            )
 
     # ------------------------------------------------------------------
     def export(self, out_dir: str) -> List[str]:

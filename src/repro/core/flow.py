@@ -40,6 +40,7 @@ from ..reporting.runreport import (
     RunReport,
 )
 from ..soc.design import SocDesign
+from .scheduling import schedule_flow
 
 #: The case study's staging: quiet blocks, then B6, then B5 alone.
 STAGE_PLAN_TURBO_EAGLE: Tuple[Tuple[str, ...], ...] = (
@@ -526,9 +527,9 @@ def run_noise_tolerant_flow(
     from the sound :class:`~repro.power.static_bound.StaticScapBound`
     chip-wide bounds, times from wrapper partitioning of the flow's
     per-block pattern counts, and the *schedule_strategy* scheduler
-    (``"binpack"`` by default, see
-    :func:`~repro.core.scheduling.available_schedulers`) packs them
-    under the power envelope and the optional *schedule_tam_width*.
+    (``"binpack"`` by default, or ``"greedy"``; see
+    :func:`~repro.core.scheduling.schedule_flow`) packs them under the
+    power envelope and the optional *schedule_tam_width*.
     The validated schedule digest lands in ``report.schedule``; an
     infeasible budget records a failed stage (raising only under
     ``strict=True``).
@@ -626,15 +627,12 @@ def run_noise_tolerant_flow(
             if schedule_budget_mw is not None:
                 stage_started = time.time()
                 try:
-                    with tel.span(
-                        "flow.schedule", strategy=schedule_strategy
-                    ):
-                        schedule = _schedule_from_flow(
-                            design, generator.domain, flow_result,
-                            budget_mw=schedule_budget_mw,
-                            strategy=schedule_strategy,
-                            tam_width=schedule_tam_width,
-                        )
+                    schedule = schedule_flow(
+                        design, generator.domain, flow_result,
+                        budget_mw=schedule_budget_mw,
+                        strategy=schedule_strategy,
+                        tam_width=schedule_tam_width,
+                    )
                 except ConfigError as exc:
                     report.schedule = {
                         "error": str(exc),
@@ -709,38 +707,6 @@ def run_noise_tolerant_flow(
         if report_path is not None:
             report.save(report_path)
         return flow_result, report
-
-
-def _schedule_from_flow(
-    design: SocDesign,
-    domain: str,
-    flow_result: FlowResult,
-    *,
-    budget_mw: float,
-    strategy: str = "binpack",
-    tam_width: Optional[int] = None,
-):
-    """Power/TAM-constrained test schedule for a finished flow.
-
-    Block test powers are the chip-wide
-    :class:`~repro.power.static_bound.StaticScapBound` bounds (sound:
-    a schedule feasible under them is feasible under the true SCAP),
-    times come from wrapper partitioning of the flow's per-block
-    pattern counts, and the *strategy* scheduler packs the candidate
-    rectangles.  The returned schedule has been ``validate()``-ed.
-    """
-    from ..power.static_bound import StaticScapBound
-    from .scheduling import ScheduleBudget, get_scheduler, specs_from_flow
-
-    bound = StaticScapBound(design, domain)
-    powers = bound.test_power_bounds_mw()
-    specs = specs_from_flow(design, flow_result, powers)
-    width = tam_width if tam_width is not None else design.tam_width
-    schedule = get_scheduler(strategy).schedule(
-        specs, ScheduleBudget(power_mw=budget_mw, tam_width=width)
-    )
-    schedule.validate()
-    return schedule
 
 
 def _timing_from_flow(

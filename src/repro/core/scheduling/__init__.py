@@ -10,70 +10,39 @@ block while packing under the power envelope.
 
 This package is that scheduler:
 
-* :mod:`~repro.core.scheduling.model` — tasks, candidate rectangles,
-  budgets, placements and :class:`TestSchedule` invariants;
-* :mod:`~repro.core.scheduling.strategies` — the :class:`Scheduler`
-  interface and registry with the greedy-session baseline and the
-  rectangle bin-packing strategy;
+* :mod:`~repro.core.scheduling.model` — candidate rectangles, budgets,
+  placements and :class:`TestSchedule` invariants;
+* :mod:`~repro.core.scheduling.strategies` — :func:`schedule_tests`,
+  which runs the greedy-session baseline or the rectangle bin-packing
+  strategy by name;
 * :mod:`~repro.core.scheduling.flowtasks` — bridges from designs and
   flow results (wrapper partitioning for times,
   :class:`~repro.power.static_bound.StaticScapBound` for powers);
 * :mod:`~repro.core.scheduling.synthetic` — generated SOC families for
   the Pareto benchmarks.
-
-``schedule_block_tests`` (the original greedy entry point) and
-``tasks_from_flow`` keep their signatures as back-compat wrappers.
 """
 
 from .model import (
-    AnyBlockTest,
     BlockTestSpec,
-    BlockTestTask,
     Placement,
     ScheduleBudget,
-    ScheduleSession,
     TamCandidate,
     TestSchedule,
-    as_specs,
 )
-from .strategies import (
-    BinPackingScheduler,
-    GreedyScheduler,
-    Scheduler,
-    available_schedulers,
-    get_scheduler,
-    register_scheduler,
-    schedule_block_tests,
-    schedule_tests,
-)
-from .flowtasks import (
-    specs_from_design,
-    specs_from_flow,
-    tasks_from_flow,
-)
+from .strategies import schedule_tests
+from .flowtasks import schedule_flow, specs_from_design, specs_from_flow
 from .synthetic import budget_sweep, generate_block_specs
 
 __all__ = [
-    "AnyBlockTest",
-    "BinPackingScheduler",
     "BlockTestSpec",
-    "BlockTestTask",
-    "GreedyScheduler",
     "Placement",
     "ScheduleBudget",
-    "ScheduleSession",
-    "Scheduler",
     "TamCandidate",
     "TestSchedule",
-    "as_specs",
-    "available_schedulers",
     "budget_sweep",
     "generate_block_specs",
-    "get_scheduler",
-    "register_scheduler",
-    "schedule_block_tests",
+    "schedule_flow",
     "schedule_tests",
     "specs_from_design",
     "specs_from_flow",
-    "tasks_from_flow",
 ]

@@ -1,87 +1,34 @@
 """Bridges from real designs and flow results to scheduling inputs.
 
-Two abstraction levels feed the scheduler:
-
-* :func:`tasks_from_flow` — the legacy fixed-width tasks built from a
-  staged flow's per-step pattern counts (kept with its original
-  signature);
 * :func:`specs_from_flow` / :func:`specs_from_design` — width-aware
   candidate rectangles: per block, the wrapper partitioning from
   :mod:`repro.dft.wrapper` sets the shift depth at each TAM width, and
   the power comes from the caller (typically
   :meth:`repro.power.static_bound.StaticScapBound.test_power_bounds_mw`
-  — a sound per-session cost model needing no simulation).
+  — a sound per-session cost model needing no simulation);
+* :func:`schedule_flow` — the whole step from a finished flow to a
+  validated schedule, with those bounds as block powers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ...errors import ConfigError
-from .model import BlockTestSpec, BlockTestTask, TamCandidate
+from ...obs import current_telemetry
+from ...power.static_bound import StaticScapBound
+from .model import BlockTestSpec, ScheduleBudget, TamCandidate, TestSchedule
+from .strategies import schedule_tests
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...soc.design import SocDesign
     from ..flow import FlowResult
 
-
-def tasks_from_flow(
-    design: "SocDesign",
-    flow_result: "FlowResult",
-    scap_by_block_mw: Dict[str, float],
-    shift_period_ns: float = 100.0,
-    capture_period_ns: float = 20.0,
-) -> List[BlockTestTask]:
-    """Build scheduling tasks from a staged flow's per-step patterns.
-
-    Each step's pattern count becomes its blocks' test time (patterns x
-    (chain length x shift period + capture)), split evenly across the
-    step's blocks; power is the caller-provided per-block level
-    (thresholds or measured SCAP).
-
-    Raises
-    ------
-    ConfigError
-        If the design has no scan configuration (or an empty one), or
-        the flow produced no patterns at all — a zero-task schedule is
-        a caller bug, not an empty success.
-    """
-    if design.scan is None or not design.scan.chains:
-        raise ConfigError("design has no scan configuration")
-    if flow_result.n_patterns == 0:
-        raise ConfigError(
-            f"flow {flow_result.name!r} produced no patterns; "
-            "nothing to schedule"
-        )
-    max_chain = max(c.length for c in design.scan.chains)
-    per_pattern_us = (
-        max_chain * shift_period_ns + capture_period_ns
-    ) / 1000.0
-
-    tasks: List[BlockTestTask] = []
-    boundaries = list(flow_result.step_boundaries) + [
-        flow_result.n_patterns
-    ]
-    for step_idx, blocks in enumerate(flow_result.step_blocks):
-        n_patterns = boundaries[step_idx + 1] - boundaries[step_idx]
-        if n_patterns <= 0:
-            continue
-        share = max(1, n_patterns // max(1, len(blocks)))
-        for block in blocks:
-            tasks.append(
-                BlockTestTask(
-                    block=block,
-                    test_time_us=share * per_pattern_us,
-                    power_mw=scap_by_block_mw.get(block, 0.0),
-                )
-            )
-    if not tasks:
-        raise ConfigError(
-            f"flow {flow_result.name!r} yielded no schedulable "
-            "block sessions"
-        )
-    return tasks
+#: Scan shift clock period.
+SHIFT_PERIOD_NS = 100.0
+#: Launch/capture time added to every pattern.
+CAPTURE_PERIOD_NS = 20.0
 
 
 def _pattern_counts_by_block(flow_result: "FlowResult") -> Dict[str, int]:
@@ -104,9 +51,6 @@ def specs_from_design(
     design: "SocDesign",
     power_by_block_mw: Dict[str, float],
     patterns_by_block: Dict[str, int],
-    shift_period_ns: float = 100.0,
-    capture_period_ns: float = 20.0,
-    widths: Optional[Dict[str, Sequence[int]]] = None,
 ) -> List[BlockTestSpec]:
     """Width-aware candidate rectangles for every schedulable block.
 
@@ -114,8 +58,8 @@ def specs_from_design(
     scan cells into *w* balanced chains (shift depth ``ceil(cells/w)``),
     so one pattern takes ``ceil(cells/w) x shift + capture`` and the
     block's test time shrinks roughly as ``t(1)/w``.  Candidate widths
-    default to :meth:`~repro.soc.design.SocDesign.tam_width_options`.
-    Blocks without scan cells, patterns, or power are skipped.
+    come from :meth:`~repro.soc.design.SocDesign.tam_width_options`.
+    Blocks without width options or patterns are skipped.
     """
     if design.scan is None or not design.scan.chains:
         raise ConfigError("design has no scan configuration")
@@ -124,11 +68,7 @@ def specs_from_design(
         n_patterns = patterns_by_block.get(block, 0)
         if n_patterns <= 0:
             continue
-        options = (
-            list(widths[block])
-            if widths is not None and block in widths
-            else design.tam_width_options(block)
-        )
+        options = design.tam_width_options(block)
         if not options:
             continue
         n_cells = sum(
@@ -141,7 +81,7 @@ def specs_from_design(
         for w in sorted(set(options)):
             depth = math.ceil(n_cells / w)
             per_pattern_us = (
-                depth * shift_period_ns + capture_period_ns
+                depth * SHIFT_PERIOD_NS + CAPTURE_PERIOD_NS
             ) / 1000.0
             candidates.append(
                 TamCandidate(
@@ -160,8 +100,6 @@ def specs_from_flow(
     design: "SocDesign",
     flow_result: "FlowResult",
     power_by_block_mw: Dict[str, float],
-    shift_period_ns: float = 100.0,
-    capture_period_ns: float = 20.0,
 ) -> List[BlockTestSpec]:
     """Candidate rectangles from a flow's actual per-block patterns."""
     if flow_result.n_patterns == 0:
@@ -170,9 +108,47 @@ def specs_from_flow(
             "nothing to schedule"
         )
     return specs_from_design(
-        design,
-        power_by_block_mw,
-        _pattern_counts_by_block(flow_result),
-        shift_period_ns=shift_period_ns,
-        capture_period_ns=capture_period_ns,
+        design, power_by_block_mw, _pattern_counts_by_block(flow_result)
     )
+
+
+def schedule_flow(
+    design: "SocDesign",
+    domain: str,
+    flow_result: "FlowResult",
+    *,
+    budget_mw: Optional[float] = None,
+    strategy: str = "binpack",
+    tam_width: Optional[int] = None,
+) -> TestSchedule:
+    """Power/TAM-constrained test schedule for a finished flow.
+
+    Block test powers are the chip-wide
+    :class:`~repro.power.static_bound.StaticScapBound` bounds (sound:
+    a schedule feasible under them is feasible under the true SCAP),
+    times come from wrapper partitioning of the flow's per-block
+    pattern counts, and *strategy* (``"binpack"`` or ``"greedy"``)
+    packs the candidate rectangles under the power envelope and the
+    design's TAM width (override with *tam_width*).
+
+    Without *budget_mw* a feasible default is derived from the bounds
+    themselves: 60 % of the summed per-block minima (some parallelism
+    possible, full parallelism not), floored just above the hungriest
+    single block.  The returned schedule has been ``validate()``-ed.
+    """
+    with current_telemetry().span("flow.schedule", strategy=strategy):
+        powers = StaticScapBound(design, domain).test_power_bounds_mw()
+        specs = specs_from_flow(design, flow_result, powers)
+        if budget_mw is None:
+            floor = max(s.min_power_mw for s in specs)
+            budget_mw = max(
+                0.6 * sum(s.min_power_mw for s in specs), floor * 1.01
+            )
+        width = tam_width if tam_width is not None else design.tam_width
+        schedule = schedule_tests(
+            specs,
+            ScheduleBudget(power_mw=budget_mw, tam_width=width),
+            strategy=strategy,
+        )
+        schedule.validate()
+    return schedule

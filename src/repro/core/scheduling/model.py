@@ -14,9 +14,8 @@ envelope at every instant.
 Model vocabulary:
 
 * :class:`TamCandidate` — one (width, time, power) choice for a block;
-* :class:`BlockTestSpec` — a block plus its candidate rectangles;
-* :class:`BlockTestTask` — the legacy fixed (time, power) task, i.e. a
-  single-candidate width-1 spec;
+* :class:`BlockTestSpec` — a block plus its candidate rectangles (a
+  fixed-width test is a single-candidate spec);
 * :class:`ScheduleBudget` — the chip-wide power envelope and TAM width;
 * :class:`Placement` — one block's chosen rectangle placed in the plane;
 * :class:`TestSchedule` — the full placed schedule with its invariants
@@ -26,10 +25,14 @@ Model vocabulary:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import ConfigError
+
+#: Round-off slack, in mW and us, that :meth:`TestSchedule.validate`
+#: allows on the power envelope and on TAM-line overlaps.
+VALIDATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,33 +59,6 @@ class TamCandidate:
         """Rectangle diagonal length — the bin-packing paper's
         preference key when two placements complete equally fast."""
         return math.hypot(float(self.width), self.time_us)
-
-
-@dataclass(frozen=True)
-class BlockTestTask:
-    """One block's fixed test session requirements (legacy model).
-
-    ``test_time_us`` is typically ``patterns x (shift + capture) time``;
-    ``power_mw`` the block's average test power (e.g. its SCAP level).
-    A task is exactly a single-candidate width-1 :class:`BlockTestSpec`
-    (see :meth:`as_spec`), which is how the schedulers consume it.
-    """
-
-    block: str
-    test_time_us: float
-    power_mw: float
-
-    def __post_init__(self) -> None:
-        if self.test_time_us <= 0:
-            raise ConfigError(f"{self.block}: test time must be positive")
-        if self.power_mw < 0:
-            raise ConfigError(f"{self.block}: power must be >= 0")
-
-    def as_spec(self) -> "BlockTestSpec":
-        return BlockTestSpec(
-            self.block,
-            (TamCandidate(1, self.test_time_us, self.power_mw),),
-        )
 
 
 @dataclass(frozen=True)
@@ -130,10 +106,6 @@ class BlockTestSpec:
     def min_power_mw(self) -> float:
         return min(c.power_mw for c in self.candidates)
 
-    def narrowest(self) -> TamCandidate:
-        """The narrowest candidate (the conservative serial-era choice)."""
-        return min(self.candidates, key=lambda c: c.width)
-
     def feasible(
         self, power_budget_mw: float, tam_width: Optional[int]
     ) -> List[TamCandidate]:
@@ -144,20 +116,6 @@ class BlockTestSpec:
             if c.power_mw <= power_budget_mw
             and (tam_width is None or c.width <= tam_width)
         ]
-
-
-AnyBlockTest = Union[BlockTestTask, BlockTestSpec]
-
-
-def as_specs(tasks: Sequence[AnyBlockTest]) -> List[BlockTestSpec]:
-    """Normalise a mixed task/spec sequence, rejecting duplicates."""
-    specs = [
-        t.as_spec() if isinstance(t, BlockTestTask) else t for t in tasks
-    ]
-    names = [s.block for s in specs]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate block in task list")
-    return specs
 
 
 @dataclass(frozen=True)
@@ -209,31 +167,12 @@ class Placement:
 
 
 @dataclass
-class ScheduleSession:
-    """A set of blocks tested in parallel (the legacy session view)."""
-
-    tasks: List[BlockTestTask] = field(default_factory=list)
-
-    @property
-    def power_mw(self) -> float:
-        """Combined power of the session's parallel tasks."""
-        return sum(t.power_mw for t in self.tasks)
-
-    @property
-    def time_us(self) -> float:
-        """Session duration: its longest task."""
-        return max((t.test_time_us for t in self.tasks), default=0.0)
-
-
-@dataclass
 class TestSchedule:
     """A complete schedule: placed rectangles in the TAM × time plane.
 
-    Session-based strategies (the greedy baseline) produce placements
-    whose start times group into back-to-back sessions; rectangle
-    packing produces free-form placements.  The legacy ``sessions``
-    view groups placements by start time, which reproduces the old
-    session list exactly for session-based schedules.
+    The greedy strategy produces placements whose start times group
+    into back-to-back sessions; rectangle packing produces free-form
+    placements.
     """
 
     placements: List[Placement]
@@ -290,22 +229,6 @@ class TestSchedule:
     # ------------------------------------------------------------------
     # structure views
     # ------------------------------------------------------------------
-    @property
-    def sessions(self) -> List[ScheduleSession]:
-        """Placements grouped by start time, as legacy sessions."""
-        groups: Dict[float, List[Placement]] = {}
-        for p in self.placements:
-            groups.setdefault(p.start_us, []).append(p)
-        return [
-            ScheduleSession(
-                [
-                    BlockTestTask(p.block, p.time_us, p.power_mw)
-                    for p in sorted(groups[start], key=lambda p: p.tam_offset)
-                ]
-            )
-            for start in sorted(groups)
-        ]
-
     def power_profile(self) -> List[Tuple[float, float]]:
         """Instantaneous power as a step function.
 
@@ -340,7 +263,7 @@ class TestSchedule:
         ]
 
     # ------------------------------------------------------------------
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check every schedule invariant; raise :class:`ConfigError`
         on the first violation.
 
@@ -352,7 +275,7 @@ class TestSchedule:
         if len(set(names)) != len(names):
             raise ConfigError("schedule places a block more than once")
         for t, power in self.power_profile():
-            if power > self.power_budget_mw + tol:
+            if power > self.power_budget_mw + VALIDATE_TOL:
                 raise ConfigError(
                     f"power envelope violated at t={t:.3f} us: "
                     f"{power:.3f} mW > {self.power_budget_mw:.3f} mW"
@@ -384,7 +307,7 @@ class TestSchedule:
                         min(a.end_us, b.end_us)
                         - max(a.start_us, b.start_us)
                     )
-                    if overlap_t > tol:
+                    if overlap_t > VALIDATE_TOL:
                         raise ConfigError(
                             f"blocks {a.block!r} and {b.block!r} overlap "
                             f"on TAM lines"

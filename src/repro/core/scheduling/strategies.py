@@ -1,78 +1,28 @@
-"""Scheduling strategies behind one :class:`Scheduler` interface.
+"""The two scheduling strategies, selected by name in :func:`schedule_tests`.
 
-Mirrors the ``check_netlist`` → registry pattern from the DRC
-subsystem: strategies are registered by name in a module registry,
-:func:`get_scheduler` instantiates one, and the legacy
-``schedule_block_tests`` survives as a thin wrapper over the greedy
-entry.
-
-* :class:`GreedyScheduler` — the original session-based first-fit-
-  decreasing heuristic, lifted to width-aware specs (each block keeps
-  its narrowest wrapper; sessions run back to back);
-* :class:`BinPackingScheduler` — 2D rectangle packing in the
-  TAM-width × time plane under the power envelope, with the
-  diagonal-length tie-break from the rectangle bin-packing paper and a
-  never-worse-than-greedy guarantee (it keeps whichever of its packing
-  and the greedy baseline finishes first).
+* ``"greedy"`` — the original session-based first-fit-decreasing
+  heuristic, lifted to width-aware specs (each block keeps its
+  narrowest wrapper; sessions run back to back);
+* ``"binpack"`` — 2D rectangle packing in the TAM-width × time plane
+  under the power envelope, with the diagonal-length tie-break from the
+  rectangle bin-packing paper and a never-worse-than-greedy guarantee
+  (it keeps whichever of its packing and the greedy baseline finishes
+  first).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import ConfigError
 from ...obs import current_telemetry
 from .model import (
-    AnyBlockTest,
     BlockTestSpec,
     Placement,
     ScheduleBudget,
     TamCandidate,
     TestSchedule,
-    as_specs,
 )
-
-
-class Scheduler(Protocol):
-    """What every scheduling strategy implements."""
-
-    name: str
-
-    def schedule(
-        self, tasks: Sequence[AnyBlockTest], budget: ScheduleBudget
-    ) -> TestSchedule:
-        """Place every task under *budget*; raise
-        :class:`~repro.errors.ConfigError` when that is impossible."""
-        ...
-
-
-_REGISTRY: Dict[str, Callable[[], Scheduler]] = {}
-
-
-def register_scheduler(
-    name: str, factory: Callable[[], Scheduler]
-) -> None:
-    """Register a strategy factory under *name* (unique)."""
-    if name in _REGISTRY:
-        raise ConfigError(f"duplicate scheduler name {name!r}")
-    _REGISTRY[name] = factory
-
-
-def available_schedulers() -> List[str]:
-    """Registered strategy names, in registration order."""
-    return list(_REGISTRY)
-
-
-def get_scheduler(name: str) -> Scheduler:
-    """Instantiate the strategy registered under *name*."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown scheduler {name!r}; choose from "
-            f"{available_schedulers()}"
-        ) from None
-    return factory()
 
 
 # ----------------------------------------------------------------------
@@ -85,6 +35,9 @@ def check_feasible(
     name the offending block."""
     if not specs:
         raise ConfigError("no tasks to schedule")
+    names = [s.block for s in specs]
+    if len(set(names)) != len(names):
+        raise ConfigError("duplicate block in task list")
     for spec in specs:
         if spec.min_power_mw > budget.power_mw:
             raise ConfigError(
@@ -112,85 +65,69 @@ def check_feasible(
 # ----------------------------------------------------------------------
 # greedy sessions (the original heuristic, width-aware)
 # ----------------------------------------------------------------------
-class GreedyScheduler:
+def _greedy(
+    specs: Sequence[BlockTestSpec], budget: ScheduleBudget
+) -> List[Placement]:
     """First-fit-decreasing sessions under the power envelope.
 
-    Each block keeps its *narrowest* feasible wrapper (for legacy
-    width-1 tasks that is the one and only candidate, reproducing the
-    pre-TAM behaviour exactly).  Tasks are considered in decreasing
-    test time; each joins the first session with power (and, with a
-    TAM limit, width) headroom, or opens a new one.  Sessions run back
-    to back.
+    Each block keeps its *narrowest* feasible wrapper (for a
+    single-candidate width-1 spec that is its one and only candidate,
+    reproducing the pre-TAM behaviour exactly).  Blocks are considered
+    in decreasing test time; each joins the first session with power
+    (and, with a TAM limit, width) headroom, or opens a new one.
+    Sessions run back to back.
     """
+    chosen: List[Tuple[str, TamCandidate]] = []
+    for spec in specs:
+        feasible = spec.feasible(budget.power_mw, budget.tam_width)
+        chosen.append((spec.block, min(feasible, key=lambda c: c.width)))
+    chosen.sort(key=lambda bc: -bc[1].time_us)
 
-    name = "greedy"
+    sessions: List[List[Tuple[str, TamCandidate]]] = []
+    for block, cand in chosen:
+        placed = False
+        for session in sessions:
+            power = sum(c.power_mw for _b, c in session)
+            width = sum(c.width for _b, c in session)
+            if power + cand.power_mw > budget.power_mw:
+                continue
+            if (
+                budget.tam_width is not None
+                and width + cand.width > budget.tam_width
+            ):
+                continue
+            session.append((block, cand))
+            placed = True
+            break
+        if not placed:
+            sessions.append([(block, cand)])
 
-    def schedule(
-        self, tasks: Sequence[AnyBlockTest], budget: ScheduleBudget
-    ) -> TestSchedule:
-        specs = as_specs(tasks)
-        check_feasible(specs, budget)
-        tel = current_telemetry()
-        with tel.span(
-            "sched.run", strategy=self.name, n_blocks=len(specs)
-        ):
-            chosen: List[Tuple[str, TamCandidate]] = []
-            for spec in specs:
-                feasible = spec.feasible(budget.power_mw, budget.tam_width)
-                chosen.append(
-                    (spec.block, min(feasible, key=lambda c: c.width))
+    placements: List[Placement] = []
+    start = 0.0
+    for session in sessions:
+        offset = 0
+        for block, cand in session:
+            placements.append(
+                Placement(
+                    block=block,
+                    start_us=start,
+                    time_us=cand.time_us,
+                    power_mw=cand.power_mw,
+                    tam_width=cand.width,
+                    tam_offset=offset,
                 )
-            chosen.sort(key=lambda bc: -bc[1].time_us)
-
-            sessions: List[List[Tuple[str, TamCandidate]]] = []
-            for block, cand in chosen:
-                placed = False
-                for session in sessions:
-                    power = sum(c.power_mw for _b, c in session)
-                    width = sum(c.width for _b, c in session)
-                    if power + cand.power_mw > budget.power_mw:
-                        continue
-                    if (
-                        budget.tam_width is not None
-                        and width + cand.width > budget.tam_width
-                    ):
-                        continue
-                    session.append((block, cand))
-                    placed = True
-                    break
-                if not placed:
-                    sessions.append([(block, cand)])
-
-            placements: List[Placement] = []
-            start = 0.0
-            for session in sessions:
-                offset = 0
-                for block, cand in session:
-                    placements.append(
-                        Placement(
-                            block=block,
-                            start_us=start,
-                            time_us=cand.time_us,
-                            power_mw=cand.power_mw,
-                            tam_width=cand.width,
-                            tam_offset=offset,
-                        )
-                    )
-                    offset += cand.width
-                start += max(c.time_us for _b, c in session)
-            tel.count("sched.placements", float(len(placements)))
-            return TestSchedule(
-                placements=placements,
-                power_budget_mw=budget.power_mw,
-                tam_width=budget.tam_width,
-                strategy=self.name,
             )
+            offset += cand.width
+        start += max(c.time_us for _b, c in session)
+    return placements
 
 
 # ----------------------------------------------------------------------
 # rectangle bin packing
 # ----------------------------------------------------------------------
-class BinPackingScheduler:
+def _binpack(
+    specs: Sequence[BlockTestSpec], budget: ScheduleBudget
+) -> List[Placement]:
     """2D rectangle packing in the TAM-width × time plane.
 
     Blocks are placed largest-test-data-volume first (candidate area
@@ -200,172 +137,150 @@ class BinPackingScheduler:
     earliest power- and TAM-feasible start; the candidate finishing
     soonest wins, preferring the larger diagonal on ties.  The result
     is compared against the greedy baseline and the faster schedule is
-    returned, so packing is never worse than the legacy heuristic.
+    returned, so packing is never worse than the greedy heuristic.
     """
+    packed = _pack(specs, budget)
+    baseline = _greedy(specs, budget)
+    if max(p.end_us for p in baseline) < max(p.end_us for p in packed):
+        current_telemetry().count("sched.greedy_fallback")
+        return baseline
+    return packed
 
-    name = "binpack"
 
-    def schedule(
-        self, tasks: Sequence[AnyBlockTest], budget: ScheduleBudget
-    ) -> TestSchedule:
-        specs = as_specs(tasks)
-        check_feasible(specs, budget)
-        tel = current_telemetry()
-        with tel.span(
-            "sched.run", strategy=self.name, n_blocks=len(specs)
-        ):
-            packed = self._pack(specs, budget)
-            baseline = GreedyScheduler().schedule(specs, budget)
-            if baseline.makespan_us < packed.makespan_us:
-                tel.count("sched.greedy_fallback")
-                packed = TestSchedule(
-                    placements=baseline.placements,
-                    power_budget_mw=budget.power_mw,
-                    tam_width=budget.tam_width,
-                    strategy=self.name,
-                )
-            tel.count("sched.placements", float(len(packed.placements)))
-            return packed
-
-    # ------------------------------------------------------------------
-    def _pack(
-        self, specs: Sequence[BlockTestSpec], budget: ScheduleBudget
-    ) -> TestSchedule:
-        tam = (
-            budget.tam_width
-            if budget.tam_width is not None
-            else sum(
-                max(
-                    c.width
-                    for c in s.feasible(budget.power_mw, None)
-                )
-                for s in specs
-            )
+def _pack(
+    specs: Sequence[BlockTestSpec], budget: ScheduleBudget
+) -> List[Placement]:
+    tam = (
+        budget.tam_width
+        if budget.tam_width is not None
+        else sum(
+            max(c.width for c in s.feasible(budget.power_mw, None))
+            for s in specs
         )
+    )
 
-        def sort_key(spec: BlockTestSpec) -> Tuple[float, float]:
-            best = max(
-                spec.feasible(budget.power_mw, budget.tam_width),
-                key=lambda c: (c.width * c.time_us, c.diagonal),
-            )
-            return (best.width * best.time_us, best.diagonal)
-
-        placed: List[Placement] = []
-        for spec in sorted(specs, key=sort_key, reverse=True):
-            best: Optional[Placement] = None
-            best_key: Optional[Tuple[float, float]] = None
-            for cand in spec.feasible(budget.power_mw, budget.tam_width):
-                slot = self._earliest_slot(placed, cand, tam, budget)
-                if slot is None:
-                    continue
-                start, offset = slot
-                key = (start + cand.time_us, -cand.diagonal)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = Placement(
-                        block=spec.block,
-                        start_us=start,
-                        time_us=cand.time_us,
-                        power_mw=cand.power_mw,
-                        tam_width=cand.width,
-                        tam_offset=offset,
-                    )
-            if best is None:  # pragma: no cover - check_feasible guards
-                raise ConfigError(
-                    f"block {spec.block!r} could not be placed"
-                )
-            placed.append(best)
-        return TestSchedule(
-            placements=placed,
-            power_budget_mw=budget.power_mw,
-            tam_width=budget.tam_width,
-            strategy=self.name,
+    def sort_key(spec: BlockTestSpec) -> Tuple[float, float]:
+        best = max(
+            spec.feasible(budget.power_mw, budget.tam_width),
+            key=lambda c: (c.width * c.time_us, c.diagonal),
         )
+        return (best.width * best.time_us, best.diagonal)
 
-    @staticmethod
-    def _earliest_slot(
-        placed: Sequence[Placement],
-        cand: TamCandidate,
-        tam: int,
-        budget: ScheduleBudget,
-    ) -> Optional[Tuple[float, int]]:
-        """Earliest (start, TAM offset) where *cand* fits entirely.
-
-        Candidate starts are the event points of the partial schedule
-        (time 0 and every placement end).  At each start the rectangle
-        must clear the power envelope over its whole duration and find
-        ``cand.width`` contiguous free TAM lines over its whole
-        duration.  Both checks are interval checks, so holding from
-        every event point inside the window implies holding everywhere.
-        """
-        if cand.width > tam:
-            return None
-        starts = sorted({0.0} | {p.end_us for p in placed})
-        for start in starts:
-            end = start + cand.time_us
-
-            def overlapping(p: Placement) -> bool:
-                return p.start_us < end and start < p.end_us
-
-            active = [p for p in placed if overlapping(p)]
-            # Power over the window: evaluate at the window start and
-            # at every event point inside it.
-            checkpoints = [start] + [
-                p.start_us for p in active if start < p.start_us < end
-            ]
-            power_ok = all(
-                sum(p.power_mw for p in active if p.active_at(t))
-                + cand.power_mw
-                <= budget.power_mw + 1e-12
-                for t in checkpoints
-            )
-            if not power_ok:
+    placed: List[Placement] = []
+    for spec in sorted(specs, key=sort_key, reverse=True):
+        best: Optional[Placement] = None
+        best_key: Optional[Tuple[float, float]] = None
+        for cand in spec.feasible(budget.power_mw, budget.tam_width):
+            slot = _earliest_slot(placed, cand, tam, budget)
+            if slot is None:
                 continue
-            # Contiguous TAM lines free over the whole window.
-            busy = [False] * tam
-            for p in active:
-                for line in range(
-                    p.tam_offset, min(tam, p.tam_offset + p.tam_width)
-                ):
-                    busy[line] = True
-            run = 0
-            for line in range(tam):
-                run = 0 if busy[line] else run + 1
-                if run >= cand.width:
-                    return (start, line - cand.width + 1)
-        return None  # pragma: no cover - unbounded starts always fit
+            start, offset = slot
+            key = (start + cand.time_us, -cand.diagonal)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = Placement(
+                    block=spec.block,
+                    start_us=start,
+                    time_us=cand.time_us,
+                    power_mw=cand.power_mw,
+                    tam_width=cand.width,
+                    tam_offset=offset,
+                )
+        if best is None:  # pragma: no cover - check_feasible guards
+            raise ConfigError(f"block {spec.block!r} could not be placed")
+        placed.append(best)
+    return placed
 
 
-register_scheduler(GreedyScheduler.name, GreedyScheduler)
-register_scheduler(BinPackingScheduler.name, BinPackingScheduler)
+def _earliest_slot(
+    placed: Sequence[Placement],
+    cand: TamCandidate,
+    tam: int,
+    budget: ScheduleBudget,
+) -> Optional[Tuple[float, int]]:
+    """Earliest (start, TAM offset) where *cand* fits entirely.
+
+    Candidate starts are the event points of the partial schedule
+    (time 0 and every placement end).  At each start the rectangle
+    must clear the power envelope over its whole duration and find
+    ``cand.width`` contiguous free TAM lines over its whole duration.
+    Both checks are interval checks, so holding from every event point
+    inside the window implies holding everywhere.
+    """
+    if cand.width > tam:
+        return None
+    starts = sorted({0.0} | {p.end_us for p in placed})
+    for start in starts:
+        end = start + cand.time_us
+
+        def overlapping(p: Placement) -> bool:
+            return p.start_us < end and start < p.end_us
+
+        active = [p for p in placed if overlapping(p)]
+        # Power over the window: evaluate at the window start and at
+        # every event point inside it.
+        checkpoints = [start] + [
+            p.start_us for p in active if start < p.start_us < end
+        ]
+        power_ok = all(
+            sum(p.power_mw for p in active if p.active_at(t))
+            + cand.power_mw
+            <= budget.power_mw + 1e-12
+            for t in checkpoints
+        )
+        if not power_ok:
+            continue
+        # Contiguous TAM lines free over the whole window.
+        busy = [False] * tam
+        for p in active:
+            for line in range(
+                p.tam_offset, min(tam, p.tam_offset + p.tam_width)
+            ):
+                busy[line] = True
+        run = 0
+        for line in range(tam):
+            run = 0 if busy[line] else run + 1
+            if run >= cand.width:
+                return (start, line - cand.width + 1)
+    return None  # pragma: no cover - unbounded starts always fit
+
+
+_Strategy = Callable[
+    [Sequence[BlockTestSpec], ScheduleBudget], List[Placement]
+]
+
+_STRATEGIES: Dict[str, _Strategy] = {"greedy": _greedy, "binpack": _binpack}
 
 
 def schedule_tests(
-    tasks: Sequence[AnyBlockTest],
+    specs: Sequence[BlockTestSpec],
     budget: ScheduleBudget,
     strategy: str = "binpack",
 ) -> TestSchedule:
-    """Schedule *tasks* under *budget* with the named strategy."""
-    return get_scheduler(strategy).schedule(tasks, budget)
-
-
-def schedule_block_tests(
-    tasks: Sequence[AnyBlockTest],
-    power_budget_mw: float,
-) -> TestSchedule:
-    """Greedy longest-task-first packing under a session power budget.
-
-    Back-compat wrapper over ``get_scheduler("greedy")`` — the original
-    module-level entry point, kept with its original signature and
-    semantics (every session's total power stays <= *power_budget_mw*;
-    first-fit-decreasing; no TAM width limit).
+    """Place every block of *specs* under *budget* with the named
+    strategy (``"binpack"`` or ``"greedy"``).
 
     Raises
     ------
     ConfigError
-        If any single task exceeds the budget (it could never run),
-        two tasks share a block name, or the task list is empty.
+        On an unknown strategy, or when no strategy could place the
+        blocks (see :func:`check_feasible`).
     """
-    return GreedyScheduler().schedule(
-        tasks, ScheduleBudget(power_mw=power_budget_mw)
+    try:
+        place = _STRATEGIES[strategy]
+    except KeyError:
+        raise ConfigError(
+            f"unknown scheduler {strategy!r}; choose from "
+            f"{list(_STRATEGIES)}"
+        ) from None
+    check_feasible(specs, budget)
+    tel = current_telemetry()
+    with tel.span("sched.run", strategy=strategy, n_blocks=len(specs)):
+        placements = place(specs, budget)
+        tel.count("sched.placements", float(len(placements)))
+    return TestSchedule(
+        placements=placements,
+        power_budget_mw=budget.power_mw,
+        tam_width=budget.tam_width,
+        strategy=strategy,
     )

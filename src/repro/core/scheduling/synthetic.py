@@ -12,57 +12,56 @@ blocks).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ...errors import ConfigError
 from .model import BlockTestSpec, TamCandidate
 
+#: Wrapper width candidates a synthetic block draws from (it takes the
+#: first two or all three).
+WIDTH_OPTIONS = (1, 2, 4)
+#: Median test time at width 1.
+BASE_TIME_US = 100.0
+#: Test power of a median-sized block.
+BASE_POWER_MW = 4.0
+#: Extra power per doubling of the wrapper width.
+WIDTH_POWER_FACTOR = 0.15
+#: Fractions of the all-blocks-at-once power that :func:`budget_sweep`
+#: turns into budgets.
+SWEEP_FRACTIONS = (0.15, 0.25, 0.4, 0.6, 0.8, 1.0)
+
 
 def generate_block_specs(
-    n_blocks: int,
-    seed: int = 2007,
-    max_width: int = 8,
-    n_widths: int = 3,
-    base_time_us: float = 100.0,
-    base_power_mw: float = 4.0,
-    width_power_factor: float = 0.15,
+    n_blocks: int, seed: int = 2007
 ) -> List[BlockTestSpec]:
     """A deterministic *n_blocks*-block SOC as scheduling specs.
 
     Per block: test time at width 1 is log-normally distributed around
-    *base_time_us* (a few big cores, many small ones), test power is
-    correlated with size, and the candidate widths are *n_widths*
-    powers of two up to *max_width*.  Wider wrappers divide the time
-    (``t(w) = t(1)/w``) and cost ``width_power_factor`` extra power per
-    doubling — shifting through more chains in parallel toggles more
-    cells per cycle.
+    :data:`BASE_TIME_US` (a few big cores, many small ones), test power
+    is correlated with size, and the candidate widths are the first two
+    or three of :data:`WIDTH_OPTIONS`.  Wider wrappers divide the time
+    (``t(w) = t(1)/w``) and cost :data:`WIDTH_POWER_FACTOR` extra power
+    per doubling — shifting through more chains in parallel toggles
+    more cells per cycle.
 
     Raises
     ------
     ConfigError
-        On a non-positive block count or width budget.
+        On a non-positive block count.
     """
     if n_blocks < 1:
         raise ConfigError("need at least one block")
-    if max_width < 1 or n_widths < 1:
-        raise ConfigError("width options must be positive")
     rng = np.random.default_rng(seed)
-    widths_all = [
-        w for w in (1, 2, 4, 8, 16, 32, 64) if w <= max_width
-    ][: max(1, n_widths)]
     specs: List[BlockTestSpec] = []
     for i in range(n_blocks):
         size = float(rng.lognormal(mean=0.0, sigma=0.7))
-        time1 = base_time_us * size
-        power = base_power_mw * (0.4 + 0.6 * size) * float(
+        time1 = BASE_TIME_US * size
+        power = BASE_POWER_MW * (0.4 + 0.6 * size) * float(
             rng.uniform(0.8, 1.2)
         )
-        n_opts = int(rng.integers(2, len(widths_all) + 1)) if len(
-            widths_all
-        ) > 1 else 1
-        widths = widths_all[:n_opts]
+        n_opts = int(rng.integers(2, len(WIDTH_OPTIONS) + 1))
         specs.append(
             BlockTestSpec(
                 f"C{i}",
@@ -71,29 +70,24 @@ def generate_block_specs(
                         width=w,
                         time_us=time1 / w,
                         power_mw=power
-                        * (1.0 + width_power_factor * float(np.log2(w))),
+                        * (1.0 + WIDTH_POWER_FACTOR * float(np.log2(w))),
                     )
-                    for w in widths
+                    for w in WIDTH_OPTIONS[:n_opts]
                 ),
             )
         )
     return specs
 
 
-def budget_sweep(
-    specs: Sequence[BlockTestSpec],
-    fractions: Optional[Sequence[float]] = None,
-) -> List[float]:
+def budget_sweep(specs: Sequence[BlockTestSpec]) -> List[float]:
     """Power budgets sweeping serial-ish to fully-parallel regimes.
 
-    Each budget is a *fraction* of the all-blocks-at-once power sum,
-    floored at the largest single block's quietest power (below that no
-    schedule exists at all).
+    Each budget is a fraction (:data:`SWEEP_FRACTIONS`) of the
+    all-blocks-at-once power sum, floored at the largest single block's
+    quietest power (below that no schedule exists at all).
     """
     if not specs:
         raise ConfigError("no specs to sweep")
-    if fractions is None:
-        fractions = (0.15, 0.25, 0.4, 0.6, 0.8, 1.0)
     total = sum(max(c.power_mw for c in s.candidates) for s in specs)
     floor = max(s.min_power_mw for s in specs)
-    return sorted({max(floor * 1.01, total * f) for f in fractions})
+    return sorted({max(floor * 1.01, total * f) for f in SWEEP_FRACTIONS})

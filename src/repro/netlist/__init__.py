@@ -4,8 +4,9 @@ This subpackage provides the structural representation every other layer
 builds on: combinational cell kinds and their logic functions
 (:mod:`~repro.netlist.cells`), a synthetic 180 nm standard-cell library
 (:mod:`~repro.netlist.library`), the :class:`~repro.netlist.netlist.Netlist`
-container, levelisation, placement-derived parasitics, a structural
-Verilog writer/parser and a structural linter.
+container, levelisation, placement-derived parasitics and a structural
+Verilog writer/parser.  Structural linting lives in :mod:`repro.drc`
+(:func:`~repro.drc.check_netlist_drc`).
 """
 
 from .cells import (
@@ -20,7 +21,6 @@ from .netlist import Gate, FlipFlop, Netlist
 from .buffering import fanout_violations, insert_fanout_buffers
 from .levelize import levelize
 from .parasitics import ParasiticModel, extract_net_caps
-from .validate import check_netlist
 from .verilog import parse_verilog, write_verilog
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Library",
     "Netlist",
     "ParasiticModel",
-    "check_netlist",
     "default_library",
     "evaluate_kind",
     "extract_net_caps",

@@ -129,6 +129,43 @@ class TestCli:
         assert seen == {"flow": "auto", "atpg": 3}
 
 
+class TestScheduleCli:
+    def test_synthetic_schedule_writes_json(self, tmp_path, capsys):
+        out_file = tmp_path / "sched.json"
+        assert main([
+            "schedule", "--synthetic", "8", "--power-budget", "15",
+            "--json", str(out_file),
+        ]) == 0
+        assert "8 blocks" in capsys.readouterr().out
+        rows = json.loads(out_file.read_text())["rows"]
+        assert [r["strategy"] for r in rows] == ["greedy", "binpack"]
+        for row in rows:
+            assert row["budget_mw"] == 15.0
+            assert row["peak_power_mw"] <= 15.0
+            assert row["speedup"] >= 1.0
+        assert rows[1]["makespan_us"] <= rows[0]["makespan_us"]
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--synthetic", "0"),
+            ("--synthetic", "-3"),
+            ("--patterns", "0"),
+            ("--tam-width", "0"),
+        ],
+    )
+    def test_bad_count_is_usage_error(self, capsys, option, value):
+        with pytest.raises(SystemExit) as info:
+            main(["schedule", option, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"repro schedule: error: argument {option}: expected a "
+            f"positive integer, got {value!r}"
+        ]
+
+
 class TestFlowCli:
     def test_flow_stop_resume_and_report(self, tmp_path, capsys):
         import json

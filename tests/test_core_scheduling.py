@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,79 +11,110 @@ from hypothesis import strategies as st
 from repro import CaseStudy
 from repro.core import (
     BlockTestSpec,
-    BlockTestTask,
-    GreedyScheduler,
     ScheduleBudget,
     TamCandidate,
-    available_schedulers,
-    get_scheduler,
-    register_scheduler,
-    schedule_block_tests,
     schedule_tests,
-    tasks_from_flow,
+    specs_from_flow,
 )
 from repro.core import TestSchedule as ScheduleClass
 from repro.core.scheduling import budget_sweep, generate_block_specs
 from repro.dft import partition_wrapper_chains, wrapper_plan
 from repro.errors import ConfigError
+from repro.obs import Telemetry, use_telemetry
 from repro.soc import build_turbo_eagle
 
+#: sha256 (see :func:`placement_digest`) of the greedy and binpack
+#: schedules of ``generate_block_specs(n, seed=2007)`` for n in (8, 16,
+#: 32), at every ``budget_sweep`` budget with TAM width 16: 36
+#: schedules.  Any moved, resized or re-timed placement changes it.
+GOLDEN_SWEEP_DIGEST = (
+    "f2baa5faa51b2c7397d7ac39ed25e76c7d743b25eac518429bed0278de79c32f"
+)
 
-def _tasks():
+
+def placement_digest(placements):
+    """sha256 over placement dicts in order, floats rounded to 1e-9."""
+    h = hashlib.sha256()
+    for p in placements:
+        h.update(
+            f"{p['block']}|{p['start_us']:.9f}|{p['time_us']:.9f}|"
+            f"{p['power_mw']:.9f}|{p['tam_width']}|{p['tam_offset']}\n"
+            .encode()
+        )
+    return h.hexdigest()
+
+
+def _specs():
+    """Six fixed-time blocks: single-candidate width-1 specs."""
     return [
-        BlockTestTask("B1", 100.0, 2.0),
-        BlockTestTask("B2", 80.0, 3.0),
-        BlockTestTask("B3", 60.0, 2.5),
-        BlockTestTask("B4", 50.0, 1.0),
-        BlockTestTask("B5", 200.0, 6.0),
-        BlockTestTask("B6", 90.0, 2.0),
+        BlockTestSpec.from_base(block, time_us, power_mw, [1])
+        for block, time_us, power_mw in (
+            ("B1", 100.0, 2.0),
+            ("B2", 80.0, 3.0),
+            ("B3", 60.0, 2.5),
+            ("B4", 50.0, 1.0),
+            ("B5", 200.0, 6.0),
+            ("B6", 90.0, 2.0),
+        )
     ]
+
+
+def _greedy(specs, power_budget_mw):
+    return schedule_tests(
+        specs, ScheduleBudget(power_mw=power_budget_mw), strategy="greedy"
+    )
 
 
 class TestScheduler:
     def test_budget_respected(self):
-        schedule = schedule_block_tests(_tasks(), power_budget_mw=7.0)
-        for session in schedule.sessions:
-            assert session.power_mw <= 7.0
+        schedule = _greedy(_specs(), power_budget_mw=7.0)
+        for _t, power in schedule.power_profile():
+            assert power <= 7.0
         assert schedule.peak_power_mw <= 7.0
 
     def test_every_block_scheduled_once(self):
-        schedule = schedule_block_tests(_tasks(), power_budget_mw=7.0)
+        schedule = _greedy(_specs(), power_budget_mw=7.0)
         assert sorted(schedule.blocks()) == [
             "B1", "B2", "B3", "B4", "B5", "B6",
         ]
 
     def test_parallelism_beats_serial(self):
-        schedule = schedule_block_tests(_tasks(), power_budget_mw=10.0)
+        schedule = _greedy(_specs(), power_budget_mw=10.0)
         assert schedule.makespan_us < schedule.serial_time_us
         assert schedule.speedup > 1.0
 
     def test_tight_budget_degenerates_to_serial(self):
         # Budget fits exactly one task at a time (max power is 6).
-        schedule = schedule_block_tests(_tasks(), power_budget_mw=6.0)
-        # B5 (6.0) must be alone; everything else may still pair up.
-        b5_session = next(
-            s for s in schedule.sessions
-            if any(t.block == "B5" for t in s.tasks)
-        )
-        assert len(b5_session.tasks) == 1
+        schedule = _greedy(_specs(), power_budget_mw=6.0)
+        # B5 (6.0) must run alone; everything else may still pair up.
+        b5 = next(p for p in schedule.placements if p.block == "B5")
+        assert not [
+            p.block
+            for p in schedule.placements
+            if p is not b5
+            and p.start_us < b5.end_us
+            and b5.start_us < p.end_us
+        ]
 
     def test_infeasible_task_rejected(self):
         with pytest.raises(ConfigError):
-            schedule_block_tests(_tasks(), power_budget_mw=5.0)
+            _greedy(_specs(), power_budget_mw=5.0)
 
     def test_duplicate_block_rejected(self):
-        tasks = _tasks() + [BlockTestTask("B1", 10.0, 1.0)]
-        with pytest.raises(ConfigError):
-            schedule_block_tests(tasks, power_budget_mw=10.0)
+        specs = _specs() + [BlockTestSpec.from_base("B1", 10.0, 1.0, [1])]
+        for strategy in ("greedy", "binpack"):
+            with pytest.raises(ConfigError, match="duplicate block"):
+                schedule_tests(
+                    specs, ScheduleBudget(power_mw=10.0), strategy=strategy
+                )
 
     def test_invalid_task_values(self):
         with pytest.raises(ConfigError):
-            BlockTestTask("B1", -1.0, 1.0)
+            BlockTestSpec.from_base("B1", -1.0, 1.0, [1])
         with pytest.raises(ConfigError):
-            BlockTestTask("B1", 1.0, -1.0)
+            BlockTestSpec.from_base("B1", 1.0, -1.0, [1])
         with pytest.raises(ConfigError):
-            schedule_block_tests(_tasks(), power_budget_mw=0.0)
+            _greedy(_specs(), power_budget_mw=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -95,17 +128,17 @@ class TestScheduler:
         ),
     )
     def test_properties_hold_for_random_tasks(self, times, powers):
-        tasks = [
-            BlockTestTask(f"X{i}", t, powers[i])
+        specs = [
+            BlockTestSpec.from_base(f"X{i}", t, powers[i], [1])
             for i, t in enumerate(times)
         ]
-        schedule = schedule_block_tests(tasks, power_budget_mw=5.0)
-        assert sorted(schedule.blocks()) == sorted(t.block for t in tasks)
-        for session in schedule.sessions:
-            assert session.power_mw <= 5.0 + 1e-9
+        schedule = _greedy(specs, power_budget_mw=5.0)
+        assert sorted(schedule.blocks()) == sorted(s.block for s in specs)
+        for _t, power in schedule.power_profile():
+            assert power <= 5.0 + 1e-9
         # Makespan is bounded by serial time and by the longest task.
         assert schedule.makespan_us <= schedule.serial_time_us + 1e-9
-        assert schedule.makespan_us >= max(t.test_time_us for t in tasks)
+        assert schedule.makespan_us >= max(times)
 
 
 class TestTasksFromFlow:
@@ -115,14 +148,12 @@ class TestTasksFromFlow:
 
     def test_staged_flow_tasks(self, study):
         flow = study.staged()
-        tasks = tasks_from_flow(
-            study.design, flow, study.thresholds_mw
-        )
-        blocks = [t.block for t in tasks]
+        specs = specs_from_flow(study.design, flow, study.thresholds_mw)
+        blocks = [s.block for s in specs]
         assert set(blocks) == {"B1", "B2", "B3", "B4", "B5", "B6"}
-        assert all(t.test_time_us > 0 for t in tasks)
+        assert all(c.time_us > 0 for s in specs for c in s.candidates)
         budget = sum(study.thresholds_mw.values())
-        schedule = schedule_block_tests(tasks, power_budget_mw=budget)
+        schedule = _greedy(specs, power_budget_mw=budget)
         assert schedule.speedup >= 1.0
 
 
@@ -155,52 +186,44 @@ class TestTamModel:
             BlockTestSpec("B1", ())
 
     def test_task_is_width1_spec(self):
-        spec = BlockTestTask("B1", 10.0, 2.0).as_spec()
-        assert [c.width for c in spec.candidates] == [1]
-        assert spec.narrowest().time_us == 10.0
+        spec = BlockTestSpec.from_base("B1", 10.0, 2.0, [1])
+        assert spec.candidates == (TamCandidate(1, 10.0, 2.0),)
 
 
 # ----------------------------------------------------------------------
-# Scheduler protocol + registry
+# strategy selection
 # ----------------------------------------------------------------------
-class TestSchedulerRegistry:
-    def test_builtins_registered(self):
-        names = available_schedulers()
-        assert "greedy" in names and "binpack" in names
-
+class TestStrategySelection:
     def test_unknown_strategy_named_in_error(self):
-        with pytest.raises(ConfigError, match="nosuch"):
-            get_scheduler("nosuch")
-
-    def test_custom_strategy_round_trip(self):
-        class Custom:
-            name = "custom-test"
-
-            def schedule(self, tasks, budget):
-                return GreedyScheduler().schedule(tasks, budget)
-
-        register_scheduler("custom-test", Custom)
-        try:
-            schedule = get_scheduler("custom-test").schedule(
-                _tasks(), ScheduleBudget(power_mw=10.0)
+        with pytest.raises(
+            ConfigError, match=r"'nosuch'; choose from \['greedy', 'binpack'\]"
+        ):
+            schedule_tests(
+                _specs(), ScheduleBudget(power_mw=10.0), strategy="nosuch"
             )
-            assert sorted(schedule.blocks()) == sorted(
-                t.block for t in _tasks()
-            )
-            with pytest.raises(ConfigError):
-                register_scheduler("custom-test", Custom)
-        finally:
-            from repro.core.scheduling import strategies
-
-            strategies._REGISTRY.pop("custom-test", None)
 
     def test_schedule_tests_dispatches(self):
         budget = ScheduleBudget(power_mw=10.0)
-        greedy = schedule_tests(_tasks(), budget, strategy="greedy")
-        packed = schedule_tests(_tasks(), budget, strategy="binpack")
+        greedy = schedule_tests(_specs(), budget, strategy="greedy")
+        packed = schedule_tests(_specs(), budget, strategy="binpack")
         assert greedy.strategy == "greedy"
         assert packed.strategy == "binpack"
         assert packed.makespan_us <= greedy.makespan_us + 1e-9
+
+    @pytest.mark.parametrize("strategy", ["greedy", "binpack"])
+    def test_one_span_and_count_per_call(self, strategy):
+        specs = generate_block_specs(8, seed=2007)
+        tel = Telemetry()
+        with use_telemetry(tel):
+            schedule_tests(
+                specs,
+                ScheduleBudget(power_mw=15.0, tam_width=16),
+                strategy=strategy,
+            )
+        runs = [e for e in tel.tracer.events if e["name"] == "sched.run"]
+        assert len(runs) == 1
+        assert runs[0]["attrs"]["strategy"] == strategy
+        assert tel.metrics.get("sched.placements").total == len(specs)
 
 
 # ----------------------------------------------------------------------
@@ -208,10 +231,11 @@ class TestSchedulerRegistry:
 # ----------------------------------------------------------------------
 class TestEdgeContracts:
     def test_zero_tasks_raise_config_error(self):
-        with pytest.raises(ConfigError, match="no tasks"):
-            schedule_block_tests([], power_budget_mw=5.0)
-        with pytest.raises(ConfigError, match="no tasks"):
-            schedule_tests([], ScheduleBudget(power_mw=5.0))
+        for strategy in ("greedy", "binpack"):
+            with pytest.raises(ConfigError, match="no tasks"):
+                schedule_tests(
+                    [], ScheduleBudget(power_mw=5.0), strategy=strategy
+                )
 
     def test_empty_schedule_speedup_raises_not_zero_division(self):
         empty = ScheduleClass(placements=[], power_budget_mw=5.0)
@@ -220,7 +244,7 @@ class TestEdgeContracts:
 
     def test_budget_below_largest_block_names_it(self):
         with pytest.raises(ConfigError, match="'B5'"):
-            schedule_block_tests(_tasks(), power_budget_mw=5.0)
+            _greedy(_specs(), power_budget_mw=5.0)
 
     def test_tam_too_narrow_names_block(self):
         specs = [
@@ -340,6 +364,17 @@ class TestWrapperPartitioning:
 # synthetic SOC families
 # ----------------------------------------------------------------------
 class TestSyntheticSocs:
+    def test_sweep_schedules_match_golden_digest(self):
+        placements = []
+        for n in (8, 16, 32):
+            specs = generate_block_specs(n, seed=2007)
+            for budget_mw in budget_sweep(specs):
+                budget = ScheduleBudget(power_mw=budget_mw, tam_width=16)
+                for strategy in ("greedy", "binpack"):
+                    schedule = schedule_tests(specs, budget, strategy=strategy)
+                    placements += [p.to_dict() for p in schedule.placements]
+        assert placement_digest(placements) == GOLDEN_SWEEP_DIGEST
+
     def test_deterministic(self):
         a = generate_block_specs(12, seed=42)
         b = generate_block_specs(12, seed=42)

@@ -18,7 +18,8 @@ from repro.atpg import build_fault_universe, collapse_faults
 from repro.atpg.fsim import FaultSimulator
 from repro.atpg.podem import PodemStatus, generate_test
 from repro.atpg.twoframe import TwoFrameState
-from repro.netlist import check_netlist, parse_verilog, write_verilog
+from repro.drc import check_netlist_drc
+from repro.netlist import parse_verilog, write_verilog
 from repro.sim import (
     DelayModel,
     EventTimingSim,
@@ -34,7 +35,7 @@ from tests.strategies import random_netlist
 @settings(max_examples=40, deadline=None)
 @given(nl=random_netlist())
 def test_random_netlists_are_lint_clean(nl):
-    assert check_netlist(nl) == []
+    assert check_netlist_drc(nl).errors() == []
 
 
 @settings(max_examples=25, deadline=None)

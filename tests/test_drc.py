@@ -22,7 +22,7 @@ from repro.drc import (
     run_drc,
 )
 from repro.errors import ConfigError, DrcError
-from repro.netlist import Netlist, check_netlist
+from repro.netlist import Netlist
 from repro.netlist.verilog import parse_verilog, write_verilog
 from repro.soc import build_turbo_eagle
 
@@ -330,13 +330,13 @@ class TestWaivers:
             load_waivers(str(path))
 
 
-class TestBackCompatWrapper:
+class TestCheckNetlistDrc:
     def test_check_netlist_returns_error_strings(self):
-        issues = check_netlist(broken_float())
-        assert issues and any("floating" in s for s in issues)
+        errors = check_netlist_drc(broken_float()).errors()
+        assert errors and any("floating" in v.message for v in errors)
 
     def test_check_netlist_clean(self):
-        assert check_netlist(_base("clean2")) == []
+        assert check_netlist_drc(_base("clean2")).errors() == []
 
     def test_check_netlist_drc_returns_report(self):
         report = check_netlist_drc(broken_contention())

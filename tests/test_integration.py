@@ -7,7 +7,8 @@ import io
 import numpy as np
 import pytest
 
-from repro.netlist import check_netlist, parse_verilog, write_verilog
+from repro.drc import check_netlist_drc
+from repro.netlist import parse_verilog, write_verilog
 from repro.netlist.levelize import levelize
 from repro.sim import DelayModel, LogicSim, loc_launch_capture
 from repro.soc import build_turbo_eagle
@@ -26,7 +27,7 @@ class TestSocVerilogRoundTrip:
         back = parse_verilog(buf)
         assert back.n_gates == design.netlist.n_gates
         assert back.n_flops == design.netlist.n_flops
-        assert check_netlist(back) == []
+        assert check_netlist_drc(back).errors() == []
 
     def test_roundtrip_preserves_logic(self, design):
         buf = io.StringIO()

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.drc import check_netlist_drc
 from repro.errors import NetlistError
 from repro.netlist import (
     Netlist,
-    check_netlist,
     fanout_violations,
     insert_fanout_buffers,
 )
@@ -56,7 +56,7 @@ class TestBuffering:
         added = insert_fanout_buffers(nl, max_fanout=12)
         assert added >= 2
         assert fanout_violations(nl, max_fanout=12) == []
-        assert check_netlist(nl) == []
+        assert check_netlist_drc(nl).errors() == []
 
     def test_logic_preserved(self):
         before = _wide_net_design(30)
@@ -107,7 +107,7 @@ class TestBuffering:
         before = loc_launch_capture(LogicSim(nl), v1, "clka").captured
         added = insert_fanout_buffers(nl, max_fanout=6)
         assert fanout_violations(nl, max_fanout=6) == []
-        assert check_netlist(nl) == []
+        assert check_netlist_drc(nl).errors() == []
         after = loc_launch_capture(LogicSim(nl), v1, "clka").captured
         assert before == after
         assert added > 0

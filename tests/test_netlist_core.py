@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.drc import check_netlist_drc
 from repro.errors import LibraryError, NetlistError
-from repro.netlist import Netlist, check_netlist, default_library, levelize
+from repro.netlist import Netlist, default_library, levelize
 from repro.netlist.levelize import max_logic_depth
 from repro.netlist.library import DEFAULT_CELL_FOR_KIND
 
@@ -157,32 +158,25 @@ class TestLevelize:
 
 class TestValidate:
     def test_clean_design_has_no_issues(self, tiny_comb, tiny_seq):
-        assert check_netlist(tiny_comb) == []
-        assert check_netlist(tiny_seq) == []
+        assert check_netlist_drc(tiny_comb).errors() == []
+        assert check_netlist_drc(tiny_seq).errors() == []
 
     def test_floating_input_flagged(self):
         nl = Netlist("x")
         a = nl.add_net("a")  # never driven
         y = nl.add_net("y")
         nl.add_gate("g", "INVX1", [a], y)
-        issues = check_netlist(nl)
-        assert any("floating" in i for i in issues)
+        errors = check_netlist_drc(nl).errors()
+        assert any("floating" in v.message for v in errors)
 
     def test_undriven_po_flagged(self):
         nl = Netlist("x")
         z = nl.add_net("z")
         nl.add_primary_output(z)
-        issues = check_netlist(nl)
-        assert any("undriven" in i for i in issues)
+        errors = check_netlist_drc(nl).errors()
+        assert any("undriven" in v.message for v in errors)
 
     def test_chain_consistency_flagged(self, tiny_seq):
         tiny_seq.flops[0].chain = 3  # chain_pos left None
-        issues = check_netlist(tiny_seq)
-        assert any("chain" in i for i in issues)
-
-    def test_raise_on_error(self):
-        nl = Netlist("x")
-        z = nl.add_net("z")
-        nl.add_primary_output(z)
-        with pytest.raises(NetlistError):
-            check_netlist(nl, raise_on_error=True)
+        errors = check_netlist_drc(tiny_seq).errors()
+        assert any("chain" in v.message for v in errors)

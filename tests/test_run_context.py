@@ -20,6 +20,8 @@ from repro.perf.kernel_cache import KernelCache, current_kernel_cache, use_kerne
 from repro.perf.resilient import RetryPolicy, default_policy, execution_policy
 from repro.soc import build_turbo_eagle
 
+from tests.test_core_scheduling import placement_digest
+
 
 @pytest.fixture(scope="module")
 def design():
@@ -142,6 +144,9 @@ class TestFlowContextApi:
         assert report.schedule is not None
         assert report.schedule["strategy"] == "binpack"
         assert report.schedule["peak_power_mw"] <= 200.0
+        assert placement_digest(report.schedule["placements"]) == (
+            "68130b572fe3342dd853c689c864518d284560bfacfed5ee7625930b43d44f31"
+        )
         assert any(
             s.name == "schedule" and s.status == "completed"
             for s in report.stages

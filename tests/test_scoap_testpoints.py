@@ -7,8 +7,9 @@ import pytest
 
 from repro.atpg import AtpgEngine, analyze_testability
 from repro.dft import insert_observation_points
+from repro.drc import check_netlist_drc
 from repro.errors import ScanError
-from repro.netlist import Netlist, check_netlist
+from repro.netlist import Netlist
 from repro.sim import LogicSim, loc_launch_capture
 from repro.soc import build_turbo_eagle
 
@@ -78,7 +79,7 @@ class TestObservationPoints:
             design.netlist, design.scan, "clka", n_points=6
         )
         assert len(new) == 6
-        assert check_netlist(design.netlist) == []
+        assert check_netlist_drc(design.netlist).errors() == []
         # New flops are on chains and scan-enabled.
         for fi in new:
             flop = design.netlist.flops[fi]

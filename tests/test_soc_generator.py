@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.netlist import check_netlist
+from repro.drc import check_netlist_drc
 from repro.netlist.levelize import max_logic_depth
 from repro.soc import build_turbo_eagle, scale_preset
 from repro.soc.clocks import build_clock_tree, turbo_eagle_domains
@@ -18,7 +18,7 @@ def design():
 
 class TestGenerator:
     def test_structurally_clean(self, design):
-        assert check_netlist(design.netlist) == []
+        assert check_netlist_drc(design.netlist).errors() == []
 
     def test_deterministic_for_seed(self):
         d1 = build_turbo_eagle("tiny", seed=3)
