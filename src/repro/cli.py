@@ -78,6 +78,15 @@ def _positive_int(raw: str) -> int:
     )
 
 
+def _non_negative_int(raw: str) -> int:
+    """An argparse ``type`` for indexes that may be 0."""
+    if raw.isdecimal():
+        return int(raw)
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {raw!r}"
+    )
+
+
 def _workers_arg(raw: str):
     """``--workers`` value: a positive count or ``"auto"``."""
     if raw == "auto":
@@ -983,9 +992,9 @@ def main(argv=None) -> int:
     p.add_argument("--checkpoint", help="stage checkpoint directory")
     p.add_argument("--no-resume", dest="resume", action="store_false",
                    help="ignore existing checkpoints and start fresh")
-    p.add_argument("--stop-after", type=int, metavar="N",
+    p.add_argument("--stop-after", type=_non_negative_int, metavar="N",
                    help="deliberately stop after stage index N")
-    p.add_argument("--max-patterns", type=int,
+    p.add_argument("--max-patterns", type=_positive_int,
                    help="total pattern budget across stages")
     p.add_argument("--report", help="write the RunReport JSON here and "
                                     "print per-stage wall times")
@@ -1010,7 +1019,7 @@ def main(argv=None) -> int:
                    help="classify every generated pattern's endpoints "
                         "against the droop-derated delay bound; only "
                         "at-risk ones pay the IR-scaled re-simulation")
-    p.add_argument("--timing-max-patterns", type=int, metavar="N",
+    p.add_argument("--timing-max-patterns", type=_positive_int, metavar="N",
                    help="cap how many patterns the timing pre-screen "
                         "examines")
     p.set_defaults(fn=cmd_flow)
@@ -1081,7 +1090,7 @@ def main(argv=None) -> int:
     p.add_argument("--scale", default="tiny",
                    choices=["tiny", "small", "bench", "full"])
     p.add_argument("--seed", type=int, default=2007)
-    p.add_argument("--max-patterns", type=int,
+    p.add_argument("--max-patterns", type=_positive_int,
                    help="total pattern budget across stages")
     p.add_argument("--obs", action="store_true",
                    help="persist per-shard trace/metrics artifacts in "

@@ -319,7 +319,7 @@ class NoiseAwarePatternGenerator:
                     )
                 continue
 
-            stage_started = time.time()
+            stage_started = time.perf_counter()
             try:
                 with tel.span("atpg.stage", stage=name, blocks=list(step)), \
                         tel.profile_stage(name), \
@@ -334,7 +334,7 @@ class NoiseAwarePatternGenerator:
                         detail={
                             "error": repr(exc),
                             "elapsed_s": round(
-                                time.time() - stage_started, 6
+                                time.perf_counter() - stage_started, 6
                             ),
                         },
                     )
@@ -383,7 +383,7 @@ class NoiseAwarePatternGenerator:
                         "detected": len(result.detected),
                         "cross_detected": len(graded),
                         "elapsed_s": round(
-                            time.time() - stage_started, 6
+                            time.perf_counter() - stage_started, 6
                         ),
                     },
                 )
@@ -625,7 +625,7 @@ def run_noise_tolerant_flow(
                 return None, report
 
             if schedule_budget_mw is not None:
-                stage_started = time.time()
+                stage_started = time.perf_counter()
                 try:
                     schedule = schedule_flow(
                         design, generator.domain, flow_result,
@@ -657,13 +657,13 @@ def run_noise_tolerant_flow(
                             "strategy": schedule.strategy,
                             "makespan_us": schedule.makespan_us,
                             "elapsed_s": round(
-                                time.time() - stage_started, 6
+                                time.perf_counter() - stage_started, 6
                             ),
                         },
                     )
 
             if timing_prescreen:
-                stage_started = time.time()
+                stage_started = time.perf_counter()
                 try:
                     with tel.span("flow.timing", domain=generator.domain):
                         timing = _timing_from_flow(
@@ -695,7 +695,7 @@ def run_noise_tolerant_flow(
                             "soundness_violations":
                                 timing.soundness_violations,
                             "elapsed_s": round(
-                                time.time() - stage_started, 6
+                                time.perf_counter() - stage_started, 6
                             ),
                         },
                     )

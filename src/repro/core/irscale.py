@@ -21,7 +21,7 @@ Endpoint (scan-flop) path delays are then compared against each flop's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..pgrid.dynamic_ir import DynamicIrResult, dynamic_ir_for_pattern
 from ..pgrid.grid import GridModel
 from ..power.calculator import ScapCalculator
 from ..sim.endpoints import endpoint_delays
-from ..sim.event import EventTimingSim, build_launch_events
+from ..sim.event import EventTimingSim, TimingResult, build_launch_events
 from ..sim.logic import loc_launch_capture
 from ..soc.clocks import ClockBuffer
 
@@ -105,9 +105,19 @@ def ir_nominal_case(
     noise-aware pre-screen (:mod:`repro.timing.prescreen`) can run this
     half, prove the scaled case safe statically, and skip Case 2.
     """
+    nominal_timing = calculator.simulate_pattern(v1)
+    ir, nominal_delays = nominal_ir(calculator, model, nominal_timing)
+    return nominal_timing, ir, nominal_delays
+
+
+def nominal_ir(
+    calculator: ScapCalculator,
+    model: GridModel,
+    nominal_timing: TimingResult,
+) -> Tuple[DynamicIrResult, Dict[int, float]]:
+    """The IR-drop field and endpoint delays of a nominal simulation."""
     design = calculator.design
     domain = calculator.domain
-    nominal_timing = calculator.simulate_pattern(v1)
     ir = dynamic_ir_for_pattern(model, nominal_timing, domain=domain)
     nominal_delays = endpoint_delays(
         design.netlist,
@@ -115,7 +125,7 @@ def ir_nominal_case(
         nominal_timing,
         flops=list(calculator.launch_time),
     )
-    return nominal_timing, ir, nominal_delays
+    return ir, nominal_delays
 
 
 def ir_scaled_case(
@@ -132,6 +142,22 @@ def ir_scaled_case(
     burst, so it sees near-nominal buffer delays; the *capture* edge
     arrives mid-droop and is measured against the scaled clock tree.
     """
+    cyc = loc_launch_capture(calculator.logic, v1, calculator.domain)
+    launch = {fi: cyc.launch_state[fi] for fi in calculator.launch_time}
+    return scaled_endpoint_delays(
+        calculator, model, cyc.frame1, launch, ir, env
+    )
+
+
+def scaled_endpoint_delays(
+    calculator: ScapCalculator,
+    model: GridModel,
+    frame1: Sequence[int],
+    launch: Dict[int, int],
+    ir: DynamicIrResult,
+    env: ElectricalEnv,
+) -> Dict[int, float]:
+    """Case 2 from a pattern's frame-1 values and launch state."""
     design = calculator.design
     netlist = design.netlist
     domain = calculator.domain
@@ -140,18 +166,15 @@ def ir_scaled_case(
         ir.gate_droop_v, ir.flop_droop_v, env
     )
     clock_scale = clock_droop_scale_fn(model, ir, domain, env)
-    nominal_launch = dict(calculator.launch_time)
-    cyc = loc_launch_capture(calculator.logic, v1, domain)
-    launch = {fi: cyc.launch_state[fi] for fi in nominal_launch}
     events = build_launch_events(
-        netlist, cyc.frame1, launch, nominal_launch,
+        netlist, frame1, launch, calculator.launch_time,
         scaled_model.flop_ck2q_ns,
     )
     scaled_sim = EventTimingSim(
         netlist, scaled_model, design.parasitics, calculator.vdd
     )
     scaled_timing = scaled_sim.simulate(
-        cyc.frame1, events, capture_time_ns=calculator.period_ns
+        frame1, events, capture_time_ns=calculator.period_ns
     )
     return endpoint_delays(
         netlist,

@@ -9,7 +9,9 @@ names one net on the cycle to aid debugging.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from ..errors import NetlistError
 from .netlist import Netlist
@@ -67,3 +69,70 @@ def max_logic_depth(netlist: Netlist) -> int:
     if not order:
         return 0
     return max(level) + 1
+
+
+class LevelPlan:
+    """Gates grouped by (logic level, arity) for sweeps over a pattern axis.
+
+    Gates on one logic level never feed each other, so a whole group
+    evaluates as a few numpy gathers over a ``(n_nets, width)`` value
+    array — one column per pattern.  Each group keeps its input pins
+    as separate columns, so a sweep combines a gate's inputs in pin
+    order exactly like a per-gate loop would, and every column's
+    result is bit-identical to the scalar evaluation of that pattern.
+    Gates without inputs (tie cells) are left out: their outputs keep
+    whatever the caller initialised.
+    """
+
+    def __init__(self, netlist: Netlist):
+        order, level = levelize(netlist)
+        #: Per-gate evaluation order (for consumers that walk gates).
+        self.order = order
+        buckets: Dict[Tuple[int, int], List[int]] = {}
+        for gi in order:
+            arity = len(netlist.gates[gi].inputs)
+            if arity:
+                buckets.setdefault((level[gi], arity), []).append(gi)
+        #: ``(gates, outputs, input columns)`` per group, level order.
+        self.groups: List[Tuple[np.ndarray, np.ndarray, List[np.ndarray]]]
+        self.groups = []
+        for key in sorted(buckets):
+            gates = [netlist.gates[gi] for gi in buckets[key]]
+            self.groups.append(
+                (
+                    np.array(buckets[key], dtype=np.intp),
+                    np.array([g.output for g in gates], dtype=np.intp),
+                    [
+                        np.array([g.inputs[pin] for g in gates], dtype=np.intp)
+                        for pin in range(key[1])
+                    ],
+                )
+            )
+
+    def sum_sweep(self, values: np.ndarray) -> np.ndarray:
+        """Set every gate output to its inputs' sum, added left to right.
+
+        *values* is ``(n_nets, width)`` and is updated in place; the
+        sources (flop Q, primary inputs) must already be set.
+        """
+        for _gates, outputs, inputs in self.groups:
+            acc = values[inputs[0]]
+            for pins in inputs[1:]:
+                acc += values[pins]
+            values[outputs] = acc
+        return values
+
+    def max_sweep(self, values: np.ndarray, delays: np.ndarray) -> np.ndarray:
+        """Set every gate output to ``max(inputs) + delays[gate]``.
+
+        *values* is ``(n_nets, width)`` with ``-inf`` marking nets no
+        source reaches (they stay ``-inf``); *delays* is
+        ``(n_gates, width)``.  Updated in place.
+        """
+        for gates, outputs, inputs in self.groups:
+            acc = values[inputs[0]]
+            for pins in inputs[1:]:
+                np.maximum(acc, values[pins], out=acc)
+            acc += delays[gates]
+            values[outputs] = acc
+        return values

@@ -41,6 +41,7 @@ from ..sim.delays import DelayModel
 from ..sim.event import EventTimingSim, TimingResult, build_launch_events
 from ..sim.fasttiming import FastTimingSim
 from ..sim.logic import (
+    LaneFrames,
     LogicSim,
     launch_capture_with_state,
     loc_launch_capture,
@@ -148,23 +149,67 @@ class ScapCalculator:
         else:
             raise ConfigError(f"unknown protocol {protocol!r}")
         launch = {fi: cyc.launch_state[fi] for fi in self.launch_time}
+        return self._simulate(cyc.frame1, cyc.frame2, launch, record_trace)
+
+    def lane_frames(
+        self,
+        lane: np.ndarray,
+        protocol: str = "loc",
+        v2_lane: Optional[np.ndarray] = None,
+    ) -> LaneFrames:
+        """One bit-parallel launch/capture pass over a pattern lane.
+
+        *lane* is a ``(width, n_flops)`` 0/1 matrix of at most
+        :data:`MAX_LANE_WIDTH` rows; *protocol* is as for
+        :meth:`simulate_pattern` (``"es"`` takes the V2 rows in
+        *v2_lane*).  Returns every pattern's frames, launch state and
+        toggling launch flops, bit-identical to per-pattern passes.
+        """
+        flops = tuple(self.launch_time)
+        if protocol == "loc":
+            return LaneFrames.loc(self.logic, lane, self.domain, flops)
+        packed, mask = pack_matrix(lane)
+        if protocol == "los":
+            v2 = self._los_shift(packed)
+        else:  # "es"
+            v2, _ = pack_matrix(v2_lane)
+        cyc = launch_capture_with_state(
+            self.logic, packed, v2, self.domain, mask=mask
+        )
+        return LaneFrames(self.design.netlist, cyc, lane.shape[0], flops)
+
+    def simulate_lane(self, frames: LaneFrames, p: int) -> TimingResult:
+        """Timing-simulate pattern *p* of a lane from its frames."""
+        return self._simulate(
+            frames.frame1_of(p),
+            frames.frame2_of(p) if self.engine == "fast" else None,
+            frames.launch_of(p),
+        )
+
+    def _simulate(
+        self,
+        frame1: List[int],
+        frame2: Optional[List[int]],
+        launch: Dict[int, int],
+        record_trace: bool = False,
+    ) -> TimingResult:
         if self.engine == "event":
             events = build_launch_events(
                 self.design.netlist,
-                cyc.frame1,
+                frame1,
                 launch,
                 self.launch_time,
                 self.delays.flop_ck2q_ns,
             )
             return self._event.simulate(
-                cyc.frame1,
+                frame1,
                 events,
                 capture_time_ns=self.period_ns,
                 record_trace=record_trace,
             )
         return self._fast.simulate(
-            cyc.frame1,
-            cyc.frame2,
+            frame1,
+            frame2,
             launch,
             self.launch_time,
             capture_time_ns=self.period_ns,
@@ -410,56 +455,13 @@ class ScapCalculator:
     ) -> List[PatternPowerProfile]:
         """One machine-word lane: bit-parallel logic simulation, then a
         per-pattern timing simulation on the extracted frames."""
-        n_lane = lane.shape[0]
-        packed, mask = pack_matrix(lane)
-        if protocol == "loc":
-            cyc = loc_launch_capture(self.logic, packed, self.domain, mask=mask)
-        elif protocol == "los":
-            cyc = launch_capture_with_state(
-                self.logic, packed, self._los_shift(packed), self.domain,
-                mask=mask,
+        frames = self.lane_frames(lane, protocol, v2_lane)
+        return [
+            PatternPowerProfile.from_timing(
+                indices[p], self.period_ns, self.simulate_lane(frames, p)
             )
-        else:  # "es"
-            v2_packed, _ = pack_matrix(v2_lane)
-            cyc = launch_capture_with_state(
-                self.logic, packed, v2_packed, self.domain, mask=mask
-            )
-        one = np.uint64(1)
-        f1_words = np.array(cyc.frame1, dtype=np.uint64)
-        f2_words = (
-            np.array(cyc.frame2, dtype=np.uint64)
-            if self.engine == "fast"
-            else None
-        )
-        launch_items = [
-            (fi, cyc.launch_state[fi]) for fi in self.launch_time
+            for p in range(frames.width)
         ]
-        netlist = self.design.netlist
-        ck2q = self.delays.flop_ck2q_ns
-        profiles: List[PatternPowerProfile] = []
-        for p in range(n_lane):
-            pbit = np.uint64(p)
-            frame1 = ((f1_words >> pbit) & one).astype(np.int64).tolist()
-            launch = {fi: (word >> p) & 1 for fi, word in launch_items}
-            if self.engine == "event":
-                events = build_launch_events(
-                    netlist, frame1, launch, self.launch_time, ck2q
-                )
-                result = self._event.simulate(
-                    frame1, events, capture_time_ns=self.period_ns
-                )
-            else:
-                frame2 = ((f2_words >> pbit) & one).astype(np.int64).tolist()
-                result = self._fast.simulate(
-                    frame1, frame2, launch, self.launch_time,
-                    capture_time_ns=self.period_ns,
-                )
-            profiles.append(
-                PatternPowerProfile.from_timing(
-                    indices[p], self.period_ns, result
-                )
-            )
-        return profiles
 
     # ------------------------------------------------------------------
     def _los_shift(self, v1: Dict[int, int]) -> Dict[int, int]:

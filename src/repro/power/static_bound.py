@@ -49,9 +49,9 @@ import numpy as np
 
 from ..config import VDD_NOMINAL, joules_to_milliwatts
 from ..errors import ConfigError
-from ..netlist.levelize import levelize
+from ..netlist.levelize import LevelPlan
 from ..sim.delays import DelayModel
-from ..sim.logic import LogicSim, loc_launch_capture
+from ..sim.logic import LaneFrames, LogicSim
 from ..soc.design import SocDesign
 
 
@@ -99,7 +99,7 @@ class StaticScapBound:
             self._block_of_net[f.q] = f.block
         self._energy_of_net = design.parasitics.net_cap_ff * vdd * vdd
 
-        self._gate_order, _levels = levelize(netlist)
+        self._plan = LevelPlan(netlist)
         self._logic: Optional[LogicSim] = None
 
     # ------------------------------------------------------------------
@@ -124,18 +124,8 @@ class StaticScapBound:
         block-level worst case).  Floats, because the bound grows
         multiplicatively with logic depth.
         """
-        netlist = self.design.netlist
-        bound = np.zeros(netlist.n_nets, dtype=float)
         flop_ids = self.launch_time_ns if seeds is None else seeds
-        for fi in flop_ids:
-            bound[netlist.flops[fi].q] = 1.0
-        for gi in self._gate_order:
-            gate = netlist.gates[gi]
-            total = 0.0
-            for net in gate.inputs:
-                total += bound[net]
-            bound[gate.output] = total
-        return bound
+        return self.toggle_bounds_many([set(flop_ids)])[0]
 
     def block_energy_bounds_fj(
         self, seeds: Optional[Set[int]] = None
@@ -171,20 +161,17 @@ class StaticScapBound:
     ) -> np.ndarray:
         """Per-net toggle bounds for many seed sets in one pass.
 
-        Row *j* equals ``toggle_bounds(seed_sets[j])``, but the
-        levelised propagation walks the gate list once with the seed
-        axis vectorised — scheduling thousands of blocks pays one gate
-        sweep, not one per block.
+        Row *j* is the bound seeded by ``seed_sets[j]``: one levelised
+        sweep with the seed axis vectorised, each gate summing its
+        inputs left to right — scheduling thousands of blocks pays one
+        gate sweep, not one per block.
         """
         netlist = self.design.netlist
-        bound = np.zeros((len(seed_sets), netlist.n_nets), dtype=float)
+        bound = np.zeros((netlist.n_nets, len(seed_sets)), dtype=float)
         for j, seeds in enumerate(seed_sets):
             for fi in seeds:
-                bound[j, netlist.flops[fi].q] = 1.0
-        for gi in self._gate_order:
-            gate = netlist.gates[gi]
-            bound[:, gate.output] = bound[:, list(gate.inputs)].sum(axis=1)
-        return bound
+                bound[netlist.flops[fi].q, j] = 1.0
+        return np.ascontiguousarray(self._plan.sum_sweep(bound).T)
 
     def launch_flops_by_block(self) -> Dict[str, Set[int]]:
         """Launch-capable flops of this domain, grouped by block."""
@@ -279,16 +266,15 @@ class StaticScapBound:
 
     def toggling_launch_flops(self, v1: Dict[int, int]) -> Set[int]:
         """Launch-capable flops whose Q changes at the launch edge."""
-        if self._logic is None:
-            self._logic = LogicSim(self.design.netlist)
-        cyc = loc_launch_capture(self._logic, v1, self.domain)
         netlist = self.design.netlist
-        return {
-            fi
-            for fi in self.launch_time_ns
-            if (cyc.launch_state[fi] & 1)
-            != (cyc.frame1[netlist.flops[fi].q] & 1)
-        }
+        if self._logic is None:
+            self._logic = LogicSim(netlist)
+        row = np.zeros((1, netlist.n_flops), dtype=np.uint8)
+        for fi, bit in v1.items():
+            row[0, fi] = bit & 1
+        return LaneFrames.loc(
+            self._logic, row, self.domain, tuple(self.launch_time_ns)
+        ).seeds_of(0)
 
     # ------------------------------------------------------------------
     def screen_blocks(

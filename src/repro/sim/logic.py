@@ -10,7 +10,7 @@ launch-state computation, fault simulation and coverage measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -211,3 +211,74 @@ def launch_capture_with_state(
     frame2 = sim.run(launch_state, pi, mask)
     captured = {fi: frame2[netlist.flops[fi].d] & mask for fi in pulsed}
     return LocCycle(frame1, frame2, launch_state, captured, pulsed)
+
+
+class LaneFrames:
+    """Per-pattern frames of one bit-parallel launch/capture lane.
+
+    Row *p* of each matrix is pattern *p* of the lane (bit *p* of the
+    packed words): ``frame1`` holds its frame-1 value on every net,
+    ``launch`` the launch state of ``flops`` and ``toggling`` which of
+    those flops change Q at the launch edge — the launch events of a
+    timing simulation and the seeds of every static bound.  Frame 2 is
+    unpacked on first use (only the fast timing engine reads it).
+    """
+
+    def __init__(
+        self,
+        netlist: Netlist,
+        cycle: LocCycle,
+        width: int,
+        flops: Sequence[int],
+    ):
+        self.width = width
+        self.flops = tuple(flops)
+        self._cycle = cycle
+        self.frame1 = self._unpack(cycle.frame1)
+        self.launch = self._unpack(
+            [cycle.launch_state[fi] for fi in self.flops]
+        )
+        q_nets = np.array(
+            [netlist.flops[fi].q for fi in self.flops], dtype=np.intp
+        )
+        self.toggling = self.launch != self.frame1[:, q_nets]
+        self._frame2: Optional[np.ndarray] = None
+
+    @classmethod
+    def loc(
+        cls,
+        sim: LogicSim,
+        lane: np.ndarray,
+        domain: str,
+        flops: Sequence[int],
+    ) -> "LaneFrames":
+        """One bit-parallel LOC pass over a ``(width, n_flops)`` lane."""
+        packed, mask = pack_matrix(lane)
+        cycle = loc_launch_capture(sim, packed, domain, mask=mask)
+        return cls(sim.netlist, cycle, lane.shape[0], flops)
+
+    def _unpack(self, words: Sequence[int]) -> np.ndarray:
+        """Bit *p* of every word as row *p* of a 0/1 uint8 matrix."""
+        as_bytes = np.array(words, dtype="<u8").view(np.uint8)
+        bits = np.unpackbits(
+            as_bytes.reshape(-1, 8), axis=1, bitorder="little"
+        )
+        return np.ascontiguousarray(bits[:, : self.width].T)
+
+    def frame1_of(self, p: int) -> List[int]:
+        return self.frame1[p].tolist()
+
+    def frame2_of(self, p: int) -> List[int]:
+        if self._frame2 is None:
+            self._frame2 = self._unpack(self._cycle.frame2)
+        return self._frame2[p].tolist()
+
+    def launch_of(self, p: int) -> Dict[int, int]:
+        return dict(zip(self.flops, self.launch[p].tolist()))
+
+    def seeds_of(self, p: int) -> Set[int]:
+        return {
+            fi
+            for fi, toggles in zip(self.flops, self.toggling[p].tolist())
+            if toggles
+        }

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..config import ElectricalEnv
 from ..errors import SimulationError
-from ..netlist.levelize import levelize
+from ..netlist.levelize import LevelPlan
 from ..netlist.netlist import Netlist
 from ..soc.clocks import ClockBuffer, ClockTree
 from .delays import DelayModel
@@ -100,7 +100,8 @@ class StaticTimingAnalyzer:
         self.domain = domain
         self.setup_ns = setup_ns
         netlist.freeze()
-        self._order, _ = levelize(netlist)
+        self._plan = LevelPlan(netlist)
+        self._order = self._plan.order
         self._launch_flops = [
             fi
             for fi, f in enumerate(netlist.flops)
@@ -108,6 +109,34 @@ class StaticTimingAnalyzer:
         ]
         if not self._launch_flops:
             raise SimulationError(f"no flops in domain {domain!r}")
+        self._column = {fi: k for k, fi in enumerate(self._launch_flops)}
+        self._q = np.array(
+            [netlist.flops[fi].q for fi in self._launch_flops], dtype=np.intp
+        )
+        self._d = np.array(
+            [netlist.flops[fi].d for fi in self._launch_flops], dtype=np.intp
+        )
+        #: Nominal clock arrival per launch flop (``launch_flops`` order).
+        self.insertion_ns = self._insertion()
+        self._arrival: Optional[np.ndarray] = None
+
+    @property
+    def launch_flops(self) -> Tuple[int, ...]:
+        """Launch-capable flops of the domain: the columns of a lane."""
+        return tuple(self._launch_flops)
+
+    def _insertion(
+        self,
+        clock_delay_scale: Optional[
+            Callable[[ClockBuffer, float], float]
+        ] = None,
+    ) -> np.ndarray:
+        return np.array(
+            [
+                self.tree.insertion_delay_ns(fi, delay_scale=clock_delay_scale)
+                for fi in self._launch_flops
+            ]
+        )
 
     # ------------------------------------------------------------------
     def analyze(
@@ -130,88 +159,110 @@ class StaticTimingAnalyzer:
         noise-aware bound: only flops that actually toggle launch);
         endpoints are still every capture flop of the domain, and cones
         the seeds cannot reach simply drop out of the report.
+
+        One call is a lane of one through :meth:`lane_arrivals`.
         """
         netlist = self.netlist
-        n_gates = netlist.n_gates
-        if gate_derate is None:
-            gate_derate = np.ones(n_gates)
-        if flop_derate is None:
-            flop_derate = np.ones(netlist.n_flops)
-        if len(gate_derate) != n_gates:
-            raise SimulationError("gate_derate length mismatch")
-        if len(flop_derate) != netlist.n_flops:
-            raise SimulationError("flop_derate length mismatch")
+        gates, flops = self.check_derates(gate_derate, flop_derate)
+        seeds = np.zeros((1, len(self._launch_flops)), dtype=bool)
         if launch_flops is None:
-            seeds = list(self._launch_flops)
+            seeds[:] = True
         else:
-            seeds = list(launch_flops)
-            allowed = set(self._launch_flops)
-            bad = [fi for fi in seeds if fi not in allowed]
+            bad = [fi for fi in launch_flops if fi not in self._column]
             if bad:
                 raise SimulationError(
                     f"launch_flops {sorted(bad)} are not launch-capable "
                     f"flops of domain {self.domain!r}"
                 )
-
-        neg_inf = float("-inf")
-        arrival = np.full(netlist.n_nets, neg_inf)
-        predecessor: Dict[int, Tuple[int, str]] = {}
-
-        insertion: Dict[int, float] = {}
-        for fi in self._launch_flops:
-            insertion[fi] = self.tree.insertion_delay_ns(
-                fi, delay_scale=clock_delay_scale
-            )
-        for fi in seeds:
-            q = netlist.flops[fi].q
-            t = (
-                insertion[fi]
-                + self.delays.flop_ck2q_ns[fi] * flop_derate[fi]
-            )
-            if t > arrival[q]:
-                arrival[q] = t
-
-        gate_delay = self.delays.gate_delay_ns
-        for gi in self._order:
-            gate = netlist.gates[gi]
-            worst_in = neg_inf
-            worst_net = -1
-            for p in gate.inputs:
-                if arrival[p] > worst_in:
-                    worst_in = arrival[p]
-                    worst_net = p
-            if worst_in == neg_inf:
-                continue  # cone not reached from this domain
-            t = worst_in + gate_delay[gi] * gate_derate[gi]
-            out = gate.output
-            if t > arrival[out]:
-                arrival[out] = t
-                predecessor[out] = (worst_net, gate.name)
+            seeds[0, [self._column[fi] for fi in launch_flops]] = True
+        insertion = (
+            self.insertion_ns
+            if clock_delay_scale is None
+            else self._insertion(clock_delay_scale)
+        )
+        arrival = self.lane_arrivals(
+            seeds, gates[np.newaxis, :], flops[np.newaxis, :], insertion
+        )[:, 0]
 
         endpoints: List[EndpointTiming] = []
-        for fi in self._launch_flops:
-            d_net = netlist.flops[fi].d
-            arr = arrival[d_net]
-            if arr == neg_inf:
+        for k, arr in enumerate(arrival[self._d].tolist()):
+            if arr == float("-inf"):
                 continue
-            required = self.period_ns + insertion[fi] - self.setup_ns
+            fi = self._launch_flops[k]
+            required = self.period_ns + insertion[k] - self.setup_ns
             endpoints.append(
                 EndpointTiming(
                     flop=fi,
                     flop_name=netlist.flops[fi].name,
-                    arrival_ns=float(arr),
+                    arrival_ns=arr,
                     required_ns=float(required),
                 )
             )
-
         self._arrival = arrival
-        self._predecessor = predecessor
         return StaReport(self.domain, self.period_ns, endpoints)
+
+    def check_derates(
+        self,
+        gate_derate: Optional[np.ndarray],
+        flop_derate: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-instance derate vectors (1.0 where not given), validated."""
+        netlist = self.netlist
+        gates = (
+            np.ones(netlist.n_gates)
+            if gate_derate is None
+            else np.asarray(gate_derate, dtype=float)
+        )
+        flops = (
+            np.ones(netlist.n_flops)
+            if flop_derate is None
+            else np.asarray(flop_derate, dtype=float)
+        )
+        if len(gates) != netlist.n_gates:
+            raise SimulationError("gate_derate length mismatch")
+        if len(flops) != netlist.n_flops:
+            raise SimulationError("flop_derate length mismatch")
+        return gates, flops
+
+    def lane_arrivals(
+        self,
+        seeds: np.ndarray,
+        gate_derate: np.ndarray,
+        flop_derate: np.ndarray,
+        insertion: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Worst arrival at every net for a lane of patterns.
+
+        Row *p* of the ``(width, len(launch_flops))`` bool matrix
+        *seeds* marks the flops that launch under pattern *p*;
+        ``gate_derate`` / ``flop_derate`` are ``(width, n_gates)`` /
+        ``(width, n_flops)``.  Returns ``(n_nets, width)``: column *p*
+        is bit-identical to a one-pattern sweep, with ``-inf`` on nets
+        no seed reaches.
+        """
+        if insertion is None:
+            insertion = self.insertion_ns
+        launch = self._launch_flops
+        arrival = np.full((self.netlist.n_nets, seeds.shape[0]), -np.inf)
+        launched = insertion[:, np.newaxis] + (
+            self.delays.flop_ck2q_ns[launch][:, np.newaxis]
+            * flop_derate[:, launch].T
+        )
+        arrival[self._q] = np.where(seeds.T, launched, -np.inf)
+        delays = self.delays.gate_delay_ns[:, np.newaxis] * gate_derate.T
+        return self._plan.max_sweep(arrival, delays)
 
     # ------------------------------------------------------------------
     def trace_path(self, endpoint: EndpointTiming) -> List[TimingPathPoint]:
         """Walk the worst path into an endpoint (run :meth:`analyze`
-        first).  Returned root-first."""
+        first).  Returned root-first.
+
+        A gate's predecessor is its first input with the latest
+        arrival — the input that set the gate's arrival.
+        """
+        arrival = self._arrival
+        if arrival is None:
+            raise SimulationError("trace_path needs analyze() first")
         netlist = self.netlist
         points: List[TimingPathPoint] = []
         net = netlist.flops[endpoint.flop].d
@@ -228,14 +279,14 @@ class StaticTimingAnalyzer:
                 TimingPathPoint(
                     net=net,
                     net_name=netlist.net_names[net],
-                    arrival_ns=float(self._arrival[net]),
+                    arrival_ns=float(arrival[net]),
                     through=through,
                 )
             )
-            nxt = self._predecessor.get(net)
-            if nxt is None:
+            if drv is None or drv[0] != "gate" or arrival[net] == -np.inf:
                 break
-            net = nxt[0]
+            inputs = netlist.gates[drv[1]].inputs
+            net = inputs[int(np.argmax(arrival[list(inputs)]))]
         points.reverse()
         return points
 

@@ -165,6 +165,58 @@ class DroopBoundReport:
         }
 
 
+_INACTIVE, _SAFE_STATIC, _SAFE_DERATED, _AT_RISK = range(len(CLASSIFICATIONS))
+
+
+@dataclass
+class LaneBounds:
+    """Endpoint bounds for a lane of patterns, one row per pattern.
+
+    Columns follow :attr:`DroopBoundAnalyzer.launch_flops`; ``codes``
+    index :data:`CLASSIFICATIONS` and ``measured`` is the measured-delay
+    bound (0.0 on inactive endpoints).  ``block_droop`` holds each
+    row's worst-case per-block droop (empty unless the static droop
+    bound ran for that row).
+    """
+
+    seeds: np.ndarray
+    codes: np.ndarray
+    measured: np.ndarray
+    block_droop: List[Dict[str, float]]
+
+    @property
+    def at_risk(self) -> np.ndarray:
+        """Per row: does any endpoint still need re-simulation?"""
+        return np.asarray((self.codes == _AT_RISK).any(axis=1))
+
+    def rows(self, rows: np.ndarray) -> "LaneBounds":
+        return LaneBounds(
+            self.seeds[rows],
+            self.codes[rows],
+            self.measured[rows],
+            [self.block_droop[r] for r in rows],
+        )
+
+    def merged(self, derated: "LaneBounds") -> "LaneBounds":
+        """Combine with a derated re-analysis of the same rows.
+
+        Both are sound upper bounds, so the minimum is too; an endpoint
+        is safe as soon as either proves it, labelled by the cheaper
+        proof (the static one wins ties).
+        """
+        static = self.codes <= _SAFE_STATIC
+        return LaneBounds(
+            self.seeds,
+            np.where(static, self.codes, derated.codes),
+            np.where(
+                static,
+                self.measured,
+                np.minimum(self.measured, derated.measured),
+            ),
+            self.block_droop,
+        )
+
+
 class DroopBoundAnalyzer:
     """Noise-aware static timing bounds for one design + clock domain.
 
@@ -175,6 +227,12 @@ class DroopBoundAnalyzer:
     :meth:`pattern_bounds` needs **zero simulation**; without one, only
     :meth:`derated_bounds` (re-analysis under a given IR field) is
     available.
+
+    Every bound is computed for a lane of patterns at once
+    (:meth:`static_lane`, :meth:`derated_lane`); the one-pattern
+    methods are lanes of one.  Each pattern's arithmetic is the same
+    sequence of float operations whatever the lane width, so its
+    bounds are bit-identical either way.
     """
 
     def __init__(
@@ -214,11 +272,30 @@ class DroopBoundAnalyzer:
         )
         #: The miss threshold in the measured-delay domain.
         self.limit_ns = self.period_ns - setup_ns
-        self._tree = design.clock_trees[self.domain]
-        self._insertion: Dict[int, float] = {
-            fi: self._tree.insertion_delay_ns(fi)
-            for fi in self.scap.launch_time_ns
-        }
+        #: Endpoint columns of every lane (launch-capable flops).
+        self.launch_flops = self.sta.launch_flops
+        netlist = design.netlist
+        self._flop_names = [netlist.flops[fi].name for fi in self.launch_flops]
+        self._d_nets = np.array(
+            [netlist.flops[fi].d for fi in self.launch_flops], dtype=np.intp
+        )
+        if model is not None:
+            # Nets with a grid tap, and the ungated clock baseline
+            # dynamic_ir_for_pattern injects (pattern-independent, so
+            # equality, not just dominance), in buffer order.
+            self._tapped = np.flatnonzero(model.net_node >= 0)
+            self._tap_node = model.net_node[self._tapped].astype(np.intp)
+            clock_window_ns = self.period_ns / 2.0
+            energies = clock_buffer_energies_fj(
+                design.clock_trees[self.domain], self.env.vdd, edges=1
+            )
+            nodes = model.clock_nodes[self.domain]
+            self._clock_node = np.array(
+                [nodes[bi] for bi in energies], dtype=np.intp
+            )
+            self._clock_mw = np.array(
+                [e / clock_window_ns * 1e-3 for e in energies.values()]
+            )
 
     # ------------------------------------------------------------------
     # static droop bound (link 2 + 3 of the soundness chain)
@@ -235,44 +312,40 @@ class DroopBoundAnalyzer:
         *seeds* (default: every launch-capable flop).
         """
         model = self._require_model()
-        netlist = self.design.netlist
-        n_nodes = model.vdd_grid.n_nodes
-        node_power_mw = np.zeros(n_nodes)
-        flop_ids = (
-            self.scap.launch_time_ns if seeds is None else seeds
-        )
-        if flop_ids:
-            bound = self.scap.toggle_bounds(
-                None if seeds is None else seeds
-            )
-            # The simulated STW is the last applied-transition time and
-            # the first applied transition is a seed launch event, so
-            # the seeds' earliest launch time floors every STW.
-            floor_ns = min(
-                self.scap.launch_time_ns[fi] for fi in flop_ids
-            )
-            energy_fj = bound * self.scap.energy_of_net_fj
-            for net in np.nonzero(energy_fj)[0]:
-                node = model.net_node[net]
-                if node >= 0:
-                    node_power_mw[node] += (
-                        float(energy_fj[net]) / floor_ns * 1e-3
-                    )
-        # Identical ungated clock baseline to dynamic_ir_for_pattern:
-        # pattern-independent, so equality (not just dominance).
-        clock_window_ns = self.period_ns / 2.0
-        energies = clock_buffer_energies_fj(
-            self._tree, self.env.vdd, edges=1
-        )
-        nodes = model.clock_nodes[self.domain]
-        for bi, energy in energies.items():
-            node_power_mw[nodes[bi]] += energy / clock_window_ns * 1e-3
-        injection = model.injection_from_node_power(
-            node_power_mw, self.env.vdd
-        )
-        drop_vdd, drop_vss = model.solve_both(injection)
-        total = drop_vdd + drop_vss
+        flop_ids = self.scap.launch_time_ns if seeds is None else seeds
+        total = self._droop_lane([set(flop_ids)])[0]
         return total[model.gate_node], total[model.flop_node], total
+
+    def _droop_lane(self, seed_sets: List[Set[int]]) -> np.ndarray:
+        """Total node droop bound ``(width, n_nodes)`` per seed set."""
+        model = self._require_model()
+        n_nodes = model.vdd_grid.n_nodes
+        # The simulated STW is the last applied-transition time and the
+        # first applied transition is a seed launch event, so the
+        # seeds' earliest launch time floors every STW.
+        launch_ns = self.scap.launch_time_ns
+        floor_ns = np.array(
+            [min((launch_ns[fi] for fi in s), default=np.inf)
+             for s in seed_sets]
+        )
+        # Per tapped net: toggles * C * VDD^2 / floor, in mW.
+        net_mw = self.scap.toggle_bounds_many(seed_sets)[:, self._tapped]
+        net_mw *= self.scap.energy_of_net_fj[self._tapped]
+        net_mw /= floor_ns[:, np.newaxis]
+        net_mw *= 1e-3
+        total = np.empty((len(seed_sets), n_nodes))
+        for p, row in enumerate(net_mw):
+            # Net order within every node, as a per-net loop would add
+            # them; then the clock terms in buffer order.
+            node_power_mw = np.bincount(
+                self._tap_node, weights=row, minlength=n_nodes
+            )
+            np.add.at(node_power_mw, self._clock_node, self._clock_mw)
+            drop_vdd, drop_vss = model.solve_both(
+                model.injection_from_node_power(node_power_mw, self.env.vdd)
+            )
+            total[p] = drop_vdd + drop_vss
+        return total
 
     def block_droop_bounds_v(
         self, seeds: Optional[Set[int]] = None
@@ -305,29 +378,8 @@ class DroopBoundAnalyzer:
         re-analysis or the full re-simulation.
         """
         wanted = self._resolve_endpoints(endpoints)
-        seeds = self.scap.toggling_launch_flops(v1)
-        block_droops: Dict[str, float] = {}
-        if not seeds:
-            report = self._all_inactive(index, wanted)
-        else:
-            gate_droop, flop_droop, total = self.droop_bounds_v(seeds)
-            model = self._require_model()
-            block_droops = {
-                block: model.worst_in_block(total, block)
-                for block in self.design.blocks()
-            }
-            gate_derate = 1.0 + self.env.k_volt * np.clip(
-                gate_droop, 0.0, None
-            )
-            flop_derate = 1.0 + self.env.k_volt * np.clip(
-                flop_droop, 0.0, None
-            )
-            report = self._classify(
-                seeds, gate_derate, flop_derate, SAFE_STATIC, index,
-                wanted,
-            )
-        report.block_droop_bound_v = block_droops
-        return report
+        seeds = self._seed_mask(self.scap.toggling_launch_flops(v1))
+        return self.report(self.static_lane(seeds), 0, index, wanted)
 
     def derated_bounds(
         self,
@@ -348,92 +400,145 @@ class DroopBoundAnalyzer:
         """
         wanted = self._resolve_endpoints(endpoints)
         seed_set = set(seeds)
-        if not seed_set:
-            return self._all_inactive(index, wanted)
-        return self._classify(
-            seed_set, gate_derate, flop_derate, SAFE_DERATED, index,
-            wanted,
-        )
-
-    # ------------------------------------------------------------------
-    def _classify(
-        self,
-        seeds: Set[int],
-        gate_derate: np.ndarray,
-        flop_derate: np.ndarray,
-        safe_label: str,
-        index: int,
-        wanted: Optional[Set[int]],
-    ) -> DroopBoundReport:
-        unknown = seeds - set(self.scap.launch_time_ns)
+        unknown = seed_set - set(self.launch_flops)
         if unknown:
             raise ConfigError(
                 f"seed flops {sorted(unknown)} are not launch-capable "
                 f"in domain {self.domain!r}"
             )
-        sta_report = self.sta.analyze(
-            gate_derate=gate_derate,
-            flop_derate=flop_derate,
-            launch_flops=sorted(seeds),
+        mask = self._seed_mask(seed_set)
+        if not seed_set:
+            lane = self._inactive(mask)
+        else:
+            gates, flops = self.sta.check_derates(gate_derate, flop_derate)
+            lane = self.derated_lane(
+                mask, gates[np.newaxis, :], flops[np.newaxis, :]
+            )
+        return self.report(lane, 0, index, wanted)
+
+    # ------------------------------------------------------------------
+    # lanes
+    # ------------------------------------------------------------------
+    def static_lane(self, seeds: np.ndarray) -> LaneBounds:
+        """Tier A for a lane: the zero-simulation worst-case droop bound.
+
+        *seeds* is ``(width, len(launch_flops))``: row *p* marks the
+        launch flops toggling under pattern *p*.  Rows without a seed
+        are wholly inactive and need no grid.
+        """
+        lane = self._inactive(seeds)
+        live = np.flatnonzero(seeds.any(axis=1))
+        if live.size == 0:
+            return lane
+        model = self._require_model()
+        total = self._droop_lane([self._seed_set(seeds[p]) for p in live])
+        blocks = self.design.blocks()
+        for row, p in enumerate(live):
+            lane.block_droop[p] = {
+                block: model.worst_in_block(total[row], block)
+                for block in blocks
+            }
+        lane.codes[live], lane.measured[live] = self._classify(
+            seeds[live],
+            self._derate(total[:, model.gate_node]),
+            self._derate(total[:, model.flop_node]),
+            _SAFE_STATIC,
         )
-        reached = {e.flop: e for e in sta_report.endpoints}
-        netlist = self.design.netlist
+        return lane
+
+    def derated_lane(
+        self,
+        seeds: np.ndarray,
+        gate_derate: np.ndarray,
+        flop_derate: np.ndarray,
+    ) -> LaneBounds:
+        """Tier B for a lane: re-analysis under explicit derates.
+
+        ``gate_derate`` / ``flop_derate`` are ``(width, n_gates)`` /
+        ``(width, n_flops)``, one row per pattern's own IR field.
+        """
+        codes, measured = self._classify(
+            seeds, gate_derate, flop_derate, _SAFE_DERATED
+        )
+        return LaneBounds(
+            seeds, codes, measured, [{} for _ in range(seeds.shape[0])]
+        )
+
+    def report(
+        self,
+        lane: LaneBounds,
+        row: int,
+        index: int,
+        wanted: Optional[Set[int]] = None,
+    ) -> DroopBoundReport:
+        """One pattern's :class:`DroopBoundReport` from a lane row."""
         endpoints: Dict[int, EndpointBound] = {}
-        for fi in self.scap.launch_time_ns:
+        for fi, name, code, bound in zip(
+            self.launch_flops,
+            self._flop_names,
+            lane.codes[row].tolist(),
+            lane.measured[row].tolist(),
+        ):
             if wanted is not None and fi not in wanted:
                 continue
-            timing = reached.get(fi)
-            if timing is None:
-                # No structural path from any seed: the event simulator
-                # (nominal or scaled) can never apply a transition at
-                # this D pin, so its measured delay is exactly 0.
-                endpoints[fi] = EndpointBound(
-                    flop=fi,
-                    flop_name=netlist.flops[fi].name,
-                    measured_bound_ns=0.0,
-                    limit_ns=self.limit_ns,
-                    classification=INACTIVE,
-                )
-                continue
-            measured = timing.arrival_ns - self._insertion[fi]
             endpoints[fi] = EndpointBound(
                 flop=fi,
-                flop_name=netlist.flops[fi].name,
-                measured_bound_ns=measured,
+                flop_name=name,
+                measured_bound_ns=bound,
                 limit_ns=self.limit_ns,
-                classification=(
-                    safe_label if measured <= self.limit_ns else AT_RISK
-                ),
+                classification=CLASSIFICATIONS[code],
             )
         return DroopBoundReport(
             domain=self.domain,
             period_ns=self.period_ns,
             pattern_index=index,
             endpoints=endpoints,
-            seeds=set(seeds),
+            block_droop_bound_v=dict(lane.block_droop[row]),
+            seeds=self._seed_set(lane.seeds[row]),
         )
 
-    def _all_inactive(
-        self, index: int, wanted: Optional[Set[int]]
-    ) -> DroopBoundReport:
-        netlist = self.design.netlist
-        return DroopBoundReport(
-            domain=self.domain,
-            period_ns=self.period_ns,
-            pattern_index=index,
-            endpoints={
-                fi: EndpointBound(
-                    flop=fi,
-                    flop_name=netlist.flops[fi].name,
-                    measured_bound_ns=0.0,
-                    limit_ns=self.limit_ns,
-                    classification=INACTIVE,
-                )
-                for fi in self.scap.launch_time_ns
-                if wanted is None or fi in wanted
-            },
-            seeds=set(),
+    # ------------------------------------------------------------------
+    def _classify(
+        self,
+        seeds: np.ndarray,
+        gate_derate: np.ndarray,
+        flop_derate: np.ndarray,
+        safe_code: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        arrival = self.sta.lane_arrivals(seeds, gate_derate, flop_derate)
+        at_d = arrival[self._d_nets].T
+        # No structural path from any seed: the event simulator
+        # (nominal or scaled) can never apply a transition at this D
+        # pin, so its measured delay is exactly 0.
+        reached = at_d != -np.inf
+        measured = np.where(reached, at_d - self.sta.insertion_ns, 0.0)
+        codes = np.where(
+            reached,
+            np.where(measured <= self.limit_ns, safe_code, _AT_RISK),
+            _INACTIVE,
         )
+        return codes, measured
+
+    def _derate(self, droop: np.ndarray) -> np.ndarray:
+        """``1 + k_volt * max(droop, 0)``, computed in place."""
+        np.clip(droop, 0.0, None, out=droop)
+        droop *= self.env.k_volt
+        droop += 1.0
+        return droop
+
+    def _inactive(self, seeds: np.ndarray) -> LaneBounds:
+        return LaneBounds(
+            seeds,
+            np.full(seeds.shape, _INACTIVE, dtype=np.int8),
+            np.zeros(seeds.shape),
+            [{} for _ in range(seeds.shape[0])],
+        )
+
+    def _seed_mask(self, seeds: Set[int]) -> np.ndarray:
+        return np.array([[fi in seeds for fi in self.launch_flops]])
+
+    def _seed_set(self, row: np.ndarray) -> Set[int]:
+        return {self.launch_flops[k] for k in np.flatnonzero(row)}
 
     # ------------------------------------------------------------------
     def _resolve_endpoints(

@@ -2,18 +2,22 @@
 
 :func:`prescreened_endpoint_comparison` is the drop-in, bound-gated
 version of :func:`~repro.core.irscale.ir_scaled_endpoint_comparison`.
-Per pattern it runs up to three tiers, each strictly cheaper than the
-stage it can avoid:
+Patterns are screened in lanes of up to 64: one bit-parallel launch pass
+per lane gives every pattern's toggling launch flops and frames, and
+each pattern then runs up to three tiers, each strictly cheaper than
+the stage it can avoid:
 
 * **Tier A (fully static, zero simulation)** — the worst-case droop
   bound of :class:`~repro.timing.bound.DroopBoundAnalyzer`, tightened
-  by one zero-delay logic pass.  A pattern whose every endpoint is
-  proven safe or inactive here skips *both* simulations.
+  by the lane's zero-delay logic pass and swept for the whole lane at
+  once.  A pattern whose every endpoint is proven safe or inactive
+  here skips *both* simulations.
 * **Tier B (nominal simulation only)** — the nominal event simulation
   and its dynamic IR solve (Case 1, which the full comparison pays
   anyway), then a derated static re-analysis under the *actual* droop
-  field via :func:`~repro.sim.sta.derates_from_ir`.  Far tighter than
-  Tier A; endpoints proven safe here skip the Case-2 scaled event
+  field via :func:`~repro.sim.sta.derates_from_ir`, one derated sweep
+  for all of the lane's Tier B patterns.  Far tighter than Tier A;
+  endpoints proven safe here skip the Case-2 scaled event
   re-simulation.
 * **Tier C (the full comparison)** — only endpoints still *at_risk*
   are settled by the IR-scaled re-simulation itself.
@@ -27,30 +31,30 @@ patterns and reports the result for the flow's ``timing`` stage.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..config import ElectricalEnv
 from ..core.irscale import (
     IrScaledComparison,
-    ir_nominal_case,
-    ir_scaled_case,
+    nominal_ir,
+    scaled_endpoint_delays,
 )
 from ..errors import ConfigError
 from ..obs import current_telemetry
+from ..pgrid.dynamic_ir import DynamicIrResult
 from ..pgrid.grid import GridModel
-from ..power.calculator import ScapCalculator
+from ..power.calculator import MAX_LANE_WIDTH, ScapCalculator
 from ..sim.sta import derates_from_ir
 from .bound import (
     AT_RISK,
     CLASSIFICATIONS,
-    INACTIVE,
-    SAFE_DERATED,
-    SAFE_STATIC,
     DroopBoundAnalyzer,
     DroopBoundReport,
-    EndpointBound,
 )
 
 
@@ -128,7 +132,6 @@ def prescreened_endpoint_comparison(
     index: Optional[int] = None,
     env: Optional[ElectricalEnv] = None,
     analyzer: Optional[DroopBoundAnalyzer] = None,
-    static_tier: bool = True,
 ) -> PrescreenedComparison:
     """Bound-gated replacement for ``ir_scaled_endpoint_comparison``.
 
@@ -136,102 +139,148 @@ def prescreened_endpoint_comparison(
     scaled delays of every endpoint that needed re-simulation), but
     provably-safe endpoints are settled by static analysis instead of
     simulation.  Pass a shared *analyzer* when screening many patterns
-    so the grid factorisation and STA structures are built once;
-    ``static_tier=False`` skips Tier A (useful when the worst-case
-    droop bound is known to be too loose to certify anything).
+    so the grid factorisation and STA structures are built once.  One
+    call is a lane of one through the code :func:`prescreen_pattern_set`
+    runs per lane.
     """
     if env is None:
         env = ElectricalEnv()
-    if isinstance(pattern, dict):
-        v1, idx = pattern, index if index is not None else 0
-    else:
-        v1, idx = pattern.v1_dict(), pattern.index
     if analyzer is None:
-        analyzer = DroopBoundAnalyzer(
-            calculator.design,
-            calculator.domain,
-            model=model,
-            env=env,
-            delays=calculator.delays,
-        )
-    tel = current_telemetry()
-
-    # Tier A: zero-simulation worst-case droop bound.
-    tier_a: Optional[DroopBoundReport] = None
-    if static_tier:
-        tier_a = analyzer.pattern_bounds(v1, idx)
-        if tier_a.fully_safe:
-            tel.count("timing.patterns_static_safe")
-            return PrescreenedComparison(report=tier_a)
-        seeds = tier_a.seeds
+        analyzer = _analyzer(calculator, model, env)
+    if isinstance(pattern, dict):
+        idx = index if index is not None else 0
     else:
-        seeds = analyzer.scap.toggling_launch_flops(v1)
+        idx = pattern.index
+    lane = _lane_matrix([pattern], calculator.design.netlist.n_flops)
+    results, _audited = _screen_lane(
+        calculator, model, env, analyzer, lane, [idx]
+    )
+    return results[0]
+
+
+def _analyzer(
+    calculator: ScapCalculator, model: GridModel, env: ElectricalEnv
+) -> DroopBoundAnalyzer:
+    return DroopBoundAnalyzer(
+        calculator.design,
+        calculator.domain,
+        model=model,
+        env=env,
+        delays=calculator.delays,
+    )
+
+
+def _lane_matrix(patterns: Sequence[Any], n_flops: int) -> np.ndarray:
+    """``(width, n_flops)`` V1 bits of Pattern objects or v1 dicts
+    (flops a dict omits load 0)."""
+    lane = np.zeros((len(patterns), n_flops), dtype=np.uint8)
+    for row, pattern in enumerate(patterns):
+        if isinstance(pattern, dict):
+            for fi, bit in pattern.items():
+                lane[row, fi] = bit & 1
+        else:
+            bits = np.asarray(pattern.v1) & 1
+            lane[row, : bits.size] = bits
+    return lane
+
+
+def _screen_lane(
+    calculator: ScapCalculator,
+    model: GridModel,
+    env: ElectricalEnv,
+    analyzer: DroopBoundAnalyzer,
+    lane: np.ndarray,
+    indices: Sequence[int],
+    audit: int = 0,
+) -> Tuple[List[PrescreenedComparison], List[PrescreenedComparison]]:
+    """Run the three tiers over one lane of patterns.
+
+    One bit-parallel launch pass gives every pattern's seeds and
+    frames; Tier A bounds the whole lane, Tier B simulates only the
+    patterns Tier A could not clear and re-analyses them in one
+    derated sweep, and Tier C re-simulates the holdouts one by one.
+    Returns the comparisons in lane order plus, for the first *audit*
+    patterns, copies that also carry the full IR-scaled simulation.
+    """
+    tel = current_telemetry()
+    frames = calculator.lane_frames(lane)
+    static = analyzer.static_lane(frames.toggling)
+    held = np.flatnonzero(static.at_risk)
+    settled: Dict[int, PrescreenedComparison] = {
+        p: PrescreenedComparison(report=analyzer.report(static, p, idx))
+        for p, idx in enumerate(indices)
+        if not static.at_risk[p]
+    }
 
     # Tier B: Case 1 (paid by the full comparison too) + derated STA
-    # under the pattern's actual droop field.
-    _timing, ir, nominal_delays = ir_nominal_case(calculator, model, v1)
-    gate_derate, flop_derate = derates_from_ir(ir, env)
-    tier_b = analyzer.derated_bounds(seeds, gate_derate, flop_derate, idx)
-    report = _merge(tier_a, tier_b)
-    if report.fully_safe:
-        tel.count("timing.patterns_derated_safe")
-        return PrescreenedComparison(report=report, nominal_ns=nominal_delays)
-
-    # Tier C: the scaled re-simulation, for the holdouts only.
-    tel.count("timing.patterns_resimulated")
-    scaled_delays = ir_scaled_case(calculator, model, v1, ir, env)
-    comparison = IrScaledComparison(
-        pattern_index=idx,
-        nominal_ns=nominal_delays,
-        scaled_ns=scaled_delays,
-        ir=ir,
-    )
-    return PrescreenedComparison(
-        report=report,
-        nominal_ns=nominal_delays,
-        scaled_ns=scaled_delays,
-        comparison=comparison,
-    )
-
-
-def _merge(
-    tier_a: Optional[DroopBoundReport], tier_b: DroopBoundReport
-) -> DroopBoundReport:
-    """Combine the static and derated bounds, endpoint by endpoint.
-
-    Both are sound upper bounds, so the minimum is too; an endpoint is
-    safe as soon as either tier proves it (labelled by the cheaper
-    proof that succeeded).
-    """
-    if tier_a is None:
-        return tier_b
-    endpoints: Dict[int, EndpointBound] = {}
-    for fi, a in tier_a.endpoints.items():
-        b = tier_b.endpoints.get(fi, a)
-        if a.classification in (INACTIVE, SAFE_STATIC):
-            endpoints[fi] = a
-            continue
-        bound = min(a.measured_bound_ns, b.measured_bound_ns)
-        if b.classification in (INACTIVE, SAFE_DERATED):
-            label = b.classification
-        else:
-            label = AT_RISK
-        endpoints[fi] = EndpointBound(
-            flop=fi,
-            flop_name=a.flop_name,
-            measured_bound_ns=bound,
-            limit_ns=a.limit_ns,
-            classification=label,
+    # under each pattern's actual droop field.
+    netlist = calculator.design.netlist
+    rows = held.tolist()
+    gate_derate = np.empty((len(rows), netlist.n_gates))
+    flop_derate = np.empty((len(rows), netlist.n_flops))
+    nominal: Dict[int, Tuple[DynamicIrResult, Dict[int, float]]] = {}
+    for row, p in enumerate(rows):
+        nominal[p] = nominal_ir(
+            calculator, model, calculator.simulate_lane(frames, p)
         )
-    merged = DroopBoundReport(
-        domain=tier_a.domain,
-        period_ns=tier_a.period_ns,
-        pattern_index=tier_a.pattern_index,
-        endpoints=endpoints,
-        block_droop_bound_v=dict(tier_a.block_droop_bound_v),
-        seeds=set(tier_a.seeds),
+        gate_derate[row], flop_derate[row] = derates_from_ir(
+            nominal[p][0], env
+        )
+    merged = static.rows(held).merged(
+        analyzer.derated_lane(frames.toggling[held], gate_derate, flop_derate)
     )
-    return merged
+    resimulated = 0
+    for row, p in enumerate(rows):
+        ir, nominal_ns = nominal[p]
+        report = analyzer.report(merged, row, indices[p])
+        if not merged.at_risk[row]:
+            settled[p] = PrescreenedComparison(
+                report=report, nominal_ns=nominal_ns
+            )
+            continue
+        # Tier C: the scaled re-simulation, for the holdouts only.
+        resimulated += 1
+        scaled_ns = scaled_endpoint_delays(
+            calculator, model, frames.frame1_of(p), frames.launch_of(p),
+            ir, env,
+        )
+        settled[p] = PrescreenedComparison(
+            report=report,
+            nominal_ns=nominal_ns,
+            scaled_ns=scaled_ns,
+            comparison=IrScaledComparison(
+                pattern_index=indices[p],
+                nominal_ns=nominal_ns,
+                scaled_ns=scaled_ns,
+                ir=ir,
+            ),
+        )
+    results = [settled[p] for p in range(len(indices))]
+    for name, n in (
+        ("timing.patterns_static_safe", len(indices) - len(rows)),
+        ("timing.patterns_derated_safe", len(rows) - resimulated),
+        ("timing.patterns_resimulated", resimulated),
+    ):
+        if n:
+            tel.count(name, n)
+
+    # Audit: simulate anyway so the bound can be checked against it.
+    audited: List[PrescreenedComparison] = []
+    for p, result in enumerate(results[:audit]):
+        if result.scaled_ns is None:
+            ir, nominal_ns = nominal.get(p) or nominal_ir(
+                calculator, model, calculator.simulate_lane(frames, p)
+            )
+            result = PrescreenedComparison(
+                report=result.report,
+                nominal_ns=nominal_ns,
+                scaled_ns=scaled_endpoint_delays(
+                    calculator, model, frames.frame1_of(p),
+                    frames.launch_of(p), ir, env,
+                ),
+            )
+        audited.append(result)
+    return results, audited
 
 
 @dataclass
@@ -269,6 +318,39 @@ class TimingPrescreenSummary:
             return 0.0
         return 1.0 - self.endpoint_counts[AT_RISK] / total
 
+    def add_lane(
+        self,
+        start: int,
+        results: List[PrescreenedComparison],
+        audited: List[PrescreenedComparison],
+    ) -> Dict[str, int]:
+        """Fold one lane (patterns *start*, *start* + 1, ...) into the
+        totals; returns the lane's per-tier pattern counts."""
+        tiers = {"static_safe": 0, "derated_safe": 0, "resimulated": 0}
+        for pi, result in enumerate(results, start):
+            self.n_patterns += 1
+            for label, n in result.report.counts().items():
+                self.endpoint_counts[label] += n
+            if result.skipped_all_simulation:
+                tiers["static_safe"] += 1
+            elif result.skipped_scaled_sim:
+                tiers["derated_safe"] += 1
+            else:
+                tiers["resimulated"] += 1
+            worst = result.report.worst_bound_slack_ns()
+            if worst < self.worst_bound_slack_ns:
+                self.worst_bound_slack_ns = worst
+            for fi in result.misses():
+                self.misses.append((pi, fi))
+        self.patterns_static_safe += tiers["static_safe"]
+        self.patterns_derated_safe += tiers["derated_safe"]
+        self.patterns_resimulated += tiers["resimulated"]
+        # Audit: the bound must dominate whatever was simulated.
+        for result in audited:
+            self.soundness_checked += len(result.scaled_ns or {})
+            self.soundness_violations += len(result.soundness_violations())
+        return tiers
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "domain": self.domain,
@@ -300,92 +382,55 @@ def prescreen_pattern_set(
     patterns: Any,
     env: Optional[ElectricalEnv] = None,
     max_patterns: Optional[int] = None,
-    static_tier: bool = True,
     audit_patterns: int = 3,
 ) -> TimingPrescreenSummary:
     """Screen every pattern of a set, collecting the flow-stage digest.
 
-    *audit_patterns* leading patterns additionally run the full
-    IR-scaled re-simulation regardless of their classification, so the
-    summary carries an empirical soundness check (bound >= simulated
-    IR-scaled delay for every audited endpoint) exactly like the
-    PWR-SCAP bound's validation — without paying full simulation for
-    the whole set.
+    Patterns go through the tiers in lanes of
+    :data:`~repro.power.calculator.MAX_LANE_WIDTH`, one
+    ``timing.lane`` span each.  *audit_patterns* leading patterns
+    additionally run the full IR-scaled re-simulation regardless of
+    their classification, so the summary carries an empirical
+    soundness check (bound >= simulated IR-scaled delay for every
+    audited endpoint) exactly like the PWR-SCAP bound's validation —
+    without paying full simulation for the whole set.
     """
     if env is None:
         env = ElectricalEnv()
     if max_patterns is not None and max_patterns <= 0:
         raise ConfigError("max_patterns must be positive")
-    analyzer = DroopBoundAnalyzer(
-        calculator.design,
-        calculator.domain,
-        model=model,
-        env=env,
-        delays=calculator.delays,
-    )
+    analyzer = _analyzer(calculator, model, env)
     summary = TimingPrescreenSummary(
         domain=calculator.domain, period_ns=calculator.period_ns
     )
+    chosen = list(itertools.islice(patterns, max_patterns))
+    n_flops = calculator.design.netlist.n_flops
     tel = current_telemetry()
-    started = time.time()
+    started = time.perf_counter()
     with tel.span("timing.prescreen", domain=calculator.domain):
-        for pi, pattern in enumerate(patterns):
-            if max_patterns is not None and pi >= max_patterns:
-                break
-            result = prescreened_endpoint_comparison(
-                calculator,
-                model,
-                pattern,
-                index=pi,
-                env=env,
-                analyzer=analyzer,
-                static_tier=static_tier,
-            )
-            summary.n_patterns += 1
-            counts = result.report.counts()
-            for label, n in counts.items():
-                summary.endpoint_counts[label] += n
-            if result.skipped_all_simulation:
-                summary.patterns_static_safe += 1
-            elif result.skipped_scaled_sim:
-                summary.patterns_derated_safe += 1
-            else:
-                summary.patterns_resimulated += 1
-            worst = result.report.worst_bound_slack_ns()
-            if worst < summary.worst_bound_slack_ns:
-                summary.worst_bound_slack_ns = worst
-            for fi in result.misses():
-                summary.misses.append((pi, fi))
-
-            # Audit pass: simulate anyway and verify the inequality.
-            if pi < audit_patterns:
-                audited = result
-                if audited.scaled_ns is None:
-                    v1 = (
-                        pattern
-                        if isinstance(pattern, dict)
-                        else pattern.v1_dict()
-                    )
-                    _t, ir, nominal = ir_nominal_case(
-                        calculator, model, v1
-                    )
-                    audited = PrescreenedComparison(
-                        report=result.report,
-                        nominal_ns=nominal,
-                        scaled_ns=ir_scaled_case(
-                            calculator, model, v1, ir, env
-                        ),
-                    )
-                violations = audited.soundness_violations()
-                summary.soundness_checked += len(
-                    audited.scaled_ns or {}
+        for start in range(0, len(chosen), MAX_LANE_WIDTH):
+            members = chosen[start : start + MAX_LANE_WIDTH]
+            indices = [
+                start + p if isinstance(pattern, dict) else pattern.index
+                for p, pattern in enumerate(members)
+            ]
+            with tel.span(
+                "timing.lane", start=start, width=len(members)
+            ) as span:
+                violations = summary.soundness_violations
+                tiers = summary.add_lane(
+                    start,
+                    *_screen_lane(
+                        calculator, model, env, analyzer,
+                        _lane_matrix(members, n_flops), indices,
+                        audit=max(0, audit_patterns - start),
+                    ),
                 )
-                summary.soundness_violations += len(violations)
-                if violations:
-                    tel.count(
-                        "timing.soundness_violations", len(violations)
-                    )
-    summary.elapsed_s = time.time() - started
+                span.set(**tiers)
+            violations = summary.soundness_violations - violations
+            if violations:
+                tel.count("timing.soundness_violations", violations)
+    summary.elapsed_s = time.perf_counter() - started
     tel.count("timing.endpoints_pruned",
               summary.endpoints_total
               - summary.endpoint_counts[AT_RISK])

@@ -205,6 +205,50 @@ class TestFlowCli:
         out = capsys.readouterr().out
         assert "(from checkpoint)" not in out
 
+    @pytest.mark.parametrize(
+        "argv, option, value, kind",
+        [
+            (["flow", "--timing-prescreen"], "--timing-max-patterns", "0",
+             "positive"),
+            (["flow", "--timing-prescreen"], "--timing-max-patterns", "-3",
+             "positive"),
+            (["flow"], "--max-patterns", "-5", "positive"),
+            (["flow"], "--max-patterns", "0", "positive"),
+            (["flow"], "--stop-after", "-1", "non-negative"),
+            (["submit", "store"], "--max-patterns", "0", "positive"),
+        ],
+    )
+    def test_bad_count_fails_before_any_work(
+        self, monkeypatch, tmp_path, capsys, argv, option, value, kind
+    ):
+        import repro.core
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran on an invalid count")
+
+        monkeypatch.setattr(repro.core, "run_noise_tolerant_flow", no_flow)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--scale", "tiny", option, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"repro {argv[0]}: error: argument {option}: expected a "
+            f"{kind} integer, got {value!r}"
+        ]
+        assert not (tmp_path / "store").exists()
+
+    def test_stop_after_zero_is_accepted(self, tmp_path, capsys):
+        report = tmp_path / "partial.json"
+        assert main([
+            "flow", "--scale", "tiny", "--stop-after", "0",
+            "--report", str(report),
+        ]) == 0
+        data = json.loads(report.read_text())
+        assert data["status"] == "partial"
+        assert not data["completed_stages"] and data["pending_stages"]
+
 
 CORRUPT_VERILOG = """\
 module corrupt (

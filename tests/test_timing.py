@@ -254,6 +254,64 @@ class TestPrescreen:
         assert summary.n_patterns == 3
 
 
+class TestLanes:
+    def test_lane_rows_match_lanes_of_one(self, env, analyzer):
+        _design, _model, calc, patterns = env
+        lane = np.stack([np.asarray(p.v1) for p in patterns])
+        frames = calc.lane_frames(lane)
+        rng = np.random.default_rng(5)
+        width = lane.shape[0]
+        gate_derate = rng.uniform(1.0, 1.4, (width, calc.design.netlist.n_gates))
+        flop_derate = rng.uniform(1.0, 1.4, (width, calc.design.netlist.n_flops))
+        static = analyzer.static_lane(frames.toggling)
+        derated = analyzer.derated_lane(
+            frames.toggling, gate_derate, flop_derate
+        )
+        for p in range(width):
+            one = calc.lane_frames(lane[p : p + 1])
+            assert one.frame1_of(0) == frames.frame1_of(p)
+            assert one.launch_of(0) == frames.launch_of(p)
+            assert one.seeds_of(0) == frames.seeds_of(p)
+            alone = analyzer.static_lane(one.toggling)
+            assert alone.codes[0].tolist() == static.codes[p].tolist()
+            assert alone.measured[0].tobytes() == static.measured[p].tobytes()
+            assert alone.block_droop[0] == static.block_droop[p]
+            alone = analyzer.derated_lane(
+                one.toggling, gate_derate[p : p + 1], flop_derate[p : p + 1]
+            )
+            assert alone.codes[0].tolist() == derated.codes[p].tolist()
+            assert alone.measured[0].tobytes() == (
+                derated.measured[p].tobytes()
+            )
+
+    def test_prescreen_opens_one_span_per_lane(self, env):
+        from repro.obs import Telemetry, nesting_errors, use_telemetry
+
+        _design, model, calc, patterns = env
+        many = [patterns[i % len(patterns)] for i in range(70)]
+        tel = Telemetry(run_id="lanes")
+        with use_telemetry(tel):
+            summary = prescreen_pattern_set(
+                calc, model, many, audit_patterns=0
+            )
+        assert tel.tracer is not None
+        events = tel.tracer.events
+        (screen,) = [e for e in events if e["name"] == "timing.prescreen"]
+        lanes = [e for e in events if e["name"] == "timing.lane"]
+        assert [(e["attrs"]["start"], e["attrs"]["width"]) for e in lanes] == [
+            (0, 64),
+            (64, 6),
+        ]
+        assert all(e["parent_id"] == screen["span_id"] for e in lanes)
+        for key, total in (
+            ("static_safe", summary.patterns_static_safe),
+            ("derated_safe", summary.patterns_derated_safe),
+            ("resimulated", summary.patterns_resimulated),
+        ):
+            assert sum(e["attrs"][key] for e in lanes) == total
+        assert nesting_errors(events) == []
+
+
 class TestFlowIntegration:
     def test_flow_timing_stage_and_report_roundtrip(self, tmp_path):
         design = build_turbo_eagle("tiny", seed=55)
@@ -273,6 +331,36 @@ class TestFlowIntegration:
         path = report.save(str(tmp_path / "report.json"))
         loaded = RunReport.load(path)
         assert loaded.timing == report.timing
+
+    def test_durations_survive_a_backwards_clock_step(self, monkeypatch):
+        import itertools
+        import time
+
+        readings = itertools.count()
+
+        def stepping_back() -> float:
+            # every wall-clock reading is a minute before the previous
+            return 1.7e9 - 60.0 * next(readings)
+
+        monkeypatch.setattr(time, "time", stepping_back)
+        design = build_turbo_eagle("tiny", seed=55)
+        _result, report = run_noise_tolerant_flow(
+            design,
+            "clka",
+            max_patterns=6,
+            schedule_budget_mw=1e6,
+            timing_prescreen=True,
+            timing_max_patterns=4,
+        )
+        durations = {
+            s.name: s.detail["elapsed_s"]
+            for s in report.stages
+            if "elapsed_s" in s.detail
+        }
+        assert {"schedule", "timing"} <= set(durations)
+        assert len(durations) >= 3  # ATPG stages record theirs too
+        assert all(v >= 0.0 for v in durations.values()), durations
+        assert report.timing["elapsed_s"] >= 0.0
 
     def test_flow_without_prescreen_leaves_timing_none(self):
         design = build_turbo_eagle("tiny", seed=55)
