@@ -32,7 +32,6 @@ import pytest
 from repro.atpg.faults import build_fault_universe, collapse_faults
 from repro.atpg.fsim import FaultSimulator
 from repro.netlist.cells import CELL_FUNCTIONS
-from repro.perf.cache import PatternProfileCache
 from repro.perf.dispatch import usable_cpus
 from repro.perf.kernel_cache import KernelCache, use_kernel_cache
 from repro.perf.resilient import resolve_workers
@@ -179,7 +178,7 @@ def seed_event_simulate(sim, initial_values, launch_events, capture_time_ns):
 
 def seed_profile_patterns(calc, matrix):
     """The original grading loop: one logic + one timing simulation per
-    pattern, no lanes, no cache, no pool."""
+    pattern, no lanes, no pool."""
     profiles = []
     for idx, row in enumerate(matrix):
         v1 = {fi: int(b) for fi, b in enumerate(row)}
@@ -367,14 +366,6 @@ def test_perf_pipeline(benchmark, rig):
     assert prof_batch == prof_seed, "batched SCAP profiles differ from seed"
     assert prof_par == prof_seed, "parallel SCAP profiles differ from seed"
 
-    cache = PatternProfileCache()
-    calc_cached = ScapCalculator(design, domain, cache=cache)
-    calc_cached.profile_patterns(scap_matrix)
-    t0 = time.perf_counter()
-    prof_cached = calc_cached.profile_patterns(scap_matrix)
-    cached_s = time.perf_counter() - t0
-    assert prof_cached == prof_seed
-
     n = scap_matrix.shape[0]
     modes = {
         "batch": seed_scap_s / batch_scap_s,
@@ -392,11 +383,6 @@ def test_perf_pipeline(benchmark, rig):
         "best_mode": best_mode,
         "speedup_vs_seed": modes[best_mode],
         "profiles_identical": True,
-        "cache": {
-            "warm_pass_ms_per_pattern": 1000 * cached_s / n,
-            "hit_ratio": cache.hit_ratio,
-            "speedup_vs_seed": seed_scap_s / max(1e-9, cached_s),
-        },
     }
 
     _OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")

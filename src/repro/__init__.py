@@ -30,7 +30,6 @@ from .core import (
     validate_pattern_set,
 )
 from .perf import (
-    PatternProfileCache,
     RetryPolicy,
     execution_policy,
     resilient_map,
@@ -66,7 +65,6 @@ __all__ = [
     "K_VOLT",
     "NoiseAwarePatternGenerator",
     "PatternPowerProfile",
-    "PatternProfileCache",
     "RetryPolicy",
     "RunReport",
     "ScapCalculator",

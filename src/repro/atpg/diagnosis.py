@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import AtpgError
 from ..netlist.netlist import Netlist
-from ..sim.logic import LogicSim, loc_launch_capture
+from ..sim.logic import LogicSim, launch_capture, pack_matrix
 from .faults import TransitionFault
 from .fsim import FaultSimulator
 
@@ -69,9 +69,8 @@ class TransitionFaultDiagnoser:
         netlist.freeze()
         # flop index by D net for syndrome construction.
         self._flops_by_dnet: Dict[int, List[int]] = {}
-        for fi, f in enumerate(netlist.flops):
-            if f.clock_domain == domain and f.edge == "pos":
-                self._flops_by_dnet.setdefault(f.d, []).append(fi)
+        for fi in netlist.pulsed_flops(domain):
+            self._flops_by_dnet.setdefault(netlist.flops[fi].d, []).append(fi)
 
     # ------------------------------------------------------------------
     def predicted_syndrome(
@@ -97,8 +96,8 @@ class TransitionFaultDiagnoser:
         self, v1_matrix: np.ndarray, fault: TransitionFault
     ) -> Dict[int, int]:
         """Like FaultSimulator.run but resolved per capturing flop."""
-        packed, mask = self.fsim.pack(v1_matrix)
-        cyc = loc_launch_capture(self._sim, packed, self.domain, mask=mask)
+        packed, mask = pack_matrix(v1_matrix)
+        cyc = launch_capture(self._sim, packed, self.domain, mask=mask)
         f1, g2 = cyc.frame1, cyc.frame2
         site = fault.net
         act = f1[site] if fault.initial_value else (~f1[site] & mask)

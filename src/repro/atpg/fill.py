@@ -185,18 +185,14 @@ def preferred_fill_bits(
     ``round(P(S2 = 1))``.  Held (non-pulsed) flops never toggle at
     launch, so their preferred bit is 0 (quiet shift).
     """
-    from ..sim.logic import LogicSim, loc_launch_capture
+    from ..sim.logic import LogicSim, launch_capture, pack_matrix
 
     rng = np.random.default_rng(seed)
     sim = LogicSim(netlist)
     n_flops = netlist.n_flops
-    mask = (1 << n_samples) - 1
     bits = rng.integers(0, 2, size=(n_samples, n_flops))
-    packed = {
-        fi: int(sum(int(bits[s, fi]) << s for s in range(n_samples)))
-        for fi in range(n_flops)
-    }
-    cyc = loc_launch_capture(sim, packed, domain, mask=mask)
+    packed, mask = pack_matrix(bits)
+    cyc = launch_capture(sim, packed, domain, mask=mask)
     preferred = np.zeros(n_flops, dtype=np.uint8)
     for fi in cyc.pulsed_flops:
         ones = bin(cyc.launch_state[fi]).count("1")

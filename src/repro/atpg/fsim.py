@@ -46,12 +46,7 @@ from ..perf.kernel_cache import (
     netlist_fingerprint,
 )
 from ..perf.resilient import chunked, resilient_map, resolve_workers
-from ..sim.logic import (
-    LogicSim,
-    launch_capture_with_state,
-    loc_launch_capture,
-    pack_matrix,
-)
+from ..sim.logic import LogicSim, launch_capture, pack_matrix
 from .faults import TransitionFault
 
 #: Default lane width for :meth:`FaultSimulator.run_batch` — one
@@ -129,9 +124,7 @@ class FaultSimulator:
         _order, levels = levelize(netlist)
         self._level_of_gate = levels
         self.capture_nets = frozenset(
-            f.d
-            for f in netlist.flops
-            if f.clock_domain == domain and f.edge == "pos"
+            netlist.flops[fi].d for fi in netlist.pulsed_flops(domain)
         )
         if not self.capture_nets:
             raise AtpgError(f"domain {domain!r} has no capturing flops")
@@ -290,11 +283,6 @@ class FaultSimulator:
         self._dirty_sites.add(site)
         return kernel
 
-    @staticmethod
-    def pack(v1_matrix: np.ndarray) -> Tuple[Dict[int, int], int]:
-        """Pack an ``(n_patterns, n_flops)`` bit matrix into words."""
-        return pack_matrix(v1_matrix)
-
     def _lane_frames(
         self,
         lane_matrix: np.ndarray,
@@ -303,28 +291,14 @@ class FaultSimulator:
         v2_lane: Optional[np.ndarray],
     ) -> Tuple[List[int], List[int], int]:
         """Good-machine ``(frame1, frame2, mask)`` for one pattern lane."""
-        packed, mask = self.pack(lane_matrix)
-        if protocol == "loc":
-            cyc = loc_launch_capture(self.sim, packed, self.domain, mask=mask)
-        elif protocol == "los":
-            if scan is None:
-                raise AtpgError("LOS fault simulation needs the scan config")
-            v2 = _packed_shift(packed, scan)
-            cyc = launch_capture_with_state(
-                self.sim, packed, v2, self.domain, mask=mask
-            )
-        elif protocol == "es":
-            if v2_lane is None or v2_lane.shape != lane_matrix.shape:
-                raise AtpgError(
-                    "enhanced-scan fault simulation needs a v2_matrix "
-                    "matching v1_matrix"
-                )
-            v2, _ = self.pack(v2_lane)
-            cyc = launch_capture_with_state(
-                self.sim, packed, v2, self.domain, mask=mask
-            )
-        else:
-            raise AtpgError(f"unknown protocol {protocol!r}")
+        if v2_lane is not None and v2_lane.shape != lane_matrix.shape:
+            raise AtpgError("v2_matrix must match v1_matrix")
+        packed, mask = pack_matrix(lane_matrix)
+        cyc = launch_capture(
+            self.sim, packed, self.domain, protocol, scan=scan,
+            v2=None if v2_lane is None else pack_matrix(v2_lane)[0],
+            mask=mask,
+        )
         return cyc.frame1, cyc.frame2, mask
 
     def _grade_lane(
@@ -407,7 +381,6 @@ class FaultSimulator:
         lane_width: int = DEFAULT_LANE_WIDTH,
         drop: bool = False,
         n_workers: Union[int, str, None] = 1,
-        exec_policy=None,
     ) -> Dict[TransitionFault, int]:
         """Fault-simulate an arbitrarily large batch in fixed-width lanes.
 
@@ -437,11 +410,8 @@ class FaultSimulator:
             once, then grades its fault chunks against the settled
             frames).  ``<= 1`` stays serial in-process; ``"auto"`` lets
             :func:`repro.perf.dispatch.decide_fsim` pick batch or pool
-            from the work size and usable cores.
-        exec_policy:
-            Optional :class:`~repro.perf.resilient.RetryPolicy` for
-            the pooled path (per-chunk timeouts, retries, crash
-            recovery).  ``None`` uses the ambient default — see
+            from the work size and usable cores.  The pooled path's
+            timeouts, retries and crash recovery follow the ambient
             :func:`repro.perf.resilient.execution_policy`.
         """
         v1_matrix = np.asarray(v1_matrix)
@@ -482,7 +452,6 @@ class FaultSimulator:
                     _fsim_worker_task,
                     chunks,
                     n_workers=eff,
-                    policy=exec_policy,
                     initializer=_fsim_worker_init,
                     initargs=(
                         self.netlist,
@@ -584,16 +553,6 @@ def _fsim_worker_task(
         if drop and words:
             live = [f for f in live if f not in detections]
     return detections
-
-
-def _packed_shift(packed: Dict[int, int], scan) -> Dict[int, int]:
-    """Launch-off-shift launch state: every cell takes its upstream
-    chain neighbour's packed word; scan-in ends take 0."""
-    v2: Dict[int, int] = {}
-    for chain in scan.chains:
-        for pos, fi in enumerate(chain.flops):
-            v2[fi] = 0 if pos == 0 else packed[chain.flops[pos - 1]]
-    return v2
 
 
 def first_detection_index(word: int) -> int:

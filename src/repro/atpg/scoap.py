@@ -162,11 +162,13 @@ def analyze_testability(
     p_one = _cop_forward(netlist, order)
 
     obs = np.zeros(netlist.n_nets)
-    for f in netlist.flops:
-        if domain is None or (
-            f.clock_domain == domain and f.edge == "pos"
-        ):
-            obs[f.d] = 1.0
+    captures = (
+        range(netlist.n_flops)
+        if domain is None
+        else netlist.pulsed_flops(domain)
+    )
+    for fi in captures:
+        obs[netlist.flops[fi].d] = 1.0
 
     for gi in reversed(order):
         gate = netlist.gates[gi]

@@ -95,14 +95,7 @@ class TwoFrameState:
         flops = netlist.flops
         gates = netlist.gates
 
-        # Negative-edge cells are masked during the at-speed cycle (they
-        # live on a dedicated chain in the case study), so only
-        # positive-edge domain flops launch and capture.
-        self.pulsed: Tuple[int, ...] = tuple(
-            fi
-            for fi, f in enumerate(flops)
-            if f.clock_domain == domain and f.edge == "pos"
-        )
+        self.pulsed: Tuple[int, ...] = netlist.pulsed_flops(domain)
         if not self.pulsed:
             raise AtpgError(f"domain {domain!r} has no flops")
         self._pulsed_set = set(self.pulsed)

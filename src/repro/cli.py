@@ -501,13 +501,10 @@ def cmd_sta(args) -> int:
     model = study.model if args.droop_bound else None
     env = ElectricalEnv()
     delays = DelayModel(design.netlist, design.parasitics)
-    launch_domains = {
-        f.clock_domain for f in design.netlist.flops if f.edge == "pos"
-    }
     rows = []
     domains_json = {}
     for name in sorted(design.domains):
-        if name not in launch_domains:
+        if not design.netlist.pulsed_flops(name):
             continue
         if args.droop_bound:
             from .timing import DroopBoundAnalyzer

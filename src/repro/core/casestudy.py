@@ -21,7 +21,6 @@ from ..errors import ConfigError
 from ..obs import current_telemetry
 from ..pgrid.dynamic_ir import DynamicIrResult, dynamic_ir_for_pattern
 from ..pgrid.grid import GridModel
-from ..perf.cache import PatternProfileCache
 from ..pgrid.statistical_ir import StatisticalIrRow, statistical_ir_analysis
 from ..power.calculator import ScapCalculator
 from ..reporting.checkpoint import CheckpointStore, config_fingerprint
@@ -154,8 +153,7 @@ class CaseStudy:
     def calculator(self) -> ScapCalculator:
         if self._calculator is None:
             self._calculator = ScapCalculator(
-                self.design, self.domain, engine=self.engine,
-                cache=PatternProfileCache(),
+                self.design, self.domain, engine=self.engine
             )
         return self._calculator
 

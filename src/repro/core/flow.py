@@ -224,14 +224,12 @@ class NoiseAwarePatternGenerator:
         isolate_untargeted: bool = False,
         power_critical_blocks: Sequence[str] = ("B5",),
         n_workers: Union[int, str, None] = 1,
-        grade_lane_width: int = 64,
         **engine_kwargs,
     ):
         self.design = design
         self.domain = domain if domain is not None else design.dominant_domain()
         self.fill = fill
         self.n_workers = n_workers
-        self.grade_lane_width = grade_lane_width
         self.isolate_untargeted = isolate_untargeted
         self.power_critical_blocks = tuple(power_critical_blocks)
         self.stage_plan = [tuple(s) for s in stage_plan]
@@ -429,9 +427,7 @@ class NoiseAwarePatternGenerator:
         # run): anything fortuitously covered is not re-targeted.
         if combined.patterns and targets:
             graded = _grade_existing(
-                fsim, combined, targets,
-                lane_width=self.grade_lane_width,
-                n_workers=self.n_workers,
+                fsim, combined, targets, n_workers=self.n_workers
             )
             targets = [f for f in targets if f not in graded]
         budget = None
@@ -741,7 +737,6 @@ def _grade_existing(
     fsim: FaultSimulator,
     pattern_set: PatternSet,
     targets: Sequence[TransitionFault],
-    lane_width: int = 64,
     n_workers: Union[int, str, None] = 1,
 ) -> Dict[TransitionFault, int]:
     """Which of *targets* the existing patterns already detect.
@@ -757,8 +752,7 @@ def _grade_existing(
         n_targets=len(targets),
     ):
         words = fsim.run_batch(
-            matrix, targets, lane_width=lane_width, drop=True,
-            n_workers=n_workers,
+            matrix, targets, drop=True, n_workers=n_workers
         )
     return {
         fault: first_detection_index(word) for fault, word in words.items()

@@ -23,15 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ..atpg.patterns import pattern_rows
 from ..config import ElectricalEnv
 from ..pgrid.dynamic_ir import DynamicIrResult, dynamic_ir_for_pattern
 from ..pgrid.grid import GridModel
 from ..power.calculator import ScapCalculator
 from ..sim.endpoints import endpoint_delays
 from ..sim.event import EventTimingSim, TimingResult, build_launch_events
-from ..sim.logic import loc_launch_capture
 from ..soc.clocks import ClockBuffer
 
 
@@ -94,22 +92,6 @@ def clock_droop_scale_fn(
     return scale
 
 
-def ir_nominal_case(
-    calculator: ScapCalculator,
-    model: GridModel,
-    v1: Dict[int, int],
-) -> Tuple["object", DynamicIrResult, Dict[int, float]]:
-    """Case 1 of the comparison: nominal timing and its IR-drop field.
-
-    Returns ``(nominal_timing, ir, nominal_delays)``.  Split out so the
-    noise-aware pre-screen (:mod:`repro.timing.prescreen`) can run this
-    half, prove the scaled case safe statically, and skip Case 2.
-    """
-    nominal_timing = calculator.simulate_pattern(v1)
-    ir, nominal_delays = nominal_ir(calculator, model, nominal_timing)
-    return nominal_timing, ir, nominal_delays
-
-
 def nominal_ir(
     calculator: ScapCalculator,
     model: GridModel,
@@ -128,27 +110,6 @@ def nominal_ir(
     return ir, nominal_delays
 
 
-def ir_scaled_case(
-    calculator: ScapCalculator,
-    model: GridModel,
-    v1: Dict[int, int],
-    ir: DynamicIrResult,
-    env: ElectricalEnv,
-) -> Dict[int, float]:
-    """Case 2: every cell slowed by its local droop.
-
-    The asymmetry that creates the paper's Region 2: the *launch* clock
-    edge propagates at the start of the cycle, before the switching
-    burst, so it sees near-nominal buffer delays; the *capture* edge
-    arrives mid-droop and is measured against the scaled clock tree.
-    """
-    cyc = loc_launch_capture(calculator.logic, v1, calculator.domain)
-    launch = {fi: cyc.launch_state[fi] for fi in calculator.launch_time}
-    return scaled_endpoint_delays(
-        calculator, model, cyc.frame1, launch, ir, env
-    )
-
-
 def scaled_endpoint_delays(
     calculator: ScapCalculator,
     model: GridModel,
@@ -157,7 +118,14 @@ def scaled_endpoint_delays(
     ir: DynamicIrResult,
     env: ElectricalEnv,
 ) -> Dict[int, float]:
-    """Case 2 from a pattern's frame-1 values and launch state."""
+    """Case 2: every cell slowed by its local droop.
+
+    Runs from a pattern's frame-1 values and launch state.  The
+    asymmetry that creates the paper's Region 2: the *launch* clock
+    edge propagates at the start of the cycle, before the switching
+    burst, so it sees near-nominal buffer delays; the *capture* edge
+    arrives mid-droop and is measured against the scaled clock tree.
+    """
     design = calculator.design
     netlist = design.netlist
     domain = calculator.domain
@@ -195,22 +163,24 @@ def ir_scaled_endpoint_comparison(
     """Run the two-case comparison for one pattern.
 
     ``pattern`` is a :class:`~repro.atpg.patterns.Pattern` or a raw
-    v1 dict (then pass ``index``).
+    v1 dict (then pass ``index``).  The pattern is a lane of one: a
+    single launch pass feeds both cases.
     """
     if env is None:
         env = ElectricalEnv()
-    if isinstance(pattern, dict):
-        v1, idx = pattern, index if index is not None else 0
-    else:
-        v1, idx = pattern.v1_dict(), pattern.index
-
-    _nominal_timing, ir, nominal_delays = ir_nominal_case(
-        calculator, model, v1
+    indices, row = pattern_rows([pattern], calculator.design.netlist.n_flops)
+    if isinstance(pattern, dict) and index is not None:
+        indices = [index]
+    frames = calculator.lane_frames(row)
+    ir, nominal_delays = nominal_ir(
+        calculator, model, calculator.simulate_lane(frames, 0)
     )
-    scaled_delays = ir_scaled_case(calculator, model, v1, ir, env)
     return IrScaledComparison(
-        pattern_index=idx,
+        pattern_index=indices[0],
         nominal_ns=nominal_delays,
-        scaled_ns=scaled_delays,
+        scaled_ns=scaled_endpoint_delays(
+            calculator, model, frames.frame1_of(0), frames.launch_of(0),
+            ir, env,
+        ),
         ir=ir,
     )

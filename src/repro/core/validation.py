@@ -8,15 +8,16 @@ patterns at risk of IR-drop-induced false delay failures.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..atpg.patterns import pattern_rows
 from ..errors import ConfigError
 from ..obs import current_telemetry
-from ..perf.cache import digest_key
-from ..power.calculator import ScapCalculator, _normalize_patterns
+from ..power.calculator import ScapCalculator
 from ..power.scap import PatternPowerProfile
 from ..reporting.checkpoint import CheckpointStore
 
@@ -91,8 +92,8 @@ def validate_pattern_set(
 
     Grading runs through the calculator's batched
     :meth:`~repro.power.calculator.ScapCalculator.profile_patterns`
-    path (machine-word logic-simulation lanes, optional worker pool,
-    profile cache) — bit-exact with per-pattern profiling.
+    path (machine-word logic-simulation lanes, optional worker pool)
+    — bit-exact with per-pattern profiling.
     ``n_workers="auto"`` defers the batch/pool call to
     :mod:`repro.perf.dispatch`.
 
@@ -100,8 +101,8 @@ def validate_pattern_set(
     *checkpoint_chunk* patterns and every finished chunk persists its
     SCAP profiles; an interrupted screening rerun over the same store
     resumes at the first unfinished chunk.  Chunk keys embed a digest
-    of the chunk's launch states plus the calculator's cache context,
-    so stale or foreign checkpoints are never reused.
+    of the chunk's launch states plus the calculator's checkpoint
+    context, so stale or foreign checkpoints are never reused.
     """
     tel = current_telemetry()
     with tel.span(
@@ -151,7 +152,7 @@ def _profile_with_checkpoint(
     global pattern indices, so the output is identical to one
     uninterrupted :meth:`profile_patterns` call.
     """
-    indices, matrix = _normalize_patterns(
+    indices, matrix = pattern_rows(
         pattern_set, calculator.design.netlist.n_flops
     )
     chunk = max(1, int(chunk))
@@ -161,7 +162,7 @@ def _profile_with_checkpoint(
         sub = matrix[start:stop]
         digest = digest_key(
             np.ascontiguousarray(sub).tobytes(),
-            calculator._cache_context + (start, stop),
+            calculator.checkpoint_context + (start, stop),
         )
         key = f"{key_prefix}_rows{start}-{stop}_{digest[:12]}"
         part = checkpoint.try_load(key)
@@ -175,3 +176,10 @@ def _profile_with_checkpoint(
             for i, p in enumerate(part)
         )
     return profiles
+
+
+def digest_key(payload: bytes, context: Tuple = ()) -> str:
+    """SHA-1 digest of *payload* under a hashable *context* tuple."""
+    h = hashlib.sha1(payload)
+    h.update(repr(context).encode("utf-8"))
+    return h.hexdigest()

@@ -92,8 +92,8 @@ def signature_of_responses(
 ) -> int:
     """MISR signature over a sequence of captured responses.
 
-    ``responses`` are per-pattern flop->bit capture maps (e.g. the
-    ``captured`` field of :func:`repro.sim.logic.loc_launch_capture`);
+    ``responses`` are per-pattern flop->bit capture maps (e.g. from
+    :func:`capture_responses`);
     ``flop_order`` fixes the bit ordering (use the scan-out order).
     """
     misr = Misr(n_bits=n_bits, seed=seed)
@@ -109,12 +109,22 @@ def capture_responses(
     pattern_set,
     domain: str,
 ) -> List[Dict[int, int]]:
-    """Good-machine captured responses for every pattern (LOC)."""
-    from ..sim.logic import LogicSim, loc_launch_capture
+    """Good-machine captured responses for every pattern (LOC).
+
+    One bit-parallel launch/capture pass per lane of 64 patterns.
+    """
+    from ..atpg.patterns import pattern_rows
+    from ..sim.logic import LogicSim, launch_capture, pack_matrix
 
     sim = LogicSim(netlist)
+    _indices, matrix = pattern_rows(pattern_set, netlist.n_flops)
     out: List[Dict[int, int]] = []
-    for pattern in pattern_set:
-        cyc = loc_launch_capture(sim, pattern.v1_dict(), domain)
-        out.append({fi: v & 1 for fi, v in cyc.captured.items()})
+    for start in range(0, matrix.shape[0], 64):
+        lane = matrix[start:start + 64]
+        packed, mask = pack_matrix(lane)
+        captured = launch_capture(sim, packed, domain, mask=mask).captured
+        out.extend(
+            {fi: (word >> p) & 1 for fi, word in captured.items()}
+            for p in range(lane.shape[0])
+        )
     return out

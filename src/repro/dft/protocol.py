@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from ..errors import ScanError
+from ..sim.logic import los_shift
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scan import ScanConfig
@@ -64,17 +65,7 @@ class AtSpeedProtocol:
         """
         if self.style != "los":
             raise ScanError(f"shift_state is LOS-only, not {self.style!r}")
-        out: Dict[int, int] = {}
-        for chain in scan.chains:
-            for pos, fi in enumerate(chain.flops):
-                if pos == 0:
-                    bit = 0
-                    if scan_in_bits is not None:
-                        bit = scan_in_bits.get(chain.index, 0)
-                    out[fi] = bit
-                else:
-                    out[fi] = v1[chain.flops[pos - 1]]
-        return out
+        return los_shift(v1, scan, scan_in_bits)
 
 
 #: The paper's protocol: V2 = functional response (broadside).

@@ -291,14 +291,9 @@ class DrcContext:
             assert self.design is not None
             design = self.design
             delays = DelayModel(design.netlist, design.parasitics)
-            launch_domains = {
-                f.clock_domain
-                for f in design.netlist.flops
-                if f.edge == "pos"
-            }
             reports: Dict[str, "StaReport"] = {}
             for name in sorted(design.domains):
-                if name not in launch_domains:
+                if not design.netlist.pulsed_flops(name):
                     continue
                 sta = StaticTimingAnalyzer(
                     design.netlist,

@@ -84,6 +84,7 @@ class Netlist:
         self._driver_of: List[Optional[Driver]] = []
         self._gate_fanouts: List[List[Tuple[int, int]]] = []
         self._flop_d_loads: List[List[int]] = []
+        self._pulsed: Dict[str, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -208,6 +209,7 @@ class Netlist:
 
     def _invalidate(self) -> None:
         self._frozen = False
+        self._pulsed.clear()
 
     def _check_net(self, net: int) -> None:
         if not 0 <= net < len(self.net_names):
@@ -229,6 +231,25 @@ class Netlist:
     def scan_flops(self) -> List[int]:
         """Indexes of scan-enabled flops."""
         return [i for i, f in enumerate(self.flops) if f.is_scan]
+
+    def pulsed_flops(self, domain: str) -> Tuple[int, ...]:
+        """Flops the at-speed cycle of *domain* pulses, in index order.
+
+        The one launch rule: positive-edge flops of the target domain
+        launch and capture.  Other domains' clocks are off, and the
+        negative-edge cells (a dedicated chain in the case study) are
+        masked during the at-speed cycle, so both hold.  Empty when the
+        domain has no such flop; memoised until the next edit.
+        """
+        pulsed = self._pulsed.get(domain)
+        if pulsed is None:
+            pulsed = tuple(
+                fi
+                for fi, f in enumerate(self.flops)
+                if f.clock_domain == domain and f.edge == "pos"
+            )
+            self._pulsed[domain] = pulsed
+        return pulsed
 
     def driver_of(self, net: int) -> Optional[Driver]:
         """The driver descriptor of *net* (None for floating nets)."""

@@ -18,8 +18,6 @@ those hot paths cheap:
 * :mod:`~repro.perf.chaos` — deterministic fault injection (kill /
   hang / transient-fail chosen workers on chosen chunks) so every
   recovery path above is exercised by tests rather than trusted,
-* :mod:`~repro.perf.cache` — a digest-keyed pattern-profile cache so
-  staged flows never re-simulate an identical launch state,
 * :mod:`~repro.perf.kernel_cache` — a persistent on-disk store of the
   fault simulator's compiled cone kernels, keyed by a structural
   netlist fingerprint, so the per-netlist compile tax is paid once per
@@ -36,7 +34,6 @@ The consumers are :meth:`repro.atpg.fsim.FaultSimulator.run_batch`
 """
 
 from . import chaos
-from .cache import PatternProfileCache, digest_key
 from .dispatch import (
     Decision,
     DispatchPolicy,
@@ -72,7 +69,6 @@ __all__ = [
     "DispatchPolicy",
     "ExecutionReport",
     "KernelCache",
-    "PatternProfileCache",
     "RetryPolicy",
     "chaos",
     "chunk_slices",
@@ -83,7 +79,6 @@ __all__ = [
     "decide_fsim",
     "decide_scap",
     "default_policy",
-    "digest_key",
     "dispatch_policy",
     "execution_policy",
     "last_report",

@@ -16,37 +16,30 @@ caller needs arrivals (endpoint delays, dynamic IR-drop).
 Throughput: :meth:`ScapCalculator.profile_patterns` grades a whole
 pattern set at once — the launch-to-capture logic simulation runs
 bit-parallel over machine-word lanes (so its cost is amortised across
-the lane instead of paid twice per pattern), per-pattern timing
-simulations optionally fan out across a process pool, and a digest-
-keyed profile cache short-circuits launch states that were already
-simulated.  All paths are bit-exact with per-pattern
-:meth:`profile_pattern`.
+the lane instead of paid twice per pattern) and per-pattern timing
+simulations optionally fan out across a process pool.  One pattern is a
+lane of one: :meth:`ScapCalculator.simulate_pattern` and
+:meth:`ScapCalculator.profile_pattern` run the same lane code on a
+single row, so every path is bit-exact with every other.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..atpg.patterns import pattern_rows
 from ..config import VDD_NOMINAL
 from ..errors import ConfigError
 from ..obs import current_telemetry
-from ..perf.cache import PatternProfileCache, digest_key
 from ..perf.dispatch import decide_scap, wants_auto
 from ..perf.resilient import chunk_slices, resilient_map, resolve_workers
 from ..sim.delays import DelayModel
 from ..sim.event import EventTimingSim, TimingResult, build_launch_events
 from ..sim.fasttiming import FastTimingSim
-from ..sim.logic import (
-    LaneFrames,
-    LogicSim,
-    launch_capture_with_state,
-    loc_launch_capture,
-    pack_matrix,
-)
+from ..sim.logic import LaneFrames, LogicSim
 from ..soc.design import SocDesign
 from .scap import PatternPowerProfile
 
@@ -68,7 +61,6 @@ class ScapCalculator:
         engine: str = "event",
         vdd: float = VDD_NOMINAL,
         delays: Optional[DelayModel] = None,
-        cache: Optional[PatternProfileCache] = None,
     ):
         if engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}")
@@ -79,7 +71,6 @@ class ScapCalculator:
         self.engine = engine
         self.vdd = vdd
         self.period_ns = design.domains[self.domain].period_ns
-        self.cache = cache
 
         netlist = design.netlist
         self.logic = LogicSim(netlist)
@@ -98,20 +89,17 @@ class ScapCalculator:
             netlist, self.delays, design.parasitics, vdd
         )
 
-        # Launch-edge clock arrival per pulsed flop.  Negative-edge cells
-        # (dedicated chain) are masked during the at-speed cycle and do
-        # not launch.
+        # Launch-edge clock arrival per pulsed flop.
         tree = design.clock_trees[self.domain]
-        self.launch_time: Dict[int, float] = {}
-        for fi, flop in enumerate(netlist.flops):
-            if flop.clock_domain != self.domain or flop.edge != "pos":
-                continue
-            self.launch_time[fi] = tree.insertion_delay_ns(fi)
+        self.launch_time: Dict[int, float] = {
+            fi: tree.insertion_delay_ns(fi)
+            for fi in netlist.pulsed_flops(self.domain)
+        }
 
-        # Cache context: anything that changes the simulation result
-        # must key the digest (the design token keeps one shared cache
-        # safe across calculators).
-        self._cache_context = (
+        # Everything that changes a simulation result: the validation
+        # checkpoint keys its chunks on it, so a resumed screening never
+        # reuses profiles graded under another design or setting.
+        self.checkpoint_context = (
             netlist.name,
             netlist.n_nets,
             netlist.n_gates,
@@ -125,31 +113,26 @@ class ScapCalculator:
     # ------------------------------------------------------------------
     def simulate_pattern(
         self,
-        v1: Dict[int, int],
+        v1: Any,
         record_trace: bool = False,
         protocol: str = "loc",
-        v2: Optional[Dict[int, int]] = None,
+        v2: Any = None,
     ) -> TimingResult:
         """Timing-simulate one pattern's launch-to-capture cycle.
 
+        *v1* is a v1 dict or a :class:`~repro.atpg.patterns.Pattern`;
+        the pattern runs as a lane of one through :meth:`lane_frames`.
         ``protocol`` selects the launch mechanism: ``"loc"`` (default),
         ``"los"`` (V2 = V1 shifted along the scan chains; the design
-        must carry a scan config) or ``"es"`` (explicit ``v2``).
+        must carry a scan config) or ``"es"`` (explicit ``v2``, in the
+        same form as *v1*).
         """
-        if protocol == "loc":
-            cyc = loc_launch_capture(self.logic, v1, self.domain)
-        elif protocol == "los":
-            cyc = launch_capture_with_state(
-                self.logic, v1, self._los_shift(v1), self.domain
-            )
-        elif protocol == "es":
-            if v2 is None:
-                raise ConfigError("enhanced-scan simulation needs v2")
-            cyc = launch_capture_with_state(self.logic, v1, v2, self.domain)
-        else:
-            raise ConfigError(f"unknown protocol {protocol!r}")
-        launch = {fi: cyc.launch_state[fi] for fi in self.launch_time}
-        return self._simulate(cyc.frame1, cyc.frame2, launch, record_trace)
+        n_flops = self.design.netlist.n_flops
+        row = pattern_rows([v1], n_flops)[1]
+        v2_row = None if v2 is None else pattern_rows([v2], n_flops)[1]
+        return self.simulate_lane(
+            self.lane_frames(row, protocol, v2_row), 0, record_trace
+        )
 
     def lane_frames(
         self,
@@ -163,36 +146,19 @@ class ScapCalculator:
         :data:`MAX_LANE_WIDTH` rows; *protocol* is as for
         :meth:`simulate_pattern` (``"es"`` takes the V2 rows in
         *v2_lane*).  Returns every pattern's frames, launch state and
-        toggling launch flops, bit-identical to per-pattern passes.
+        toggling launch flops.
         """
-        flops = tuple(self.launch_time)
-        if protocol == "loc":
-            return LaneFrames.loc(self.logic, lane, self.domain, flops)
-        packed, mask = pack_matrix(lane)
-        if protocol == "los":
-            v2 = self._los_shift(packed)
-        else:  # "es"
-            v2, _ = pack_matrix(v2_lane)
-        cyc = launch_capture_with_state(
-            self.logic, packed, v2, self.domain, mask=mask
-        )
-        return LaneFrames(self.design.netlist, cyc, lane.shape[0], flops)
-
-    def simulate_lane(self, frames: LaneFrames, p: int) -> TimingResult:
-        """Timing-simulate pattern *p* of a lane from its frames."""
-        return self._simulate(
-            frames.frame1_of(p),
-            frames.frame2_of(p) if self.engine == "fast" else None,
-            frames.launch_of(p),
+        return LaneFrames(
+            self.logic, lane, self.domain, protocol,
+            scan=self.design.scan, v2_lane=v2_lane,
         )
 
-    def _simulate(
-        self,
-        frame1: List[int],
-        frame2: Optional[List[int]],
-        launch: Dict[int, int],
-        record_trace: bool = False,
+    def simulate_lane(
+        self, frames: LaneFrames, p: int, record_trace: bool = False
     ) -> TimingResult:
+        """Timing-simulate pattern *p* of a lane from its frames."""
+        frame1 = frames.frame1_of(p)
+        launch = frames.launch_of(p)
         if self.engine == "event":
             events = build_launch_events(
                 self.design.netlist,
@@ -209,36 +175,32 @@ class ScapCalculator:
             )
         return self._fast.simulate(
             frame1,
-            frame2,
+            frames.frame2_of(p),
             launch,
             self.launch_time,
             capture_time_ns=self.period_ns,
         )
 
     def profile_pattern(
-        self, pattern, index: Optional[int] = None
+        self, pattern: Any, index: Optional[int] = None
     ) -> PatternPowerProfile:
         """SCAP/CAP profile of one pattern (Pattern object or v1 dict)."""
-        v1, idx = _as_v1(pattern, index)
-        if self.cache is not None:
-            key = self._profile_key(self._v1_array(v1), "loc")
-            hit = self.cache.get(key)
-            if hit is not None:
-                return dataclasses.replace(hit, pattern_index=idx)
-        result = self.simulate_pattern(v1)
-        profile = PatternPowerProfile.from_timing(idx, self.period_ns, result)
-        if self.cache is not None:
-            self.cache.put(key, profile)
-        return profile
+        return self.profile_pattern_with_timing(pattern, index)[0]
 
     def profile_pattern_with_timing(
-        self, pattern, index: Optional[int] = None
+        self, pattern: Any, index: Optional[int] = None
     ) -> Tuple[PatternPowerProfile, TimingResult]:
         """Profile plus the raw timing result (arrivals for IR/endpoints)."""
-        v1, idx = _as_v1(pattern, index)
-        result = self.simulate_pattern(v1)
+        if index is None and isinstance(pattern, dict):
+            raise ConfigError("pass index= when profiling a raw v1 dict")
+        indices, row = pattern_rows([pattern], self.design.netlist.n_flops)
+        result = self.simulate_lane(self.lane_frames(row), 0)
         return (
-            PatternPowerProfile.from_timing(idx, self.period_ns, result),
+            PatternPowerProfile.from_timing(
+                indices[0] if index is None else index,
+                self.period_ns,
+                result,
+            ),
             result,
         )
 
@@ -251,20 +213,20 @@ class ScapCalculator:
     # ------------------------------------------------------------------
     def profile_patterns(
         self,
-        patterns,
+        patterns: Any,
         *,
         n_workers: Union[int, str, None] = 1,
         lane_width: int = MAX_LANE_WIDTH,
         protocol: str = "loc",
         v2_matrix: Optional[np.ndarray] = None,
-        exec_policy=None,
     ) -> List[PatternPowerProfile]:
         """Grade a whole pattern batch; profiles in input order.
 
-        *patterns* is a :class:`~repro.atpg.patterns.PatternSet`, a
-        sequence of :class:`~repro.atpg.patterns.Pattern` objects, or a
-        raw ``(n_patterns, n_flops)`` 0/1 matrix (row number = pattern
-        index).  The results are bit-exact with calling
+        *patterns* is anything :func:`~repro.atpg.patterns.pattern_rows`
+        accepts: a :class:`~repro.atpg.patterns.PatternSet`, a sequence
+        of :class:`~repro.atpg.patterns.Pattern` objects or v1 dicts,
+        or a raw ``(n_patterns, n_flops)`` 0/1 matrix (row number =
+        pattern index).  The results are bit-exact with calling
         :meth:`profile_pattern` per pattern.
 
         Parameters
@@ -276,36 +238,28 @@ class ScapCalculator:
             work items are ``(indices, start, stop)`` row ranges).
             ``<= 1`` stays serial; ``"auto"`` lets
             :func:`repro.perf.dispatch.decide_scap` pick batch or pool
-            from the work size and usable cores.
+            from the work size and usable cores.  The pooled path
+            follows the ambient
+            :func:`repro.perf.resilient.execution_policy`.
         lane_width:
             Patterns per bit-parallel logic-simulation lane (clamped to
             one machine word).
         protocol:
             ``"loc"`` (default), ``"los"``, or ``"es"`` (pass
-            *v2_matrix*).
-        exec_policy:
-            Optional :class:`~repro.perf.resilient.RetryPolicy` for
-            the pooled path.  ``None`` uses the ambient default — see
-            :func:`repro.perf.resilient.execution_policy`.
+            *v2_matrix*, one V2 row per pattern).
         """
-        indices, matrix = _normalize_patterns(
-            patterns, self.design.netlist.n_flops
-        )
+        n_flops = self.design.netlist.n_flops
+        indices, matrix = pattern_rows(patterns, n_flops)
         n_pat = matrix.shape[0]
         if n_pat == 0:
             return []
-        if protocol == "es":
-            v2_matrix = np.asarray(v2_matrix) if v2_matrix is not None else None
-            if v2_matrix is None or v2_matrix.shape != matrix.shape:
+        if v2_matrix is not None:
+            v2_matrix = pattern_rows(np.asarray(v2_matrix), n_flops)[1]
+            if v2_matrix.shape != matrix.shape:
                 raise ConfigError(
-                    "enhanced-scan grading needs a v2_matrix matching the "
-                    "pattern matrix"
+                    "v2_matrix must have one row per pattern"
                 )
-        elif protocol not in ("loc", "los"):
-            raise ConfigError(f"unknown protocol {protocol!r}")
-
         lane_width = max(1, min(int(lane_width), MAX_LANE_WIDTH))
-        cache = self.cache if protocol == "loc" and v2_matrix is None else None
 
         tel = current_telemetry()
         with tel.span(
@@ -314,57 +268,11 @@ class ScapCalculator:
             engine=self.engine,
             n_patterns=n_pat,
         ):
-            # Resolve cache hits first; only misses are simulated
-            # (identical launch states inside the batch collapse to one
-            # simulation).
-            out: List[Optional[PatternPowerProfile]] = [None] * n_pat
-            keys: List[Optional[str]] = [None] * n_pat
-            miss_rows: List[int] = []
-            if cache is not None:
-                first_row_of_key: Dict[str, int] = {}
-                for row in range(n_pat):
-                    key = self._profile_key(matrix[row], protocol)
-                    keys[row] = key
-                    hit = cache.get(key)
-                    if hit is not None:
-                        out[row] = dataclasses.replace(
-                            hit, pattern_index=indices[row]
-                        )
-                    elif key in first_row_of_key:
-                        out[row] = first_row_of_key[key]  # placeholder row
-                    else:
-                        first_row_of_key[key] = row
-                        miss_rows.append(row)
-                tel.count(
-                    "scap.cache_hits", n_pat - len(miss_rows)
-                )
-                tel.count("scap.cache_misses", len(miss_rows))
-            else:
-                miss_rows = list(range(n_pat))
-
-            if miss_rows:
-                miss_matrix = matrix[miss_rows]
-                miss_indices = [indices[r] for r in miss_rows]
-                miss_v2 = (
-                    v2_matrix[miss_rows] if v2_matrix is not None else None
-                )
-                profiles = self._dispatch(
-                    miss_indices, miss_matrix, protocol, miss_v2,
-                    lane_width, n_workers, exec_policy,
-                )
-                for row, profile in zip(miss_rows, profiles):
-                    out[row] = profile
-                    if cache is not None:
-                        cache.put(keys[row], profile)
-
-            # Second pass: rows that aliased an in-batch duplicate.
-            for row in range(n_pat):
-                if isinstance(out[row], int):
-                    out[row] = dataclasses.replace(
-                        out[out[row]], pattern_index=indices[row]
-                    )
+            profiles = self._dispatch(
+                indices, matrix, protocol, v2_matrix, lane_width, n_workers
+            )
             tel.count("scap.patterns_profiled", n_pat)
-            return out  # type: ignore[return-value]
+            return profiles
 
     # ------------------------------------------------------------------
     def _dispatch(
@@ -375,7 +283,6 @@ class ScapCalculator:
         v2_matrix: Optional[np.ndarray],
         lane_width: int,
         n_workers: Union[int, str, None],
-        exec_policy=None,
     ) -> List[PatternPowerProfile]:
         n_rows = matrix.shape[0]
         if wants_auto(n_workers):
@@ -407,7 +314,6 @@ class ScapCalculator:
             _scap_worker_task,
             items,
             n_workers=eff,
-            policy=exec_policy,
             initializer=_scap_worker_init,
             initargs=(
                 self.design, self.domain, self.engine, self.vdd,
@@ -463,31 +369,6 @@ class ScapCalculator:
             for p in range(frames.width)
         ]
 
-    # ------------------------------------------------------------------
-    def _los_shift(self, v1: Dict[int, int]) -> Dict[int, int]:
-        """V2 = V1 shifted one chain position (packed or single-bit)."""
-        if self.design.scan is None:
-            raise ConfigError("LOS simulation needs scan chains")
-        shifted: Dict[int, int] = {}
-        for chain in self.design.scan.chains:
-            for pos, fi in enumerate(chain.flops):
-                shifted[fi] = (
-                    0 if pos == 0 else v1.get(chain.flops[pos - 1], 0)
-                )
-        return shifted
-
-    def _v1_array(self, v1: Dict[int, int]) -> np.ndarray:
-        arr = np.zeros(self.design.netlist.n_flops, dtype=np.uint8)
-        for fi, bit in v1.items():
-            arr[fi] = bit & 1
-        return arr
-
-    def _profile_key(self, v1_row: np.ndarray, protocol: str) -> str:
-        payload = np.ascontiguousarray(
-            np.asarray(v1_row, dtype=np.uint8)
-        ).tobytes()
-        return digest_key(payload, self._cache_context + (protocol,))
-
 
 # ----------------------------------------------------------------------
 # worker-side plumbing (module-level for picklability)
@@ -531,42 +412,3 @@ def _scap_worker_task(item) -> List[PatternPowerProfile]:
         v2[start:stop] if v2 is not None else None,
         lane_width,
     )
-
-
-# ----------------------------------------------------------------------
-def _normalize_patterns(
-    patterns, n_flops: int
-) -> Tuple[List[int], np.ndarray]:
-    """(indices, (n_patterns, n_flops) uint8 matrix) from any input form."""
-    if isinstance(patterns, np.ndarray):
-        if patterns.ndim != 2:
-            raise ConfigError("pattern matrix must be 2-D")
-        if patterns.shape[1] != n_flops and patterns.shape[0]:
-            raise ConfigError(
-                f"pattern matrix covers {patterns.shape[1]} flops, design "
-                f"has {n_flops}"
-            )
-        matrix = (patterns != 0).astype(np.uint8)
-        return list(range(matrix.shape[0])), matrix
-    indices: List[int] = []
-    rows: List[np.ndarray] = []
-    for pos, pattern in enumerate(patterns):
-        v1 = getattr(pattern, "v1", None)
-        if v1 is None:
-            raise ConfigError(
-                "profile_patterns needs Pattern objects or a matrix"
-            )
-        indices.append(int(getattr(pattern, "index", pos)))
-        rows.append(np.asarray(v1, dtype=np.uint8))
-    if not rows:
-        return [], np.zeros((0, n_flops), dtype=np.uint8)
-    return indices, np.stack(rows)
-
-
-def _as_v1(pattern, index: Optional[int]) -> Tuple[Dict[int, int], int]:
-    if isinstance(pattern, dict):
-        if index is None:
-            raise ConfigError("pass index= when profiling a raw v1 dict")
-        return pattern, index
-    v1 = pattern.v1_dict()
-    return v1, pattern.index if index is None else index

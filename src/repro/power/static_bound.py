@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..atpg.patterns import pattern_rows
 from ..config import VDD_NOMINAL, joules_to_milliwatts
 from ..errors import ConfigError
 from ..netlist.levelize import LevelPlan
@@ -80,15 +81,13 @@ class StaticScapBound:
         )
 
         # Launch-capable flops and their launch-event times, mirroring
-        # ScapCalculator (negative-edge cells never launch).
+        # ScapCalculator.
         tree = design.clock_trees[self.domain]
-        self.launch_time_ns: Dict[int, float] = {}
-        for fi, flop in enumerate(netlist.flops):
-            if flop.clock_domain != self.domain or flop.edge != "pos":
-                continue
-            self.launch_time_ns[fi] = (
-                tree.insertion_delay_ns(fi) + float(self.delays.flop_ck2q_ns[fi])
-            )
+        self.launch_time_ns: Dict[int, float] = {
+            fi: tree.insertion_delay_ns(fi)
+            + float(self.delays.flop_ck2q_ns[fi])
+            for fi in netlist.pulsed_flops(self.domain)
+        }
 
         # Block attribution of a net = its driver's block (the event
         # simulator uses the identical mapping).
@@ -269,12 +268,8 @@ class StaticScapBound:
         netlist = self.design.netlist
         if self._logic is None:
             self._logic = LogicSim(netlist)
-        row = np.zeros((1, netlist.n_flops), dtype=np.uint8)
-        for fi, bit in v1.items():
-            row[0, fi] = bit & 1
-        return LaneFrames.loc(
-            self._logic, row, self.domain, tuple(self.launch_time_ns)
-        ).seeds_of(0)
+        row = pattern_rows([v1], netlist.n_flops)[1]
+        return LaneFrames(self._logic, row, self.domain).seeds_of(0)
 
     # ------------------------------------------------------------------
     def screen_blocks(

@@ -14,8 +14,9 @@
 
 from .logic import (
     LogicSim,
-    launch_capture_with_state,
+    launch_capture,
     loc_launch_capture,
+    los_shift,
     pack_matrix,
 )
 from .delays import DelayModel
@@ -45,7 +46,8 @@ __all__ = [
     "derates_from_ir",
     "write_vcd",
     "endpoint_delays",
-    "launch_capture_with_state",
+    "launch_capture",
     "loc_launch_capture",
+    "los_shift",
     "pack_matrix",
 ]

@@ -241,7 +241,7 @@ class EventTimingSim:
         ----------
         initial_values:
             Settled pre-launch value (0/1) per net — typically frame 1 of
-            a :func:`repro.sim.logic.loc_launch_capture` run.
+            a :func:`repro.sim.logic.launch_capture` run.
         launch_events:
             The flop-output transitions of the launch edge, each at its
             flop's clock arrival + clock-to-Q time.

@@ -123,7 +123,7 @@ class LogicSim:
 
 @dataclass(frozen=True)
 class LocCycle:
-    """All artefacts of one launch-off-capture cycle (batched).
+    """All artefacts of one launch-to-capture cycle (batched).
 
     ``frame1`` / ``frame2`` are full net-value arrays; ``launch_state``
     is the per-flop state after the launch edge; ``captured`` is the
@@ -137,6 +137,93 @@ class LocCycle:
     pulsed_flops: Tuple[int, ...]
 
 
+def los_shift(
+    v1: Mapping[int, int],
+    scan,
+    scan_in_bits: Optional[Mapping[int, int]] = None,
+) -> Dict[int, int]:
+    """The launch-off-shift launch state: V1 shifted one chain position.
+
+    During the last shift *every* scan cell shifts, whatever its clock
+    domain: each cell takes its upstream neighbour's value and the
+    scan-in end of chain *c* takes ``scan_in_bits[c]`` (default 0).
+    Works on single bits and packed words alike; flops *v1* omits
+    read 0.
+    """
+    shifted: Dict[int, int] = {}
+    for chain in scan.chains:
+        for pos, fi in enumerate(chain.flops):
+            if pos == 0:
+                shifted[fi] = (
+                    scan_in_bits.get(chain.index, 0) if scan_in_bits else 0
+                )
+            else:
+                shifted[fi] = v1.get(chain.flops[pos - 1], 0)
+    return shifted
+
+
+def launch_capture(
+    sim: LogicSim,
+    v1: Mapping[int, int],
+    domain: str,
+    protocol: str = "loc",
+    *,
+    scan=None,
+    v2: Optional[Mapping[int, int]] = None,
+    pi: Optional[Mapping[int, int]] = None,
+    mask: int = 1,
+) -> LocCycle:
+    """Simulate the launch-to-capture cycle for a batch of patterns.
+
+    V1 is the shifted-in scan state (packed words; ``mask=1`` for one
+    pattern) and frame 1 settles from it.  The launch edge then sets
+    the launch state by *protocol*:
+
+    * ``"loc"`` — launch-off-capture: the pulsed flops of *domain*
+      (:meth:`~repro.netlist.netlist.Netlist.pulsed_flops`) capture
+      their functional D input; every other flop holds V1,
+    * ``"los"`` — launch-off-shift: every scan cell takes V1 shifted
+      one position along its chain (:func:`los_shift`; pass *scan*),
+    * ``"es"`` — enhanced scan: every flop in the explicit *v2* takes
+      its V2 word.
+
+    Flops the launch does not set hold V1.  Frame 2 settles from the
+    launch state and the capture edge loads the pulsed flops with the
+    response.
+
+    Raises
+    ------
+    SimulationError
+        If the domain has no pulsed flop, the protocol is unknown, LOS
+        lacks *scan* or ES lacks *v2*.
+    """
+    netlist = sim.netlist
+    pulsed = netlist.pulsed_flops(domain)
+    if not pulsed:
+        raise SimulationError(f"no flops in clock domain {domain!r}")
+    frame1 = sim.run(v1, pi, mask)
+    if protocol == "loc":
+        launched: Mapping[int, int] = {
+            fi: frame1[netlist.flops[fi].d] for fi in pulsed
+        }
+    elif protocol == "los":
+        if scan is None:
+            raise SimulationError("launch-off-shift needs the scan config")
+        launched = los_shift(v1, scan)
+    elif protocol == "es":
+        if v2 is None:
+            raise SimulationError("enhanced scan needs an explicit v2")
+        launched = v2
+    else:
+        raise SimulationError(f"unknown launch protocol {protocol!r}")
+    launch_state = dict(v1)
+    for fi, word in launched.items():
+        launch_state[fi] = word & mask
+    frame2 = sim.run(launch_state, pi, mask)
+    captured = {fi: frame2[netlist.flops[fi].d] & mask for fi in pulsed}
+    return LocCycle(frame1, frame2, launch_state, captured, pulsed)
+
+
 def loc_launch_capture(
     sim: LogicSim,
     v1: Mapping[int, int],
@@ -144,81 +231,19 @@ def loc_launch_capture(
     pi: Optional[Mapping[int, int]] = None,
     mask: int = 1,
 ) -> LocCycle:
-    """Simulate a full LOC cycle for a batch of patterns.
-
-    V1 is the shifted-in scan state.  At the launch edge every
-    positive-edge flop of *domain* captures its functional D input
-    (launch state S2); other domains hold V1 (their clocks are off), and
-    the negative-edge cells — which sit on their own scan chain in the
-    case study — are masked during the at-speed cycle, as is standard
-    practice, so they hold as well.  Frame 2 settles from S2 and the
-    capture edge loads the pulsed flops with the response.
-
-    Raises
-    ------
-    SimulationError
-        If the domain has no flops.
-    """
-    netlist = sim.netlist
-    pulsed = tuple(
-        fi
-        for fi, f in enumerate(netlist.flops)
-        if f.clock_domain == domain and f.edge == "pos"
-    )
-    if not pulsed:
-        raise SimulationError(f"no flops in clock domain {domain!r}")
-
-    frame1 = sim.run(v1, pi, mask)
-    launch_state = dict(v1)
-    for fi in pulsed:
-        launch_state[fi] = frame1[netlist.flops[fi].d] & mask
-    frame2 = sim.run(launch_state, pi, mask)
-    captured = {fi: frame2[netlist.flops[fi].d] & mask for fi in pulsed}
-    return LocCycle(frame1, frame2, launch_state, captured, pulsed)
-
-
-def launch_capture_with_state(
-    sim: LogicSim,
-    v1: Mapping[int, int],
-    v2: Mapping[int, int],
-    domain: str,
-    pi: Optional[Mapping[int, int]] = None,
-    mask: int = 1,
-) -> LocCycle:
-    """Launch/capture cycle with an *explicitly supplied* launch state.
-
-    This models launch-off-shift (V2 = V1 shifted one chain position —
-    during the last shift *every* scan cell shifts, whatever its clock
-    domain) and enhanced scan (V2 arbitrary): frame 1 settles from V1,
-    the launch edge forces every flop mentioned in ``v2`` to its V2 bit,
-    and the capture edge samples the pulsed (positive-edge, target
-    domain) flops.
-
-    Flops absent from ``v2`` hold their V1 value.
-    """
-    netlist = sim.netlist
-    pulsed = tuple(
-        fi
-        for fi, f in enumerate(netlist.flops)
-        if f.clock_domain == domain and f.edge == "pos"
-    )
-    if not pulsed:
-        raise SimulationError(f"no flops in clock domain {domain!r}")
-    frame1 = sim.run(v1, pi, mask)
-    launch_state = dict(v1)
-    for fi, word in v2.items():
-        launch_state[fi] = word & mask
-    frame2 = sim.run(launch_state, pi, mask)
-    captured = {fi: frame2[netlist.flops[fi].d] & mask for fi in pulsed}
-    return LocCycle(frame1, frame2, launch_state, captured, pulsed)
+    """The paper's launch-off-capture cycle: :func:`launch_capture`
+    with ``protocol="loc"``."""
+    return launch_capture(sim, v1, domain, pi=pi, mask=mask)
 
 
 class LaneFrames:
     """Per-pattern frames of one bit-parallel launch/capture lane.
 
-    Row *p* of each matrix is pattern *p* of the lane (bit *p* of the
-    packed words): ``frame1`` holds its frame-1 value on every net,
-    ``launch`` the launch state of ``flops`` and ``toggling`` which of
+    One :func:`launch_capture` pass over a ``(width, n_flops)`` lane of
+    at most 64 patterns (bit *p* of the packed words is row *p*); a
+    single pattern is a lane of one.  Row *p* of each matrix is pattern
+    *p*: ``frame1`` holds its frame-1 value on every net, ``launch`` the
+    launch state of the pulsed ``flops`` and ``toggling`` which of
     those flops change Q at the launch edge — the launch events of a
     timing simulation and the seeds of every static bound.  Frame 2 is
     unpacked on first use (only the fast timing engine reads it).
@@ -226,36 +251,31 @@ class LaneFrames:
 
     def __init__(
         self,
-        netlist: Netlist,
-        cycle: LocCycle,
-        width: int,
-        flops: Sequence[int],
+        sim: LogicSim,
+        lane: np.ndarray,
+        domain: str,
+        protocol: str = "loc",
+        *,
+        scan=None,
+        v2_lane: Optional[np.ndarray] = None,
     ):
-        self.width = width
-        self.flops = tuple(flops)
+        packed, mask = pack_matrix(lane)
+        v2 = None if v2_lane is None else pack_matrix(v2_lane)[0]
+        cycle = launch_capture(
+            sim, packed, domain, protocol, scan=scan, v2=v2, mask=mask
+        )
+        self.width = lane.shape[0]
+        self.flops = cycle.pulsed_flops
         self._cycle = cycle
         self.frame1 = self._unpack(cycle.frame1)
         self.launch = self._unpack(
             [cycle.launch_state[fi] for fi in self.flops]
         )
         q_nets = np.array(
-            [netlist.flops[fi].q for fi in self.flops], dtype=np.intp
+            [sim.netlist.flops[fi].q for fi in self.flops], dtype=np.intp
         )
         self.toggling = self.launch != self.frame1[:, q_nets]
         self._frame2: Optional[np.ndarray] = None
-
-    @classmethod
-    def loc(
-        cls,
-        sim: LogicSim,
-        lane: np.ndarray,
-        domain: str,
-        flops: Sequence[int],
-    ) -> "LaneFrames":
-        """One bit-parallel LOC pass over a ``(width, n_flops)`` lane."""
-        packed, mask = pack_matrix(lane)
-        cycle = loc_launch_capture(sim, packed, domain, mask=mask)
-        return cls(sim.netlist, cycle, lane.shape[0], flops)
 
     def _unpack(self, words: Sequence[int]) -> np.ndarray:
         """Bit *p* of every word as row *p* of a 0/1 uint8 matrix."""

@@ -102,11 +102,7 @@ class StaticTimingAnalyzer:
         netlist.freeze()
         self._plan = LevelPlan(netlist)
         self._order = self._plan.order
-        self._launch_flops = [
-            fi
-            for fi, f in enumerate(netlist.flops)
-            if f.clock_domain == domain and f.edge == "pos"
-        ]
+        self._launch_flops = list(netlist.pulsed_flops(domain))
         if not self._launch_flops:
             raise SimulationError(f"no flops in domain {domain!r}")
         self._column = {fi: k for k, fi in enumerate(self._launch_flops)}

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..atpg.patterns import pattern_rows
 from ..config import ElectricalEnv
 from ..core.irscale import (
     IrScaledComparison,
@@ -143,17 +144,15 @@ def prescreened_endpoint_comparison(
     call is a lane of one through the code :func:`prescreen_pattern_set`
     runs per lane.
     """
+    indices, lane = pattern_rows([pattern], calculator.design.netlist.n_flops)
+    if isinstance(pattern, dict) and index is not None:
+        indices = [index]
     if env is None:
         env = ElectricalEnv()
     if analyzer is None:
         analyzer = _analyzer(calculator, model, env)
-    if isinstance(pattern, dict):
-        idx = index if index is not None else 0
-    else:
-        idx = pattern.index
-    lane = _lane_matrix([pattern], calculator.design.netlist.n_flops)
     results, _audited = _screen_lane(
-        calculator, model, env, analyzer, lane, [idx]
+        calculator, model, env, analyzer, lane, indices
     )
     return results[0]
 
@@ -168,20 +167,6 @@ def _analyzer(
         env=env,
         delays=calculator.delays,
     )
-
-
-def _lane_matrix(patterns: Sequence[Any], n_flops: int) -> np.ndarray:
-    """``(width, n_flops)`` V1 bits of Pattern objects or v1 dicts
-    (flops a dict omits load 0)."""
-    lane = np.zeros((len(patterns), n_flops), dtype=np.uint8)
-    for row, pattern in enumerate(patterns):
-        if isinstance(pattern, dict):
-            for fi, bit in pattern.items():
-                lane[row, fi] = bit & 1
-        else:
-            bits = np.asarray(pattern.v1) & 1
-            lane[row, : bits.size] = bits
-    return lane
 
 
 def _screen_lane(
@@ -399,30 +384,28 @@ def prescreen_pattern_set(
         env = ElectricalEnv()
     if max_patterns is not None and max_patterns <= 0:
         raise ConfigError("max_patterns must be positive")
+    indices, matrix = pattern_rows(
+        list(itertools.islice(patterns, max_patterns)),
+        calculator.design.netlist.n_flops,
+    )
     analyzer = _analyzer(calculator, model, env)
     summary = TimingPrescreenSummary(
         domain=calculator.domain, period_ns=calculator.period_ns
     )
-    chosen = list(itertools.islice(patterns, max_patterns))
-    n_flops = calculator.design.netlist.n_flops
     tel = current_telemetry()
     started = time.perf_counter()
     with tel.span("timing.prescreen", domain=calculator.domain):
-        for start in range(0, len(chosen), MAX_LANE_WIDTH):
-            members = chosen[start : start + MAX_LANE_WIDTH]
-            indices = [
-                start + p if isinstance(pattern, dict) else pattern.index
-                for p, pattern in enumerate(members)
-            ]
+        for start in range(0, len(indices), MAX_LANE_WIDTH):
+            lane = matrix[start : start + MAX_LANE_WIDTH]
             with tel.span(
-                "timing.lane", start=start, width=len(members)
+                "timing.lane", start=start, width=lane.shape[0]
             ) as span:
                 violations = summary.soundness_violations
                 tiers = summary.add_lane(
                     start,
                     *_screen_lane(
-                        calculator, model, env, analyzer,
-                        _lane_matrix(members, n_flops), indices,
+                        calculator, model, env, analyzer, lane,
+                        indices[start : start + MAX_LANE_WIDTH],
                         audit=max(0, audit_patterns - start),
                     ),
                 )

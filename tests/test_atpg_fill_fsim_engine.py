@@ -16,8 +16,8 @@ from repro.atpg import (
 )
 from repro.atpg.fill import care_mask
 from repro.atpg.fsim import first_detection_index
-from repro.atpg.patterns import Pattern, PatternSet
-from repro.errors import AtpgError
+from repro.atpg.patterns import Pattern, PatternSet, pattern_rows
+from repro.errors import AtpgError, ConfigError
 from repro.soc import build_turbo_eagle
 
 
@@ -108,6 +108,35 @@ class TestPatterns:
         assert m.shape == (3, n)
         assert m[1].sum() == n
 
+    def test_pattern_rows_forms_agree(self, design):
+        n = design.netlist.n_flops
+        ps = PatternSet("clka")
+        for i in range(3):
+            ps.append(Pattern(10 + i, np.full(n, i % 2, np.uint8),
+                              np.zeros(n, bool), "clka", "0"))
+        indices, m = pattern_rows(ps, n)
+        assert indices == [10, 11, 12]
+        assert m.dtype == np.uint8 and (m == ps.as_matrix()).all()
+        # Dicts and matrix rows are indexed by position; flops a dict
+        # omits load 0.
+        dicts = [{fi: 1 for fi in range(0, n, 2)}, {}]
+        indices, from_dicts = pattern_rows(dicts, n)
+        assert indices == [0, 1]
+        assert from_dicts[0].tolist() == [1 - fi % 2 for fi in range(n)]
+        assert not from_dicts[1].any()
+        indices, from_matrix = pattern_rows(from_dicts.astype(bool), n)
+        assert indices == [0, 1] and (from_matrix == from_dicts).all()
+        assert pattern_rows([], n)[1].shape == (0, n)
+
+    def test_pattern_rows_rejects_other_inputs(self, design):
+        n = design.netlist.n_flops
+        with pytest.raises(ConfigError, match="2-D"):
+            pattern_rows(np.zeros(n), n)
+        with pytest.raises(ConfigError, match=f"names flop -1, design has {n}"):
+            pattern_rows([{-1: 1}], n)
+        with pytest.raises(ConfigError, match="Pattern objects"):
+            pattern_rows([np.zeros(n)], n)
+
 
 class TestFaultSimulator:
     def test_first_detection_index(self):
@@ -146,8 +175,8 @@ class TestFaultSimulator:
         v1 = rng.integers(0, 2, size=(8, nl.n_flops), dtype=np.uint8)
         faults = build_fault_universe(nl)[:200]
         words = fsim.run(v1, faults)
-        packed, mask = fsim.pack(v1)
-        from repro.sim.logic import LogicSim, loc_launch_capture
+        from repro.sim.logic import LogicSim, loc_launch_capture, pack_matrix
+        packed, mask = pack_matrix(v1)
         cyc = loc_launch_capture(LogicSim(nl), packed, "clka", mask=mask)
         for fault, word in words.items():
             f1 = cyc.frame1[fault.net]

@@ -8,6 +8,7 @@ a full-cone interpreted fault simulation, and per-pattern profiling.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import warnings
 
@@ -18,10 +19,10 @@ from hypothesis import strategies as st
 
 from repro.atpg.faults import build_fault_universe, collapse_faults
 from repro.atpg.fsim import FaultSimulator, first_detection_index
+from repro.core.validation import digest_key
 from repro.errors import ExecutionError, TransientError, WorkerCrashError
 from repro.netlist.cells import CELL_FUNCTIONS
 from repro.perf import chaos
-from repro.perf.cache import PatternProfileCache, digest_key
 from repro.perf.dispatch import usable_cpus
 from repro.perf.resilient import (
     RetryPolicy,
@@ -225,35 +226,28 @@ class TestScapBatchEquivalence:
         calc = ScapCalculator(design, domain)
         assert calc.profile_patterns(ps) == calc.profile_patterns(matrix[:10])
 
-    def test_cache_hits_preserve_results_and_restamp_index(self, graded):
+    def test_single_pattern_restamps_index(self, graded):
         design, domain, _faults, matrix = graded
-        cache = PatternProfileCache()
-        calc = ScapCalculator(design, domain, cache=cache)
-        plain = ScapCalculator(design, domain)
+        calc = ScapCalculator(design, domain)
         first = calc.profile_patterns(matrix[:20])
-        assert first == plain.profile_patterns(matrix[:20])
-        assert cache.hits == 0
-        again = calc.profile_patterns(matrix[:20])
-        assert again == first
-        assert cache.hits >= 20
+        assert calc.profile_patterns(matrix[:20]) == first
         # same launch state under a different index: profile re-stamped
-        import dataclasses
-
         single = calc.profile_pattern(
             {fi: int(b) for fi, b in enumerate(matrix[0])}, 99
         )
         assert single.pattern_index == 99
         assert single == dataclasses.replace(first[0], pattern_index=99)
 
-    def test_in_batch_duplicates_alias_one_simulation(self, graded):
+    def test_in_batch_duplicate_rows_grade_identically(self, graded):
         design, domain, _faults, matrix = graded
         dup = np.vstack([matrix[:4]] * 3)
-        cache = PatternProfileCache()
-        calc = ScapCalculator(design, domain, cache=cache)
+        calc = ScapCalculator(design, domain)
         got = calc.profile_patterns(dup)
-        assert len(cache) == 4  # 12 rows, 4 distinct launch states
-        plain = ScapCalculator(design, domain)
-        assert got == plain.profile_patterns(dup)
+        distinct = calc.profile_patterns(matrix[:4])
+        assert got == [
+            dataclasses.replace(distinct[row % 4], pattern_index=row)
+            for row in range(12)
+        ]
 
 
 class TestPerfUtilities:
@@ -311,15 +305,6 @@ class TestPerfUtilities:
         assert a == digest_key(b"abc", ("ctx", 1))
         assert a != digest_key(b"abd", ("ctx", 1))
         assert a != digest_key(b"abc", ("ctx", 2))
-
-    def test_cache_lru_eviction(self):
-        cache = PatternProfileCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes "a"
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert cache.get("a") == 1 and cache.get("c") == 3
 
 
 def _square(x):

@@ -294,17 +294,21 @@ class TestIrScaledComparisonEdges:
         assert cmp_.max_increase_pct() >= 0.0
 
     def test_split_cases_compose_to_comparison(self, env, cmp_):
-        from repro.core.irscale import ir_nominal_case, ir_scaled_case
+        from repro.core.irscale import nominal_ir, scaled_endpoint_delays
 
         design, _dm, _sta = env
         model = GridModel.calibrated(design, nx=12, ny=12)
         calc = ScapCalculator(design, "clka")
         rng = np.random.default_rng(2)
-        v1 = {
-            fi: int(rng.integers(2))
-            for fi in range(design.netlist.n_flops)
-        }
-        _timing, ir, nominal = ir_nominal_case(calc, model, v1)
-        scaled = ir_scaled_case(calc, model, v1, ir, ElectricalEnv())
+        row = [int(rng.integers(2)) for _ in range(design.netlist.n_flops)]
+        # The pattern as row 1 of a two-pattern lane composes to the
+        # same comparison as the lane of one inside it.
+        lane = np.array([[1 - b for b in row], row], dtype=np.uint8)
+        frames = calc.lane_frames(lane)
+        ir, nominal = nominal_ir(calc, model, calc.simulate_lane(frames, 1))
+        scaled = scaled_endpoint_delays(
+            calc, model, frames.frame1_of(1), frames.launch_of(1), ir,
+            ElectricalEnv(),
+        )
         assert nominal == cmp_.nominal_ns
         assert scaled == cmp_.scaled_ns
