@@ -115,10 +115,35 @@ def seed_fault_sim(fsim, domain, matrix, faults):
     return detections
 
 
-def seed_event_simulate(sim, initial_values, launch_events, capture_time_ns):
+def seed_event_tables(calc):
+    """The seed loop's flat connectivity, delay and energy tables."""
+    nl = calc.design.netlist
+    block_of_net = [None] * nl.n_nets
+    for g in nl.gates:
+        block_of_net[g.output] = g.block
+    for f in nl.flops:
+        block_of_net[f.q] = f.block
+    return {
+        "n_nets": nl.n_nets,
+        "fanouts": [
+            tuple(gi for gi, _pin in nl.gate_fanouts_of(net))
+            for net in range(nl.n_nets)
+        ],
+        "gate_fn": [CELL_FUNCTIONS[g.kind] for g in nl.gates],
+        "gate_ins": [g.inputs for g in nl.gates],
+        "gate_out": [g.output for g in nl.gates],
+        "gate_delay": calc.delays.gate_delay_ns,
+        "energy_of_net": (
+            calc.design.parasitics.net_cap_ff * calc.vdd * calc.vdd
+        ),
+        "block_of_net": block_of_net,
+    }
+
+
+def seed_event_simulate(tables, initial_values, launch_events, capture_time_ns):
     """The original event loop: registry dispatch through
     ``CELL_FUNCTIONS`` with a per-event input list comprehension."""
-    n_nets = sim.netlist.n_nets
+    n_nets = tables["n_nets"]
     horizon_ns = 2.0 * capture_time_ns
     values = list(initial_values)
     toggles = np.zeros(n_nets, dtype=np.int32)
@@ -133,13 +158,13 @@ def seed_event_simulate(sim, initial_values, launch_events, capture_time_ns):
     stw = 0.0
     n_transitions = 0
     truncated = False
-    fanouts = sim._fanout_gates
-    gate_fn = sim._gate_fn
-    gate_ins = sim._gate_ins
-    gate_out = sim._gate_out
-    gate_delay = sim._gate_delay
-    energy_of_net = sim._energy_of_net
-    block_of_net = sim._block_of_net
+    fanouts = tables["fanouts"]
+    gate_fn = tables["gate_fn"]
+    gate_ins = tables["gate_ins"]
+    gate_out = tables["gate_out"]
+    gate_delay = tables["gate_delay"]
+    energy_of_net = tables["energy_of_net"]
+    block_of_net = tables["block_of_net"]
     while heap:
         t, _s, net, val = heapq.heappop(heap)
         if t > horizon_ns:
@@ -176,7 +201,7 @@ def seed_event_simulate(sim, initial_values, launch_events, capture_time_ns):
     )
 
 
-def seed_profile_patterns(calc, matrix):
+def seed_profile_patterns(calc, tables, matrix):
     """The original grading loop: one logic + one timing simulation per
     pattern, no lanes, no pool."""
     profiles = []
@@ -192,7 +217,7 @@ def seed_profile_patterns(calc, matrix):
             calc.delays.flop_ck2q_ns,
         )
         result = seed_event_simulate(
-            calc._event, cyc.frame1, events, calc.period_ns
+            tables, cyc.frame1, events, calc.period_ns
         )
         profiles.append(
             PatternPowerProfile.from_timing(idx, calc.period_ns, result)
@@ -349,8 +374,9 @@ def test_perf_pipeline(benchmark, rig):
     calc = ScapCalculator(design, domain)
     calc.profile_patterns(scap_matrix[:2])  # warm
 
+    tables = seed_event_tables(calc)
     t0 = time.perf_counter()
-    prof_seed = seed_profile_patterns(calc, scap_matrix)
+    prof_seed = seed_profile_patterns(calc, tables, scap_matrix)
     seed_scap_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

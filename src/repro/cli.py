@@ -214,6 +214,14 @@ def cmd_irmap(args) -> int:
 
     study = _study(args)
     flow = study.conventional()
+    n_patterns = len(flow.pattern_set)
+    if args.pattern >= n_patterns:
+        print(
+            f"error: no pattern #{args.pattern}: the conventional flow "
+            f"has {n_patterns} patterns",
+            file=sys.stderr,
+        )
+        return 2
     pattern = flow.pattern_set[args.pattern]
     _profile, timing = study.calculator.profile_pattern_with_timing(pattern)
     ir = dynamic_ir_for_pattern(study.model, timing)
@@ -436,15 +444,40 @@ def cmd_schedule(args) -> int:
     return 0
 
 
+def _load_netlist(path: str):
+    """Read a Verilog netlist for the CLI, or ``None`` after a one-line
+    error on stderr (the :func:`_load_run_report` contract)."""
+    from .errors import LibraryError, NetlistError
+    from .netlist.verilog import parse_verilog
+
+    try:
+        with open(path) as fh:
+            return parse_verilog(fh)
+    except FileNotFoundError:
+        print(f"error: no netlist file at {path!r}", file=sys.stderr)
+    except (OSError, ValueError, NetlistError, LibraryError) as exc:
+        print(
+            f"error: unreadable netlist file {path!r}: {exc}",
+            file=sys.stderr,
+        )
+    return None
+
+
 def cmd_drc(args) -> int:
     from .drc import DrcContext, load_waivers, run_drc
+    from .errors import ConfigError
 
-    waivers = load_waivers(args.waivers) if args.waivers else None
+    waivers = None
+    if args.waivers:
+        try:
+            waivers = load_waivers(args.waivers)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.netlist:
-        from .netlist.verilog import parse_verilog
-
-        with open(args.netlist) as fh:
-            netlist = parse_verilog(fh)
+        netlist = _load_netlist(args.netlist)
+        if netlist is None:
+            return 2
         ctx = DrcContext.for_netlist(netlist)
     else:
         study = _study(args)
@@ -653,7 +686,17 @@ def cmd_obs(args) -> int:
             print(format_table(rows, title="metrics:"))
         return 0
 
-    events = load_trace_jsonl(args.input)
+    try:
+        events = load_trace_jsonl(args.input)
+    except FileNotFoundError:
+        print(f"error: no trace file at {args.input!r}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
+        print(
+            f"error: unreadable trace file {args.input!r}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     if args.action == "summary":
         print(format_summary(events))
         return 0
@@ -824,12 +867,31 @@ def cmd_submit(args) -> int:
     return 3
 
 
+def _existing_store(root: str):
+    """Open the job store at *root*, or ``None`` after a one-line error
+    on stderr.  Unlike :func:`_service_store` this never creates one:
+    listing or cancelling needs a store that is already there."""
+    from .service import JobStore
+
+    if not os.path.isdir(os.path.join(root, "jobs")):
+        print(f"error: no job store at {root!r}", file=sys.stderr)
+        return None
+    try:
+        return JobStore(root)
+    except (OSError, ValueError) as exc:
+        print(
+            f"error: unreadable job store {root!r}: {exc}", file=sys.stderr
+        )
+    return None
+
+
 def cmd_jobs(args) -> int:
     import json
 
     from .errors import ServiceError
-    from .service import JobStore, ServiceClient, validate_tenant_name
+    from .service import ServiceClient, validate_tenant_name
 
+    root = args.store
     if args.tenant:
         try:
             validate_tenant_name(args.tenant)
@@ -842,9 +904,10 @@ def cmd_jobs(args) -> int:
                   f"{os.path.join(args.store, 'tenants')}",
                   file=sys.stderr)
             return 2
-        client = ServiceClient(JobStore(root))
-    else:
-        client = ServiceClient(_service_store(args))
+    store = _existing_store(root)
+    if store is None:
+        return 2
+    client = ServiceClient(store)
     if args.cancel:
         try:
             job = client.cancel(args.cancel)
@@ -921,7 +984,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("irmap", help="IR-drop map of one pattern")
     _add_common(p)
-    p.add_argument("--pattern", type=int, default=0)
+    p.add_argument("--pattern", type=_non_negative_int, default=0)
     p.set_defaults(fn=cmd_irmap)
 
     p = sub.add_parser("floorplan", help="print the floorplan")

@@ -29,7 +29,7 @@ from ..pgrid.dynamic_ir import DynamicIrResult, dynamic_ir_for_pattern
 from ..pgrid.grid import GridModel
 from ..power.calculator import ScapCalculator
 from ..sim.endpoints import endpoint_delays
-from ..sim.event import EventTimingSim, TimingResult, build_launch_events
+from ..sim.event import TimingResult, build_launch_events
 from ..soc.clocks import ClockBuffer
 
 
@@ -125,6 +125,9 @@ def scaled_endpoint_delays(
     edge propagates at the start of the cycle, before the switching
     burst, so it sees near-nominal buffer delays; the *capture* edge
     arrives mid-droop and is measured against the scaled clock tree.
+    The calculator's nominal simulator reruns under the scaled delays
+    (:meth:`~repro.sim.event.EventTimingSim.with_delays`), so nothing
+    but the fanout delays is rebuilt.
     """
     design = calculator.design
     netlist = design.netlist
@@ -138,10 +141,7 @@ def scaled_endpoint_delays(
         netlist, frame1, launch, calculator.launch_time,
         scaled_model.flop_ck2q_ns,
     )
-    scaled_sim = EventTimingSim(
-        netlist, scaled_model, design.parasitics, calculator.vdd
-    )
-    scaled_timing = scaled_sim.simulate(
+    scaled_timing = calculator.event_sim.with_delays(scaled_model).simulate(
         frame1, events, capture_time_ns=calculator.period_ns
     )
     return endpoint_delays(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Iterable, List, Sequence
 
 from ..errors import ConfigError
 from .violation import Violation
@@ -73,8 +73,12 @@ class WaiverSet:
         return used
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "WaiverSet":
-        entries = payload.get("waivers", payload)
+    def from_dict(cls, payload: Any) -> "WaiverSet":
+        entries = (
+            payload.get("waivers", payload)
+            if isinstance(payload, dict)
+            else payload
+        )
         if not isinstance(entries, list):
             raise ConfigError(
                 "waiver file must be a list or contain a 'waivers' list"

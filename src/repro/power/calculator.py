@@ -82,7 +82,9 @@ class ScapCalculator:
             delays if delays is not None
             else DelayModel(netlist, design.parasitics)
         )
-        self._event = EventTimingSim(
+        #: The nominal event simulator; IR-scaled re-simulation reruns
+        #: it under scaled delays (:meth:`EventTimingSim.with_delays`).
+        self.event_sim = EventTimingSim(
             netlist, self.delays, design.parasitics, vdd
         )
         self._fast = FastTimingSim(
@@ -167,7 +169,7 @@ class ScapCalculator:
                 self.launch_time,
                 self.delays.flop_ck2q_ns,
             )
-            return self._event.simulate(
+            return self.event_sim.simulate(
                 frame1,
                 events,
                 capture_time_ns=self.period_ns,

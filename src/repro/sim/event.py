@@ -1,9 +1,9 @@
 """Event-driven gate-level timing simulation (the VCS substitute).
 
 Simulates one launch-to-capture cycle with transport-delay semantics:
-scheduled output changes are filtered at fire time by a value check, so
+an output change that would not change its net is never scheduled, so
 hazard pulses wider than a gate delay propagate (glitch power is
-captured) while degenerate re-assignments are dropped.
+captured) while degenerate re-assignments cost nothing.
 
 The simulator accumulates exactly what the paper's PLI collects:
 
@@ -16,6 +16,7 @@ The simulator accumulates exactly what the paper's PLI collects:
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass
@@ -169,7 +170,21 @@ def _make_gate_eval(kind, ins):
 
 
 class EventTimingSim:
-    """Reusable event-driven simulator bound to one netlist."""
+    """Reusable event-driven simulator bound to one netlist.
+
+    Schedules only the events that will fire.  Every net has one driver
+    (:meth:`Netlist.freeze`) and every gate one delay, so a gate
+    output's events fire in the order they were pushed, and an
+    evaluation equal to the net's latest scheduled value would be
+    dropped at fire time; it is never pushed.  Two pushes are kept
+    anyway: one due at or after the horizon (it marks the result
+    ``truncated``), and any push onto a net that carries a launch event
+    (launch events may name any net and fire out of push order; the
+    fire-time check stays for them).  The loop only logs each applied
+    event's net and time; the counts, arrivals, window and energies are
+    reduced from that log afterwards, summing energies sequentially in
+    event order.  Delays must be non-negative.
+    """
 
     def __init__(
         self,
@@ -179,7 +194,6 @@ class EventTimingSim:
         vdd: float = VDD_NOMINAL,
     ):
         self.netlist = netlist
-        self.delays = delays
         self.parasitics = (
             parasitics
             if parasitics is not None
@@ -188,44 +202,63 @@ class EventTimingSim:
         self.vdd = vdd
         netlist.freeze()
 
-        # Flattened connectivity for the hot loop.
+        # Flattened connectivity for the hot loop: each gate's evaluator
+        # with its input indexes bound at build time, so the event loop
+        # does no per-event connectivity lookups or index list
+        # construction.  None of it depends on delays.
         self._fanout_gates: List[Tuple[int, ...]] = [
             tuple(gi for gi, _pin in netlist.gate_fanouts_of(net))
             for net in range(netlist.n_nets)
         ]
-        self._gate_fn = [CELL_FUNCTIONS[g.kind] for g in netlist.gates]
-        self._gate_ins = [g.inputs for g in netlist.gates]
-        self._gate_out = [g.output for g in netlist.gates]
-        self._gate_delay = delays.gate_delay_ns
-        # Per-net fanout evaluators: (closure, output net, delay) per
-        # driven gate, with the input indexes bound at build time so the
-        # event loop does no per-event connectivity lookups or index
-        # list construction.
-        gate_delay_list = [float(d) for d in delays.gate_delay_ns]
-        self._fanout_eval: List[Tuple[Tuple, ...]] = [
-            tuple(
-                (
-                    _make_gate_eval(netlist.gates[gi].kind, self._gate_ins[gi]),
-                    self._gate_out[gi],
-                    gate_delay_list[gi],
-                )
-                for gi in self._fanout_gates[net]
-            )
-            for net in range(netlist.n_nets)
+        self._gate_eval = [
+            _make_gate_eval(g.kind, g.inputs) for g in netlist.gates
         ]
+        self._gate_out = [g.output for g in netlist.gates]
+        self._bind_delays(delays)
 
         # Block attribution: a net belongs to its driver's block.
-        self._block_of_net: List[Optional[str]] = [None] * netlist.n_nets
+        block_of_net: List[Optional[str]] = [None] * netlist.n_nets
         for g in netlist.gates:
-            self._block_of_net[g.output] = g.block
+            block_of_net[g.output] = g.block
         for f in netlist.flops:
-            self._block_of_net[f.q] = f.block
+            block_of_net[f.q] = f.block
+        self._block_names: List[str] = list(
+            dict.fromkeys(b for b in block_of_net if b is not None)
+        )
+        block_id = {b: i for i, b in enumerate(self._block_names)}
+        #: Row of each net's block in the per-block energy matrix; nets
+        #: without a block share the extra last row.
+        self._block_row = np.array(
+            [block_id.get(b, len(block_id)) for b in block_of_net],
+            dtype=np.intp,
+        )
         self._energy_of_net = self.parasitics.net_cap_ff * vdd * vdd
-        # Plain-float mirror of the per-net energies: scalar float adds
-        # are cheaper than numpy-scalar adds and bit-identical.
-        self._energy_list: List[float] = [
-            float(e) for e in self._energy_of_net
+
+    def _bind_delays(self, delays: DelayModel) -> None:
+        """Per-net fanout ``(evaluator, output net, delay)`` triples."""
+        if len(delays.gate_delay_ns) != self.netlist.n_gates:
+            raise SimulationError(
+                f"delay model has {len(delays.gate_delay_ns)} gate delays "
+                f"for {self.netlist.n_gates} gates"
+            )
+        self.delays = delays
+        evals, outs = self._gate_eval, self._gate_out
+        delay = delays.gate_delay_ns.tolist()
+        self._fanout_eval: List[Tuple[Tuple, ...]] = [
+            tuple((evals[gi], outs[gi], delay[gi]) for gi in gates)
+            for gates in self._fanout_gates
         ]
+
+    def with_delays(self, delays: DelayModel) -> "EventTimingSim":
+        """This simulator under another delay model of the same netlist.
+
+        Shares the gate evaluators, connectivity and energy tables; only
+        the fanout delays are rebound.  Results are bit-identical with a
+        simulator built from scratch on *delays*.
+        """
+        clone = copy.copy(self)
+        clone._bind_delays(delays)
+        return clone
 
     def simulate(
         self,
@@ -264,11 +297,11 @@ class EventTimingSim:
             horizon_ns = 2.0 * capture_time_ns
 
         values = list(initial_values)
-        toggles: List[int] = [0] * n_nets
-        last_arrival: List[float] = [math.nan] * n_nets
-        energy_total = 0.0
-        energy_by_block: Dict[str, float] = {}
-        trace: Optional[List[LaunchEvent]] = [] if record_trace else None
+        # The value of each net's latest scheduled event (its current
+        # value while nothing is pending), and the time from which a
+        # push onto it is kept even when it repeats that value.
+        scheduled = list(values)
+        keep_from = [horizon_ns] * n_nets
 
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -277,14 +310,15 @@ class EventTimingSim:
         for t, net, val in launch_events:
             heappush(heap, (t, seq, net, val & 1))
             seq += 1
+            keep_from[net] = -math.inf
 
-        stw = 0.0
-        n_transitions = 0
+        times: List[float] = []
+        nets: List[int] = []
+        log_time = times.append
+        log_net = nets.append
+        trace: Optional[List[LaunchEvent]] = [] if record_trace else None
         truncated = False
         fanout_eval = self._fanout_eval
-        energy_of_net = self._energy_list
-        block_of_net = self._block_of_net
-        by_block_get = energy_by_block.get
 
         while heap:
             t, _s, net, val = heappop(heap)
@@ -292,33 +326,78 @@ class EventTimingSim:
                 truncated = True
                 break
             if values[net] == val:
+                # Only events on launch-event nets and pushes kept at the
+                # horizon can be no-ops.
                 continue
             values[net] = val
-            n_transitions += 1
-            toggles[net] += 1
-            last_arrival[net] = t
-            if t > stw:
-                stw = t
-            energy_total += energy_of_net[net]
-            block = block_of_net[net]
-            if block is not None:
-                energy_by_block[block] = (
-                    by_block_get(block, 0.0) + energy_of_net[net]
-                )
+            log_time(t)
+            log_net(net)
             if trace is not None:
                 trace.append((t, net, val))
             for ev, out, dly in fanout_eval[net]:
-                heappush(heap, (t + dly, seq, out, ev(values)))
-                seq += 1
+                new = ev(values)
+                if new != scheduled[out] or t + dly >= keep_from[out]:
+                    scheduled[out] = new
+                    heappush(heap, (t + dly, seq, out, new))
+                    seq += 1
 
+        return self._reduce(times, nets, capture_time_ns, truncated, trace)
+
+    def _reduce(
+        self,
+        times: List[float],
+        nets: List[int],
+        capture_time_ns: float,
+        truncated: bool,
+        trace: Optional[List[LaunchEvent]],
+    ) -> TimingResult:
+        """Every measurement of a cycle from its applied-event log.
+
+        Events were applied in non-decreasing time order, so the last
+        event is the latest (the window end) and each net's last event
+        is its latest arrival.  Energies are summed sequentially in
+        event order (``np.add.accumulate``), exactly as a running
+        ``+=`` would.
+        """
+        n_nets = self.netlist.n_nets
+        n_events = len(nets)
+        event_net = np.fromiter(nets, np.intp, n_events)
+        event_index = np.arange(n_events)
+        # A net's last event is its highest event index (a plain fancy
+        # assignment leaves the winner among repeated indexes unspecified).
+        last_event = np.full(n_nets, -1, dtype=np.intp)
+        np.maximum.at(last_event, event_net, event_index)
+        hit = np.flatnonzero(last_event >= 0)
+        last_arrival = np.full(n_nets, math.nan)
+        last_arrival[hit] = np.fromiter(times, float, n_events)[
+            last_event[hit]
+        ]
+
+        # Running sums start from 0.0 like a ``+=`` accumulator: column
+        # 0 is that start, column i + 1 holds event i.  One row per
+        # block plus one for nets without a block; a row adds only
+        # zeros besides its own events, so its last running sum is the
+        # block's sequential sum.
+        energy = np.zeros(n_events + 1)
+        energy[1:] = self._energy_of_net[event_net]
+        rows = self._block_row[event_net]
+        n_blocks = len(self._block_names)
+        by_row = np.zeros((n_blocks + 1, n_events + 1))
+        by_row[rows, event_index + 1] = energy[1:]
+        block_sums = np.add.accumulate(by_row, axis=1)[:, -1].tolist()
         return TimingResult(
-            stw_ns=stw,
+            stw_ns=max(0.0, times[-1]) if times else 0.0,
             capture_time_ns=capture_time_ns,
-            n_transitions=n_transitions,
-            toggles=np.asarray(toggles, dtype=np.int32),
-            last_arrival_ns=np.asarray(last_arrival, dtype=float),
-            energy_fj_total=energy_total,
-            energy_fj_by_block=energy_by_block,
+            n_transitions=n_events,
+            toggles=np.bincount(event_net, minlength=n_nets).astype(np.int32),
+            last_arrival_ns=last_arrival,
+            energy_fj_total=float(np.add.accumulate(energy)[-1]),
+            # Blocks in order of their first event, as a dict fills.
+            energy_fj_by_block={
+                self._block_names[b]: block_sums[b]
+                for b in dict.fromkeys(rows.tolist())
+                if b < n_blocks
+            },
             truncated=truncated,
             trace=trace,
         )

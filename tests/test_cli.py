@@ -82,6 +82,113 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and message in lines[0]
 
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            (["drc", "--netlist", "n.v"], {}, "no netlist file"),
+            (["drc", "--netlist", "n.v"], {"n.v": ""},
+             "no module declaration"),
+            (["drc", "--netlist", "n.v"], {"n.v": "module x(;\n"},
+             "not closed by endmodule"),
+            (["drc", "--netlist", "n.v"],
+             {"n.v": "module m (a);\n  assign b = a;\nendmodule\n"},
+             "unsupported construct"),
+            (["drc", "--waivers", "w.json"], {}, "cannot read waiver file"),
+            (["drc", "--waivers", "w.json"], {"w.json": ""},
+             "cannot read waiver file"),
+            (["drc", "--waivers", "w.json"], {"w.json": "3"},
+             "must be a list"),
+            (["drc", "--waivers", "w.json"], {"w.json": "[{\"match\": 1}]"},
+             "'rule' key"),
+            (["obs", "summary", "t.jsonl"], {}, "no trace file"),
+            (["obs", "summary", "t.jsonl"], {"t.jsonl": "{oops\n"},
+             "not valid JSON"),
+            (["obs", "check", "t.jsonl"], {}, "no trace file"),
+            (["obs", "check", "t.jsonl"], {"t.jsonl": "[1, 2]\n"},
+             "not a span event"),
+            (["obs", "chrome", "t.jsonl"], {}, "no trace file"),
+            (["obs", "chrome", "t.jsonl"], {"t.jsonl": "{oops\n"},
+             "not valid JSON"),
+            (["jobs", "store"], {}, "no job store"),
+            (["jobs", "."], {}, "no job store"),
+            (["jobs", "store", "--cancel", "job-1"], {}, "no job store"),
+            (["jobs", "store"], {"store/jobs/.keep": "",
+                                 "store/workers/.keep": "",
+                                 "store/config.json": "{oops"},
+             "unreadable job store"),
+        ],
+        ids=[
+            "drc-netlist-missing", "drc-netlist-empty",
+            "drc-netlist-truncated", "drc-netlist-corrupt",
+            "drc-waivers-missing", "drc-waivers-empty",
+            "drc-waivers-not-a-list", "drc-waivers-corrupt",
+            "obs-summary-missing", "obs-summary-corrupt",
+            "obs-check-missing", "obs-check-corrupt",
+            "obs-chrome-missing", "obs-chrome-corrupt",
+            "jobs-missing", "jobs-not-a-store", "jobs-cancel-missing",
+            "jobs-corrupt-config",
+        ],
+    )
+    def test_bad_input_file_is_one_line_error(
+        self, tmp_path, capsys, monkeypatch, argv, files, message
+    ):
+        """Missing, empty and corrupt inputs: one ``error:`` line on
+        stderr and exit 2, before any design is built, and a listing
+        creates nothing."""
+        from repro import cli
+
+        def no_study(args):
+            raise AssertionError("case study built for a bad input file")
+
+        monkeypatch.setattr(cli, "_study", no_study)
+        monkeypatch.chdir(tmp_path)
+        for name, content in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(content)
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ") and message in lines[0]
+        after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert after == before
+
+    @pytest.mark.parametrize("index", ["3", "100000"])
+    def test_irmap_pattern_out_of_range_names_the_count(
+        self, capsys, monkeypatch, index
+    ):
+        from types import SimpleNamespace
+
+        from repro import cli
+
+        flow = SimpleNamespace(pattern_set=[object()] * 3)
+        study = SimpleNamespace(conventional=lambda: flow)
+        monkeypatch.setattr(cli, "_study", lambda args: study)
+        assert main(["irmap", "--pattern", index]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0] == (
+            f"error: no pattern #{index}: the conventional flow has 3 "
+            f"patterns"
+        )
+
+    def test_irmap_negative_pattern_is_usage_error(self, capsys, monkeypatch):
+        from repro import cli
+
+        def no_study(args):
+            raise AssertionError("case study built for a bad index")
+
+        monkeypatch.setattr(cli, "_study", no_study)
+        with pytest.raises(SystemExit) as exc:
+            main(["irmap", "--pattern", "-1"])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])

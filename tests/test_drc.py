@@ -329,6 +329,15 @@ class TestWaivers:
         with pytest.raises(ConfigError):
             load_waivers(str(path))
 
+    def test_bare_list_is_a_waiver_file(self):
+        ws = WaiverSet.from_dict([{"rule": "STR-LOOP", "reason": "x"}])
+        assert [w.rule for w in ws.waivers] == ["STR-LOOP"]
+
+    @pytest.mark.parametrize("payload", [3, "STR-LOOP", None])
+    def test_non_container_payload_raises(self, payload):
+        with pytest.raises(ConfigError, match="must be a list"):
+            WaiverSet.from_dict(payload)
+
 
 class TestCheckNetlistDrc:
     def test_check_netlist_returns_error_strings(self):

@@ -83,3 +83,43 @@ class TestVerilogRoundTrip:
         assert "module tiny_comb" in text
         assert "endmodule" in text
         assert "NAND2X1 u_nand" in text
+
+
+class TestTruncatedVerilog:
+    """A file cut short is one parse error, never a partial netlist."""
+
+    @pytest.fixture(scope="class")
+    def tiny_soc_text(self):
+        from repro.soc import build_turbo_eagle
+
+        buf = io.StringIO()
+        write_verilog(build_turbo_eagle("tiny", seed=2007).netlist, buf)
+        return buf.getvalue()
+
+    def test_whole_file_parses(self, tiny_soc_text):
+        back = parse_verilog(io.StringIO(tiny_soc_text))
+        assert back.n_gates > 0 and back.n_flops > 0
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9, 0.99, 1.0])
+    def test_cut_at_a_line_boundary_is_rejected(self, tiny_soc_text, fraction):
+        from repro.errors import NetlistError
+
+        lines = tiny_soc_text.splitlines(keepends=True)
+        # 1.0 drops only the closing ``endmodule`` line.
+        keep = min(int(len(lines) * fraction), len(lines) - 1)
+        with pytest.raises(NetlistError, match="endmodule"):
+            parse_verilog(io.StringIO("".join(lines[:keep])))
+
+    def test_unclosed_port_list_is_rejected(self):
+        from repro.errors import NetlistError
+
+        with pytest.raises(NetlistError, match="endmodule"):
+            parse_verilog(io.StringIO("module x(;\n"))
+
+    def test_uploaded_netlist_goes_through_the_same_check(self, tiny_soc_text):
+        from repro.errors import NetlistError
+        from repro.service import JobSpec
+
+        cut = tiny_soc_text[: tiny_soc_text.rindex("endmodule")]
+        with pytest.raises(NetlistError, match="endmodule"):
+            JobSpec(netlist_verilog=cut).build_design_and_plan()
