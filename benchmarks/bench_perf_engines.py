@@ -32,9 +32,8 @@ import pytest
 from repro.atpg.faults import build_fault_universe, collapse_faults
 from repro.atpg.fsim import FaultSimulator
 from repro.netlist.cells import CELL_FUNCTIONS
-from repro.perf.dispatch import usable_cpus
+from repro.perf import resolve_workers, usable_cpus
 from repro.perf.kernel_cache import KernelCache, use_kernel_cache
-from repro.perf.resilient import resolve_workers
 from repro.power.calculator import ScapCalculator
 from repro.power.scap import PatternPowerProfile
 from repro.sim.event import TimingResult, build_launch_events
@@ -266,7 +265,8 @@ def test_perf_pipeline(benchmark, rig):
     }
 
     # -- bit-parallel logic sim ----------------------------------------
-    lsim = FaultSimulator(nl, domain, kernel_cache=None).sim
+    with use_kernel_cache(None):
+        lsim = FaultSimulator(nl, domain).sim
     loc_launch_capture(lsim, packed_vec, domain, mask=mask_vec)  # warm
     t0 = time.perf_counter()
     for _ in range(3):

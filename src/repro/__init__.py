@@ -18,7 +18,6 @@ paper-vs-measured record of every table and figure.
 """
 
 from .config import ElectricalEnv, K_VOLT, VDD_NOMINAL
-from .context import RunContext, current_run_context, use_run_context
 from .drc import DrcReport, Violation, check_design, run_drc
 from .core import (
     CaseStudy,
@@ -75,10 +74,8 @@ __all__ = [
     "SocDesign",
     "VDD_NOMINAL",
     "Violation",
-    "RunContext",
     "build_turbo_eagle",
     "check_design",
-    "current_run_context",
     "derive_scap_thresholds",
     "execution_policy",
     "DroopBoundAnalyzer",
@@ -89,7 +86,6 @@ __all__ = [
     "resilient_map",
     "run_drc",
     "run_noise_tolerant_flow",
-    "use_run_context",
     "validate_pattern_set",
     "__version__",
 ]

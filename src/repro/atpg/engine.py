@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..context import RunContext, use_run_context
 from ..errors import AtpgError
 from ..netlist.netlist import Netlist
 from ..obs import current_telemetry
@@ -102,7 +101,6 @@ class AtpgEngine:
         timing_aware: bool = False,
         delays=None,
         n_workers: Union[int, str, None] = 1,
-        context: Optional[RunContext] = None,
     ):
         """``max_targets_per_block`` is the option the paper wished its
         ATPG had ("to limit the maximum number of faults targeted by a
@@ -120,13 +118,9 @@ class AtpgEngine:
 
         ``n_workers`` fans the per-batch fault simulation out across a
         process pool (chunked fault partitions; results bit-identical
-        to serial); ``"auto"`` lets :mod:`repro.perf.dispatch` pick
-        batch or pool from the work size and usable cores.
-
-        ``context`` (a :class:`~repro.context.RunContext`) is scoped
-        over every :meth:`run` call, so one session object configures
-        telemetry, execution/dispatch policy and the kernel cache for
-        this engine; the default inherits the ambient configuration."""
+        to serial); ``"auto"`` lets
+        :func:`repro.perf.resilient.resolve_workers` pick serial or
+        pool from the work size and usable cores."""
         if protocol == "los" and scan is None:
             raise AtpgError("LOS ATPG needs the scan configuration")
         self.netlist = netlist
@@ -140,7 +134,6 @@ class AtpgEngine:
         self.max_targets_per_block = max_targets_per_block
         self.batch_size = batch_size
         self.n_workers = n_workers
-        self.context = context if context is not None else RunContext()
         self.rng = np.random.default_rng(seed)
         self.state = TwoFrameState(netlist, domain, protocol=protocol,
                                    scan=scan)
@@ -167,30 +160,29 @@ class AtpgEngine:
     ) -> AtpgResult:
         """Instrumented wrapper around :meth:`_run_impl` (see there for
         the parameter reference)."""
-        with use_run_context(self.context):
-            tel = current_telemetry()
-            with tel.span(
-                "atpg.run", domain=self.domain, fill=fill, n_detect=n_detect
-            ) as span:
-                result = self._run_impl(
-                    faults=faults,
-                    fill=fill,
-                    max_patterns=max_patterns,
-                    shuffle=shuffle,
-                    start_index=start_index,
-                    forced_bits=forced_bits,
-                    block_fill=block_fill,
-                    n_detect=n_detect,
-                )
-                span.set(
-                    n_patterns=len(result.pattern_set),
-                    n_detected=len(result.detected),
-                )
-                tel.count("atpg.patterns_generated", len(result.pattern_set))
-                tel.count("atpg.faults_detected", len(result.detected))
-                tel.count("atpg.faults_aborted", len(result.aborted))
-                tel.count("atpg.faults_untestable", len(result.untestable))
-            return result
+        tel = current_telemetry()
+        with tel.span(
+            "atpg.run", domain=self.domain, fill=fill, n_detect=n_detect
+        ) as span:
+            result = self._run_impl(
+                faults=faults,
+                fill=fill,
+                max_patterns=max_patterns,
+                shuffle=shuffle,
+                start_index=start_index,
+                forced_bits=forced_bits,
+                block_fill=block_fill,
+                n_detect=n_detect,
+            )
+            span.set(
+                n_patterns=len(result.pattern_set),
+                n_detected=len(result.detected),
+            )
+            tel.count("atpg.patterns_generated", len(result.pattern_set))
+            tel.count("atpg.faults_detected", len(result.detected))
+            tel.count("atpg.faults_aborted", len(result.aborted))
+            tel.count("atpg.faults_untestable", len(result.untestable))
+        return result
 
     def _run_impl(
         self,

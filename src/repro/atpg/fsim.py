@@ -24,8 +24,8 @@ Three throughput layers sit on top of the plain cone walk:
   once — warm-loading compiled kernels from the persistent
   :mod:`repro.perf.kernel_cache` the parent populated — good-simulates
   every lane once, then grades its fault chunks against the memoized
-  frames; ``n_workers="auto"`` defers the batch/pool call to
-  :mod:`repro.perf.dispatch`).
+  frames; ``n_workers="auto"`` defers the serial/pool call to
+  :func:`repro.perf.resilient.resolve_workers`).
 """
 
 from __future__ import annotations
@@ -39,13 +39,17 @@ from ..errors import AtpgError
 from ..netlist.levelize import levelize
 from ..netlist.netlist import Netlist
 from ..obs import current_telemetry
-from ..perf.dispatch import decide_fsim, wants_auto
 from ..perf.kernel_cache import (
     KernelCache,
     current_kernel_cache,
     netlist_fingerprint,
 )
-from ..perf.resilient import chunked, resilient_map, resolve_workers
+from ..perf.resilient import (
+    FSIM_FAULT_PATTERNS_PER_S,
+    chunked,
+    resilient_map,
+    resolve_workers,
+)
 from ..sim.logic import LogicSim, launch_capture, pack_matrix
 from .faults import TransitionFault
 
@@ -97,26 +101,18 @@ def _kind_expr(kind: str, args: List[str]) -> str:
     raise AtpgError(f"no kernel expression for cell kind {kind!r}")
 
 
-#: Sentinel: pick up the ambient :func:`current_kernel_cache`.
-_AMBIENT_CACHE = object()
-
-
 class FaultSimulator:
     """Reusable LOC transition-fault simulator for one clock domain.
 
-    ``kernel_cache`` controls the persistent compiled-kernel cache
-    (:mod:`repro.perf.kernel_cache`): by default the ambient cache is
-    used, so cone kernels compiled once for a netlist are warm-loaded
-    from disk by every later simulator — including pool workers — for
-    that netlist.  Pass ``None`` to disable caching for this instance.
+    The simulator uses the persistent compiled-kernel cache
+    (:mod:`repro.perf.kernel_cache`) that is ambient when it is built,
+    so cone kernels compiled once for a netlist are warm-loaded from
+    disk by every later simulator — including pool workers — for that
+    netlist.  Build it inside ``use_kernel_cache(None)`` to disable
+    caching for this instance.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        domain: str,
-        kernel_cache: Union[object, KernelCache, None] = _AMBIENT_CACHE,
-    ):
+    def __init__(self, netlist: Netlist, domain: str):
         self.netlist = netlist
         self.domain = domain
         self.sim = LogicSim(netlist)
@@ -132,11 +128,7 @@ class FaultSimulator:
         self._cone_gates_cache: Dict[
             int, Tuple[Tuple[int, ...], Tuple[int, ...]]
         ] = {}
-        self._kcache: Optional[KernelCache] = (
-            current_kernel_cache()
-            if kernel_cache is _AMBIENT_CACHE
-            else kernel_cache  # type: ignore[assignment]
-        )
+        self._kcache: Optional[KernelCache] = current_kernel_cache()
         self._kcache_key: Optional[str] = None
         self._ktable: Optional[Dict] = None  # loaded disk entry
         self._dirty_sites: set = set()  # compiled since last store
@@ -409,8 +401,8 @@ class FaultSimulator:
             once from the warm kernel cache, good-simulates every lane
             once, then grades its fault chunks against the settled
             frames).  ``<= 1`` stays serial in-process; ``"auto"`` lets
-            :func:`repro.perf.dispatch.decide_fsim` pick batch or pool
-            from the work size and usable cores.  The pooled path's
+            :func:`repro.perf.resilient.resolve_workers` pick serial or
+            pool from the work size and usable cores.  The pooled path's
             timeouts, retries and crash recovery follow the ambient
             :func:`repro.perf.resilient.execution_policy`.
         """
@@ -425,11 +417,11 @@ class FaultSimulator:
             return {}
 
         tel = current_telemetry()
-        if wants_auto(n_workers):
-            decision = decide_fsim(n_pat, len(faults))
-            eff = decision.n_workers if decision.mode == "pool" else 1
-        else:
-            eff = resolve_workers(n_workers, len(faults))
+        eff = resolve_workers(
+            n_workers,
+            len(faults),
+            est_serial_s=n_pat * len(faults) / FSIM_FAULT_PATTERNS_PER_S,
+        )
         with tel.span(
             "fsim.run_batch",
             domain=self.domain,

@@ -36,7 +36,7 @@ import argparse
 import os
 import sys
 
-from . import CaseStudy, RunContext
+from . import CaseStudy
 from .drc import FAIL_ON_CHOICES
 from .obs import LOG_LEVELS, setup_logging
 from .reporting import format_table
@@ -107,8 +107,23 @@ def _study(args) -> CaseStudy:
     )
 
 
+def _checkpointed_study(args):
+    """:func:`_study` for a ``--checkpoint`` command, or ``None`` after
+    a one-line error on stderr: a corrupt or uncreatable checkpoint
+    directory is an operator mistake, not a bug."""
+    from .errors import CheckpointError
+
+    try:
+        return _study(args)
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_casestudy(args) -> int:
-    study = _study(args)
+    study = _checkpointed_study(args)
+    if study is None:
+        return 2
     hc = study.headline_comparison()
     rows = [{"metric": k, "value": v} for k, v in hc.items()]
     print(format_table(rows, title="DAC'07 reproduction headline:"))
@@ -279,6 +294,7 @@ def _flow_telemetry(args):
 
 def cmd_flow(args) -> int:
     from .core import run_noise_tolerant_flow
+    from .errors import CheckpointError
     from .reporting import RUN_FAILED
     from .soc import build_turbo_eagle
 
@@ -292,21 +308,25 @@ def cmd_flow(args) -> int:
             return 2
     design = build_turbo_eagle(scale=args.scale, seed=args.seed)
     telemetry = _flow_telemetry(args)
-    result, report = run_noise_tolerant_flow(
-        design,
-        checkpoint_dir=args.checkpoint,
-        resume=args.resume,
-        max_patterns=args.max_patterns,
-        stop_after_stage=args.stop_after,
-        report_path=args.report,
-        context=RunContext(telemetry=telemetry),
-        schedule_budget_mw=args.schedule_budget,
-        schedule_strategy=args.schedule_strategy,
-        timing_prescreen=args.timing_prescreen,
-        timing_max_patterns=args.timing_max_patterns,
-        seed=1,
-        n_workers=args.workers,
-    )
+    try:
+        result, report = run_noise_tolerant_flow(
+            design,
+            checkpoint_dir=args.checkpoint,
+            resume=args.resume,
+            max_patterns=args.max_patterns,
+            stop_after_stage=args.stop_after,
+            report_path=args.report,
+            telemetry=telemetry,
+            schedule_budget_mw=args.schedule_budget,
+            schedule_strategy=args.schedule_strategy,
+            timing_prescreen=args.timing_prescreen,
+            timing_max_patterns=args.timing_max_patterns,
+            seed=1,
+            n_workers=args.workers,
+        )
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if report.timing is not None:
         if "error" in report.timing:
             print(f"timing: {report.timing['error']}", file=sys.stderr)
@@ -638,7 +658,9 @@ def cmd_sta(args) -> int:
 def cmd_export(args) -> int:
     from .reporting import export_case_study
 
-    study = _study(args)
+    study = _checkpointed_study(args)
+    if study is None:
+        return 2
     written = export_case_study(study, args.out)
     print(f"wrote {len(written)} artefacts to {args.out}/")
     for path in written:
@@ -718,10 +740,10 @@ def cmd_obs(args) -> int:
     return 0
 
 
-def _service_store(args):
-    """Open (or create) the job store named by ``args.store``,
-    applying any config overrides the command supplies."""
-    from .service import JobStore, ServiceConfig
+def _service_config(args):
+    """The ``ServiceConfig`` a service command's overrides ask for, or
+    ``None`` when it sets none (the store keeps its persisted config)."""
+    from .service import ServiceConfig
 
     overrides = {
         "max_queue_depth": getattr(args, "queue_depth", None),
@@ -729,8 +751,21 @@ def _service_store(args):
         "max_shard_attempts": getattr(args, "max_attempts", None),
     }
     set_overrides = {k: v for k, v in overrides.items() if v is not None}
-    config = ServiceConfig(**set_overrides) if set_overrides else None
-    return JobStore(args.store, config=config)
+    return ServiceConfig(**set_overrides) if set_overrides else None
+
+
+def _service_store(args):
+    """Open (or create) the job store named by ``args.store``, applying
+    any config overrides the command supplies; ``None`` after a one-line
+    error on stderr when the store cannot be opened."""
+    from .errors import ServiceError
+    from .service import JobStore
+
+    try:
+        return JobStore(args.store, config=_service_config(args))
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _serve_http(args) -> int:
@@ -738,7 +773,6 @@ def _serve_http(args) -> int:
     import time
 
     from .service import HttpServerThread, TenantFleet, TenantManager
-    from .service.jobstore import ServiceConfig
 
     host, _, port_text = args.http.rpartition(":")
     host = host or "127.0.0.1"
@@ -748,14 +782,7 @@ def _serve_http(args) -> int:
         print(f"bad --http address {args.http!r}: want HOST:PORT",
               file=sys.stderr)
         return 2
-    overrides = {
-        "max_queue_depth": getattr(args, "queue_depth", None),
-        "lease_ttl_s": getattr(args, "lease_ttl", None),
-        "max_shard_attempts": getattr(args, "max_attempts", None),
-    }
-    set_overrides = {k: v for k, v in overrides.items() if v is not None}
-    config = ServiceConfig(**set_overrides) if set_overrides else None
-    tenants = TenantManager(args.store, default_config=config)
+    tenants = TenantManager(args.store, default_config=_service_config(args))
     fleet = TenantFleet(
         tenants,
         n_workers=args.workers_count,
@@ -799,6 +826,8 @@ def cmd_serve(args) -> int:
     if args.http:
         return _serve_http(args)
     store = _service_store(args)
+    if store is None:
+        return 2
     supervisor = ServiceSupervisor(
         store,
         n_workers=args.workers_count,
@@ -831,7 +860,10 @@ def cmd_submit(args) -> int:
     from .errors import ServiceBusyError, ServiceError
     from .service import JobSpec, ServiceClient
 
-    client = ServiceClient(_service_store(args))
+    store = _service_store(args)
+    if store is None:
+        return 2
+    client = ServiceClient(store)
     spec = JobSpec(
         scale=args.scale,
         seed=args.seed,
@@ -871,6 +903,7 @@ def _existing_store(root: str):
     """Open the job store at *root*, or ``None`` after a one-line error
     on stderr.  Unlike :func:`_service_store` this never creates one:
     listing or cancelling needs a store that is already there."""
+    from .errors import ServiceError
     from .service import JobStore
 
     if not os.path.isdir(os.path.join(root, "jobs")):
@@ -878,10 +911,8 @@ def _existing_store(root: str):
         return None
     try:
         return JobStore(root)
-    except (OSError, ValueError) as exc:
-        print(
-            f"error: unreadable job store {root!r}: {exc}", file=sys.stderr
-        )
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
     return None
 
 

@@ -12,11 +12,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from contextlib import contextmanager
-
 from ..atpg.faults import build_fault_universe
 from ..config import ElectricalEnv
-from ..context import RunContext, use_run_context
 from ..errors import ConfigError
 from ..obs import current_telemetry
 from ..pgrid.dynamic_ir import DynamicIrResult, dynamic_ir_for_pattern
@@ -48,14 +45,13 @@ class CaseStudy:
         n_workers: Union[int, str, None] = 1,
         checkpoint_dir: Optional[str] = None,
         drc: bool = True,
-        context: Optional[RunContext] = None,
     ):
         """``n_workers`` fans fault simulation and SCAP grading out
         across a process pool (see :mod:`repro.perf`); results are
         bit-identical to the serial default.  ``"auto"`` defers the
-        batch/pool call per grading step to
-        :mod:`repro.perf.dispatch`, which sizes the pool to the cores
-        this process may actually use.
+        serial/pool call per grading step to
+        :func:`repro.perf.resilient.resolve_workers`, which sizes the
+        pool to the cores this process may actually use.
 
         ``checkpoint_dir`` makes the heavy stages durable: flows,
         per-stage ATPG results and SCAP validations persist there (via
@@ -71,11 +67,9 @@ class CaseStudy:
         unwaived ERROR violations (it never should — the gate exists so
         modified generators and hand-edited netlists fail fast).
 
-        ``context`` (a :class:`~repro.context.RunContext`) is scoped
-        over every heavy stage (flows, SCAP validation, scheduling), so
-        one session object configures telemetry, execution policy,
-        dispatch policy and the kernel cache for the whole case study;
-        inherit-valued fields leave the ambient configuration alone.
+        Telemetry, the retry policy and the kernel cache are whatever
+        is ambient when a heavy stage runs (``use_telemetry``,
+        ``execution_policy``, ``use_kernel_cache``).
         """
         self.design = build_turbo_eagle(scale, seed)
         self.domain = self.design.dominant_domain()
@@ -99,8 +93,6 @@ class CaseStudy:
                 target_statistical_drop_v=target_statistical_drop_v,
             )
             self._checkpoint = CheckpointStore(checkpoint_dir, fingerprint)
-        self.context = context if context is not None else RunContext()
-        self.telemetry = self.context.telemetry
         self.drc_enabled = drc
         self._drc_gate_report = None
         self._model: Optional[GridModel] = None
@@ -173,17 +165,6 @@ class CaseStudy:
             key += f"_max{max_patterns}"
         return key
 
-    @contextmanager
-    def _tel_scope(self):
-        """Scope this study's session context over a heavy stage.
-
-        Inherit-valued fields (the default) leave the ambient
-        configuration alone, so a facade or policy installed by the
-        caller still applies; yields the effective telemetry facade.
-        """
-        with use_run_context(self.context):
-            yield current_telemetry()
-
     def conventional(self, max_patterns: Optional[int] = None) -> FlowResult:
         """The random-fill baseline flow (cached + checkpointed)."""
         if "conventional" not in self._flows:
@@ -203,9 +184,10 @@ class CaseStudy:
                     backtrack_limit=self.backtrack_limit,
                     n_workers=self.n_workers,
                 )
-                with self._tel_scope() as tel:
-                    with tel.span("flow.run", flow="conventional"):
-                        result = flow.run(max_patterns=max_patterns)
+                with current_telemetry().span(
+                    "flow.run", flow="conventional"
+                ):
+                    result = flow.run(max_patterns=max_patterns)
                 if self._checkpoint is not None:
                     self._checkpoint.save(
                         key, result, meta={"patterns": result.n_patterns}
@@ -239,12 +221,13 @@ class CaseStudy:
                 stage_checkpoint = (
                     self._checkpoint if max_patterns is None else None
                 )
-                with self._tel_scope() as tel:
-                    with tel.span("flow.run", flow="noise_aware_staged"):
-                        result = flow.run(
-                            max_patterns=max_patterns,
-                            checkpoint=stage_checkpoint,
-                        )
+                with current_telemetry().span(
+                    "flow.run", flow="noise_aware_staged"
+                ):
+                    result = flow.run(
+                        max_patterns=max_patterns,
+                        checkpoint=stage_checkpoint,
+                    )
                 if self._checkpoint is not None:
                     self._checkpoint.save(
                         key, result, meta={"patterns": result.n_patterns}
@@ -269,14 +252,13 @@ class CaseStudy:
             if cached is not None:
                 self._validations[flow_name] = cached
             else:
-                with self._tel_scope():
-                    report = validate_pattern_set(
-                        self.calculator, flow.pattern_set,
-                        self.thresholds_mw,
-                        n_workers=self.n_workers,
-                        checkpoint=self._checkpoint,
-                        checkpoint_key=key,
-                    )
+                report = validate_pattern_set(
+                    self.calculator, flow.pattern_set,
+                    self.thresholds_mw,
+                    n_workers=self.n_workers,
+                    checkpoint=self._checkpoint,
+                    checkpoint_key=key,
+                )
                 if self._checkpoint is not None:
                     self._checkpoint.save(
                         key, report,
@@ -470,13 +452,12 @@ class CaseStudy:
             if flow_name == "conventional"
             else self.staged()
         )
-        with self._tel_scope():
-            return schedule_flow(
-                self.design, self.domain, flow,
-                budget_mw=power_budget_mw,
-                strategy=strategy,
-                tam_width=tam_width,
-            )
+        return schedule_flow(
+            self.design, self.domain, flow,
+            budget_mw=power_budget_mw,
+            strategy=strategy,
+            tam_width=tam_width,
+        )
 
     # ------------------------------------------------------------------
     def export(self, out_dir: str) -> List[str]:

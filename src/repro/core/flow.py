@@ -17,7 +17,6 @@ pattern-count increase (Figure 4).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -28,9 +27,8 @@ from ..atpg.engine import AtpgEngine, AtpgResult
 from ..atpg.faults import TransitionFault, build_fault_universe, collapse_faults
 from ..atpg.fsim import FaultSimulator, first_detection_index
 from ..atpg.patterns import PatternSet
-from ..context import RunContext, use_run_context
 from ..errors import ConfigError, DrcError, PowerGridError
-from ..obs import current_telemetry, use_telemetry
+from ..obs import AnyTelemetry, current_telemetry, use_telemetry
 from ..perf.resilient import collect_reports
 from ..reporting.checkpoint import CheckpointStore, config_fingerprint
 from ..reporting.runreport import (
@@ -480,7 +478,7 @@ def run_noise_tolerant_flow(
     report_path: Optional[str] = None,
     drc: bool = True,
     drc_waivers=None,
-    context: Optional[RunContext] = None,
+    telemetry: Optional[AnyTelemetry] = None,
     schedule_budget_mw: Optional[float] = None,
     schedule_strategy: str = "binpack",
     schedule_tam_width: Optional[int] = None,
@@ -512,11 +510,10 @@ def run_noise_tolerant_flow(
     writing the report): generating patterns on a netlist that fails
     its design rules would waste every downstream stage.
 
-    *context* (a :class:`~repro.context.RunContext`) scopes the whole
-    session configuration — telemetry, execution policy, dispatch
-    policy and kernel cache — over the run.  ``None`` telemetry runs
-    with the null facade: no signals, bit-identical results, and the
-    telemetry snapshot lands in ``report.telemetry``.
+    *telemetry* is scoped over the run and its snapshot lands in
+    ``report.telemetry``.  ``None`` runs on the null facade — no
+    signals, bit-identical results — even inside an enclosing
+    :func:`~repro.obs.use_telemetry` scope.
 
     With *schedule_budget_mw* set, a successful generation run is
     followed by a SOC test-scheduling stage: per-block test powers come
@@ -540,12 +537,7 @@ def run_noise_tolerant_flow(
     check — lands in ``report.timing``.  *timing_max_patterns* caps how
     many patterns the stage screens.
     """
-    ctx = context if context is not None else RunContext()
-    # The non-telemetry knobs scope ambiently; telemetry keeps the
-    # historical contract that ``None`` *forces* the null facade (it
-    # does not inherit), so it is scoped explicitly.
-    with use_run_context(dataclasses.replace(ctx, telemetry=None)), \
-            use_telemetry(ctx.telemetry) as tel:
+    with use_telemetry(telemetry) as tel:
         generator = NoiseAwarePatternGenerator(
             design, domain, **generator_kwargs
         )

@@ -94,8 +94,8 @@ def validate_pattern_set(
     :meth:`~repro.power.calculator.ScapCalculator.profile_patterns`
     path (machine-word logic-simulation lanes, optional worker pool)
     — bit-exact with per-pattern profiling.
-    ``n_workers="auto"`` defers the batch/pool call to
-    :mod:`repro.perf.dispatch`.
+    ``n_workers="auto"`` defers the serial/pool call to
+    :func:`repro.perf.resilient.resolve_workers`.
 
     With a *checkpoint* store the pattern set is graded in chunks of
     *checkpoint_chunk* patterns and every finished chunk persists its

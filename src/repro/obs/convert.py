@@ -16,7 +16,12 @@ from .tracer import TraceEvent, events_to_chrome
 
 
 def load_trace_jsonl(path: str) -> List[TraceEvent]:
-    """Parse a span-JSONL file (blank lines tolerated)."""
+    """Parse a span-JSONL file (blank lines tolerated).
+
+    Every line must be a JSON object with a ``name`` and a numeric
+    ``ts_s`` (every :class:`~repro.obs.tracer.Tracer` event has both);
+    anything else raises :class:`ValueError` naming the line.
+    """
     events: List[TraceEvent] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -29,7 +34,11 @@ def load_trace_jsonl(path: str) -> List[TraceEvent]:
                 raise ValueError(
                     f"{path}:{lineno}: not valid JSON: {exc}"
                 ) from exc
-            if not isinstance(event, dict) or "name" not in event:
+            if (
+                not isinstance(event, dict)
+                or "name" not in event
+                or not isinstance(event.get("ts_s"), (int, float))
+            ):
                 raise ValueError(f"{path}:{lineno}: not a span event")
             events.append(event)
     return events

@@ -15,8 +15,8 @@ point (<2% end to end; ``benchmarks/bench_obs_overhead.py`` holds the
 line).  Flow results are bit-identical either way — telemetry only
 observes.
 
-The facade travels two ways: explicitly (``run_noise_tolerant_flow(...,
-context=RunContext(telemetry=tel))``) and ambiently via
+The facade travels two ways: explicitly
+(``run_noise_tolerant_flow(..., telemetry=tel)``) and ambiently via
 :func:`use_telemetry` / :func:`current_telemetry`, which is how deep
 layers (fault simulation, SCAP grading, DRC rules, the resilient
 executor) see the run's telemetry without threading a parameter through

@@ -215,7 +215,7 @@ def events_to_chrome(events: List[TraceEvent]) -> List[Dict[str, Any]]:
                 "cat": "repro",
                 "ph": "X",
                 "ts": (float(event["ts_s"]) - t0) * 1e6,
-                "dur": float(event["dur_s"]) * 1e6,
+                "dur": float(event.get("dur_s", 0.0)) * 1e6,
                 "pid": int(event.get("pid", 0)),
                 "tid": int(event.get("pid", 0)),
                 "args": dict(event.get("attrs", {})),

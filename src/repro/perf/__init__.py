@@ -21,11 +21,14 @@ those hot paths cheap:
 * :mod:`~repro.perf.kernel_cache` — a persistent on-disk store of the
   fault simulator's compiled cone kernels, keyed by a structural
   netlist fingerprint, so the per-netlist compile tax is paid once per
-  machine instead of once per run per worker,
-* :mod:`~repro.perf.dispatch` — the work-size-aware dispatcher behind
-  ``n_workers="auto"``: estimates serial cost, counts the cores this
-  process may actually use, and picks batch or pool instead of hoping
-  the pool wins.
+  machine instead of once per run per worker.
+
+Every grading call site sizes its pool with
+:func:`~repro.perf.resilient.resolve_workers`, the one worker-count
+rule: it counts the cores this process may actually use
+(:func:`~repro.perf.resilient.usable_cpus`) and, for
+``n_workers="auto"``, weighs the caller's serial-cost estimate against
+the pool's start-up cost instead of hoping the pool wins.
 
 The consumers are :meth:`repro.atpg.fsim.FaultSimulator.run_batch`
 (multi-word fault simulation with chunked fault partitions) and
@@ -34,15 +37,6 @@ The consumers are :meth:`repro.atpg.fsim.FaultSimulator.run_batch`
 """
 
 from . import chaos
-from .dispatch import (
-    Decision,
-    DispatchPolicy,
-    current_dispatch,
-    decide_fsim,
-    decide_scap,
-    dispatch_policy,
-    usable_cpus,
-)
 from .kernel_cache import (
     KernelCache,
     current_kernel_cache,
@@ -61,12 +55,11 @@ from .resilient import (
     last_report,
     resilient_map,
     resolve_workers,
+    usable_cpus,
 )
 
 __all__ = [
     "ChunkFailure",
-    "Decision",
-    "DispatchPolicy",
     "ExecutionReport",
     "KernelCache",
     "RetryPolicy",
@@ -74,12 +67,8 @@ __all__ = [
     "chunk_slices",
     "chunked",
     "collect_reports",
-    "current_dispatch",
     "current_kernel_cache",
-    "decide_fsim",
-    "decide_scap",
     "default_policy",
-    "dispatch_policy",
     "execution_policy",
     "last_report",
     "netlist_fingerprint",

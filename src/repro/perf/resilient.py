@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import os
 import pickle
 import random
 import time
@@ -67,6 +68,7 @@ from typing import (
     Sequence,
     Tuple,
     Type,
+    Union,
 )
 
 from ..errors import (
@@ -77,18 +79,50 @@ from ..errors import (
 )
 from ..obs import current_telemetry, worker_event
 from . import chaos as _chaos
-from .dispatch import usable_cpus
+
+#: Estimated fixed cost of going parallel: pool creation plus
+#: per-worker context rebuild (with a warm kernel cache).
+POOL_OVERHEAD_S = 0.25
+#: Throughput estimates behind the callers' ``est_serial_s``.  They only
+#: need to be right within ~an order of magnitude — the ``"auto"``
+#: decision is a step function, not a regression.
+FSIM_FAULT_PATTERNS_PER_S = 10e6
+SCAP_S_PER_PATTERN = 1.5e-3
 
 
-def resolve_workers(n_workers: Optional[int], n_items: int) -> int:
+def usable_cpus() -> int:
+    """CPUs this process may actually run on (affinity-aware).
+
+    ``os.cpu_count()`` reports the machine; a container or cgroup cpuset
+    often grants far fewer.  Worker counts (and honest benchmark
+    reporting) must use the usable number.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def resolve_workers(
+    n_workers: Union[int, str, None],
+    n_items: int,
+    est_serial_s: float = 0.0,
+) -> int:
     """Effective worker count for *n_items* work items.
 
-    ``None`` means "every core this process may use"
-    (:func:`~repro.perf.dispatch.usable_cpus`); explicit counts are
-    honoured as given (oversubscription is the caller's choice) but
-    never exceed the number of work items — an idle worker is pure fork
-    cost.
+    An int is honoured as given (oversubscription is the caller's
+    choice) but never exceeds the number of work items — an idle worker
+    is pure fork cost.  ``None`` means every core this process may use
+    (:func:`usable_cpus`).  ``"auto"`` weighs the pool against
+    *est_serial_s*, the caller's estimate of the serial run time: with
+    ``w`` = usable cores capped by the item count, the pool saves at
+    most ``est_serial_s * (1 - 1/w)`` and costs about
+    :data:`POOL_OVERHEAD_S` to stand up, so ``"auto"`` pools ``w``
+    workers only when the saving is larger, and otherwise runs serially.
     """
+    if n_workers == "auto":
+        w = resolve_workers(None, n_items)
+        return w if est_serial_s * (1.0 - 1.0 / w) > POOL_OVERHEAD_S else 1
     if n_workers is None:
         n_workers = usable_cpus()
     return max(1, min(int(n_workers), max(1, n_items)))

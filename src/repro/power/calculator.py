@@ -34,8 +34,12 @@ from ..atpg.patterns import pattern_rows
 from ..config import VDD_NOMINAL
 from ..errors import ConfigError
 from ..obs import current_telemetry
-from ..perf.dispatch import decide_scap, wants_auto
-from ..perf.resilient import chunk_slices, resilient_map, resolve_workers
+from ..perf.resilient import (
+    SCAP_S_PER_PATTERN,
+    chunk_slices,
+    resilient_map,
+    resolve_workers,
+)
 from ..sim.delays import DelayModel
 from ..sim.event import EventTimingSim, TimingResult, build_launch_events
 from ..sim.fasttiming import FastTimingSim
@@ -239,8 +243,8 @@ class ScapCalculator:
             the pattern matrix through its initializer's arguments;
             work items are ``(indices, start, stop)`` row ranges).
             ``<= 1`` stays serial; ``"auto"`` lets
-            :func:`repro.perf.dispatch.decide_scap` pick batch or pool
-            from the work size and usable cores.  The pooled path
+            :func:`repro.perf.resilient.resolve_workers` pick serial or
+            pool from the work size and usable cores.  The pooled path
             follows the ambient
             :func:`repro.perf.resilient.execution_policy`.
         lane_width:
@@ -262,6 +266,17 @@ class ScapCalculator:
                     "v2_matrix must have one row per pattern"
                 )
         lane_width = max(1, min(int(lane_width), MAX_LANE_WIDTH))
+        eff = resolve_workers(
+            n_workers, n_pat, est_serial_s=n_pat * SCAP_S_PER_PATTERN
+        )
+        if eff > 1 and not self._default_delays:
+            warnings.warn(
+                "custom delay models cannot be rebuilt in workers; "
+                "grading serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            eff = 1
 
         tel = current_telemetry()
         with tel.span(
@@ -269,9 +284,10 @@ class ScapCalculator:
             domain=self.domain,
             engine=self.engine,
             n_patterns=n_pat,
+            workers=eff,
         ):
             profiles = self._dispatch(
-                indices, matrix, protocol, v2_matrix, lane_width, n_workers
+                indices, matrix, protocol, v2_matrix, lane_width, eff
             )
             tel.count("scap.patterns_profiled", n_pat)
             return profiles
@@ -284,30 +300,16 @@ class ScapCalculator:
         protocol: str,
         v2_matrix: Optional[np.ndarray],
         lane_width: int,
-        n_workers: Union[int, str, None],
+        n_workers: int,
     ) -> List[PatternPowerProfile]:
-        n_rows = matrix.shape[0]
-        if wants_auto(n_workers):
-            decision = decide_scap(n_rows)
-            eff = decision.n_workers if decision.mode == "pool" else 1
-        else:
-            eff = resolve_workers(n_workers, n_rows)
-        if eff > 1 and not self._default_delays:
-            warnings.warn(
-                "custom delay models cannot be rebuilt in workers; "
-                "grading serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            eff = 1
-        if eff <= 1:
+        if n_workers <= 1:
             return self._profile_serial(
                 indices, matrix, protocol, v2_matrix, lane_width
             )
         # The matrix ships once per worker (initargs); items shrink to
         # (indices, start, stop) row ranges instead of each dragging its
         # own matrix slice along.
-        slices = chunk_slices(n_rows, eff * 2)
+        slices = chunk_slices(matrix.shape[0], n_workers * 2)
         items = [
             (tuple(indices[start:stop]), start, stop)
             for start, stop in slices
@@ -315,7 +317,7 @@ class ScapCalculator:
         results = resilient_map(
             _scap_worker_task,
             items,
-            n_workers=eff,
+            n_workers=n_workers,
             initializer=_scap_worker_init,
             initargs=(
                 self.design, self.domain, self.engine, self.vdd,

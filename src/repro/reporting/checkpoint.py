@@ -62,7 +62,10 @@ class CheckpointStore:
     Parameters
     ----------
     directory:
-        Created if missing.  One store per run configuration.
+        Created if missing.  One store per run configuration.  A
+        directory that cannot be created (the path is a file, say) or
+        a manifest that is not a JSON object raises
+        :class:`~repro.errors.CheckpointError`.
     fingerprint:
         Digest of the run configuration (see
         :func:`config_fingerprint`).  ``None`` skips the staleness
@@ -72,7 +75,12 @@ class CheckpointStore:
     def __init__(self, directory: str, fingerprint: Optional[str] = None):
         self.directory = directory
         self.fingerprint = fingerprint
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot create checkpoint directory {directory!r}: {exc}"
+            ) from exc
         self._manifest_path = os.path.join(directory, _MANIFEST)
         self._manifest = self._load_manifest()
         #: Stage loads served from disk (observability for tests/flows).
@@ -93,11 +101,16 @@ class CheckpointStore:
         try:
             with open(self._manifest_path) as fh:
                 manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 errors
             raise CheckpointError(
                 f"unreadable checkpoint manifest {self._manifest_path!r}: "
                 f"{exc}"
             ) from exc
+        if not isinstance(manifest, dict):
+            raise CheckpointError(
+                f"checkpoint manifest {self._manifest_path!r} is not a "
+                "JSON object"
+            )
         if manifest.get("version") != _FORMAT_VERSION:
             warnings.warn(
                 "checkpoint format version changed; starting fresh",

@@ -159,8 +159,17 @@ class RunReport:
 
         Derived keys (``completed_stages`` …) are recomputed, not
         trusted; unknown keys are ignored so newer writers stay
-        loadable by older readers and vice versa.
+        loadable by older readers and vice versa.  Raises
+        :class:`ValueError` unless *data* is an object whose
+        ``stages`` is a list of objects.
         """
+        if not isinstance(data, dict):
+            raise ValueError("run report is not a JSON object")
+        stages = data.get("stages", [])
+        if not isinstance(stages, list) or not all(
+            isinstance(stage, dict) for stage in stages
+        ):
+            raise ValueError("run report 'stages' is not a list of objects")
         report = cls(
             flow=str(data.get("flow", "unknown")),
             status=str(data.get("status", RUN_COMPLETED)),
@@ -171,7 +180,7 @@ class RunReport:
             schedule=data.get("schedule"),
             timing=data.get("timing"),
         )
-        for stage in data.get("stages", []):
+        for stage in stages:
             report.stages.append(
                 StageRecord(
                     name=str(stage.get("name", "?")),

@@ -407,19 +407,41 @@ class JobStore:
         self.root = os.path.abspath(root)
         self.jobs_dir = os.path.join(self.root, "jobs")
         self.workers_dir = os.path.join(self.root, "workers")
-        os.makedirs(self.jobs_dir, exist_ok=True)
-        os.makedirs(self.workers_dir, exist_ok=True)
         self._lock_path = os.path.join(self.root, ".lock")
         self._config_path = os.path.join(self.root, _CONFIG_FILE)
-        if config is not None:
-            self.config = config
-            _atomic_write_json(self._config_path, config.to_dict())
-        elif os.path.exists(self._config_path):
-            with open(self._config_path) as fh:
-                self.config = ServiceConfig.from_dict(json.load(fh))
+        if os.path.exists(self.root) and not os.path.isdir(self.root):
+            raise ServiceError(f"job store {self.root!r} is not a directory")
+        # Read before creating anything: a store that fails to open is
+        # left exactly as it was.
+        stored = self._read_config() if config is None else None
+        if stored is not None:
+            self.config = stored
         else:
-            self.config = ServiceConfig()
-            _atomic_write_json(self._config_path, self.config.to_dict())
+            self.config = config if config is not None else ServiceConfig()
+        try:
+            os.makedirs(self.jobs_dir, exist_ok=True)
+            os.makedirs(self.workers_dir, exist_ok=True)
+            if stored is None:
+                _atomic_write_json(self._config_path, self.config.to_dict())
+        except OSError as exc:
+            raise ServiceError(
+                f"cannot create job store {self.root!r}: {exc}"
+            ) from exc
+
+    def _read_config(self) -> Optional[ServiceConfig]:
+        """The persisted config, or ``None`` when there is none yet."""
+        try:
+            with open(self._config_path) as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            return ServiceConfig.from_dict(data)
+        except FileNotFoundError:
+            return None
+        except (OSError, TypeError, ValueError) as exc:  # incl. JSON, UTF-8
+            raise ServiceError(
+                f"unreadable job store config {self._config_path!r}: {exc}"
+            ) from exc
 
     # -- paths ----------------------------------------------------------
     def job_dir(self, job_id: str) -> str:

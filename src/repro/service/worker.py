@@ -216,7 +216,6 @@ def run_shard_flow(
     *identically* — same design build, same checkpoint store, same
     flow arguments — which is what the bit-identity invariant rests on.
     """
-    from ..context import RunContext
     from ..core.flow import run_noise_tolerant_flow
 
     design, stage_plan = spec.build_design_and_plan()
@@ -232,11 +231,7 @@ def run_shard_flow(
         max_patterns=spec.max_patterns,
         stop_after_stage=None if is_final else shard_index + 1,
         strict=True,
-        context=(
-            RunContext(telemetry=telemetry)
-            if telemetry is not None
-            else None
-        ),
+        telemetry=telemetry,
         seed=spec.flow_seed,
         stage_plan=stage_plan,
     )

@@ -116,6 +116,27 @@ class TestCli:
                                  "store/workers/.keep": "",
                                  "store/config.json": "{oops"},
              "unreadable job store"),
+            (["jobs", "store"], {"store/jobs/.keep": "",
+                                 "store/workers/.keep": "",
+                                 "store/config.json": "[1]"},
+             "not a JSON object"),
+            (["submit", "st"], {"st/config.json": "{not json"},
+             "unreadable job store"),
+            (["submit", "st"], {"st/config.json": "[1]"},
+             "not a JSON object"),
+            (["submit", "st"], {"st": ""}, "not a directory"),
+            (["serve", "st", "--drain"], {"st/config.json": "[1]"},
+             "not a JSON object"),
+            (["obs", "report", "r.json"], {"r.json": "[1]"},
+             "not a JSON object"),
+            (["obs", "report", "r.json"], {"r.json": '{"stages": "x"}'},
+             "not a list of objects"),
+            (["obs", "summary", "t.jsonl"], {"t.jsonl": '{"name": "x"}\n'},
+             "not a span event"),
+            (["obs", "check", "t.jsonl"], {"t.jsonl": '{"name": "x"}\n'},
+             "not a span event"),
+            (["obs", "chrome", "t.jsonl"], {"t.jsonl": '{"name": "x"}\n'},
+             "not a span event"),
         ],
         ids=[
             "drc-netlist-missing", "drc-netlist-empty",
@@ -126,7 +147,12 @@ class TestCli:
             "obs-check-missing", "obs-check-corrupt",
             "obs-chrome-missing", "obs-chrome-corrupt",
             "jobs-missing", "jobs-not-a-store", "jobs-cancel-missing",
-            "jobs-corrupt-config",
+            "jobs-corrupt-config", "jobs-config-not-object",
+            "submit-corrupt-config", "submit-config-not-object",
+            "submit-store-is-file", "serve-config-not-object",
+            "obs-report-not-object", "obs-report-stages-not-list",
+            "obs-summary-no-timestamp", "obs-check-no-timestamp",
+            "obs-chrome-no-timestamp",
         ],
     )
     def test_bad_input_file_is_one_line_error(
@@ -148,6 +174,37 @@ class TestCli:
             path.write_text(content)
         before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
         assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ") and message in lines[0]
+        after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert after == before
+
+    @pytest.mark.parametrize("command", ["flow", "casestudy", "export"])
+    @pytest.mark.parametrize(
+        "files, message",
+        [
+            ({"ck/manifest.json": "garbage"}, "unreadable checkpoint manifest"),
+            ({"ck/manifest.json": "[1, 2]"}, "not a JSON object"),
+            ({"ck": ""}, "cannot create checkpoint directory"),
+        ],
+        ids=["corrupt-manifest", "manifest-not-object", "path-is-file"],
+    )
+    def test_bad_checkpoint_dir_is_one_line_error(
+        self, tmp_path, capsys, monkeypatch, command, files, message
+    ):
+        """These commands build the design before they open the store
+        (its fingerprint covers the design), so they are kept apart
+        from the build-free cases above."""
+        monkeypatch.chdir(tmp_path)
+        for name, content in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(content)
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert main([command, "--scale", "tiny", "--checkpoint", "ck"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.strip().splitlines()

@@ -17,10 +17,12 @@ from repro.core import (
     specs_from_flow,
 )
 from repro.core import TestSchedule as ScheduleClass
+from repro.core.flow import run_noise_tolerant_flow
 from repro.core.scheduling import budget_sweep, generate_block_specs
 from repro.dft import partition_wrapper_chains, wrapper_plan
 from repro.errors import ConfigError
 from repro.obs import Telemetry, use_telemetry
+from repro.reporting import RunReport
 from repro.soc import build_turbo_eagle
 
 #: sha256 (see :func:`placement_digest`) of the greedy and binpack
@@ -391,3 +393,58 @@ class TestSyntheticSocs:
             assert sorted(schedule.blocks()) == sorted(
                 s.block for s in specs
             )
+
+
+# ----------------------------------------------------------------------
+# the flow's optional schedule stage
+# ----------------------------------------------------------------------
+class TestFlowScheduleStage:
+    @pytest.fixture(scope="class")
+    def design(self):
+        return build_turbo_eagle("tiny", seed=2007)
+
+    def test_flow_schedule_stage_records_report(self, design):
+        result, report = run_noise_tolerant_flow(
+            design, max_patterns=15, schedule_budget_mw=200.0
+        )
+        assert result is not None
+        assert report.schedule is not None
+        assert report.schedule["strategy"] == "binpack"
+        assert report.schedule["peak_power_mw"] <= 200.0
+        assert placement_digest(report.schedule["placements"]) == (
+            "68130b572fe3342dd853c689c864518d284560bfacfed5ee7625930b43d44f31"
+        )
+        assert any(
+            s.name == "schedule" and s.status == "completed"
+            for s in report.stages
+        )
+        # The digest survives the JSON round trip.
+        loaded = RunReport.from_dict(report.to_dict())
+        assert loaded.schedule == report.schedule
+
+    def test_flow_infeasible_budget_partial_not_crash(self, design):
+        result, report = run_noise_tolerant_flow(
+            design, max_patterns=5, schedule_budget_mw=0.001
+        )
+        assert result is not None
+        assert report.status == "partial"
+        assert "error" in report.schedule
+        # strict mode propagates the ConfigError instead.
+        with pytest.raises(ConfigError):
+            run_noise_tolerant_flow(
+                design,
+                max_patterns=5,
+                schedule_budget_mw=0.001,
+                strict=True,
+            )
+
+
+class TestCaseStudySchedule:
+    def test_default_budget_is_feasible(self):
+        study = CaseStudy(scale="tiny", seed=2007, backtrack_limit=60)
+        schedule = study.schedule()
+        schedule.validate()
+        assert sorted(schedule.blocks()) == sorted(study.design.blocks())
+        assert schedule.strategy == "binpack"
+        greedy = study.schedule(strategy="greedy")
+        assert schedule.makespan_us <= greedy.makespan_us + 1e-9

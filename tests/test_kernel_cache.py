@@ -42,9 +42,9 @@ def graded():
 
 def _reference(graded):
     design, domain, reps, matrix = graded
-    return FaultSimulator(
-        design.netlist, domain, kernel_cache=None
-    ).run_batch(matrix, reps)
+    with use_kernel_cache(None):
+        sim = FaultSimulator(design.netlist, domain)
+    return sim.run_batch(matrix, reps)
 
 
 # ----------------------------------------------------------------------
@@ -108,8 +108,9 @@ class TestWarmLoad:
         design, domain, reps, matrix = graded
         ref = _reference(graded)
         cache = KernelCache(tmp_path)
-        sim = FaultSimulator(design.netlist, domain, kernel_cache=None)
-        assert sim.run_batch(matrix, reps) == ref
+        with use_kernel_cache(cache), use_kernel_cache(None):
+            sim = FaultSimulator(design.netlist, domain)
+            assert sim.run_batch(matrix, reps) == ref
         assert cache.entries() == []
 
 
@@ -237,7 +238,7 @@ class TestConcurrency:
             # Two simulators compile independently and both store; last
             # writer wins with identical content.
             a = FaultSimulator(design.netlist, domain)
-            b = FaultSimulator(design.netlist, domain, kernel_cache=cache)
+            b = FaultSimulator(design.netlist, domain)
             b._ktable = {}  # pretend b loaded before a stored
             a.warm_kernels(reps)
             b.warm_kernels(reps)

@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro import RunContext
 from repro.obs import (
     LOG_LEVELS,
     NULL_TELEMETRY,
@@ -299,8 +298,7 @@ class TestFlowTelemetry:
 
         tel = Telemetry(run_id="flowtest")
         result, report = run_noise_tolerant_flow(
-            tiny_design, max_patterns=12, seed=1,
-            context=RunContext(telemetry=tel),
+            tiny_design, max_patterns=12, seed=1, telemetry=tel,
         )
         assert report.status == "completed"
         # span tree covers the whole stack and stays well-nested
@@ -327,7 +325,7 @@ class TestFlowTelemetry:
 
         with_tel, _ = run_noise_tolerant_flow(
             tiny_design, max_patterns=12, seed=1,
-            context=RunContext(telemetry=Telemetry(run_id="a")),
+            telemetry=Telemetry(run_id="a"),
         )
         without, _ = run_noise_tolerant_flow(
             tiny_design, max_patterns=12, seed=1,
@@ -336,6 +334,20 @@ class TestFlowTelemetry:
             with_tel.pattern_set.as_matrix().tolist()
             == without.pattern_set.as_matrix().tolist()
         )
+
+    def test_none_telemetry_ignores_the_enclosing_scope(self, tiny_design):
+        # In-process service shards run under the HTTP fleet's telemetry
+        # scope; a shard without telemetry must not leak into it.
+        from repro.core import run_noise_tolerant_flow
+
+        tel = Telemetry(run_id="outer")
+        with use_telemetry(tel):
+            _, report = run_noise_tolerant_flow(
+                tiny_design, max_patterns=5, seed=1, telemetry=None,
+            )
+        assert tel.tracer.events == []
+        assert len(tel.metrics) == 0
+        assert report.telemetry is None
 
     def test_validation_counts_scap_violations(self, tiny_design):
         import numpy as np

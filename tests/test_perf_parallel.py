@@ -22,8 +22,7 @@ from repro.atpg.fsim import FaultSimulator, first_detection_index
 from repro.core.validation import digest_key
 from repro.errors import ExecutionError, TransientError, WorkerCrashError
 from repro.netlist.cells import CELL_FUNCTIONS
-from repro.perf import chaos
-from repro.perf.dispatch import usable_cpus
+from repro.perf import chaos, usable_cpus
 from repro.perf.resilient import (
     RetryPolicy,
     chunk_slices,

@@ -17,13 +17,19 @@ PACKAGES = [
     "repro",
     "repro.atpg",
     "repro.core",
+    "repro.core.scheduling",
     "repro.dft",
+    "repro.drc",
     "repro.netlist",
+    "repro.obs",
+    "repro.perf",
     "repro.pgrid",
     "repro.power",
     "repro.reporting",
+    "repro.service",
     "repro.sim",
     "repro.soc",
+    "repro.timing",
 ]
 
 

@@ -31,12 +31,12 @@ import sys
 from pathlib import Path
 from typing import Dict, List
 
-#: Module patterns that must stay under strict mypy.  Append-only.
+#: Module patterns that must stay under strict mypy.  Append-only: an
+#: entry leaves only together with the module it names.
 STRICT_FLOOR = [
     "repro.drc.*",
     "repro.obs.*",
     "repro.core.scheduling.*",
-    "repro.context",
     "repro.service.*",
     "repro.timing.*",
 ]
