@@ -14,7 +14,7 @@ Measured on one tiny job (three shards):
   (process spawn, claim, per-shard flow, fenced commit);
 * ``http``     — submit over the wire to a live :mod:`repro.service.http`
   server with an in-process tenant fleet: the full stack of request
-  parsing, JSON marshalling, ``asyncio.to_thread`` hops and
+  parsing, a connection thread per request, JSON marshalling and
   poll-with-backoff waiting, plus a request-throughput probe against
   ``GET /healthz``.
 

@@ -769,9 +769,17 @@ def _service_store(args):
 
 
 def _serve_http(args) -> int:
-    """``repro serve --http``: the asyncio wire API + tenant fleet."""
+    """``repro serve --http``: the threaded wire API + tenant fleet.
+
+    Every tenant store on disk is opened before the port is bound, so a
+    data root or ``tenants/`` that is not a directory, an unreadable
+    tenant store and a port already in use are each one ``error:`` line
+    and exit 2.  A store that turns unreadable while serving is skipped
+    (see :meth:`~repro.service.TenantManager.open_stores`).
+    """
     import time
 
+    from .errors import ServiceError
     from .service import HttpServerThread, TenantFleet, TenantManager
 
     host, _, port_text = args.http.rpartition(":")
@@ -782,38 +790,49 @@ def _serve_http(args) -> int:
         print(f"bad --http address {args.http!r}: want HOST:PORT",
               file=sys.stderr)
         return 2
-    tenants = TenantManager(args.store, default_config=_service_config(args))
-    fleet = TenantFleet(
-        tenants,
-        n_workers=args.workers_count,
-        inline_fallback=not args.no_inline,
-    )
-    with HttpServerThread(tenants, host=host, port=port,
-                          fleet=fleet) as server:
-        print(f"serving HTTP on {server.base_url} "
-              f"(tenant stores under {tenants.tenants_dir}, "
-              f"{args.workers_count} worker(s) per tenant)")
-        try:
-            if args.drain:
-                deadline = (
-                    time.monotonic() + args.timeout
-                    if args.timeout is not None else None
-                )
-                while any(
-                    not job.terminal
-                    for _, store in tenants.open_stores()
-                    for job in store.list_jobs()
-                ):
-                    if deadline is not None and time.monotonic() > deadline:
-                        print("drain timed out", file=sys.stderr)
-                        return 3
-                    time.sleep(args.poll)
-                print("queue drained")
-            else:
-                while True:
-                    time.sleep(1.0)
-        except KeyboardInterrupt:
-            print("stopping")
+    try:
+        tenants = TenantManager(
+            args.store, default_config=_service_config(args)
+        )
+        for name in tenants.tenant_names():
+            tenants.store(name)
+        fleet = TenantFleet(
+            tenants,
+            n_workers=args.workers_count,
+            inline_fallback=not args.no_inline,
+        )
+        server = HttpServerThread(
+            tenants, host=host, port=port, fleet=fleet
+        ).start()
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"serving HTTP on {server.base_url} "
+          f"(tenant stores under {tenants.tenants_dir}, "
+          f"{args.workers_count} worker(s) per tenant)")
+    try:
+        if args.drain:
+            deadline = (
+                time.monotonic() + args.timeout
+                if args.timeout is not None else None
+            )
+            while any(
+                not job.terminal
+                for _, store in tenants.open_stores()
+                for job in store.list_jobs()
+            ):
+                if deadline is not None and time.monotonic() > deadline:
+                    print("drain timed out", file=sys.stderr)
+                    return 3
+                time.sleep(args.poll)
+            print("queue drained")
+        else:
+            while True:
+                time.sleep(1.0)
+    except KeyboardInterrupt:
+        print("stopping")
+    finally:
+        server.stop()
     return 0
 
 

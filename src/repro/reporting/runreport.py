@@ -160,8 +160,12 @@ class RunReport:
         Derived keys (``completed_stages`` …) are recomputed, not
         trusted; unknown keys are ignored so newer writers stay
         loadable by older readers and vice versa.  Raises
-        :class:`ValueError` unless *data* is an object whose
-        ``stages`` is a list of objects.
+        :class:`ValueError` on a wrong shape: *data* must be an object;
+        ``stages`` a list of objects whose ``detail`` has a numeric
+        ``elapsed_s`` or none; ``retries`` an object of integers; and
+        ``telemetry`` null, or an object whose ``metrics`` is absent or
+        maps names to objects, each with an object ``series`` when
+        present.
         """
         if not isinstance(data, dict):
             raise ValueError("run report is not a JSON object")
@@ -170,29 +174,56 @@ class RunReport:
             isinstance(stage, dict) for stage in stages
         ):
             raise ValueError("run report 'stages' is not a list of objects")
+        details = [stage.get("detail") or {} for stage in stages]
+        if not all(
+            isinstance(d, dict)
+            and isinstance(d.get("elapsed_s", 0.0), (int, float))
+            for d in details
+        ):
+            raise ValueError(
+                "run report stage 'detail' is not an object with a "
+                "numeric 'elapsed_s'"
+            )
+        retries = data.get("retries") or {}
+        if not isinstance(retries, dict) or not all(
+            isinstance(n, int) for n in retries.values()
+        ):
+            raise ValueError("run report 'retries' is not an object of integers")
+        telemetry = data.get("telemetry")
+        metrics = (
+            telemetry.get("metrics", {}) if isinstance(telemetry, dict) else None
+        )
+        if telemetry is not None and not (
+            isinstance(metrics, dict)
+            and all(
+                isinstance(m, dict) and isinstance(m.get("series", {}), dict)
+                for m in metrics.values()
+            )
+        ):
+            raise ValueError(
+                "run report 'telemetry' is not an object of metric objects"
+            )
         report = cls(
             flow=str(data.get("flow", "unknown")),
             status=str(data.get("status", RUN_COMPLETED)),
             checkpoint_dir=data.get("checkpoint_dir"),
             error=data.get("error"),
             drc=data.get("drc"),
-            telemetry=data.get("telemetry"),
+            telemetry=telemetry,
             schedule=data.get("schedule"),
             timing=data.get("timing"),
         )
-        for stage in stages:
+        for stage, detail in zip(stages, details):
             report.stages.append(
                 StageRecord(
                     name=str(stage.get("name", "?")),
                     status=str(stage.get("status", "completed")),
                     from_checkpoint=bool(stage.get("from_checkpoint")),
-                    detail=dict(stage.get("detail") or {}),
+                    detail=dict(detail),
                 )
             )
         report.failures = [dict(f) for f in data.get("failures", [])]
-        report.retries = {
-            str(k): int(v) for k, v in (data.get("retries") or {}).items()
-        }
+        report.retries = {str(k): int(v) for k, v in retries.items()}
         return report
 
     @classmethod

@@ -17,9 +17,9 @@ restarts:
   crashes, and degrades to in-process serial execution when the fleet
   is gone;
 * :class:`ServiceClient` — the file-backed submit/poll/fetch front-end;
-* :class:`HttpFrontEnd` / :class:`HttpServerThread` — the stdlib
-  asyncio HTTP/1.1 wire API (``/v1/{tenant}/jobs``, NDJSON event
-  streaming, Prometheus ``/metrics``), with
+* :class:`HttpServerThread` — the HTTP/1.1 wire API
+  (``/v1/{tenant}/jobs``, NDJSON event streaming, Prometheus
+  ``/metrics``) on the stdlib's threading HTTP server, with
   :class:`HttpServiceClient` as its mirror-image client;
 * :class:`TenantManager` / :class:`TenantFleet` — auth-less tenant
   namespaces, one lazily created store (and supervised fleet) per
@@ -30,7 +30,7 @@ CLI: ``repro serve`` (``--http HOST:PORT`` for the wire API) /
 """
 
 from .client import HttpServiceClient, ServiceClient
-from .http import HttpFrontEnd, HttpServerThread
+from .http import HttpServerThread
 from .jobstore import (
     JOB_CANCELLED,
     JOB_DEAD,
@@ -56,7 +56,6 @@ __all__ = [
     "JOB_FAILED",
     "JOB_QUEUED",
     "JOB_RUNNING",
-    "HttpFrontEnd",
     "HttpServerThread",
     "HttpServiceClient",
     "JobRecord",

@@ -38,13 +38,61 @@ import json
 import pickle
 import time
 import urllib.parse
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import JobNotFoundError, ServiceBusyError, ServiceError
 from ..perf.resilient import backoff_delay_s
 from ..reporting.runreport import RunReport
 from .jobstore import JobRecord, JobSpec, JobStore
 from .worker import ServiceWorker
+
+
+def _wait_until_terminal(
+    status: Callable[[str], JobRecord],
+    job_id: str,
+    timeout_s: Optional[float],
+    poll_s: float,
+    poll_max_s: float,
+    step: Optional[Callable[[], bool]] = None,
+) -> JobRecord:
+    """Poll ``status(job_id)`` until the job is terminal: both clients'
+    ``wait`` loop.
+
+    Polling backs off exponentially from *poll_s* to *poll_max_s* (the
+    shared :func:`~repro.perf.resilient.backoff_delay_s` curve) while
+    the job record does not change, and snaps back to *poll_s* whenever
+    it does.  *step* runs after each non-terminal poll; when it returns
+    true (it made progress) the job is polled again at once.  Raises
+    :class:`~repro.errors.ServiceError` on timeout.
+    """
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    idle_polls = 0
+    last_observed: Optional[tuple] = None
+    while True:
+        job = status(job_id)
+        if job.terminal:
+            return job
+        observed = (
+            job.state,
+            tuple((s.state, s.attempts) for s in job.shards),
+        )
+        if observed != last_observed:
+            idle_polls = 0
+            last_observed = observed
+        if step is not None and step():
+            continue
+        if deadline is not None and time.monotonic() > deadline:
+            raise ServiceError(
+                f"timed out after {timeout_s}s waiting for job "
+                f"{job_id} (state: {job.state})"
+            )
+        time.sleep(
+            backoff_delay_s(
+                poll_s, 2.0, poll_max_s,
+                jitter=0.0, seed=0, index=0, attempt=idle_polls,
+            )
+        )
+        idle_polls += 1
 
 
 class ServiceClient:
@@ -106,38 +154,17 @@ class ServiceClient:
         capped polls per lease TTL, not thousands of busy reads of a
         flock'd ``job.json``.
         """
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
-        idle_polls = 0
-        last_observed: Optional[tuple] = None
-        while True:
-            job = self.store.get(job_id)
-            if job.terminal:
-                return job
-            observed = (
-                job.state,
-                tuple((s.state, s.attempts) for s in job.shards),
-            )
-            if observed != last_observed:
-                idle_polls = 0
-                last_observed = observed
+        def step() -> bool:
             self.store.reap_expired()
-            if inline_fallback and not self.store.alive_workers():
-                if self._worker().run_once():
-                    continue
-            if deadline is not None and time.monotonic() > deadline:
-                raise ServiceError(
-                    f"timed out after {timeout_s}s waiting for job "
-                    f"{job_id} (state: {job.state})"
-                )
-            time.sleep(
-                backoff_delay_s(
-                    poll_s, 2.0, poll_max_s,
-                    jitter=0.0, seed=0, index=0, attempt=idle_polls,
-                )
+            return (
+                inline_fallback
+                and not self.store.alive_workers()
+                and self._worker().run_once()
             )
-            idle_polls += 1
+
+        return _wait_until_terminal(
+            self.store.get, job_id, timeout_s, poll_s, poll_max_s, step
+        )
 
     def _worker(self) -> ServiceWorker:
         if self._inline_worker is None:
@@ -381,34 +408,9 @@ class HttpServiceClient:
         Same backoff curve as :meth:`ServiceClient.wait`; there is no
         inline fallback here — execution is the server's job.
         """
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
+        return _wait_until_terminal(
+            self.status, job_id, timeout_s, poll_s, poll_max_s
         )
-        idle_polls = 0
-        last_observed: Optional[tuple] = None
-        while True:
-            job = self.status(job_id)
-            if job.terminal:
-                return job
-            observed = (
-                job.state,
-                tuple((s.state, s.attempts) for s in job.shards),
-            )
-            if observed != last_observed:
-                idle_polls = 0
-                last_observed = observed
-            if deadline is not None and time.monotonic() > deadline:
-                raise ServiceError(
-                    f"timed out after {timeout_s}s waiting for job "
-                    f"{job_id} (state: {job.state})"
-                )
-            time.sleep(
-                backoff_delay_s(
-                    poll_s, 2.0, poll_max_s,
-                    jitter=0.0, seed=0, index=0, attempt=idle_polls,
-                )
-            )
-            idle_polls += 1
 
     def result(self, job_id: str) -> Dict[str, Any]:
         """The finished job's pattern artefacts (pickle over the wire)."""
@@ -425,16 +427,7 @@ class HttpServiceClient:
         return payload
 
     def report(self, job_id: str) -> Optional[RunReport]:
-        try:
-            data = self._json(
-                "GET", self._tenant_path(f"/{job_id}/report")
-            )
-        except JobNotFoundError:
-            # Distinguish "job unknown" from "no report yet": the
-            # server marks the latter with kind=report_missing.
-            raise
-        except ServiceError:
-            raise
+        data = self._json("GET", self._tenant_path(f"/{job_id}/report"))
         report = data.get("report")
         if report is None:
             return None

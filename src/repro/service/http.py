@@ -1,10 +1,12 @@
-"""Hand-rolled asyncio HTTP/1.1 front-end for the job service.
+"""The job service's wire API, served by the stdlib's threading HTTP server.
 
 This is the wire API the ROADMAP asked for on top of the durable
-:class:`~repro.service.jobstore.JobStore`: a stdlib-only server built
-directly on :func:`asyncio.start_server` — request parsing, keep-alive
-and chunked transfer are implemented here, not imported — because the
-package's no-third-party-deps rule applies to the service layer too.
+:class:`~repro.service.jobstore.JobStore`, kept stdlib-only by the
+package's no-third-party-deps rule:
+:class:`http.server.ThreadingHTTPServer` parses requests, keeps
+connections alive and gives every connection its own thread, and one
+:class:`~http.server.BaseHTTPRequestHandler` subclass routes each
+request and calls the store directly.
 
 Endpoints (all JSON unless noted)::
 
@@ -21,16 +23,19 @@ Endpoints (all JSON unless noted)::
 
 Three design rules keep the layer honest:
 
-* **The event loop never blocks on the store.**  Every ``JobStore``
-  call — all of which take a ``flock`` and fsync — runs in a worker
-  thread via :func:`asyncio.to_thread`, which also propagates the
-  ambient telemetry contextvar so ``service.*`` metrics land in the
-  same registry ``/metrics`` serves.
-* **Errors are structured, never swallowed.**  Back-pressure surfaces
-  as 429 with a ``Retry-After`` hint and the depth/limit in the body;
-  a malformed or DRC-failing netlist upload is a 422 with the gating
-  violations listed — the job is rejected *before* it can poison a
-  worker.
+* **A connection is a thread.**  A handler may block on a ``JobStore``
+  call — each takes a ``flock`` and fsyncs — because it holds up only
+  its own connection, and the traffic is small (a few concurrent
+  submits and event streams).  Every request runs under the server's
+  telemetry, so ``service.*`` metrics land in the same registry
+  ``/metrics`` serves.
+* **Errors are structured, never swallowed.**  Every refusal carries a
+  JSON ``{"error": {"kind", "message"}}`` body, protocol errors (an
+  oversized request line, headers or body, a body without
+  ``Content-Length``) included.  Back-pressure surfaces as 429 with a
+  ``Retry-After`` hint and the depth/limit in the body; a malformed or
+  DRC-failing netlist upload is a 422 with the gating violations
+  listed — the job is rejected *before* it can poison a worker.
 * **Execution stays out of the transport.**  The server only adapts
   the store onto HTTP; draining belongs to a worker fleet
   (:class:`~repro.service.tenants.TenantFleet`, a plain supervisor, or
@@ -40,14 +45,15 @@ Three design rules keep the layer honest:
 
 from __future__ import annotations
 
-import asyncio
 import json
 import re
+import socket
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import (
     JobNotFoundError,
@@ -59,31 +65,17 @@ from ..errors import (
 from ..obs import Telemetry, use_telemetry
 from ..obs.metrics import MetricsRegistry
 from .jobstore import JobRecord, JobSpec, JobStore
-from .tenants import TenantFleet, TenantManager
+from .tenants import TenantFleet, TenantManager, validate_tenant_name
 
 SERVER_NAME = "repro-service-http/1.0"
 
 _MAX_REQUEST_LINE = 8 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
-_DEFAULT_MAX_BODY = 32 * 1024 * 1024  # netlist uploads are text, MBs
-
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    204: "No Content",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    409: "Conflict",
-    411: "Length Required",
-    413: "Payload Too Large",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-    501: "Not Implemented",
-}
+_MAX_BODY_BYTES = 32 * 1024 * 1024  # netlist uploads are text, MBs
+#: A connection that sends nothing for this long is closed.
+_IDLE_TIMEOUT_S = 30.0
+#: How often the accept loop looks for :meth:`HttpServerThread.stop`.
+_SHUTDOWN_POLL_S = 0.05
 
 #: Keys a submitted JobSpec JSON body may carry; anything else is a
 #: loud 400 — a typo'd field silently ignored would be a silent wrong
@@ -132,38 +124,12 @@ class HttpError(Exception):
         self.headers = dict(headers or {})
         self.extra = dict(extra or {})
 
-    def body(self) -> Dict[str, Any]:
+    def response(self) -> Response:
         err: Dict[str, Any] = {"kind": self.kind, "message": self.message}
         err.update(self.extra)
-        return {"error": err}
-
-
-@dataclass
-class Request:
-    """One parsed HTTP/1.1 request."""
-
-    method: str
-    target: str
-    version: str
-    headers: Dict[str, str]
-    body: bytes
-    path: str = ""
-    query: Dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        split = urllib.parse.urlsplit(self.target)
-        self.path = split.path
-        self.query = {
-            k: v[-1]
-            for k, v in urllib.parse.parse_qs(split.query).items()
-        }
-
-    @property
-    def keep_alive(self) -> bool:
-        conn = self.headers.get("connection", "").lower()
-        if self.version == "HTTP/1.0":
-            return conn == "keep-alive"
-        return conn != "close"
+        return Response.json(
+            {"error": err}, status=self.status, headers=self.headers
+        )
 
 
 @dataclass
@@ -189,58 +155,173 @@ class Response:
         return cls(status=status, body=body, headers=dict(headers or {}))
 
 
-async def read_request(
-    reader: asyncio.StreamReader,
-    max_body_bytes: int = _DEFAULT_MAX_BODY,
-    idle_timeout_s: float = 30.0,
-) -> Optional[Request]:
-    """Parse one request off the stream; ``None`` on clean EOF.
+def _chunk(event: Dict[str, Any]) -> bytes:
+    """One NDJSON line framed as one chunk of a chunked body."""
+    data = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+    return f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n"
 
-    Raises :class:`HttpError` for protocol violations (oversized
-    line/headers/body, missing length, unsupported transfer coding)
-    and :class:`asyncio.TimeoutError` when the peer goes quiet
-    mid-request.
+
+def _route_label(path: str) -> str:
+    """Bounded-cardinality route label for metrics."""
+    if path in ("/healthz", "/metrics"):
+        return path
+    m = _JOBS_RE.fullmatch(path)
+    if m is None:
+        return "unknown"
+    label = "/v1/{tenant}/jobs"
+    if m.group("job"):
+        label += "/{id}"
+    if m.group("sub"):
+        label += "/" + m.group("sub")
+    return label
+
+
+def _gate_netlist(spec: JobSpec) -> None:
+    """Parse + DRC-gate an uploaded netlist *before* enqueueing.
+
+    Runs the exact gate the flow itself runs
+    (:data:`~repro.core.flow.DRC_GATE_FAMILIES` over the
+    reconstructed design), so an accepted upload cannot fail the
+    worker-side gate later; a rejected one answers 422 with the
+    violations, costing zero worker time.
     """
+    from ..core.flow import DRC_GATE_FAMILIES
+    from ..drc import DrcContext, run_drc
+
     try:
-        line = await asyncio.wait_for(
-            reader.readline(), timeout=idle_timeout_s
-        )
-    except asyncio.IncompleteReadError:  # pragma: no cover - defensive
-        return None
-    if not line:
-        return None
-    if len(line) > _MAX_REQUEST_LINE:
-        raise HttpError(431, "request line too long")
-    parts = line.decode("latin-1").strip().split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise HttpError(400, f"malformed request line: {line!r}")
-    method, target, version = parts
-
-    headers: Dict[str, str] = {}
-    header_bytes = 0
-    while True:
-        hline = await asyncio.wait_for(
-            reader.readline(), timeout=idle_timeout_s
-        )
-        if not hline or hline in (b"\r\n", b"\n"):
-            break
-        header_bytes += len(hline)
-        if header_bytes > _MAX_HEADER_BYTES:
-            raise HttpError(431, "headers too large")
-        text = hline.decode("latin-1").rstrip("\r\n")
-        if ":" not in text:
-            raise HttpError(400, f"malformed header line: {text!r}")
-        key, value = text.split(":", 1)
-        headers[key.strip().lower()] = value.strip()
-
-    if "transfer-encoding" in headers:
+        design, _ = spec.build_design_and_plan()
+    except (NetlistError, LibraryError) as exc:
         raise HttpError(
-            501, "chunked request bodies are not supported; "
-            "send Content-Length"
+            422, f"netlist rejected: {exc}", kind="netlist_error"
+        ) from exc
+    report = run_drc(
+        DrcContext.for_design(design), families=DRC_GATE_FAMILIES
+    )
+    gating = report.gating_violations("error")
+    if gating:
+        raise HttpError(
+            422,
+            f"netlist failed DRC with {len(gating)} unwaived "
+            f"ERROR violation(s)",
+            kind="drc_rejected",
+            extra={
+                "violations": [
+                    {
+                        "rule_id": v.rule_id,
+                        "severity": v.severity,
+                        "message": v.message,
+                    }
+                    for v in gating[:20]
+                ]
+            },
         )
+
+
+class _Server(ThreadingHTTPServer):
+    """The listening socket and what its connection threads share."""
+
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        tenants: TenantManager,
+        telemetry: Telemetry,
+        event_poll_s: float,
+    ) -> None:
+        # The stdlib server binds IPv4 only; take the family of *host*.
+        self.address_family = socket.getaddrinfo(
+            *address, type=socket.SOCK_STREAM
+        )[0][0]
+        super().__init__(address, _Handler)
+        registry = telemetry.metrics
+        assert registry is not None  # HttpServerThread enables metrics
+        self.tenants = tenants
+        self.telemetry = telemetry
+        self.registry: MetricsRegistry = registry
+        self.event_poll_s = event_poll_s
+        self.started_at = time.time()
+        #: Set by :meth:`HttpServerThread.stop`; ends every open stream.
+        self.stopping = threading.Event()
+        #: Serialises the ``http.*`` metric updates across connections.
+        self.metrics_lock = threading.Lock()
+
+    def account(
+        self, method: str, route: str, status: int, elapsed_s: float
+    ) -> None:
+        with self.metrics_lock:
+            self.registry.counter(
+                "http.requests", help="HTTP requests served"
+            ).inc(1, method=method, route=route, status=str(status))
+            self.registry.histogram(
+                "http.request_latency_s",
+                help="request handling latency in seconds",
+                buckets=_LATENCY_BUCKETS,
+            ).observe(elapsed_s, route=route)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: the stdlib parses each request, this answers it."""
+
+    server: _Server
+    protocol_version = "HTTP/1.1"
+    #: Never answer as HTTP/0.9, which has no status line: an error found
+    #: before the request's own version is parsed is framed as HTTP/1.1.
+    default_request_version = request_version = "HTTP/1.1"
+    timeout = _IDLE_TIMEOUT_S
+    # Head and body go out as separate writes; do not let the body wait
+    # for the head's ACK.
+    disable_nagle_algorithm = True
+    #: The current request's body, read by :meth:`parse_request`.
     body = b""
-    length_text = headers.get("content-length")
-    if length_text is not None:
+
+    # -- the stdlib's hooks ---------------------------------------------
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except (ConnectionError, socket.timeout):
+            pass  # the peer hung up or went quiet; nothing to answer
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """No access log: ``http.requests`` in ``/metrics`` counts them."""
+
+    def parse_request(self) -> bool:
+        """The stdlib's parse, plus the limits it leaves to the server.
+
+        A request line the stdlib would take for HTTP/0.9 (one or two
+        words, answered without a status line) or answer with 505
+        (``HTTP/2.0``) is a 400 here.
+        """
+        line = self.raw_requestline
+        words = line.split()
+        try:
+            if len(line) > _MAX_REQUEST_LINE:
+                raise HttpError(431, "request line too long")
+            if len(words) != 3 or not words[2].startswith(b"HTTP/1."):
+                raise HttpError(400, f"malformed request line: {line!r}")
+            if not super().parse_request():
+                return False
+            header_bytes = sum(
+                len(key) + len(value) + 4
+                for key, value in self.headers.raw_items()
+            )
+            if header_bytes > _MAX_HEADER_BYTES:
+                raise HttpError(431, "headers too large")
+            self.body = self._read_body()
+        except HttpError as exc:
+            self.send_error(exc.status, exc.message)
+            return False
+        return True
+
+    def _read_body(self) -> bytes:
+        if "Transfer-Encoding" in self.headers:
+            raise HttpError(
+                501, "chunked request bodies are not supported; "
+                "send Content-Length"
+            )
+        length_text = self.headers.get("Content-Length")
+        if length_text is None:
+            if self.command in ("POST", "PUT", "PATCH"):
+                raise HttpError(411, f"{self.command} requires Content-Length")
+            return b""
         try:
             length = int(length_text)
         except ValueError:
@@ -249,307 +330,162 @@ async def read_request(
             ) from None
         if length < 0:
             raise HttpError(400, "negative Content-Length")
-        if length > max_body_bytes:
+        if length > _MAX_BODY_BYTES:
             raise HttpError(
                 413,
                 f"body of {length} bytes exceeds the "
-                f"{max_body_bytes}-byte limit",
+                f"{_MAX_BODY_BYTES}-byte limit",
             )
-        body = await asyncio.wait_for(
-            reader.readexactly(length), timeout=idle_timeout_s
-        )
-    elif method in ("POST", "PUT", "PATCH"):
-        raise HttpError(411, f"{method} requires Content-Length")
-    return Request(
-        method=method,
-        target=target,
-        version=version,
-        headers=headers,
-        body=body,
-    )
+        body = self.rfile.read(length)
+        if len(body) < length:
+            raise ConnectionResetError("peer closed mid-body")
+        return body
 
-
-def _chunk(data: bytes) -> bytes:
-    return f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n"
-
-
-class HttpFrontEnd:
-    """The asyncio server: routing, metrics, tenancy, streaming."""
-
-    def __init__(
+    def send_error(
         self,
-        tenants: TenantManager,
-        telemetry: Optional[Telemetry] = None,
-        event_poll_s: float = 0.05,
-        max_body_bytes: int = _DEFAULT_MAX_BODY,
-        idle_timeout_s: float = 30.0,
+        code: int,
+        message: Optional[str] = None,
+        explain: Optional[str] = None,
     ) -> None:
-        self.tenants = tenants
-        self.telemetry = (
-            telemetry
-            if telemetry is not None
-            else Telemetry(tracing=False, metrics=True)
+        """Answer a request refused before routing, then close."""
+        self.close_connection = True
+        self._send(HttpError(code, message or self.responses[code][0]).response())
+
+    # -- one request ----------------------------------------------------
+    def _serve(self) -> None:
+        t0 = time.perf_counter()
+        target = urllib.parse.urlsplit(self.path)
+        query = {
+            k: v[-1] for k, v in urllib.parse.parse_qs(target.query).items()
+        }
+        try:
+            with use_telemetry(self.server.telemetry):
+                response = self._dispatch(target.path, query)
+        except HttpError as exc:
+            response = exc.response()
+        except (ConnectionError, socket.timeout):  # client gone mid-stream
+            raise
+        except Exception as exc:  # noqa: BLE001 - server must answer
+            response = HttpError(500, f"internal error: {exc!r}").response()
+        self.server.account(
+            self.command, _route_label(target.path), response.status,
+            time.perf_counter() - t0,
         )
-        if self.telemetry.metrics is None:
-            raise ServiceError(
-                "the HTTP front-end needs a metrics-enabled Telemetry"
-            )
-        self.registry: MetricsRegistry = self.telemetry.metrics
-        self.event_poll_s = event_poll_s
-        self.max_body_bytes = max_body_bytes
-        self.idle_timeout_s = idle_timeout_s
-        self.host: str = ""
-        self.port: int = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: "set[asyncio.StreamWriter]" = set()
-        self._started_at = time.time()
+        if response.stream:
+            # The handler streamed its own body and the connection
+            # state is unknowable (the peer may have hung up);
+            # close rather than guess.
+            self.close_connection = True
+        else:
+            self._send(response)
 
-    # -- lifecycle ------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection, host=host, port=port
-        )
-        sock = self._server.sockets[0]
-        addr = sock.getsockname()
-        self.host, self.port = addr[0], addr[1]
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = do_HEAD = _serve
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            # ``Server.close`` stops *listening*; established
-            # keep-alive connections would linger past the loop's
-            # lifetime (and warn at GC time) unless torn down here.
-            for writer in list(self._connections):
-                writer.close()
-            await self._server.wait_closed()
-            self._server = None
+    def _send_head(self, status: int, headers: Dict[str, str]) -> None:
+        self.send_response_only(status)
+        self.send_header("Server", SERVER_NAME)
+        for key, value in headers.items():
+            self.send_header(key, value)
+        self.end_headers()
 
-    # -- connection loop -------------------------------------------------
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._connections.add(writer)
-        with use_telemetry(self.telemetry):
-            try:
-                await self._connection_loop(reader, writer)
-            except (
-                ConnectionError,
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-            ):
-                pass  # peer vanished mid-request; nothing to answer
-            finally:
-                self._connections.discard(writer)
-                try:
-                    writer.close()
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
-    async def _connection_loop(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        while True:
-            try:
-                request = await read_request(
-                    reader,
-                    max_body_bytes=self.max_body_bytes,
-                    idle_timeout_s=self.idle_timeout_s,
-                )
-            except HttpError as exc:
-                await self._write_response(
-                    writer, self._error_response(exc), keep_alive=False
-                )
-                return
-            if request is None:
-                return
-            t0 = time.perf_counter()
-            route = self._route_label(request.path)
-            try:
-                response = await self._dispatch(request, writer)
-            except HttpError as exc:
-                response = self._error_response(exc)
-            except (
-                ConnectionError,
-                asyncio.TimeoutError,
-            ):  # client gone mid-stream
-                raise
-            except Exception as exc:  # noqa: BLE001 - server must answer
-                response = self._error_response(
-                    HttpError(500, f"internal error: {exc!r}")
-                )
-            self._account(
-                request.method, route, response.status,
-                time.perf_counter() - t0,
-            )
-            if response.stream:
-                # The handler streamed its own body and the connection
-                # state is unknowable (the peer may have hung up);
-                # close rather than guess.
-                return
-            keep = request.keep_alive
-            await self._write_response(writer, response, keep_alive=keep)
-            if not keep:
-                return
-
-    def _account(
-        self, method: str, route: str, status: int, elapsed_s: float
-    ) -> None:
-        self.registry.counter(
-            "http.requests", help="HTTP requests served"
-        ).inc(1, method=method, route=route, status=str(status))
-        self.registry.histogram(
-            "http.request_latency_s",
-            help="request handling latency in seconds",
-            buckets=_LATENCY_BUCKETS,
-        ).observe(elapsed_s, route=route)
-
-    @staticmethod
-    def _route_label(path: str) -> str:
-        """Bounded-cardinality route label for metrics."""
-        if path in ("/healthz", "/metrics"):
-            return path
-        m = _JOBS_RE.fullmatch(path)
-        if m is None:
-            return "unknown"
-        label = "/v1/{tenant}/jobs"
-        if m.group("job"):
-            label += "/{id}"
-        if m.group("sub"):
-            label += "/" + m.group("sub")
-        return label
-
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        response: Response,
-        keep_alive: bool,
-    ) -> None:
-        head = [
-            f"HTTP/1.1 {response.status} "
-            f"{_REASONS.get(response.status, 'Unknown')}",
-            f"Server: {SERVER_NAME}",
-            f"Content-Type: {response.content_type}",
-            f"Content-Length: {len(response.body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        for key, value in response.headers.items():
-            head.append(f"{key}: {value}")
-        writer.write(
-            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-            + response.body
-        )
-        await writer.drain()
-
-    @staticmethod
-    def _error_response(exc: HttpError) -> Response:
-        return Response.json(
-            exc.body(), status=exc.status, headers=exc.headers
-        )
+    def _send(self, response: Response) -> None:
+        self._send_head(response.status, {
+            "Content-Type": response.content_type,
+            "Content-Length": str(len(response.body)),
+            "Connection": "close" if self.close_connection else "keep-alive",
+            **response.headers,
+        })
+        self.wfile.write(response.body)
 
     # -- routing ----------------------------------------------------------
-    async def _dispatch(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-    ) -> Response:
-        path = request.path
+    def _dispatch(self, path: str, query: Dict[str, str]) -> Response:
+        method = self.command
         if path == "/healthz":
-            if request.method != "GET":
+            if method != "GET":
                 raise HttpError(405, "healthz is GET-only")
-            return await self._handle_healthz()
+            return self._handle_healthz()
         if path == "/metrics":
-            if request.method != "GET":
+            if method != "GET":
                 raise HttpError(405, "metrics is GET-only")
-            return await self._handle_metrics()
+            return self._handle_metrics()
         m = _JOBS_RE.fullmatch(path)
         if m is None:
             raise HttpError(404, f"no route for {path!r}", kind="no_route")
         tenant, job_id, sub = m.group("tenant", "job", "sub")
-        store = await self._tenant_store(tenant)
+        store = self._tenant_store(tenant)
         if job_id is None:
-            if request.method == "POST":
-                return await self._handle_submit(tenant, store, request)
-            if request.method == "GET":
-                return await self._handle_list(store)
-            raise HttpError(405, f"{request.method} not allowed on jobs")
+            if method == "POST":
+                return self._handle_submit(tenant, store)
+            if method == "GET":
+                return self._handle_list(store)
+            raise HttpError(405, f"{method} not allowed on jobs")
         if sub is None:
-            if request.method == "GET":
-                return await self._handle_status(store, job_id)
-            if request.method == "DELETE":
-                return await self._handle_cancel(store, job_id)
-            raise HttpError(
-                405, f"{request.method} not allowed on a job"
-            )
-        if request.method != "GET":
+            if method == "GET":
+                return self._handle_status(store, job_id)
+            if method == "DELETE":
+                return self._handle_cancel(store, job_id)
+            raise HttpError(405, f"{method} not allowed on a job")
+        if method != "GET":
             raise HttpError(405, f"{sub} is GET-only")
         if sub == "result":
-            return await self._handle_result(store, job_id)
+            return self._handle_result(store, job_id)
         if sub == "report":
-            return await self._handle_report(store, job_id)
-        return await self._handle_events(
-            store, tenant, job_id, request, writer
-        )
+            return self._handle_report(store, job_id)
+        return self._handle_events(store, tenant, job_id, query)
 
-    async def _tenant_store(self, tenant: str) -> JobStore:
+    def _tenant_store(self, tenant: str) -> JobStore:
         try:
-            return await asyncio.to_thread(self.tenants.store, tenant)
+            validate_tenant_name(tenant)
         except ServiceError as exc:
             raise HttpError(
                 400, str(exc), kind="invalid_tenant"
             ) from exc
+        try:
+            return self.server.tenants.store(tenant)
+        except ServiceError as exc:
+            raise HttpError(500, str(exc), kind="store_unreadable") from exc
 
     # -- handlers ---------------------------------------------------------
-    async def _handle_healthz(self) -> Response:
-        tenants = await asyncio.to_thread(self.tenants.tenant_names)
+    def _handle_healthz(self) -> Response:
         return Response.json(
             {
                 "status": "ok",
                 "server": SERVER_NAME,
-                "uptime_s": round(time.time() - self._started_at, 3),
-                "tenants": tenants,
+                "uptime_s": round(time.time() - self.server.started_at, 3),
+                "tenants": self.server.tenants.tenant_names(),
             }
         )
 
-    async def _handle_metrics(self) -> Response:
-        def render() -> str:
-            # Refresh per-tenant gauges at scrape time so the
-            # exposition reflects the stores as they are now, not as
-            # they were at the last submit.
-            depth_gauge = self.registry.gauge(
-                "service.tenant_queue_depth",
-                help="active (non-terminal) jobs per tenant",
-            )
-            limit_gauge = self.registry.gauge(
-                "service.tenant_queue_limit",
-                help="max_queue_depth per tenant",
-            )
-            for name, store in self.tenants.open_stores():
-                depth_gauge.set(store.queue_depth(), tenant=name)
-                limit_gauge.set(
-                    store.config.max_queue_depth, tenant=name
-                )
-            return self.registry.to_prometheus()
-
-        text = await asyncio.to_thread(render)
+    def _handle_metrics(self) -> Response:
+        # Refresh per-tenant gauges at scrape time so the exposition
+        # reflects the stores as they are now, not as they were at the
+        # last submit.
+        registry = self.server.registry
+        depth_gauge = registry.gauge(
+            "service.tenant_queue_depth",
+            help="active (non-terminal) jobs per tenant",
+        )
+        limit_gauge = registry.gauge(
+            "service.tenant_queue_limit",
+            help="max_queue_depth per tenant",
+        )
+        for name, store in self.server.tenants.open_stores():
+            depth_gauge.set(store.queue_depth(), tenant=name)
+            limit_gauge.set(store.config.max_queue_depth, tenant=name)
+        with self.server.metrics_lock:
+            text = registry.to_prometheus()
         return Response(
             status=200,
             body=text.encode("utf-8"),
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 
-    async def _handle_submit(
-        self, tenant: str, store: JobStore, request: Request
-    ) -> Response:
-        spec = self._parse_spec(request)
+    def _handle_submit(self, tenant: str, store: JobStore) -> Response:
+        spec = self._parse_spec()
         if spec.netlist_verilog is not None:
-            await asyncio.to_thread(self._gate_netlist, spec)
+            _gate_netlist(spec)
         try:
-            job = await asyncio.to_thread(store.submit, spec)
+            job = store.submit(spec)
         except ServiceBusyError as exc:
             retry_after = max(
                 1, int(round(store.config.backoff_base_s + 0.5))
@@ -569,15 +505,15 @@ class HttpFrontEnd:
             headers={"Location": f"/v1/{tenant}/jobs/{job.id}"},
         )
 
-    def _parse_spec(self, request: Request) -> JobSpec:
-        ctype = request.headers.get("content-type", "application/json")
+    def _parse_spec(self) -> JobSpec:
+        ctype = self.headers.get("Content-Type", "application/json")
         if "json" not in ctype:
             raise HttpError(
                 400, f"unsupported content type {ctype!r}",
                 kind="bad_request",
             )
         try:
-            payload = json.loads(request.body.decode("utf-8"))
+            payload = json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HttpError(
                 400, f"body is not valid JSON: {exc}", kind="bad_json"
@@ -602,48 +538,8 @@ class HttpFrontEnd:
                 400, f"invalid JobSpec: {exc}", kind="bad_spec"
             ) from exc
 
-    def _gate_netlist(self, spec: JobSpec) -> None:
-        """Parse + DRC-gate an uploaded netlist *before* enqueueing.
-
-        Runs the exact gate the flow itself runs
-        (:data:`~repro.core.flow.DRC_GATE_FAMILIES` over the
-        reconstructed design), so an accepted upload cannot fail the
-        worker-side gate later; a rejected one answers 422 with the
-        violations, costing zero worker time.
-        """
-        from ..core.flow import DRC_GATE_FAMILIES
-        from ..drc import DrcContext, run_drc
-
-        try:
-            design, _ = spec.build_design_and_plan()
-        except (NetlistError, LibraryError) as exc:
-            raise HttpError(
-                422, f"netlist rejected: {exc}", kind="netlist_error"
-            ) from exc
-        report = run_drc(
-            DrcContext.for_design(design), families=DRC_GATE_FAMILIES
-        )
-        gating = report.gating_violations("error")
-        if gating:
-            raise HttpError(
-                422,
-                f"netlist failed DRC with {len(gating)} unwaived "
-                f"ERROR violation(s)",
-                kind="drc_rejected",
-                extra={
-                    "violations": [
-                        {
-                            "rule_id": v.rule_id,
-                            "severity": v.severity,
-                            "message": v.message,
-                        }
-                        for v in gating[:20]
-                    ]
-                },
-            )
-
-    async def _handle_list(self, store: JobStore) -> Response:
-        jobs = await asyncio.to_thread(store.list_jobs)
+    def _handle_list(self, store: JobStore) -> Response:
+        jobs = store.list_jobs()
         return Response.json(
             {
                 "jobs": [job.to_dict() for job in jobs],
@@ -652,34 +548,24 @@ class HttpFrontEnd:
             }
         )
 
-    async def _handle_status(
-        self, store: JobStore, job_id: str
-    ) -> Response:
-        job = await self._get_job(store, job_id)
+    def _handle_status(self, store: JobStore, job_id: str) -> Response:
+        job = self._get_job(store, job_id)
         return Response.json({"job": job.to_dict()})
 
-    async def _handle_cancel(
-        self, store: JobStore, job_id: str
-    ) -> Response:
+    def _handle_cancel(self, store: JobStore, job_id: str) -> Response:
         try:
-            job = await asyncio.to_thread(store.cancel, job_id)
+            job = store.cancel(job_id)
         except JobNotFoundError as exc:
             raise HttpError(404, str(exc), kind="not_found") from exc
         except ServiceError as exc:
             raise HttpError(409, str(exc), kind="conflict") from exc
         return Response.json({"job": job.to_dict()})
 
-    async def _handle_result(
-        self, store: JobStore, job_id: str
-    ) -> Response:
-        job = await self._get_job(store, job_id)
-
-        def read_bytes() -> bytes:
-            with open(store.result_path(job_id), "rb") as fh:
-                return fh.read()
-
+    def _handle_result(self, store: JobStore, job_id: str) -> Response:
+        job = self._get_job(store, job_id)
         try:
-            blob = await asyncio.to_thread(read_bytes)
+            with open(store.result_path(job_id), "rb") as fh:
+                blob = fh.read()
         except FileNotFoundError:
             raise HttpError(
                 404,
@@ -693,11 +579,9 @@ class HttpFrontEnd:
             content_type="application/octet-stream",
         )
 
-    async def _handle_report(
-        self, store: JobStore, job_id: str
-    ) -> Response:
-        await self._get_job(store, job_id)
-        report = await asyncio.to_thread(store.load_report, job_id)
+    def _handle_report(self, store: JobStore, job_id: str) -> Response:
+        self._get_job(store, job_id)
+        report = store.load_report(job_id)
         if report is None:
             raise HttpError(
                 404,
@@ -706,20 +590,20 @@ class HttpFrontEnd:
             )
         return Response.json({"report": report.to_dict()})
 
-    async def _get_job(self, store: JobStore, job_id: str) -> JobRecord:
+    @staticmethod
+    def _get_job(store: JobStore, job_id: str) -> JobRecord:
         try:
-            return await asyncio.to_thread(store.get, job_id)
+            return store.get(job_id)
         except JobNotFoundError as exc:
             raise HttpError(404, str(exc), kind="not_found") from exc
 
     # -- the event stream --------------------------------------------------
-    async def _handle_events(
+    def _handle_events(
         self,
         store: JobStore,
         tenant: str,
         job_id: str,
-        request: Request,
-        writer: asyncio.StreamWriter,
+        query: Dict[str, str],
     ) -> Response:
         """Chunked NDJSON tail of the job's state transitions.
 
@@ -728,30 +612,30 @@ class HttpFrontEnd:
         one event per observed change — job state, any shard state, or
         a shard attempt counter.  The first event is the current
         snapshot, so a late subscriber still sees a well-formed,
-        in-order sequence; the stream ends with the terminal event.
+        in-order sequence; the stream ends with the terminal event, or
+        early when the server stops.
         """
-        job = await self._get_job(store, job_id)  # 404 before headers
+        job = self._get_job(store, job_id)  # 404 before headers
         try:
-            timeout_s = float(request.query.get("timeout_s", "600"))
+            timeout_s = float(query.get("timeout_s", "600"))
         except ValueError:
             raise HttpError(400, "timeout_s must be a number") from None
 
-        streams = self.registry.gauge(
+        server = self.server
+        streams = server.registry.gauge(
             "http.event_streams_active",
             help="currently open /events NDJSON streams",
         )
-        streams.inc(1, tenant=tenant)
-        head = (
-            f"HTTP/1.1 200 OK\r\n"
-            f"Server: {SERVER_NAME}\r\n"
-            f"Content-Type: application/x-ndjson\r\n"
-            f"Transfer-Encoding: chunked\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1"))
+        with server.metrics_lock:
+            streams.inc(1, tenant=tenant)
+        self._send_head(200, {
+            "Content-Type": "application/x-ndjson",
+            "Transfer-Encoding": "chunked",
+            "Connection": "close",
+        })
         seq = 0
         last: Optional[Tuple[str, Tuple[Tuple[str, int], ...]]] = None
-        deadline = asyncio.get_running_loop().time() + timeout_s
+        deadline = time.monotonic() + timeout_s
         try:
             while True:
                 observed = (
@@ -760,7 +644,7 @@ class HttpFrontEnd:
                 )
                 if observed != last:
                     last = observed
-                    event = {
+                    self.wfile.write(_chunk({
                         "seq": seq,
                         "ts": round(time.time(), 6),
                         "job": job.id,
@@ -775,51 +659,40 @@ class HttpFrontEnd:
                             }
                             for s in job.shards
                         ],
-                    }
-                    line = (
-                        json.dumps(event, sort_keys=True) + "\n"
-                    ).encode("utf-8")
-                    writer.write(_chunk(line))
-                    await writer.drain()
+                    }))
                     seq += 1
                 if job.terminal:
                     break
-                if asyncio.get_running_loop().time() > deadline:
-                    timeout_event = {
+                if time.monotonic() > deadline:
+                    self.wfile.write(_chunk({
                         "seq": seq,
                         "ts": round(time.time(), 6),
                         "job": job.id,
                         "event": "timeout",
                         "state": job.state,
                         "terminal": False,
-                    }
-                    writer.write(
-                        _chunk(
-                            (
-                                json.dumps(timeout_event, sort_keys=True)
-                                + "\n"
-                            ).encode("utf-8")
-                        )
-                    )
+                    }))
                     break
-                await asyncio.sleep(self.event_poll_s)
+                if server.stopping.wait(server.event_poll_s):
+                    break
                 try:
-                    job = await asyncio.to_thread(store.get, job_id)
+                    job = store.get(job_id)
                 except (JobNotFoundError, ServiceError):
                     break  # record vanished; end the stream cleanly
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
+            self.wfile.write(b"0\r\n\r\n")
         finally:
-            streams.inc(-1, tenant=tenant)
+            with server.metrics_lock:
+                streams.inc(-1, tenant=tenant)
         return Response(status=200, stream=True)
 
 
 class HttpServerThread:
-    """Run an :class:`HttpFrontEnd` (and optional fleet) off-thread.
+    """Serve the wire API (and run an optional fleet) off-thread.
 
-    The asyncio loop lives in a daemon thread so synchronous callers —
-    the CLI, tests, the benchmark — can start a real server, talk to
-    it over sockets, and tear it down deterministically::
+    The accept loop lives in a daemon thread and every connection gets
+    a thread of its own, so synchronous callers — the CLI, tests, the
+    benchmark — can start a real server, talk to it over sockets, and
+    tear it down deterministically::
 
         tenants = TenantManager(data_root)
         with HttpServerThread(tenants, fleet=TenantFleet(tenants)) as srv:
@@ -833,64 +706,49 @@ class HttpServerThread:
         host: str = "127.0.0.1",
         port: int = 0,
         fleet: Optional[TenantFleet] = None,
-        telemetry: Optional[Telemetry] = None,
         event_poll_s: float = 0.05,
     ) -> None:
-        self.front_end = HttpFrontEnd(
-            tenants, telemetry=telemetry, event_poll_s=event_poll_s
-        )
+        self.tenants = tenants
+        self.host = host
+        self.port = port
         self.fleet = fleet
-        if fleet is not None and fleet.telemetry is None:
+        self.event_poll_s = event_poll_s
+        #: Its registry is what ``/metrics`` serves.
+        self.telemetry = Telemetry(tracing=False, metrics=True)
+        if fleet is not None:
             # Fleet activity (shards completed, leases expired, inline
             # executions) should land in the same /metrics exposition.
-            fleet.telemetry = self.front_end.telemetry
-        self._host = host
-        self._port = port
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+            fleet.telemetry = self.telemetry
+        self._server: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
-        self._startup_error: Optional[BaseException] = None
 
     @property
     def base_url(self) -> str:
-        return f"http://{self.front_end.host}:{self.front_end.port}"
+        return f"http://{self.host}:{self.port}"
 
     def start(self) -> "HttpServerThread":
-        if self._thread is not None:
+        if self._server is not None:
             raise ServiceError("server already started")
-        started = threading.Event()
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(
-                    self.front_end.start(self._host, self._port)
-                )
-            except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-                self._startup_error = exc
-                started.set()
-                loop.close()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.front_end.stop())
-                loop.close()
-
+        try:
+            server = _Server(
+                (self.host, self.port),
+                self.tenants,
+                self.telemetry,
+                self.event_poll_s,
+            )
+        except OSError as exc:
+            raise ServiceError(
+                f"HTTP server failed to start: {exc!r}"
+            ) from exc
+        self.host, self.port = server.socket.getsockname()[:2]
+        self._server = server
         self._thread = threading.Thread(
-            target=run, name="repro-http-server", daemon=True
+            target=server.serve_forever,
+            args=(_SHUTDOWN_POLL_S,),
+            name="repro-http-server",
+            daemon=True,
         )
         self._thread.start()
-        if not started.wait(timeout=30.0):
-            raise ServiceError("HTTP server failed to start in 30s")
-        if self._startup_error is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-            raise ServiceError(
-                f"HTTP server failed to start: {self._startup_error!r}"
-            )
         if self.fleet is not None:
             self.fleet.start()
         return self
@@ -898,11 +756,13 @@ class HttpServerThread:
     def stop(self) -> None:
         if self.fleet is not None:
             self.fleet.stop()
-        loop = self._loop
-        if loop is not None and self._thread is not None:
-            loop.call_soon_threadsafe(loop.stop)
-            self._thread.join(timeout=30.0)
-        self._loop = None
+        server, thread = self._server, self._thread
+        if server is not None and thread is not None:
+            server.stopping.set()
+            server.shutdown()
+            thread.join()
+            server.server_close()
+        self._server = None
         self._thread = None
 
     def __enter__(self) -> "HttpServerThread":

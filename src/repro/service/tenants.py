@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import re
 import threading
+import warnings
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ServiceError
@@ -41,6 +42,9 @@ from .supervisor import ServiceSupervisor
 #: Tenant names are path components and metric label values: short
 #: lowercase slugs, no dots, no separators that could escape the root.
 TENANT_NAME_RE = re.compile(r"[a-z0-9][a-z0-9_-]{0,31}\Z")
+
+#: How long an idle fleet naps between supervision rounds.
+_IDLE_POLL_S = 0.05
 
 
 def validate_tenant_name(name: str) -> str:
@@ -56,7 +60,7 @@ def validate_tenant_name(name: str) -> str:
 class TenantManager:
     """Lazily created per-tenant :class:`JobStore` roots under one dir.
 
-    Thread-safe: the HTTP server's executor threads and the fleet
+    Thread-safe: the HTTP server's connection threads and the fleet
     thread share one manager.  A tenant's store is created on first
     use with *default_config*; an existing store keeps its own
     persisted ``config.json`` (the same open-vs-create semantics
@@ -70,7 +74,15 @@ class TenantManager:
     ) -> None:
         self.data_root = os.path.abspath(data_root)
         self.tenants_dir = os.path.join(self.data_root, "tenants")
-        os.makedirs(self.tenants_dir, exist_ok=True)
+        for path in (self.data_root, self.tenants_dir):
+            if os.path.exists(path) and not os.path.isdir(path):
+                raise ServiceError(f"{path!r} is not a directory")
+        try:
+            os.makedirs(self.tenants_dir, exist_ok=True)
+        except OSError as exc:
+            raise ServiceError(
+                f"cannot create tenant directory {self.tenants_dir!r}: {exc}"
+            ) from exc
         self.default_config = default_config
         self._stores: Dict[str, JobStore] = {}
         self._mutex = threading.Lock()
@@ -110,8 +122,23 @@ class TenantManager:
         )
 
     def open_stores(self) -> List[Tuple[str, JobStore]]:
-        """``(tenant, store)`` for every tenant on disk, opening lazily."""
-        return [(name, self.store(name)) for name in self.tenant_names()]
+        """``(tenant, store)`` for every tenant on disk, opening lazily.
+
+        A store that cannot be opened is skipped with a warning, as
+        :meth:`JobStore.list_jobs` skips an unreadable job record: one
+        bad tenant must not stop the others being served.
+        """
+        stores: List[Tuple[str, JobStore]] = []
+        for name in self.tenant_names():
+            try:
+                stores.append((name, self.store(name)))
+            except ServiceError as exc:
+                warnings.warn(
+                    f"skipping tenant {name!r}: {exc}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+        return stores
 
 
 class TenantFleet:
@@ -124,23 +151,21 @@ class TenantFleet:
     the supervisor's graceful-degradation path — which is what the
     tests and the benchmark use.  The background thread round-robins
     ``tick()`` over every supervisor, so reaping, respawning and
-    inline execution all keep happening while the asyncio front-end
-    stays free to serve requests.
+    inline execution all keep happening off the HTTP server's
+    connection threads.
     """
 
     def __init__(
         self,
         tenants: TenantManager,
         n_workers: int = 0,
-        poll_s: float = 0.05,
         inline_fallback: bool = True,
-        telemetry: Optional[AnyTelemetry] = None,
     ) -> None:
         self.tenants = tenants
         self.n_workers = n_workers
-        self.poll_s = poll_s
         self.inline_fallback = inline_fallback
-        self.telemetry = telemetry
+        #: Where ticks record metrics; the HTTP server sets its own.
+        self.telemetry: Optional[AnyTelemetry] = None
         self._supervisors: Dict[str, ServiceSupervisor] = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -180,7 +205,7 @@ class TenantFleet:
                 self.tick()
             # Busy tenants tick again immediately; an idle fleet naps.
             if not self.pending_work():
-                self._stop.wait(self.poll_s)
+                self._stop.wait(_IDLE_POLL_S)
 
     def start(self) -> "TenantFleet":
         if self._thread is not None:

@@ -137,6 +137,27 @@ class TestCli:
              "not a span event"),
             (["obs", "chrome", "t.jsonl"], {"t.jsonl": '{"name": "x"}\n'},
              "not a span event"),
+            (["obs", "report", "r.json"],
+             {"r.json": '{"stages": [], "retries": [1, 2]}'},
+             "'retries' is not an object of integers"),
+            (["obs", "report", "r.json"], {"r.json": '{"telemetry": [1]}'},
+             "'telemetry' is not an object"),
+            (["obs", "report", "r.json"],
+             {"r.json": '{"telemetry": {"metrics": [1]}}'},
+             "'telemetry' is not an object"),
+            (["obs", "report", "r.json"],
+             {"r.json": '{"telemetry": {"metrics": {"a": 1}}}'},
+             "'telemetry' is not an object"),
+            (["obs", "report", "r.json"],
+             {"r.json": '{"stages": [{"detail": {"elapsed_s": "abc"}}]}'},
+             "numeric 'elapsed_s'"),
+            (["serve", "st", "--http", "127.0.0.1:0", "--drain"],
+             {"st": ""}, "not a directory"),
+            (["serve", "st", "--http", "127.0.0.1:0", "--drain"],
+             {"st/tenants": ""}, "not a directory"),
+            (["serve", "st", "--http", "127.0.0.1:0", "--drain"],
+             {"st/tenants/bad/config.json": "{not json"},
+             "unreadable job store"),
         ],
         ids=[
             "drc-netlist-missing", "drc-netlist-empty",
@@ -153,6 +174,11 @@ class TestCli:
             "obs-report-not-object", "obs-report-stages-not-list",
             "obs-summary-no-timestamp", "obs-check-no-timestamp",
             "obs-chrome-no-timestamp",
+            "obs-report-retries-not-object",
+            "obs-report-telemetry-not-object",
+            "obs-report-metrics-not-object", "obs-report-metric-not-object",
+            "obs-report-elapsed-not-number", "serve-http-root-is-file",
+            "serve-http-tenants-is-file", "serve-http-corrupt-tenant",
         ],
     )
     def test_bad_input_file_is_one_line_error(
@@ -181,6 +207,22 @@ class TestCli:
         assert lines[0].startswith("error: ") and message in lines[0]
         after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
         assert after == before
+
+    def test_serve_http_port_in_use_is_one_line_error(self, tmp_path, capsys):
+        import socket
+
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            argv = ["serve", str(tmp_path / "data"), "--http",
+                    f"127.0.0.1:{port}", "--drain"]
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ") and "in use" in lines[0]
 
     @pytest.mark.parametrize("command", ["flow", "casestudy", "export"])
     @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 """Tests of the HTTP front-end: routing, tenancy, gating, streaming.
 
-A real server runs on a loopback socket for every test (no mocks — the
-hand-rolled HTTP/1.1 parsing *is* the subject under test), talked to
+A real server runs on a loopback socket for every test (no mocks — what
+the server puts on the wire *is* the subject under test), talked to
 through :class:`HttpServiceClient` and, where the raw status line and
 headers matter (back-pressure, malformed requests), plain
-``http.client`` connections.
+``http.client`` connections or raw sockets.  ``TestWireContract`` pins
+what the server adds to the stdlib's HTTP handling: size limits,
+body framing, request-line checks, JSON error bodies, keep-alive and
+an ``/events`` stream that ends when the server stops.
 
 The flow-running tests keep to ``n_workers=0`` fleets (the in-process
 serial path) so this file stays in the tier-1 lane; the subprocess +
@@ -16,7 +19,9 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +47,8 @@ from repro.service import (
     validate_tenant_name,
 )
 from repro.soc import build_turbo_eagle, derive_stage_plan, design_from_netlist
+
+from .test_service import FakeTime
 
 QUEUE_DEPTH = 3
 
@@ -71,6 +78,30 @@ def raw_request(base_url, method, path, body=None, headers=None):
         )
     finally:
         conn.close()
+
+
+def raw_exchange(base_url, data):
+    """Send *data* on a fresh socket and read until the server closes.
+
+    Returns ``(status_line, headers-dict, body-bytes)``; for the cases
+    below the server always closes, so the read is the whole answer.
+    """
+    host, port = base_url[len("http://"):].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        key, _, value = line.partition(":")
+        headers[key.strip().lower()] = value.strip()
+    return lines[0], headers, body
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +167,139 @@ class TestPlumbing:
         client = HttpServiceClient(srv.base_url, tenant="t0")
         with pytest.raises(JobNotFoundError):
             client.status("j-nope")
+
+
+# ----------------------------------------------------------------------
+# the wire contract: limits, framing, connection rules
+# ----------------------------------------------------------------------
+_PADDED_HEADERS = b"".join(
+    b"X-Pad-%d: %s\r\n" % (i, b"a" * 8000) for i in range(9)
+)
+
+
+class TestWireContract:
+    """What a client sees on the socket, pinned byte-level where the
+    server, not the client library, decides it."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GET /" + b"a" * 9000 + b" HTTP/1.1\r\n", 431),
+            (b"GET /healthz HTTP/1.1\r\n" + _PADDED_HEADERS + b"\r\n", 431),
+            (b"POST /v1/t0/jobs HTTP/1.1\r\n"
+             b"Content-Length: 33554433\r\n\r\n", 413),
+            (b"POST /v1/t0/jobs HTTP/1.1\r\n\r\n", 411),
+            (b"POST /v1/t0/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+             400),
+            (b"POST /v1/t0/jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+             400),
+            (b"POST /v1/t0/jobs HTTP/1.1\r\n"
+             b"Transfer-Encoding: chunked\r\n\r\n", 501),
+            (b"GARBAGE\r\n", 400),
+            (b"GET /healthz\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n", 400),
+        ],
+        ids=[
+            "request-line-over-8k", "headers-over-64k", "body-over-32m",
+            "post-without-length", "length-not-a-number",
+            "length-negative", "transfer-encoding", "one-word-line",
+            "two-word-line", "http-2",
+        ],
+    )
+    def test_rejected_request_gets_json_error_and_close(
+        self, server, capfd, request_bytes, status
+    ):
+        srv, _ = server
+        status_line, headers, body = raw_exchange(srv.base_url, request_bytes)
+        assert status_line.startswith(f"HTTP/1.1 {status} ")
+        assert headers["connection"] == "close"
+        assert headers["server"] == "repro-service-http/1.0"
+        assert headers["content-type"] == "application/json"
+        assert int(headers["content-length"]) == len(body)
+        error = json.loads(body)["error"]
+        assert error["kind"] == "error" and error["message"]
+        assert capfd.readouterr().err == ""  # no access log, no traceback
+
+    @pytest.mark.parametrize("method", ["PATCH", "HEAD", "DELETE"])
+    def test_healthz_rejects_other_methods(self, server, method):
+        srv, _ = server
+        status, _, body = raw_request(srv.base_url, method, "/healthz")
+        assert status == 405
+        if method != "HEAD":  # http.client reads no body for HEAD
+            assert json.loads(body)["error"]["message"] == (
+                "healthz is GET-only"
+            )
+
+    def test_keep_alive_serves_two_gets_on_one_connection(
+        self, server, capfd
+    ):
+        srv, _ = server
+        conn = http.client.HTTPConnection(
+            srv.base_url[len("http://"):], timeout=30
+        )
+        sockets = []
+        try:
+            for _ in range(2):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert resp.getheader("Connection") == "keep-alive"
+                assert resp.getheader("Server") == "repro-service-http/1.0"
+                assert json.loads(resp.read())["status"] == "ok"
+                sockets.append(conn.sock)
+        finally:
+            conn.close()
+        assert sockets[0] is sockets[1]
+        assert capfd.readouterr().err == ""
+
+    def test_http10_request_closes(self, server):
+        srv, _ = server
+        status_line, headers, body = raw_exchange(
+            srv.base_url, b"GET /healthz HTTP/1.0\r\n\r\n"
+        )
+        assert status_line.startswith("HTTP/1.1 200 ")
+        assert headers["connection"] == "close"
+        assert json.loads(body)["status"] == "ok"
+
+    def test_events_timeout_must_be_a_number(self, server):
+        srv, _ = server
+        job_id = HttpServiceClient(srv.base_url, tenant="t0").submit(
+            scale="tiny"
+        )
+        status, _, body = raw_request(
+            srv.base_url, "GET", f"/v1/t0/jobs/{job_id}/events?timeout_s=abc"
+        )
+        assert status == 400
+        assert "timeout_s" in json.loads(body)["error"]["message"]
+
+    def test_stop_ends_an_open_event_stream(self, tmp_path):
+        """A job that never runs keeps its stream open until the server
+        stops; stopping ends it promptly."""
+        srv = HttpServerThread(TenantManager(str(tmp_path / "data"))).start()
+        client = HttpServiceClient(srv.base_url, tenant="t0")
+        job_id = client.submit(scale="tiny")
+        events = []
+        first = threading.Event()
+
+        def follow():
+            try:
+                for event in client.events(job_id, timeout_s=60):
+                    events.append(event)
+                    first.set()
+            except (http.client.HTTPException, OSError):
+                pass  # a stream cut short also ends the iterator
+
+        follower = threading.Thread(target=follow)
+        follower.start()
+        try:
+            assert first.wait(30)
+        finally:
+            t0 = time.monotonic()
+            srv.stop()
+            follower.join(timeout=5)
+        assert time.monotonic() - t0 < 5
+        assert not follower.is_alive()
+        assert events[0]["state"] == JOB_QUEUED
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +453,28 @@ class TestBackPressure:
 
 
 # ----------------------------------------------------------------------
+# polling backoff
+# ----------------------------------------------------------------------
+class TestWaitBackoff:
+    def test_http_wait_backs_off_to_the_cap(self, server, monkeypatch):
+        """A job that stays queued for 60 s costs ~30 capped polls over
+        the wire, the same curve as the file-backed client."""
+        import repro.service.client as client_mod
+
+        srv, _ = server
+        client = HttpServiceClient(srv.base_url, tenant="t0")
+        job_id = client.submit(scale="tiny")
+        fake = FakeTime()
+        monkeypatch.setattr(client_mod, "time", fake)
+        with pytest.raises(ServiceError):
+            client.wait(job_id, timeout_s=60.0)
+        assert len(fake.sleeps) < 60.0 / 0.2 / 5
+        assert fake.sleeps == sorted(fake.sleeps)
+        assert fake.sleeps[0] == pytest.approx(0.2)
+        assert max(fake.sleeps) == pytest.approx(2.0)
+
+
+# ----------------------------------------------------------------------
 # metrics exposition
 # ----------------------------------------------------------------------
 class TestMetrics:
@@ -305,6 +491,40 @@ class TestMetrics:
         assert "repro_http_request_latency_s_bucket" in text
         # service-layer metrics land in the same registry
         assert "repro_service_jobs_submitted_total" in text
+
+    def test_concurrent_connections_lose_no_request_count(self, server):
+        """Every connection thread updates ``http.requests`` and the
+        latency histogram; under forced thread switching none of the
+        updates is lost."""
+        import sys
+
+        srv, _ = server
+        n_threads, n_requests = 8, 25
+
+        def hammer():
+            for _ in range(n_requests):
+                raw_request(srv.base_url, "GET", "/healthz")
+
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = n_threads * n_requests
+        text = HttpServiceClient(srv.base_url).metrics()
+        assert (
+            'repro_http_requests_total{method="GET",route="/healthz",'
+            f'status="200"}} {float(total)}'
+        ) in text
+        assert (
+            f'repro_http_request_latency_s_count{{route="/healthz"}} {total}'
+        ) in text
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +554,28 @@ class TestEndToEnd:
         ref, _ = run_noise_tolerant_flow(design, seed=1, max_patterns=24)
         assert np.array_equal(result["matrix"], ref.pattern_set.as_matrix())
         assert report.status == "completed"
+
+    def test_unreadable_tenant_store_spares_the_others(self, tmp_path):
+        """A tenant store corrupted while serving answers 500 for that
+        tenant alone: the fleet keeps draining the others and
+        ``/metrics`` keeps answering."""
+        tenants = TenantManager(str(tmp_path / "data"))
+        fleet = TenantFleet(tenants, n_workers=0)
+        with pytest.warns(RuntimeWarning, match="skipping tenant 'bad'"):
+            with HttpServerThread(tenants, fleet=fleet) as srv:
+                bad = tmp_path / "data" / "tenants" / "bad"
+                bad.mkdir()
+                (bad / "config.json").write_text("{not json")
+                status, _, _ = raw_request(srv.base_url, "GET", "/metrics")
+                assert status == 200
+                status, _, body = raw_request(
+                    srv.base_url, "GET", "/v1/bad/jobs"
+                )
+                assert status == 500
+                assert json.loads(body)["error"]["kind"] == "store_unreadable"
+                client = HttpServiceClient(srv.base_url, tenant="good")
+                job_id = client.submit(scale="tiny", max_patterns=8)
+                assert client.wait(job_id, timeout_s=120).state == JOB_DONE
 
     def test_jobs_cli_tenant_json_and_cancel(self, server, capsys):
         """``repro jobs --tenant --json`` and ``--cancel`` read and
