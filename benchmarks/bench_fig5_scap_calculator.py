@@ -2,16 +2,13 @@
 
 The paper's figure is an architecture diagram (VCS + PLI + STAR-RCXT
 capacitances); its reproduction is the ScapCalculator pipeline itself.
-This bench measures the calculator's per-pattern throughput with the
-event-driven engine and cross-checks the fast levelised engine
-(which may only under-count hazard energy).
+This bench measures the calculator's per-pattern throughput with its
+event-driven timing simulation.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro import ScapCalculator
 
 
 def test_fig5_scap_calculator_throughput(benchmark, study):
@@ -22,25 +19,13 @@ def test_fig5_scap_calculator_throughput(benchmark, study):
         return [calc.profile_pattern(p) for p in patterns]
 
     profiles = benchmark.pedantic(profile_all, rounds=1, iterations=1)
-    fast = ScapCalculator(study.design, study.domain, engine="fast")
-    fast_profiles = [fast.profile_pattern(p) for p in patterns]
 
-    ratios = [
-        f.energy_fj_total / max(e.energy_fj_total, 1e-9)
-        for e, f in zip(profiles, fast_profiles)
-    ]
     print()
-    print(
-        f"Figure 5: SCAP calculator on {len(patterns)} patterns; "
-        f"fast/event energy ratio min/mean: "
-        f"{min(ratios):.2f} / {np.mean(ratios):.2f}"
-    )
+    print(f"Figure 5: SCAP calculator on {len(patterns)} patterns")
     mean_scap = np.mean([p.scap_mw() for p in profiles])
     mean_ratio = np.mean([
         p.scap_to_cap_ratio for p in profiles if p.stw_ns > 0
     ])
     print(f"  mean SCAP {mean_scap:.2f} mW, mean SCAP/CAP {mean_ratio:.2f}x")
 
-    for e, f in zip(profiles, fast_profiles):
-        assert f.energy_fj_total <= e.energy_fj_total * 1.0001
     assert mean_ratio > 1.3  # STW well below the full cycle

@@ -31,6 +31,7 @@ import pytest
 
 from repro.atpg.faults import build_fault_universe, collapse_faults
 from repro.atpg.fsim import FaultSimulator
+from repro.config import VDD_NOMINAL
 from repro.netlist.cells import CELL_FUNCTIONS
 from repro.perf import resolve_workers, usable_cpus
 from repro.perf.kernel_cache import KernelCache, use_kernel_cache
@@ -133,7 +134,7 @@ def seed_event_tables(calc):
         "gate_out": [g.output for g in nl.gates],
         "gate_delay": calc.delays.gate_delay_ns,
         "energy_of_net": (
-            calc.design.parasitics.net_cap_ff * calc.vdd * calc.vdd
+            calc.design.parasitics.net_cap_ff * VDD_NOMINAL * VDD_NOMINAL
         ),
         "block_of_net": block_of_net,
     }
@@ -400,7 +401,6 @@ def test_perf_pipeline(benchmark, rig):
     best_mode = max(modes, key=modes.get)
     report["scap"] = {
         "n_patterns": n,
-        "engine": calc.engine,
         "seed_ms_per_pattern": 1000 * seed_scap_s / n,
         "batch_ms_per_pattern": 1000 * batch_scap_s / n,
         "parallel_ms_per_pattern": 1000 * par_scap_s / n,

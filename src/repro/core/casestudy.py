@@ -36,7 +36,6 @@ class CaseStudy:
         self,
         scale: str = "small",
         seed: int = 2007,
-        engine: str = "event",
         grid_nx: int = 24,
         grid_ny: int = 24,
         atpg_seed: int = 1,
@@ -73,7 +72,6 @@ class CaseStudy:
         """
         self.design = build_turbo_eagle(scale, seed)
         self.domain = self.design.dominant_domain()
-        self.engine = engine
         self.atpg_seed = atpg_seed
         self.backtrack_limit = backtrack_limit
         self.n_workers = n_workers
@@ -86,7 +84,6 @@ class CaseStudy:
             fingerprint = config_fingerprint(
                 scale=scale,
                 seed=seed,
-                engine=engine,
                 grid=(grid_nx, grid_ny),
                 atpg_seed=atpg_seed,
                 backtrack_limit=backtrack_limit,
@@ -144,9 +141,7 @@ class CaseStudy:
     @property
     def calculator(self) -> ScapCalculator:
         if self._calculator is None:
-            self._calculator = ScapCalculator(
-                self.design, self.domain, engine=self.engine
-            )
+            self._calculator = ScapCalculator(self.design, self.domain)
         return self._calculator
 
     @property

@@ -7,8 +7,12 @@ switching time frame window and reports per-pattern SCAP without writing
 VCD files.  :class:`ScapCalculator` is the same measurement loop built
 on our own simulators:
 
-``design (netlist) + patterns  ->  timing simulation (event/fast)
+``design (netlist) + patterns  ->  event-driven timing simulation
 + extracted parasitics (C_i)   ->  per-pattern power profile``
+
+Every transition inside the window counts, hazards included: the
+calculator simulates with the design's nominal
+:class:`~repro.sim.delays.DelayModel` at :data:`~repro.config.VDD_NOMINAL`.
 
 It also returns the raw :class:`~repro.sim.event.TimingResult` when the
 caller needs arrivals (endpoint delays, dynamic IR-drop).
@@ -25,13 +29,11 @@ single row, so every path is bit-exact with every other.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..atpg.patterns import pattern_rows
-from ..config import VDD_NOMINAL
 from ..errors import ConfigError
 from ..obs import current_telemetry
 from ..perf.resilient import (
@@ -42,12 +44,9 @@ from ..perf.resilient import (
 )
 from ..sim.delays import DelayModel
 from ..sim.event import EventTimingSim, TimingResult, build_launch_events
-from ..sim.fasttiming import FastTimingSim
 from ..sim.logic import LaneFrames, LogicSim
 from ..soc.design import SocDesign
 from .scap import PatternPowerProfile
-
-ENGINES = ("event", "fast")
 
 #: Lane width for batched grading: one machine word keeps the packed
 #: bigints in CPython's fast small-int paths and lets the per-pattern
@@ -58,41 +57,20 @@ MAX_LANE_WIDTH = 64
 class ScapCalculator:
     """Per-pattern SCAP measurement for one design + clock domain."""
 
-    def __init__(
-        self,
-        design: SocDesign,
-        domain: Optional[str] = None,
-        engine: str = "event",
-        vdd: float = VDD_NOMINAL,
-        delays: Optional[DelayModel] = None,
-    ):
-        if engine not in ENGINES:
-            raise ConfigError(f"engine must be one of {ENGINES}")
+    def __init__(self, design: SocDesign, domain: Optional[str] = None):
         self.design = design
         self.domain = domain if domain is not None else design.dominant_domain()
         if self.domain not in design.domains:
             raise ConfigError(f"unknown domain {self.domain!r}")
-        self.engine = engine
-        self.vdd = vdd
         self.period_ns = design.domains[self.domain].period_ns
 
         netlist = design.netlist
         self.logic = LogicSim(netlist)
-        # Workers rebuild the calculator from (design, domain, engine,
-        # vdd) alone; a caller-supplied delay model cannot be
-        # reproduced there, so it pins the calculator to serial mode.
-        self._default_delays = delays is None
-        self.delays = (
-            delays if delays is not None
-            else DelayModel(netlist, design.parasitics)
-        )
+        self.delays = DelayModel(netlist, design.parasitics)
         #: The nominal event simulator; IR-scaled re-simulation reruns
         #: it under scaled delays (:meth:`EventTimingSim.with_delays`).
         self.event_sim = EventTimingSim(
-            netlist, self.delays, design.parasitics, vdd
-        )
-        self._fast = FastTimingSim(
-            netlist, self.delays, design.parasitics, vdd
+            netlist, self.delays, design.parasitics
         )
 
         # Launch-edge clock arrival per pulsed flop.
@@ -111,8 +89,6 @@ class ScapCalculator:
             netlist.n_gates,
             netlist.n_flops,
             self.domain,
-            self.engine,
-            round(self.vdd, 9),
             round(self.period_ns, 9),
         )
 
@@ -164,27 +140,18 @@ class ScapCalculator:
     ) -> TimingResult:
         """Timing-simulate pattern *p* of a lane from its frames."""
         frame1 = frames.frame1_of(p)
-        launch = frames.launch_of(p)
-        if self.engine == "event":
-            events = build_launch_events(
-                self.design.netlist,
-                frame1,
-                launch,
-                self.launch_time,
-                self.delays.flop_ck2q_ns,
-            )
-            return self.event_sim.simulate(
-                frame1,
-                events,
-                capture_time_ns=self.period_ns,
-                record_trace=record_trace,
-            )
-        return self._fast.simulate(
+        events = build_launch_events(
+            self.design.netlist,
             frame1,
-            frames.frame2_of(p),
-            launch,
+            frames.launch_of(p),
             self.launch_time,
+            self.delays.flop_ck2q_ns,
+        )
+        return self.event_sim.simulate(
+            frame1,
+            events,
             capture_time_ns=self.period_ns,
+            record_trace=record_trace,
         )
 
     def profile_pattern(
@@ -209,10 +176,6 @@ class ScapCalculator:
             ),
             result,
         )
-
-    def profile_set(self, pattern_set) -> List[PatternPowerProfile]:
-        """Profile every pattern of a :class:`PatternSet` in order."""
-        return self.profile_patterns(pattern_set)
 
     # ------------------------------------------------------------------
     # batched grading
@@ -269,20 +232,11 @@ class ScapCalculator:
         eff = resolve_workers(
             n_workers, n_pat, est_serial_s=n_pat * SCAP_S_PER_PATTERN
         )
-        if eff > 1 and not self._default_delays:
-            warnings.warn(
-                "custom delay models cannot be rebuilt in workers; "
-                "grading serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            eff = 1
 
         tel = current_telemetry()
         with tel.span(
             "scap.profile_patterns",
             domain=self.domain,
-            engine=self.engine,
             n_patterns=n_pat,
             workers=eff,
         ):
@@ -320,7 +274,7 @@ class ScapCalculator:
             n_workers=n_workers,
             initializer=_scap_worker_init,
             initargs=(
-                self.design, self.domain, self.engine, self.vdd,
+                self.design, self.domain,
                 protocol, lane_width, matrix, v2_matrix,
             ),
         )
@@ -383,8 +337,6 @@ _SCAP_WORKER_STATE: Optional[Tuple] = None
 def _scap_worker_init(
     design: SocDesign,
     domain: str,
-    engine: str,
-    vdd: float,
     protocol: str,
     lane_width: int,
     v1: np.ndarray,
@@ -397,7 +349,7 @@ def _scap_worker_init(
     """
     global _SCAP_WORKER_STATE
     _SCAP_WORKER_STATE = (
-        ScapCalculator(design, domain, engine=engine, vdd=vdd),
+        ScapCalculator(design, domain),
         protocol,
         lane_width,
         v1,

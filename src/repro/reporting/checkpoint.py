@@ -19,7 +19,7 @@ stage plan, …).  Opening a directory whose manifest carries a
 different fingerprint resets the store instead of resuming from stale
 state, so a checkpoint can never leak results across configurations.
 
-Writes are atomic (temp file + ``os.replace``) so a crash mid-save
+Writes are atomic (:func:`atomic_write_bytes`) so a crash mid-save
 leaves the previous manifest intact.
 """
 
@@ -37,6 +37,26 @@ from ..errors import CheckpointError
 
 _MANIFEST = "manifest.json"
 _FORMAT_VERSION = 1
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write-then-rename with fsync on the file *and* its directory.
+
+    After this returns, the new content survives a crash; mid-crash,
+    the previous content survives instead.  Readers never observe a
+    torn file.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def config_fingerprint(**config: Any) -> str:
@@ -132,10 +152,10 @@ class CheckpointStore:
         return manifest
 
     def _write_manifest(self) -> None:
-        tmp = self._manifest_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self._manifest, fh, indent=1, sort_keys=True)
-        os.replace(tmp, self._manifest_path)
+        atomic_write_bytes(
+            self._manifest_path,
+            json.dumps(self._manifest, indent=1, sort_keys=True).encode(),
+        )
 
     # ------------------------------------------------------------------
     def has(self, key: str) -> bool:
@@ -210,11 +230,10 @@ class CheckpointStore:
     ) -> None:
         """Persist one stage atomically (payload first, then manifest)."""
         fname = _safe_name(key)
-        path = os.path.join(self.directory, fname)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        atomic_write_bytes(
+            os.path.join(self.directory, fname),
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+        )
         self._manifest["seq"] += 1
         self._manifest["stages"][key] = {
             "file": fname,

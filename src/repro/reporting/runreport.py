@@ -18,6 +18,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .checkpoint import atomic_write_bytes
+
 #: Terminal statuses a run can end in.
 RUN_COMPLETED = "completed"
 RUN_PARTIAL = "partial"
@@ -148,8 +150,9 @@ class RunReport:
                           default=str)
 
     def save(self, path: str) -> str:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
+        """Write the report atomically: a save that fails, in
+        serialisation or on disk, leaves the previous file loadable."""
+        atomic_write_bytes(path, (self.to_json() + "\n").encode())
         return path
 
     # ------------------------------------------------------------------

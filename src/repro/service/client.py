@@ -47,22 +47,29 @@ from .jobstore import JobRecord, JobSpec, JobStore
 from .worker import ServiceWorker
 
 
+#: ``wait`` polling: the first interval, and the cap the interval
+#: doubles up to while the job record does not change.
+_POLL_S = 0.2
+_POLL_MAX_S = 2.0
+#: Transport retries per request, and the first backoff between them.
+_REQUEST_RETRIES = 2
+_RETRY_BASE_S = 0.05
+
+
 def _wait_until_terminal(
     status: Callable[[str], JobRecord],
     job_id: str,
     timeout_s: Optional[float],
-    poll_s: float,
-    poll_max_s: float,
     step: Optional[Callable[[], bool]] = None,
 ) -> JobRecord:
     """Poll ``status(job_id)`` until the job is terminal: both clients'
     ``wait`` loop.
 
-    Polling backs off exponentially from *poll_s* to *poll_max_s* (the
-    shared :func:`~repro.perf.resilient.backoff_delay_s` curve) while
-    the job record does not change, and snaps back to *poll_s* whenever
-    it does.  *step* runs after each non-terminal poll; when it returns
-    true (it made progress) the job is polled again at once.  Raises
+    Polling backs off exponentially from 0.2 s to 2 s (the shared
+    :func:`~repro.perf.resilient.backoff_delay_s` curve) while the job
+    record does not change, and snaps back to 0.2 s whenever it does.
+    *step* runs after each non-terminal poll; when it returns true (it
+    made progress) the job is polled again at once.  Raises
     :class:`~repro.errors.ServiceError` on timeout.
     """
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
@@ -88,7 +95,7 @@ def _wait_until_terminal(
             )
         time.sleep(
             backoff_delay_s(
-                poll_s, 2.0, poll_max_s,
+                _POLL_S, 2.0, _POLL_MAX_S,
                 jitter=0.0, seed=0, index=0, attempt=idle_polls,
             )
         )
@@ -134,9 +141,7 @@ class ServiceClient:
         self,
         job_id: str,
         timeout_s: Optional[float] = None,
-        poll_s: float = 0.2,
         inline_fallback: bool = True,
-        poll_max_s: float = 2.0,
     ) -> JobRecord:
         """Block until the job is terminal; returns its final record.
 
@@ -147,12 +152,10 @@ class ServiceClient:
         :class:`~repro.errors.ServiceError` on timeout — the job keeps
         whatever progress it made and can be waited on again.
 
-        Polling backs off exponentially from *poll_s* to *poll_max_s*
-        (the shared :func:`~repro.perf.resilient.backoff_delay_s`
-        curve) while the job record does not change, and snaps back to
-        *poll_s* whenever it does — a long-running shard costs a few
-        capped polls per lease TTL, not thousands of busy reads of a
-        flock'd ``job.json``.
+        Polling backs off exponentially from 0.2 s to 2 s while the job
+        record does not change, and snaps back whenever it does — a
+        long-running shard costs a few capped polls per lease TTL, not
+        thousands of busy reads of a flock'd ``job.json``.
         """
         def step() -> bool:
             self.store.reap_expired()
@@ -162,9 +165,7 @@ class ServiceClient:
                 and self._worker().run_once()
             )
 
-        return _wait_until_terminal(
-            self.store.get, job_id, timeout_s, poll_s, poll_max_s, step
-        )
+        return _wait_until_terminal(self.store.get, job_id, timeout_s, step)
 
     def _worker(self) -> ServiceWorker:
         if self._inline_worker is None:
@@ -205,10 +206,10 @@ class HttpServiceClient:
     * **honest timeouts** — every request carries a socket timeout
       (*request_timeout_s*); a hung server raises, never blocks forever;
     * **bounded retry on connection reset** — reads (GET) retry up to
-      *retries* times with backoff; ``submit``/``cancel`` retry only
-      when the connection was refused outright (nothing reached the
-      server), because replaying a request the server may have
-      processed could double-submit.
+      twice with backoff; ``submit``/``cancel`` retry only when the
+      connection was refused outright (nothing reached the server),
+      because replaying a request the server may have processed could
+      double-submit.
 
     Server errors map back onto the service's own exceptions:
     HTTP 404 → :class:`~repro.errors.JobNotFoundError`, 429 →
@@ -222,8 +223,6 @@ class HttpServiceClient:
         base_url: str,
         tenant: str = "default",
         request_timeout_s: float = 30.0,
-        retries: int = 2,
-        retry_base_s: float = 0.05,
     ) -> None:
         url = base_url if "://" in base_url else f"http://{base_url}"
         parsed = urllib.parse.urlsplit(url)
@@ -235,8 +234,6 @@ class HttpServiceClient:
         self.port: int = parsed.port if parsed.port is not None else 80
         self.tenant = tenant
         self.request_timeout_s = request_timeout_s
-        self.retries = retries
-        self.retry_base_s = retry_base_s
 
     # -- wire plumbing --------------------------------------------------
     def _connection(
@@ -257,8 +254,9 @@ class HttpServiceClient:
         body: Optional[bytes] = None,
         timeout_s: Optional[float] = None,
     ) -> Tuple[int, Dict[str, str], bytes]:
-        """One request/response; bounded retry on transport failure."""
-        attempts = self.retries + 1
+        """One request/response on its own connection, closed on every
+        path; bounded retry on transport failure."""
+        attempts = _REQUEST_RETRIES + 1
         last_error: Optional[Exception] = None
         for attempt in range(attempts):
             conn = self._connection(timeout_s)
@@ -276,7 +274,6 @@ class HttpServiceClient:
                 )
             except (ConnectionError, http.client.HTTPException, OSError) as exc:
                 last_error = exc
-                conn.close()
                 refused = isinstance(exc, ConnectionRefusedError)
                 # Non-idempotent requests only retry when the server
                 # never saw them; reads retry on any transport failure.
@@ -288,13 +285,12 @@ class HttpServiceClient:
                     ) from exc
                 time.sleep(
                     backoff_delay_s(
-                        self.retry_base_s, 2.0, 1.0,
+                        _RETRY_BASE_S, 2.0, 1.0,
                         jitter=0.25, seed=0, index=0, attempt=attempt,
                     )
                 )
             finally:
-                if method != "GET":
-                    conn.close()
+                conn.close()
         raise ServiceError(
             f"{method} {path} failed: {last_error!r}"
         )  # pragma: no cover - loop always returns or raises
@@ -397,20 +393,14 @@ class HttpServiceClient:
         return JobRecord.from_dict(data.get("job") or {})
 
     def wait(
-        self,
-        job_id: str,
-        timeout_s: Optional[float] = None,
-        poll_s: float = 0.2,
-        poll_max_s: float = 2.0,
+        self, job_id: str, timeout_s: Optional[float] = None
     ) -> JobRecord:
         """Poll over the wire until the job is terminal.
 
         Same backoff curve as :meth:`ServiceClient.wait`; there is no
         inline fallback here — execution is the server's job.
         """
-        return _wait_until_terminal(
-            self.status, job_id, timeout_s, poll_s, poll_max_s
-        )
+        return _wait_until_terminal(self.status, job_id, timeout_s)
 
     def result(self, job_id: str) -> Dict[str, Any]:
         """The finished job's pattern artefacts (pickle over the wire)."""

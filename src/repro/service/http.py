@@ -64,7 +64,7 @@ from ..errors import (
 )
 from ..obs import Telemetry, use_telemetry
 from ..obs.metrics import MetricsRegistry
-from .jobstore import JobRecord, JobSpec, JobStore
+from .jobstore import SHARD_BACKOFF_BASE_S, JobRecord, JobSpec, JobStore
 from .tenants import TenantFleet, TenantManager, validate_tenant_name
 
 SERVER_NAME = "repro-service-http/1.0"
@@ -76,6 +76,8 @@ _MAX_BODY_BYTES = 32 * 1024 * 1024  # netlist uploads are text, MBs
 _IDLE_TIMEOUT_S = 30.0
 #: How often the accept loop looks for :meth:`HttpServerThread.stop`.
 _SHUTDOWN_POLL_S = 0.05
+#: ``Retry-After`` of a 429: the shard requeue backoff, in whole seconds.
+_RETRY_AFTER_S = max(1, int(round(SHARD_BACKOFF_BASE_S + 0.5)))
 
 #: Keys a submitted JobSpec JSON body may carry; anything else is a
 #: loud 400 — a typo'd field silently ignored would be a silent wrong
@@ -487,14 +489,11 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             job = store.submit(spec)
         except ServiceBusyError as exc:
-            retry_after = max(
-                1, int(round(store.config.backoff_base_s + 0.5))
-            )
             raise HttpError(
                 429,
                 str(exc),
                 kind="busy",
-                headers={"Retry-After": str(retry_after)},
+                headers={"Retry-After": str(_RETRY_AFTER_S)},
                 extra={"depth": exc.depth, "limit": exc.limit},
             ) from exc
         except ServiceError as exc:

@@ -70,7 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from ..errors import JobNotFoundError, ServiceBusyError, ServiceError
 from ..obs import current_telemetry
-from ..perf.resilient import RetryPolicy
+from ..perf.resilient import backoff_delay_s
+from ..reporting.checkpoint import atomic_write_bytes
 from ..reporting.runreport import RUN_FAILED, RunReport
 from .lease import Lease
 
@@ -92,34 +93,22 @@ SHARD_FAILED = "failed"
 SHARD_DEAD = "dead"
 SHARD_TERMINAL = frozenset({SHARD_DONE, SHARD_FAILED, SHARD_DEAD})
 
+#: Requeue backoff of a retried shard: ``base * 2**attempt`` capped at
+#: ``max``, plus up to ``jitter`` extra, derived from the shard index
+#: and attempt — the curve :class:`repro.perf.resilient.RetryPolicy`
+#: applies to chunks.
+SHARD_BACKOFF_BASE_S = 0.25
+SHARD_BACKOFF_MAX_S = 10.0
+SHARD_BACKOFF_JITTER = 0.25
+
 _CONFIG_FILE = "config.json"
 _JOB_FILE = "job.json"
 _FORMAT_VERSION = 1
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write-then-rename with fsync on the file *and* its directory.
-
-    After this returns, the new content survives a crash; mid-crash,
-    the previous content survives instead.  Readers never observe a
-    torn file.
-    """
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
 def _atomic_write_json(path: str, data: Dict[str, Any]) -> None:
     blob = json.dumps(data, indent=1, sort_keys=True, default=str)
-    _atomic_write_bytes(path, (blob + "\n").encode("utf-8"))
+    atomic_write_bytes(path, (blob + "\n").encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -139,14 +128,6 @@ class ServiceConfig:
     #: Leases burned before a shard is quarantined as ``dead``
     #: (= consecutive workers it is allowed to kill).
     max_shard_attempts: int = 3
-    #: Requeue backoff: ``base * factor**attempt`` capped at ``max``,
-    #: plus deterministic jitter — the same curve
-    #: :class:`repro.perf.resilient.RetryPolicy` applies to chunks.
-    backoff_base_s: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 10.0
-    backoff_jitter: float = 0.25
-    backoff_seed: int = 0
 
     @property
     def heartbeat_s(self) -> float:
@@ -154,42 +135,22 @@ class ServiceConfig:
         survivable and two are not."""
         return self.lease_ttl_s / 3.0
 
-    def retry_policy(self) -> RetryPolicy:
-        """The shard retry schedule as a shared
-        :class:`~repro.perf.resilient.RetryPolicy`."""
-        return RetryPolicy(
-            max_attempts=self.max_shard_attempts,
-            backoff_base_s=self.backoff_base_s,
-            backoff_factor=self.backoff_factor,
-            backoff_max_s=self.backoff_max_s,
-            jitter=self.backoff_jitter,
-            seed=self.backoff_seed,
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "version": _FORMAT_VERSION,
             "max_queue_depth": self.max_queue_depth,
             "lease_ttl_s": self.lease_ttl_s,
             "max_shard_attempts": self.max_shard_attempts,
-            "backoff_base_s": self.backoff_base_s,
-            "backoff_factor": self.backoff_factor,
-            "backoff_max_s": self.backoff_max_s,
-            "backoff_jitter": self.backoff_jitter,
-            "backoff_seed": self.backoff_seed,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServiceConfig":
+        """Keys it does not know, such as the ``backoff_*`` fields of
+        older stores, are ignored."""
         return cls(
             max_queue_depth=int(data.get("max_queue_depth", 32)),
             lease_ttl_s=float(data.get("lease_ttl_s", 30.0)),
             max_shard_attempts=int(data.get("max_shard_attempts", 3)),
-            backoff_base_s=float(data.get("backoff_base_s", 0.25)),
-            backoff_factor=float(data.get("backoff_factor", 2.0)),
-            backoff_max_s=float(data.get("backoff_max_s", 10.0)),
-            backoff_jitter=float(data.get("backoff_jitter", 0.25)),
-            backoff_seed=int(data.get("backoff_seed", 0)),
         )
 
 
@@ -612,7 +573,7 @@ class JobStore:
         except (OSError, ValueError):
             pass
         seq += 1
-        _atomic_write_bytes(path, str(seq).encode("ascii"))
+        atomic_write_bytes(path, str(seq).encode("ascii"))
         return seq
 
     # -- claiming and leases -------------------------------------------
@@ -852,9 +813,9 @@ class JobStore:
             self._write_failure_report(job)
             return
         shard.state = SHARD_QUEUED
-        policy = self.config.retry_policy()
-        shard.not_before = now + policy.backoff_s(
-            shard.index, shard.attempts - 1
+        shard.not_before = now + backoff_delay_s(
+            SHARD_BACKOFF_BASE_S, 2.0, SHARD_BACKOFF_MAX_S,
+            SHARD_BACKOFF_JITTER, 0, shard.index, shard.attempts - 1,
         )
         tel.count("service.shard_retries")
 
@@ -896,7 +857,7 @@ class JobStore:
     # -- results --------------------------------------------------------
     def save_result(self, job_id: str, payload: Dict[str, Any]) -> None:
         """Persist the finished job's pattern artefacts atomically."""
-        _atomic_write_bytes(
+        atomic_write_bytes(
             self.result_path(job_id),
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
         )

@@ -7,9 +7,9 @@ that:
 
 * reaps expired leases (tightening reclaim latency below the lazy
   reaping :meth:`~repro.service.jobstore.JobStore.claim` already does);
-* respawns workers that died — up to ``respawn_limit`` respawns per
-  slot, so a crash loop cannot fork-bomb the host (the shard-level
-  quarantine in the store is what actually contains poison jobs);
+* respawns workers that died — up to three respawns per slot, so a
+  crash loop cannot fork-bomb the host (the shard-level quarantine in
+  the store is what actually contains poison jobs);
 * **degrades gracefully**: when not a single worker process is alive —
   all crashed out, or the pool was started with ``n_workers=0`` — the
   supervisor executes shards *in-process, serially*, via the very same
@@ -39,6 +39,13 @@ from .jobstore import JobStore
 from .worker import ServiceWorker
 
 
+#: Respawns per worker slot before the slot stays empty.
+_RESPAWN_LIMIT = 3
+#: Pause between the supervision rounds of
+#: :meth:`ServiceSupervisor.run_until_drained`.
+_DRAIN_POLL_S = 0.25
+
+
 def _src_pythonpath() -> str:
     """PYTHONPATH entry that makes ``repro`` importable in children."""
     here = os.path.abspath(__file__)
@@ -65,14 +72,12 @@ class ServiceSupervisor:
         self,
         store: JobStore,
         n_workers: int = 2,
-        respawn_limit: int = 3,
         inline_fallback: bool = True,
     ) -> None:
         if n_workers < 0:
             raise ServiceError("n_workers must be >= 0")
         self.store = store
         self.n_workers = n_workers
-        self.respawn_limit = respawn_limit
         self.inline_fallback = inline_fallback
         self._slots: List[_WorkerSlot] = [
             _WorkerSlot(i) for i in range(n_workers)
@@ -127,7 +132,7 @@ class ServiceSupervisor:
             if slot.process is not None:
                 slot.process.wait()  # collect the zombie
                 slot.process = None
-            if slot.spawns <= self.respawn_limit:
+            if slot.spawns <= _RESPAWN_LIMIT:
                 self._spawn(slot)
                 tel.count("service.workers_respawned")
         tel.gauge_set("service.queue_depth", self.store.queue_depth())
@@ -141,11 +146,7 @@ class ServiceSupervisor:
             if self._inline_worker.run_once():
                 tel.count("service.inline_shards")
 
-    def run_until_drained(
-        self,
-        poll_s: float = 0.25,
-        timeout_s: Optional[float] = None,
-    ) -> None:
+    def run_until_drained(self, timeout_s: Optional[float] = None) -> None:
         """Tick until every job is terminal (or *timeout_s* elapses)."""
         deadline = (
             None if timeout_s is None else time.monotonic() + timeout_s
@@ -159,7 +160,7 @@ class ServiceSupervisor:
                     f"service did not drain within {timeout_s}s "
                     f"({self.store.queue_depth()} job(s) still active)"
                 )
-            time.sleep(poll_s)
+            time.sleep(_DRAIN_POLL_S)
 
     def shutdown(self, grace_s: float = 5.0) -> None:
         """Terminate the fleet: SIGTERM, then SIGKILL past the grace."""

@@ -39,6 +39,10 @@ from .jobstore import JobRecord, JobSpec, JobStore, ShardRecord
 from .lease import LeaseHeartbeat
 
 
+#: Queue poll interval of an idle :meth:`ServiceWorker.run`.
+_IDLE_SLEEP_S = 0.2
+
+
 def _default_worker_id() -> str:
     return f"w-{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
@@ -107,23 +111,19 @@ class ServiceWorker:
             )
         return True
 
-    def run(
-        self,
-        drain: bool = False,
-        max_shards: Optional[int] = None,
-        idle_sleep_s: float = 0.2,
-    ) -> int:
+    def run(self, drain: bool = False) -> int:
         """Process shards until told to stop; returns shards processed.
 
-        ``drain=True`` exits once no job needs work; ``max_shards``
-        bounds the loop for tests.  The worker registers itself (and
-        heartbeats) in the store's worker registry so the supervisor
-        can tell "workers are alive" from "I must degrade gracefully".
+        ``drain=True`` exits once no job needs work; otherwise an idle
+        worker polls the queue every 0.2 s.  The worker registers
+        itself (and heartbeats) in the store's worker registry so the
+        supervisor can tell "workers are alive" from "I must degrade
+        gracefully".
         """
         self.store.register_worker(self.worker_id, os.getpid())
         processed = 0
         try:
-            while max_shards is None or processed < max_shards:
+            while True:
                 did_work = self.run_once()
                 self.store.worker_heartbeat(self.worker_id)
                 if did_work:
@@ -131,7 +131,7 @@ class ServiceWorker:
                     continue
                 if drain and not self.store.pending_work():
                     break
-                time.sleep(idle_sleep_s)
+                time.sleep(_IDLE_SLEEP_S)
         finally:
             self.store.deregister_worker(self.worker_id)
         return processed
@@ -273,27 +273,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="exit once the queue is empty instead of polling forever",
     )
     parser.add_argument(
-        "--max-shards",
-        type=int,
-        default=None,
-        help="stop after processing this many shards",
-    )
-    parser.add_argument(
         "--worker-id", default=None, help="stable worker id (default: auto)"
-    )
-    parser.add_argument(
-        "--idle-sleep",
-        type=float,
-        default=0.2,
-        help="poll interval while the queue is empty (seconds)",
     )
     args = parser.parse_args(argv)
     worker = ServiceWorker(JobStore(args.store), worker_id=args.worker_id)
-    worker.run(
-        drain=args.drain,
-        max_shards=args.max_shards,
-        idle_sleep_s=args.idle_sleep,
-    )
+    worker.run(drain=args.drain)
     return 0
 
 

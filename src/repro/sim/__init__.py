@@ -6,8 +6,6 @@
 * :mod:`~repro.sim.delays` — per-instance loaded delays (SDF substitute),
 * :mod:`~repro.sim.event` — event-driven gate-level timing simulation of
   the launch-to-capture cycle (the VCS substitute),
-* :mod:`~repro.sim.fasttiming` — levelised single-transition timing
-  approximation for bulk pattern screening,
 * :mod:`~repro.sim.endpoints` — endpoint path-delay measurement against
   each flop's own clock arrival (paper Figure 7 semantics).
 """
@@ -21,7 +19,6 @@ from .logic import (
 )
 from .delays import DelayModel
 from .event import EventTimingSim, TimingResult
-from .fasttiming import FastTimingSim
 from .endpoints import endpoint_delays
 from .sta import (
     SstaReport,
@@ -35,7 +32,6 @@ from .waveform import SwitchingTrace, write_vcd
 __all__ = [
     "DelayModel",
     "EventTimingSim",
-    "FastTimingSim",
     "LogicSim",
     "SstaReport",
     "StaReport",

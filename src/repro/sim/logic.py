@@ -245,8 +245,7 @@ class LaneFrames:
     *p*: ``frame1`` holds its frame-1 value on every net, ``launch`` the
     launch state of the pulsed ``flops`` and ``toggling`` which of
     those flops change Q at the launch edge — the launch events of a
-    timing simulation and the seeds of every static bound.  Frame 2 is
-    unpacked on first use (only the fast timing engine reads it).
+    timing simulation and the seeds of every static bound.
     """
 
     def __init__(
@@ -266,7 +265,6 @@ class LaneFrames:
         )
         self.width = lane.shape[0]
         self.flops = cycle.pulsed_flops
-        self._cycle = cycle
         self.frame1 = self._unpack(cycle.frame1)
         self.launch = self._unpack(
             [cycle.launch_state[fi] for fi in self.flops]
@@ -275,7 +273,6 @@ class LaneFrames:
             [sim.netlist.flops[fi].q for fi in self.flops], dtype=np.intp
         )
         self.toggling = self.launch != self.frame1[:, q_nets]
-        self._frame2: Optional[np.ndarray] = None
 
     def _unpack(self, words: Sequence[int]) -> np.ndarray:
         """Bit *p* of every word as row *p* of a 0/1 uint8 matrix."""
@@ -287,11 +284,6 @@ class LaneFrames:
 
     def frame1_of(self, p: int) -> List[int]:
         return self.frame1[p].tolist()
-
-    def frame2_of(self, p: int) -> List[int]:
-        if self._frame2 is None:
-            self._frame2 = self._unpack(self._cycle.frame2)
-        return self._frame2[p].tolist()
 
     def launch_of(self, p: int) -> Dict[int, int]:
         return dict(zip(self.flops, self.launch[p].tolist()))

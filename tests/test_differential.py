@@ -18,12 +18,12 @@ from repro.atpg import build_fault_universe, collapse_faults
 from repro.atpg.fsim import FaultSimulator
 from repro.atpg.podem import PodemStatus, generate_test
 from repro.atpg.twoframe import TwoFrameState
+from repro.config import VDD_NOMINAL
 from repro.drc import check_netlist_drc
 from repro.netlist import parse_verilog, write_verilog
 from repro.sim import (
     DelayModel,
     EventTimingSim,
-    FastTimingSim,
     LogicSim,
     loc_launch_capture,
 )
@@ -42,7 +42,9 @@ def test_random_netlists_are_lint_clean(nl):
 @given(nl=random_netlist(), seed=st.integers(0, 2**31 - 1))
 def test_event_final_state_matches_zero_delay(nl, seed):
     """The event-driven simulator must settle to the zero-delay frame-2
-    values (same logic, different schedule)."""
+    values (same logic, different schedule), so it charges at least one
+    transition, C * VDD^2, to every net whose two frames differ; hazards
+    only add to that."""
     rng = np.random.default_rng(seed)
     sim = LogicSim(nl)
     v1 = {fi: int(rng.integers(2)) for fi in range(nl.n_flops)}
@@ -61,26 +63,15 @@ def test_event_final_state_matches_zero_delay(nl, seed):
         final[net] = val
     for net in range(nl.n_nets):
         assert final[net] == (cyc.frame2[net] & 1), nl.net_names[net]
-
-
-@settings(max_examples=25, deadline=None)
-@given(nl=random_netlist(), seed=st.integers(0, 2**31 - 1))
-def test_fast_engine_never_exceeds_event_energy(nl, seed):
-    rng = np.random.default_rng(seed)
-    sim = LogicSim(nl)
-    v1 = {fi: int(rng.integers(2)) for fi in range(nl.n_flops)}
-    cyc = loc_launch_capture(sim, v1, "clka")
-    dm = DelayModel(nl)
-    launch_times = {fi: 0.0 for fi in cyc.pulsed_flops}
-    launch = {fi: cyc.launch_state[fi] for fi in cyc.pulsed_flops}
-    events = build_launch_events(nl, cyc.frame1, launch, launch_times,
-                                 dm.flop_ck2q_ns)
-    ev = EventTimingSim(nl, dm).simulate(cyc.frame1, events, 1000.0,
-                                         horizon_ns=1e6)
-    fa = FastTimingSim(nl, dm).simulate(cyc.frame1, cyc.frame2, launch,
-                                        launch_times, 1000.0)
-    assert fa.energy_fj_total <= ev.energy_fj_total + 1e-9
-    assert fa.n_transitions <= ev.n_transitions
+    switched = [
+        net for net in range(nl.n_nets)
+        if (cyc.frame1[net] ^ cyc.frame2[net]) & 1
+    ]
+    switched_fj = sum(
+        float(ets.parasitics.net_cap_ff[net]) * VDD_NOMINAL**2
+        for net in switched
+    )
+    assert res.energy_fj_total >= switched_fj - 1e-9
 
 
 @settings(max_examples=20, deadline=None)

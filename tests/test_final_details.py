@@ -41,12 +41,12 @@ class TestGridModelDetails:
 
 
 class TestCalculatorDetails:
-    def test_profile_set_order(self, design):
+    def test_profile_patterns_order(self, design):
         calc = ScapCalculator(design, "clka")
         flow = ConventionalFlow(design, seed=1, backtrack_limit=40).run(
             max_patterns=6
         )
-        profiles = calc.profile_set(flow.pattern_set)
+        profiles = calc.profile_patterns(flow.pattern_set)
         assert [p.pattern_index for p in profiles] == list(
             range(len(profiles))
         )

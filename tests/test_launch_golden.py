@@ -7,8 +7,7 @@ from the per-protocol launch code before it was merged into one
 function (floats as ``float.hex``):
 
 * SCAP profiles of 70 seeded random patterns on the tiny SOC (two
-  lanes, the second partial) under each protocol and both timing
-  engines,
+  lanes, the second partial) under each protocol,
 * LOS and ES fault-simulation detection words,
 * the toggles and full trace of one traced single-pattern simulation
   per protocol,
@@ -48,15 +47,6 @@ DIGESTS: Dict[str, str] = {
     ),
     "profiles.es.event": (
         "5d07564fcab86081d073a5d28cdec9167fd01434fdfeb6828d7b9258fbcec668"
-    ),
-    "profiles.loc.fast": (
-        "7f25f49b9cae598bba8ad8e9a91a90a8391a8a2d11190810cdf9bf109dd6279e"
-    ),
-    "profiles.los.fast": (
-        "49920ae15f0e022b9389d5ce80ac8e55fd9c6f6e382e71658a611446fb2c06b9"
-    ),
-    "profiles.es.fast": (
-        "a75de2efc0c951124312930212b599985c3e6ca8c779c7f0c87cfa46b7ceec35"
     ),
     "fsim.loc": (
         "52d45a173c8cbd07411f8cac7ab20bd4b2a8ac966fd4b9c099e536cee19f8b34"
@@ -146,17 +136,16 @@ def _v2_for(protocol: str, v2: np.ndarray):
     return v2 if protocol == "es" else None
 
 
-@pytest.mark.parametrize("engine", ["event", "fast"])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_profiles_pinned(tiny, protocol, engine):
+def test_profiles_pinned(tiny, protocol):
     design, domain, v1, v2 = tiny
-    calc = ScapCalculator(design, domain, engine=engine)
+    calc = ScapCalculator(design, domain)
     profiles = calc.profile_patterns(
         v1, protocol=protocol, v2_matrix=_v2_for(protocol, v2)
     )
     assert len(profiles) == N_ROWS
     assert _digest(_profile_payload(profiles)) == (
-        DIGESTS[f"profiles.{protocol}.{engine}"]
+        DIGESTS[f"profiles.{protocol}.event"]
     )
 
 
@@ -219,7 +208,6 @@ def test_lane_equals_lanes_of_one(tiny, protocol):
             None if v2_lane is None else v2_lane[p:p + 1],
         )
         assert one.frame1_of(0) == frames.frame1_of(p)
-        assert one.frame2_of(0) == frames.frame2_of(p)
         assert one.launch_of(0) == frames.launch_of(p)
         assert one.seeds_of(0) == frames.seeds_of(p)
     for p in (0, 17, 63):

@@ -187,10 +187,9 @@ class TestFaultSimEquivalence:
 
 
 class TestScapBatchEquivalence:
-    @pytest.mark.parametrize("engine", ["event", "fast"])
-    def test_batch_matches_per_pattern(self, graded, engine):
+    def test_batch_matches_per_pattern(self, graded):
         design, domain, _faults, matrix = graded
-        calc = ScapCalculator(design, domain, engine=engine)
+        calc = ScapCalculator(design, domain)
         m = matrix[:70]  # two lanes, second partial
         per = [
             calc.profile_pattern(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.reporting import curve_to_csv, format_table, series_to_csv
 
 
@@ -84,6 +86,24 @@ class TestRunReportRoundTrip:
         assert loaded.resumed_stages() == ["stage1"]
         assert loaded.total_retries == 2
         assert loaded.telemetry["run_id"] == "rt1"
+
+    def test_failed_save_keeps_the_previous_report(self, tmp_path):
+        """A save that raises mid-serialisation leaves the file it
+        would have replaced whole and loadable."""
+        from repro.reporting import RunReport
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot serialise")
+
+        path = str(tmp_path / "run_report.json")
+        report = self._build()
+        report.save(path)
+        saved = report.to_dict()
+        report.drc = {"status": Unprintable()}
+        with pytest.raises(RuntimeError):
+            report.save(path)
+        assert RunReport.load(path).to_dict() == saved
 
     def test_from_dict_recomputes_derived_and_skips_unknown(self):
         from repro.reporting import RunReport

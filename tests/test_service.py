@@ -12,6 +12,7 @@ pattern set is bit-identical to a single-process
 from __future__ import annotations
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -127,6 +128,31 @@ class TestStateMachine:
         # config round-trips through config.json too
         assert reopened.config.lease_ttl_s == TTL
         assert reopened.config.max_queue_depth == 4
+
+    def test_store_config_with_retired_backoff_keys_opens(self, tmp_path):
+        """Stores written when the requeue backoff was configurable
+        still open, keeping every setting that is still one."""
+        root = tmp_path / "old"
+        root.mkdir()
+        (root / "config.json").write_text(json.dumps({
+            "version": 1,
+            "max_queue_depth": 5,
+            "lease_ttl_s": 7.5,
+            "max_shard_attempts": 4,
+            "backoff_base_s": 0.05,
+            "backoff_factor": 3.0,
+            "backoff_max_s": 1.0,
+            "backoff_jitter": 0.0,
+            "backoff_seed": 9,
+        }))
+        store = JobStore(str(root))
+        assert store.config == ServiceConfig(
+            max_queue_depth=5, lease_ttl_s=7.5, max_shard_attempts=4
+        )
+        for _ in range(5):
+            store.submit(JobSpec())
+        with pytest.raises(ServiceBusyError):
+            store.submit(JobSpec())
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,14 @@ SIGKILL variant lives with the other chaos tests.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import io
 import json
 import socket
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +345,25 @@ class TestJobsApi:
         with pytest.raises(ServiceError) as err:
             client.result(job_id)
         assert "no result artefact" in str(err.value)
+
+    def test_client_closes_every_connection(self, server):
+        """No request leaves its socket for the garbage collector,
+        which would close it with a ResourceWarning."""
+        srv, _ = server
+        client = HttpServiceClient(srv.base_url, tenant="t0")
+        job_id = client.submit(scale="tiny")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            client.healthz()
+            client.jobs()
+            client.status(job_id)
+            for unfinished in (client.result, client.report):
+                with pytest.raises(JobNotFoundError):
+                    unfinished(job_id)
+            client.metrics()
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert [str(w.message) for w in leaks] == []
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the delay model, event-driven and fast timing engines."""
+"""Tests for the delay model and the event-driven timing engine."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.netlist import Netlist, extract_net_caps
 from repro.sim import (
     DelayModel,
     EventTimingSim,
-    FastTimingSim,
     LogicSim,
     endpoint_delays,
     loc_launch_capture,
@@ -151,42 +150,6 @@ class TestEventSim:
         ets = EventTimingSim(chain3, DelayModel(chain3))
         with pytest.raises(SimulationError):
             ets.simulate([0, 1], [], 20.0)
-
-
-class TestFastVsEvent:
-    def test_agree_on_hazard_free_chain(self, chain3):
-        dm = DelayModel(chain3)
-        sim = LogicSim(chain3)
-        init = sim.run({0: 0})
-        final = sim.run({0: 1})
-        ets = EventTimingSim(chain3, dm)
-        fts = FastTimingSim(chain3, dm)
-        ev = ets.simulate(init, [(0.3, chain3.net_id("q0"), 1)], 20.0)
-        fa = fts.simulate(init, final, {0: 1}, {0: 0.3 - dm.flop_ck2q_ns[0]},
-                          20.0)
-        assert fa.n_transitions == ev.n_transitions
-        assert fa.stw_ns == pytest.approx(ev.stw_ns)
-        assert fa.energy_fj_total == pytest.approx(ev.energy_fj_total)
-
-    def test_fast_underestimates_glitch_power(self):
-        design = build_turbo_eagle("tiny", seed=23)
-        nl = design.netlist
-        sim = LogicSim(nl)
-        dm = DelayModel(nl, design.parasitics)
-        ets = EventTimingSim(nl, dm, design.parasitics)
-        fts = FastTimingSim(nl, dm, design.parasitics)
-        tree = design.clock_trees["clka"]
-        rng = np.random.default_rng(3)
-        v1 = {fi: int(rng.integers(2)) for fi in range(nl.n_flops)}
-        cyc = loc_launch_capture(sim, v1, "clka")
-        lt = {fi: tree.insertion_delay_ns(fi) for fi in cyc.pulsed_flops}
-        launch = {fi: cyc.launch_state[fi] for fi in lt}
-        events = build_launch_events(nl, cyc.frame1, launch, lt,
-                                     dm.flop_ck2q_ns)
-        ev = ets.simulate(cyc.frame1, events, 20.0)
-        fa = fts.simulate(cyc.frame1, cyc.frame2, launch, lt, 20.0)
-        assert fa.energy_fj_total <= ev.energy_fj_total * 1.0001
-        assert fa.n_transitions <= ev.n_transitions
 
 
 class TestEndpoints:
