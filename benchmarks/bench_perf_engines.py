@@ -21,8 +21,6 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import shutil
-import tempfile
 import time
 from pathlib import Path
 
@@ -34,7 +32,6 @@ from repro.atpg.fsim import FaultSimulator
 from repro.config import VDD_NOMINAL
 from repro.netlist.cells import CELL_FUNCTIONS
 from repro.perf import resolve_workers, usable_cpus
-from repro.perf.kernel_cache import KernelCache, use_kernel_cache
 from repro.power.calculator import ScapCalculator
 from repro.power.scap import PatternPowerProfile
 from repro.sim.event import TimingResult, build_launch_events
@@ -266,8 +263,7 @@ def test_perf_pipeline(benchmark, rig):
     }
 
     # -- bit-parallel logic sim ----------------------------------------
-    with use_kernel_cache(None):
-        lsim = FaultSimulator(nl, domain).sim
+    lsim = FaultSimulator(nl, domain).sim
     loc_launch_capture(lsim, packed_vec, domain, mask=mask_vec)  # warm
     t0 = time.perf_counter()
     for _ in range(3):
@@ -278,43 +274,15 @@ def test_perf_pipeline(benchmark, rig):
         "patterns_per_s": matrix.shape[0] / logic_s,
     }
 
-    # -- persistent kernel cache ---------------------------------------
-    # Cold: codegen + compile() every cone, persist to disk.  Warm: a
-    # fresh simulator marshal-loads the same kernels — this is what
-    # every pool worker (and every later run) pays instead of the
-    # compile tax.
-    cache_dir = tempfile.mkdtemp(prefix="repro-kcache-bench-")
-    kcache = KernelCache(cache_dir)
-    with use_kernel_cache(kcache):
-        t0 = time.perf_counter()
-        FaultSimulator(nl, domain).warm_kernels(faults)
-        cold_compile_s = time.perf_counter() - t0
-    # Warm from *disk* through a fresh cache instance — what a pool
-    # worker (fresh process) pays.  The original instance has the table
-    # memoized in memory, which is the cheaper same-process path.
-    with use_kernel_cache(KernelCache(cache_dir)):
-        t0 = time.perf_counter()
-        fsim = FaultSimulator(nl, domain)
-        residual = fsim.warm_kernels(faults)
-        warm_load_s = time.perf_counter() - t0
-    assert residual == 0, "warm cache still compiled kernels"
-    with use_kernel_cache(kcache):
-        t0 = time.perf_counter()
-        assert FaultSimulator(nl, domain).warm_kernels(faults) == 0
-        warm_memo_s = time.perf_counter() - t0
-    report["kernel_cache"] = {
-        "cold_compile_s": cold_compile_s,
-        "warm_load_s": warm_load_s,
-        "warm_memo_s": warm_memo_s,
-        "speedup_warm_vs_cold": cold_compile_s / max(1e-9, warm_load_s),
-        "entries": len(kcache.entries()),
-        "hits": kcache.hits,
-        "stores": kcache.stores,
-    }
-
     # -- fault simulation ----------------------------------------------
-    # All contenders run steady-state on the warm cache; the one-time
-    # per-netlist cost is what the kernel_cache section reports.
+    # A fresh simulator's first grade is what the first flow on a design
+    # and every uploaded netlist pay: it must cost about what a
+    # steady-state grade costs, with no per-design set-up hidden in it.
+    fsim = FaultSimulator(nl, domain)
+    t0 = time.perf_counter()
+    det_fresh = fsim.run_batch(matrix, faults, lane_width=matrix.shape[0])
+    fresh_first_grade_s = time.perf_counter() - t0
+
     det_seed = seed_fault_sim(fsim, domain, matrix, faults)  # warm cones
     t0 = time.perf_counter()
     det_seed = seed_fault_sim(fsim, domain, matrix, faults)
@@ -329,18 +297,18 @@ def test_perf_pipeline(benchmark, rig):
     fsim.run_batch(matrix, faults, lane_width=matrix.shape[0])
     batch_s = time.perf_counter() - t0
 
-    with use_kernel_cache(kcache):
-        t0 = time.perf_counter()
-        det_par = fsim.run_batch(
-            matrix, faults, lane_width=matrix.shape[0],
-            n_workers=REQUESTED_WORKERS,
-        )
-        par_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    det_par = fsim.run_batch(
+        matrix, faults, lane_width=matrix.shape[0],
+        n_workers=REQUESTED_WORKERS,
+    )
+    par_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     det_drop = fsim.run_batch(matrix, faults, lane_width=64, drop=True)
     drop_s = time.perf_counter() - t0
 
+    assert det_fresh == det_seed, "fresh fault sim is not bit-identical"
     assert det_batch == det_seed, "batched fault sim is not bit-identical"
     assert det_par == det_seed, "parallel fault sim is not bit-identical"
     assert set(det_drop) == set(det_seed)
@@ -355,8 +323,8 @@ def test_perf_pipeline(benchmark, rig):
         "n_patterns": int(matrix.shape[0]),
         "n_faults": len(faults),
         "detected": len(det_seed),
-        "kernel_compile_s": warm_load_s,
         "seed_s": seed_s,
+        "fresh_first_grade_s": fresh_first_grade_s,
         "batch_s": batch_s,
         "parallel_s": par_s,
         "drop_grading_s": drop_s,
@@ -368,7 +336,6 @@ def test_perf_pipeline(benchmark, rig):
         "speedup_vs_seed": modes[best_mode],
         "bit_identical": True,
     }
-    shutil.rmtree(cache_dir, ignore_errors=True)
 
     # -- SCAP grading --------------------------------------------------
     scap_matrix = matrix[:N_SCAP_PATTERNS]
@@ -420,19 +387,17 @@ def test_perf_pipeline(benchmark, rig):
     assert report["pack"]["speedup_vs_seed"] > 1.0
     assert report["fault_sim"]["speedup_vs_seed"] > 1.0
     assert report["scap"]["speedup_vs_seed"] > 1.0
-    # A warm kernel cache must make a fresh simulator grading-ready in
-    # well under the compile tax it replaces, on any hardware.
+    # A fresh simulator grades at steady-state speed on any hardware:
+    # its first grade pays no per-design set-up.
     assert (
-        report["kernel_cache"]["warm_load_s"]
-        < report["kernel_cache"]["cold_compile_s"] / 5
+        report["fault_sim"]["fresh_first_grade_s"]
+        < 3 * report["fault_sim"]["batch_s"]
     )
-    # The point of this PR: on a host with enough usable cores the pool
-    # must *win* and the warm load must be negligible in absolute terms
-    # — enforced, not hoped for.  Oversubscribed hosts (host_cpus <
+    # On a host with enough usable cores the pool must *win* —
+    # enforced, not hoped for.  Oversubscribed hosts (host_cpus <
     # workers) are flagged non-comparable instead; their numbers are
     # still reported above.
     if parallel_comparable:
-        assert report["kernel_cache"]["warm_load_s"] < 0.1
         assert (
             report["fault_sim"]["speedup_parallel_vs_seed"] > 1.0
         ), "parallel fault sim lost to the seed"

@@ -1,49 +1,45 @@
-"""Cone-restricted parallel-pattern fault simulation with dropping.
+"""Event-driven parallel-pattern fault simulation with dropping.
 
 Good-machine simulation is bit-parallel over the whole batch (one packed
-word per net); each fault then re-simulates only its fanout cone with
-the stem forced to the stuck value, and a fault is detected under the
-patterns where (a) frame 1 sets the stem to the initial value and
-(b) the faulty frame-2 value differs from the good one at a capture
-(pulsed-flop D) net.
+word per net); each fault then walks only the gates its divergence
+reaches, and a fault is detected under the patterns where (a) frame 1
+sets the stem to the initial value and (b) the faulty frame-2 value
+differs from the good one at a capture (pulsed-flop D) net.
 
-Three throughput layers sit on top of the plain cone walk:
+Three throughput layers keep that cheap:
 
 * **activation-restricted divergence** — the faulty machine only needs
   to diverge on patterns that both activate the fault and toggle the
   stem in frame 2 (detection is masked by activation anyway), so faults
   whose stem never toggles under activation skip simulation entirely;
-* **compiled cone kernels** — each fault site's cone is code-generated
-  once into a straight-line Python function of pure bigint ops (classic
-  compiled-code simulation: no dicts, no per-gate calls) that returns
-  the capture-net difference word directly;
+* **event-driven divergence walk** — starting from the stem's
+  divergence word, gates are popped in level order from a heap and
+  evaluated only when one of their inputs diverges, through per-gate
+  tables built once per simulator (no code generation, no cache); the
+  walk ends when the difference dies out or reaches no further load
+  that can reach a capture net;
 * :meth:`run_batch` — arbitrary pattern counts split into fixed-width
   *lanes* (cheap machine-word bigint ops instead of one enormous word),
   optional fault dropping between lanes, and optional fault-partitioned
-  fan-out across a process pool (each worker rebuilds the simulator
-  once — warm-loading compiled kernels from the persistent
-  :mod:`repro.perf.kernel_cache` the parent populated — good-simulates
-  every lane once, then grades its fault chunks against the memoized
-  frames; ``n_workers="auto"`` defers the serial/pool call to
-  :func:`repro.perf.resilient.resolve_workers`).
+  fan-out across a process pool (each worker builds the simulator
+  once, good-simulates every lane once, then grades its fault chunks
+  against the memoized frames; ``n_workers="auto"`` defers the
+  serial/pool call to :func:`repro.perf.resilient.resolve_workers`).
 """
 
 from __future__ import annotations
 
-import types
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import AtpgError
+from ..netlist.cells import CELL_FUNCTIONS
 from ..netlist.levelize import levelize
 from ..netlist.netlist import Netlist
 from ..obs import current_telemetry
-from ..perf.kernel_cache import (
-    KernelCache,
-    current_kernel_cache,
-    netlist_fingerprint,
-)
 from ..perf.resilient import (
     FSIM_FAULT_PATTERNS_PER_S,
     chunked,
@@ -58,165 +54,88 @@ from .faults import TransitionFault
 #: paths instead of multi-limb arithmetic.
 DEFAULT_LANE_WIDTH = 64
 
-#: Sentinel distinguishing "not compiled yet" from "no capture in cone".
-_UNCOMPILED = object()
 
+def _pin_reader(pins: Tuple[int, ...]) -> Callable[[List[int]], Sequence[int]]:
+    """``reader(values)`` -> the values on *pins*, as a sequence.
 
-def _kind_expr(kind: str, args: List[str]) -> str:
-    """Bigint expression for one cell kind over already-masked operands.
-
-    Must match :data:`repro.netlist.cells.CELL_FUNCTIONS` bit for bit;
-    non-inverting kinds skip the ``& mask`` because their operands are
-    already masked.
+    ``itemgetter`` of one index returns the bare item, so a gate with
+    fewer than two pins reads a slice instead.
     """
-    if kind == "INV":
-        return f"~{args[0]} & mask"
-    if kind in ("BUF", "CLKBUF"):
-        return args[0]
-    if kind.startswith("AND"):
-        return " & ".join(args)
-    if kind.startswith("NAND"):
-        return f"~({' & '.join(args)}) & mask"
-    if kind.startswith("OR"):
-        return " | ".join(args)
-    if kind.startswith("NOR"):
-        return f"~({' | '.join(args)}) & mask"
-    if kind == "XOR2":
-        return f"{args[0]} ^ {args[1]}"
-    if kind == "XNOR2":
-        return f"~({args[0]} ^ {args[1]}) & mask"
-    if kind == "MUX2":
-        d0, d1, sel = args
-        return f"({d0} & ~{sel}) | ({d1} & {sel})"
-    if kind == "AOI21":
-        a, b, c = args
-        return f"~(({a} & {b}) | {c}) & mask"
-    if kind == "OAI21":
-        a, b, c = args
-        return f"~(({a} | {b}) & {c}) & mask"
-    if kind == "TIE0":
-        return "0"
-    if kind == "TIE1":
-        return "mask"
-    raise AtpgError(f"no kernel expression for cell kind {kind!r}")
+    if len(pins) >= 2:
+        return itemgetter(*pins)
+    return itemgetter(slice(pins[0], pins[0] + 1) if pins else slice(0, 0))
 
 
 class FaultSimulator:
-    """Reusable LOC transition-fault simulator for one clock domain.
-
-    The simulator uses the persistent compiled-kernel cache
-    (:mod:`repro.perf.kernel_cache`) that is ambient when it is built,
-    so cone kernels compiled once for a netlist are warm-loaded from
-    disk by every later simulator — including pool workers — for that
-    netlist.  Build it inside ``use_kernel_cache(None)`` to disable
-    caching for this instance.
-    """
+    """Reusable LOC transition-fault simulator for one clock domain."""
 
     def __init__(self, netlist: Netlist, domain: str):
         self.netlist = netlist
         self.domain = domain
         self.sim = LogicSim(netlist)
         netlist.freeze()
-        _order, levels = levelize(netlist)
+        order, levels = levelize(netlist)
         self._level_of_gate = levels
         self.capture_nets = frozenset(
             netlist.flops[fi].d for fi in netlist.pulsed_flops(domain)
         )
         if not self.capture_nets:
             raise AtpgError(f"domain {domain!r} has no capturing flops")
-        self._cone_cache: Dict[int, Optional[Callable]] = {}
         self._cone_gates_cache: Dict[
             int, Tuple[Tuple[int, ...], Tuple[int, ...]]
         ] = {}
-        self._kcache: Optional[KernelCache] = current_kernel_cache()
-        self._kcache_key: Optional[str] = None
-        self._ktable: Optional[Dict] = None  # loaded disk entry
-        self._dirty_sites: set = set()  # compiled since last store
 
-    # ------------------------------------------------------------------
-    # persistent kernel cache plumbing
-    # ------------------------------------------------------------------
-    def _kernel_key(self) -> str:
-        if self._kcache_key is None:
-            self._kcache_key = self._kcache.entry_key(
-                netlist_fingerprint(self.netlist), self.domain
-            )
-        return self._kcache_key
-
-    def _kernel_table(self) -> Dict:
-        """The on-disk kernel table for this netlist (loaded once)."""
-        if self._ktable is None:
-            self._ktable = (
-                (self._kcache.load(self._kernel_key()) or {})
-                if self._kcache is not None
-                else {}
-            )
-        return self._ktable
-
-    def _adopt_cached(self, site: int) -> bool:
-        """Install *site*'s kernel from the disk table, if present."""
-        entry = self._kernel_table().get(site)
-        if entry is None:
-            return False
-        try:
-            captures, gates, code = entry
-            self._cone_gates_cache[site] = (tuple(gates), tuple(captures))
-            self._cone_cache[site] = (
-                types.FunctionType(code, {}) if code is not None else None
-            )
-        except (TypeError, ValueError):  # malformed entry -> recompile
-            self._kernel_table().pop(site, None)
-            return False
-        return True
-
-    def save_kernels(self) -> None:
-        """Persist kernels compiled since the last store (no-op when
-        clean or uncached)."""
-        if not self._dirty_sites or self._kcache is None:
-            return
-        table = dict(self._kernel_table())
-        for site in self._dirty_sites:
-            gates, captures = self._cone_gates_cache[site]
-            kernel = self._cone_cache.get(site)
-            table[site] = (
-                captures,
-                gates,
-                kernel.__code__ if kernel is not None else None,
-            )
-        self._kcache.store(self._kernel_key(), table)
-        self._ktable = table
-        self._dirty_sites.clear()
+        # Divergence-walk tables.  A gate is one record (evaluator,
+        # input-pin reader, output net); its heap key level * n_gates +
+        # gate pops drivers before loads, and ``key % n_gates`` recovers
+        # the gate.
+        gates = netlist.gates
+        n_gates = len(gates)
+        self._records = [
+            (CELL_FUNCTIONS[g.kind], _pin_reader(g.inputs), g.output)
+            for g in gates
+        ]
+        self._is_capture = [False] * netlist.n_nets
+        for net in self.capture_nets:
+            self._is_capture[net] = True
+        # One reverse-level sweep marks the nets whose divergence can
+        # reach a capture net; a load that cannot is never walked.
+        observable = list(self._is_capture)
+        for gi in reversed(order):
+            if observable[gates[gi].output]:
+                for net in gates[gi].inputs:
+                    observable[net] = True
+        # Sorted, so a site's load tuple is already a valid heap.
+        self._loads: List[Tuple[int, ...]] = [
+            tuple(sorted({
+                levels[gi] * n_gates + gi
+                for gi, _pin in netlist.gate_fanouts_of(net)
+                if observable[gates[gi].output]
+            }))
+            for net in range(netlist.n_nets)
+        ]
 
     def warm_kernels(self, faults: Sequence[TransitionFault]) -> int:
-        """Ensure every fault site's kernel is compiled, then persist.
+        """Compile nothing and return 0.
 
-        Returns the number of sites compiled fresh (0 = fully warm).
-        Called before fanning out to a pool so workers always find a
-        warm disk cache instead of each paying the compile tax.
+        The walk needs no per-site preparation.  The method remains
+        only because the ledger's set-up (``benchmarks/ledger``) still
+        calls it; the ledger change listed as item 4 in ``ROADMAP.md``
+        removes that call, and then this method.
         """
-        before = len(self._dirty_sites)
-        for fault in faults:
-            self._cone(fault.net)
-        compiled = len(self._dirty_sites) - before
-        self.save_kernels()
-        return compiled
+        return 0
 
     def cone_of(self, site: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Structural fanout cone of a fault site.
 
         Returns ``(gate indices in level order, capture nets
-        reachable)`` — the raw topology behind the compiled kernels,
-        also used by diagnosis for per-endpoint resolution and cone
-        filtering.
+        reachable)`` — used by diagnosis for per-endpoint resolution
+        and cone filtering, and by the whole-cone reference simulations
+        the tests and benchmarks compare against.
         """
         cached = self._cone_gates_cache.get(site)
         if cached is not None:
             return cached
-        if (
-            self._kcache is not None
-            and self._adopt_cached(site)
-        ):
-            return self._cone_gates_cache[site]
         netlist = self.netlist
         gates = netlist.transitive_fanout_gates(site)
         gates.sort(key=self._level_of_gate.__getitem__)
@@ -226,54 +145,44 @@ class FaultSimulator:
         self._cone_gates_cache[site] = result
         return result
 
-    def _cone(self, site: int) -> Optional[Callable[[int, Dict, int], int]]:
-        """Compiled cone kernel for one fault site (``None`` when the
-        cone reaches no capture net).
+    def _divergence(
+        self, site: int, site_div: int, g2: List[int], mask: int
+    ) -> int:
+        """OR of capture-net differences when *site* diverges by *site_div*.
 
-        ``kernel(site_div, good_frame2, mask)`` propagates the stem
-        divergence word through the site's whole fanout cone in level
-        order and returns the OR of capture-net difference words.  The
-        cone is generated once into straight-line bigint code — every
-        gate is one expression over local variables (cone nets) and
-        ``g2[...]`` lookups (side inputs), with no per-gate dispatch.
-        Compiled code objects round-trip through the persistent
-        :class:`~repro.perf.kernel_cache.KernelCache`, so a warm
-        netlist skips codegen and ``compile()`` entirely.
+        The faulty values are written into the good frame *g2* in place
+        and every write is undone before returning, also when an
+        evaluation raises, so *g2* always leaves as it came in.
         """
-        kernel = self._cone_cache.get(site, _UNCOMPILED)
-        if kernel is not _UNCOMPILED:
-            return kernel
-        if self._kcache is not None and self._adopt_cached(site):
-            return self._cone_cache[site]
-        netlist = self.netlist
-        gates, captures = self.cone_of(site)
-        if not captures:
-            self._cone_cache[site] = None
-            self._dirty_sites.add(site)
-            return None
-        lines = [
-            "def _kernel(sdiv, g2, mask):",
-            f"    v{site} = g2[{site}] ^ sdiv",
-        ]
-        defined = {site}
-        for gi in gates:
-            g = netlist.gates[gi]
-            args = [
-                f"v{p}" if p in defined else f"g2[{p}]" for p in g.inputs
-            ]
-            lines.append(f"    v{g.output} = {_kind_expr(g.kind, args)}")
-            defined.add(g.output)
-        diff = " | ".join(f"(v{c} ^ g2[{c}])" for c in captures)
-        lines.append(f"    return {diff}")
-        namespace: Dict[str, Callable] = {}
-        exec(  # noqa: S102 — code built only from int net ids / cell kinds
-            compile("\n".join(lines), f"<fsim-cone-{site}>", "exec"),
-            namespace,
-        )
-        kernel = namespace["_kernel"]
-        self._cone_cache[site] = kernel
-        self._dirty_sites.add(site)
-        return kernel
+        records = self._records
+        loads = self._loads
+        is_capture = self._is_capture
+        n_gates = len(records)
+        written = [(site, g2[site])]
+        heap = list(loads[site])
+        last = -1
+        try:
+            g2[site] ^= site_div
+            det = site_div if is_capture[site] else 0
+            while heap:
+                key = heappop(heap)
+                if key == last:  # pushed by more than one diverging input
+                    continue
+                last = key
+                fn, read_pins, out = records[key % n_gates]
+                good = g2[out]
+                val = fn(read_pins(g2), mask)
+                if val != good:
+                    written.append((out, good))
+                    g2[out] = val
+                    if is_capture[out]:
+                        det |= val ^ good
+                    for load in loads[out]:
+                        heappush(heap, load)
+        finally:
+            for net, good in written:
+                g2[net] = good
+        return det
 
     def _lane_frames(
         self,
@@ -283,8 +192,6 @@ class FaultSimulator:
         v2_lane: Optional[np.ndarray],
     ) -> Tuple[List[int], List[int], int]:
         """Good-machine ``(frame1, frame2, mask)`` for one pattern lane."""
-        if v2_lane is not None and v2_lane.shape != lane_matrix.shape:
-            raise AtpgError("v2_matrix must match v1_matrix")
         packed, mask = pack_matrix(lane_matrix)
         cyc = launch_capture(
             self.sim, packed, self.domain, protocol, scan=scan,
@@ -300,8 +207,13 @@ class FaultSimulator:
         mask: int,
         faults: Sequence[TransitionFault],
     ) -> Dict[TransitionFault, int]:
-        """Kernel loop: detection words for *faults* on settled frames."""
-        cone = self._cone
+        """Detection words for *faults* on one lane's settled frames.
+
+        *g2* is left exactly as it came in, also when grading raises:
+        pool workers grade every chunk, and every retry, against the
+        same memoized frames.
+        """
+        divergence = self._divergence
         detections: Dict[TransitionFault, int] = {}
         for fault in faults:
             site = fault.net
@@ -317,19 +229,31 @@ class FaultSimulator:
             # needs to diverge only where frame 1 activates AND frame 2
             # actually drives the transition the fault is slow to make;
             # divergence words stay sparse and a fault whose stem never
-            # toggles under activation skips the cone entirely.  The
+            # toggles under activation skips the walk entirely.  The
             # detection word is bit-identical either way because it is
             # masked by activation regardless.
             site_div = (g2[site] ^ forced) & act
             if site_div == 0:
                 continue
-            kernel = cone(site)
-            if kernel is None:
-                continue
-            det = kernel(site_div, g2, mask)
+            det = divergence(site, site_div, g2, mask)
             if det:
                 detections[fault] = det
         return detections
+
+    def _check_matrices(
+        self, v1_matrix: np.ndarray, v2_matrix: Optional[np.ndarray]
+    ) -> None:
+        """Raise unless V1 is ``(n_patterns, n_flops)`` and V2, when
+        given, has V1's shape."""
+        if v1_matrix.ndim != 2:
+            raise AtpgError("v1_matrix must be (n_patterns, n_flops)")
+        if v1_matrix.shape[1] != self.netlist.n_flops:
+            raise AtpgError(
+                f"v1_matrix covers {v1_matrix.shape[1]} flops, design has "
+                f"{self.netlist.n_flops}"
+            )
+        if v2_matrix is not None and np.shape(v2_matrix) != v1_matrix.shape:
+            raise AtpgError("v2_matrix must match v1_matrix")
 
     def run(
         self,
@@ -353,13 +277,7 @@ class FaultSimulator:
             response), ``"los"`` (V2 = V1 shifted one chain position;
             pass *scan*), or ``"es"`` (V2 explicit; pass *v2_matrix*).
         """
-        if v1_matrix.ndim != 2:
-            raise AtpgError("v1_matrix must be (n_patterns, n_flops)")
-        if v1_matrix.shape[1] != self.netlist.n_flops:
-            raise AtpgError(
-                f"v1_matrix covers {v1_matrix.shape[1]} flops, design has "
-                f"{self.netlist.n_flops}"
-            )
+        self._check_matrices(v1_matrix, v2_matrix)
         f1, g2, mask = self._lane_frames(v1_matrix, protocol, scan, v2_matrix)
         return self._grade_lane(f1, g2, mask, faults)
 
@@ -397,10 +315,10 @@ class FaultSimulator:
         n_workers:
             Fan the fault list out across a process pool in chunked
             partitions (each worker receives the pattern matrices
-            through its initializer's arguments, rebuilds the simulator
-            once from the warm kernel cache, good-simulates every lane
-            once, then grades its fault chunks against the settled
-            frames).  ``<= 1`` stays serial in-process; ``"auto"`` lets
+            through its initializer's arguments, builds the simulator
+            once, good-simulates every lane once, then grades its fault
+            chunks against the settled frames).  ``<= 1`` stays serial
+            in-process; ``"auto"`` lets
             :func:`repro.perf.resilient.resolve_workers` pick serial or
             pool from the work size and usable cores.  The pooled path's
             timeouts, retries and crash recovery follow the ambient
@@ -415,6 +333,9 @@ class FaultSimulator:
         faults = list(faults)
         if n_pat == 0 or not faults:
             return {}
+        # Checked once, before any lane or worker starts, so the pooled
+        # path rejects what the serial one rejects.
+        self._check_matrices(v1_matrix, v2_matrix)
 
         tel = current_telemetry()
         eff = resolve_workers(
@@ -432,11 +353,6 @@ class FaultSimulator:
         ):
             tel.count("fsim.faults_graded", len(faults))
             if eff > 1:
-                # Pay the compile tax once, here, and persist: workers
-                # warm-load marshalled kernels from disk instead of each
-                # re-running codegen + compile() over the whole design.
-                if self._kcache is not None:
-                    self.warm_kernels(faults)
                 # Chunked fault partitions; a few chunks per worker
                 # keeps the load balanced when cone sizes are skewed.
                 chunks = chunked(faults, eff * 4)
@@ -490,7 +406,6 @@ class FaultSimulator:
             tel.count("fsim.faults_detected", len(detections))
             if drop:
                 tel.count("fsim.faults_dropped", len(faults) - len(live))
-            self.save_kernels()
             return detections
 
 
@@ -510,10 +425,9 @@ def _fsim_worker_init(
 ) -> None:
     """Build the per-worker grading context, once per worker process.
 
-    The simulator warm-loads its kernels from the persistent cache the
-    parent just populated, and the good machine is simulated over every
-    lane *once* — fault chunks then grade against the memoized settled
-    frames instead of re-running the good machine per chunk.
+    The good machine is simulated over every lane *once* — fault chunks
+    then grade against the memoized settled frames instead of re-running
+    the good machine per chunk.
     """
     global _FSIM_WORKER_STATE
     sim = FaultSimulator(netlist, domain)

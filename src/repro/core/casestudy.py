@@ -66,9 +66,8 @@ class CaseStudy:
         unwaived ERROR violations (it never should — the gate exists so
         modified generators and hand-edited netlists fail fast).
 
-        Telemetry, the retry policy and the kernel cache are whatever
-        is ambient when a heavy stage runs (``use_telemetry``,
-        ``execution_policy``, ``use_kernel_cache``).
+        Telemetry and the retry policy are whatever is ambient when a
+        heavy stage runs (``use_telemetry``, ``execution_policy``).
         """
         self.design = build_turbo_eagle(scale, seed)
         self.domain = self.design.dominant_domain()

@@ -95,7 +95,7 @@ class StageProfiler:
 
 def _short_path(path: str) -> str:
     """Trim profiler paths to the interesting tail (pkg/module.py)."""
-    if path.startswith("<"):  # builtins, compiled cone kernels
+    if path.startswith("<"):  # builtins, <frozen ...>, <string>
         return path
     parts = path.replace("\\", "/").split("/")
     return "/".join(parts[-2:]) if len(parts) > 1 else path

@@ -17,11 +17,7 @@ those hot paths cheap:
   :class:`~repro.perf.resilient.ExecutionReport` of what was survived,
 * :mod:`~repro.perf.chaos` — deterministic fault injection (kill /
   hang / transient-fail chosen workers on chosen chunks) so every
-  recovery path above is exercised by tests rather than trusted,
-* :mod:`~repro.perf.kernel_cache` — a persistent on-disk store of the
-  fault simulator's compiled cone kernels, keyed by a structural
-  netlist fingerprint, so the per-netlist compile tax is paid once per
-  machine instead of once per run per worker.
+  recovery path above is exercised by tests rather than trusted.
 
 Every grading call site sizes its pool with
 :func:`~repro.perf.resilient.resolve_workers`, the one worker-count
@@ -37,12 +33,6 @@ The consumers are :meth:`repro.atpg.fsim.FaultSimulator.run_batch`
 """
 
 from . import chaos
-from .kernel_cache import (
-    KernelCache,
-    current_kernel_cache,
-    netlist_fingerprint,
-    use_kernel_cache,
-)
 from .resilient import (
     ChunkFailure,
     ExecutionReport,
@@ -61,19 +51,15 @@ from .resilient import (
 __all__ = [
     "ChunkFailure",
     "ExecutionReport",
-    "KernelCache",
     "RetryPolicy",
     "chaos",
     "chunk_slices",
     "chunked",
     "collect_reports",
-    "current_kernel_cache",
     "default_policy",
     "execution_policy",
     "last_report",
-    "netlist_fingerprint",
     "resilient_map",
     "resolve_workers",
     "usable_cpus",
-    "use_kernel_cache",
 ]

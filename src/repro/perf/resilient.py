@@ -81,11 +81,14 @@ from ..obs import current_telemetry, worker_event
 from . import chaos as _chaos
 
 #: Estimated fixed cost of going parallel: pool creation plus
-#: per-worker context rebuild (with a warm kernel cache).
+#: per-worker context rebuild.
 POOL_OVERHEAD_S = 0.25
 #: Throughput estimates behind the callers' ``est_serial_s``.  They only
 #: need to be right within ~an order of magnitude — the ``"auto"``
-#: decision is a step function, not a regression.
+#: decision is a step function, not a regression.  The divergence walk
+#: graded 256 patterns x 3,474 faults of the small SOC at 10.4 M
+#: fault-patterns/s (``batch_fault_patterns_per_s`` in BENCH_perf.json,
+#: 10.4-11.0 M over three runs on a 2-vCPU VM).
 FSIM_FAULT_PATTERNS_PER_S = 10e6
 SCAP_S_PER_PATTERN = 1.5e-3
 

@@ -7,32 +7,6 @@ import pytest
 from repro.netlist import Netlist
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_kernel_cache(tmp_path_factory):
-    """Point the persistent kernel cache at a throwaway directory.
-
-    Tests must never read from or write into the developer's real
-    ``~/.cache/repro/kernels`` — a stale entry there could mask a codegen
-    bug, and test runs should not pollute it.
-    """
-    import os
-
-    root = tmp_path_factory.mktemp("kernel-cache")
-    old = os.environ.get("REPRO_KERNEL_CACHE_DIR")
-    os.environ["REPRO_KERNEL_CACHE_DIR"] = str(root)
-    # Any ambient default cache resolved before this fixture ran would
-    # keep the old root; reset the lazy slot so it re-resolves.
-    from repro.perf import kernel_cache as kc
-
-    kc._cache_stack[0] = kc._UNSET
-    yield
-    if old is None:
-        os.environ.pop("REPRO_KERNEL_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_KERNEL_CACHE_DIR"] = old
-    kc._cache_stack[0] = kc._UNSET
-
-
 @pytest.fixture
 def tiny_comb() -> Netlist:
     """Pure combinational circuit: y = ~(a & b) ^ c.

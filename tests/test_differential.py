@@ -21,6 +21,8 @@ from repro.atpg.twoframe import TwoFrameState
 from repro.config import VDD_NOMINAL
 from repro.drc import check_netlist_drc
 from repro.netlist import parse_verilog, write_verilog
+from repro.netlist.cells import CELL_FUNCTIONS
+from repro.netlist.levelize import levelize
 from repro.sim import (
     DelayModel,
     EventTimingSim,
@@ -115,3 +117,55 @@ def test_podem_cubes_verify_on_random_netlists(nl):
         for flop, bit in result.cube.items():
             v1[0, flop] = bit
         assert fsim.run(v1, [fault]).get(fault, 0) & 1, fault
+
+
+def exhaustive_loc_detections(nl, faults):
+    """Definition-level LOC detection words over all 2^n V1 vectors.
+
+    Bit *v* of a fault's word is set when V1 vector *v* (bit *fi* of
+    *v* loads flop *fi*) activates the fault in frame 1 and frame 2,
+    re-simulated over the whole netlist with the fault site held at its
+    initial value, differs from the good frame 2 at a capture net.
+    """
+    n_vectors = 1 << nl.n_flops
+    mask = (1 << n_vectors) - 1
+    v1 = {
+        fi: sum(1 << v for v in range(n_vectors) if v >> fi & 1)
+        for fi in range(nl.n_flops)
+    }
+    cyc = loc_launch_capture(LogicSim(nl), v1, "clka", mask=mask)
+    order, _ = levelize(nl)
+    captures = [nl.flops[fi].d for fi in cyc.pulsed_flops]
+    words = {}
+    for fault in faults:
+        site = fault.net
+        held = mask if fault.initial_value else 0
+        activation = ~(cyc.frame1[site] ^ held) & mask
+        faulty = list(cyc.frame2)
+        faulty[site] = held
+        for gi in order:
+            gate = nl.gates[gi]
+            if gate.output != site:
+                faulty[gate.output] = CELL_FUNCTIONS[gate.kind](
+                    [faulty[p] for p in gate.inputs], mask
+                )
+        diff = 0
+        for net in captures:
+            diff |= faulty[net] ^ cyc.frame2[net]
+        words[fault] = activation & diff
+    return words
+
+
+@settings(max_examples=200, deadline=None)
+@given(nl=random_netlist(max_flops=8, max_gates=24))
+def test_podem_verdicts_match_exhaustive_oracle(nl):
+    """UNTESTABLE means no V1 vector detects the fault, SUCCESS that one
+    does; with an unbounded search PODEM never aborts."""
+    state = TwoFrameState(nl, "clka")
+    reps, _ = collapse_faults(nl, build_fault_universe(nl))
+    oracle = exhaustive_loc_detections(nl, reps)
+    for fault in reps:
+        result = generate_test(state, fault, max_backtracks=10**6)
+        assert result.status is not PodemStatus.ABORT, fault
+        detected = oracle[fault] != 0
+        assert detected == (result.status is PodemStatus.SUCCESS), fault

@@ -13,7 +13,7 @@ import pytest
 from repro.atpg.faults import build_fault_universe, collapse_faults
 from repro.atpg.fsim import FaultSimulator
 from repro.obs import Telemetry, use_telemetry
-from repro.perf import resolve_workers, usable_cpus, use_kernel_cache
+from repro.perf import resolve_workers, usable_cpus
 from repro.perf.resilient import FSIM_FAULT_PATTERNS_PER_S, SCAP_S_PER_PATTERN
 from repro.power.calculator import ScapCalculator
 from repro.soc import build_turbo_eagle
@@ -56,8 +56,7 @@ def graded():
     reps, _ = collapse_faults(nl, build_fault_universe(nl))
     rng = np.random.default_rng(3)
     matrix = rng.integers(0, 2, size=(96, nl.n_flops), dtype=np.int8)
-    with use_kernel_cache(None):
-        sim = FaultSimulator(nl, domain)
+    sim = FaultSimulator(nl, domain)
     return design, domain, sim, list(reps), matrix
 
 

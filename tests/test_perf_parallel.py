@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 from repro.atpg.faults import build_fault_universe, collapse_faults
 from repro.atpg.fsim import FaultSimulator, first_detection_index
 from repro.core.validation import digest_key
-from repro.errors import ExecutionError, TransientError, WorkerCrashError
+from repro.errors import (
+    AtpgError,
+    ExecutionError,
+    TransientError,
+    WorkerCrashError,
+)
 from repro.netlist.cells import CELL_FUNCTIONS
 from repro.perf import chaos, usable_cpus
 from repro.perf.resilient import (
@@ -184,6 +189,60 @@ class TestFaultSimEquivalence:
         ref = reference_fault_sim(nl, "clka", fsim, matrix, faults)
         assert fsim.run(matrix, faults) == ref
         assert fsim.run_batch(matrix, faults, lane_width=16) == ref
+
+    def test_grade_lane_leaves_good_frame_intact(self, graded):
+        """Pool workers grade every chunk and retry against one memoized
+        good frame, so grading must restore it, also when it raises."""
+        design, domain, faults, matrix = graded
+        fsim = FaultSimulator(design.netlist, domain)
+        f1, g2, mask = fsim._lane_frames(matrix[:64], "loc", None, None)
+        good = list(g2)
+        words = fsim._grade_lane(f1, g2, mask, faults)
+        assert words and g2 == good
+
+        evaluations = 0
+        fail_at = None
+
+        def counted(fn):
+            def evaluate(ins, m):
+                nonlocal evaluations
+                evaluations += 1
+                if evaluations == fail_at:
+                    raise RuntimeError("injected evaluation failure")
+                return fn(ins, m)
+            return evaluate
+
+        fsim._records = [
+            (counted(fn), read_pins, out)
+            for fn, read_pins, out in fsim._records
+        ]
+        assert fsim._grade_lane(f1, g2, mask, faults) == words
+        fail_at, evaluations = evaluations // 2, 0
+        with pytest.raises(RuntimeError, match="injected"):
+            fsim._grade_lane(f1, g2, mask, faults)
+        assert g2 == good
+        assert fsim._grade_lane(f1, g2, mask, faults) == words
+
+
+class TestRunBatchInputs:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("case", ["narrow", "wide", "short_v2"])
+    def test_bad_shapes_raise_before_any_lane(self, graded, case, n_workers):
+        """The pooled path rejects what the serial path rejects, before
+        a worker starts: a narrow V1 must not read its missing flops as
+        0, and a wide one must not fail inside the pool."""
+        design, domain, faults, matrix = graded
+        fsim = FaultSimulator(design.netlist, domain)
+        kwargs = {}
+        if case == "narrow":
+            v1 = matrix[:, :-3]
+        elif case == "wide":
+            v1 = np.hstack([matrix, np.zeros((len(matrix), 3), matrix.dtype)])
+        else:
+            v1 = matrix
+            kwargs = {"protocol": "es", "v2_matrix": matrix[:-3]}
+        with pytest.raises(AtpgError):
+            fsim.run_batch(v1, faults, n_workers=n_workers, **kwargs)
 
 
 class TestScapBatchEquivalence:
