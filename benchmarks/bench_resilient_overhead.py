@@ -1,22 +1,21 @@
-"""Overhead of the fault-tolerant execution layer.
+"""Overhead of the worker pool, and the price of one dead worker.
 
-The resilient per-chunk path (futures, deadlines, retry bookkeeping)
-replaced the bare ``pool.map`` under every parallel hot loop, so its
-steady-state cost on a *healthy* pool must be noise.  This bench grades
-one SCAP batch three ways — serial reference, resilient pool, and the
-resilient pool surviving an injected worker kill — and reports the
-clean-pool overhead and the price of one recovery.
+The pool's clean path must pay for itself, and the one recovery rule
+(a dead worker's chunks finish serially in the calling process) costs
+wall time only after a crash.  This bench grades one SCAP batch three
+ways — serial reference, clean pool, and the pool losing one worker to
+an injected kill — and reports all three.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 
 import numpy as np
 
 from repro import ScapCalculator
-from repro.perf import chaos
-from repro.perf.resilient import execution_policy, last_report
+from repro.perf import chaos, collect_reports
 
 
 def test_resilient_overhead_and_recovery_cost(benchmark, tiny_study):
@@ -35,27 +34,28 @@ def test_resilient_overhead_and_recovery_cost(benchmark, tiny_study):
             matrix, n_workers=2
         )
 
-    clean = benchmark.pedantic(clean_parallel, rounds=1, iterations=1)
-    clean_s = last_report().elapsed_s
-    assert clean == reference
+    with collect_reports() as reports:
+        clean = benchmark.pedantic(clean_parallel, rounds=1, iterations=1)
+    (clean_report,) = reports
+    clean_s = clean_report.elapsed_s
+    assert clean == reference and not clean_report.serial_fallback
 
     chaos_calc = ScapCalculator(design, domain)
-    spec = chaos.ChaosSpec(kill={0: (0,)})
     t0 = time.perf_counter()
-    with chaos.inject(spec), execution_policy(
-        backoff_base_s=0.001, jitter=0.0
-    ):
+    with chaos.inject(chaos.ChaosSpec(kill={0})), collect_reports() as \
+            reports, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         survived = chaos_calc.profile_patterns(matrix, n_workers=2)
     chaos_s = time.perf_counter() - t0
     assert survived == reference
-    report = last_report()
-    assert report.pool_rebuilds >= 1 and not report.serial_fallback
+    (report,) = reports
+    assert report.serial_fallback
 
     print()
     print(
         f"SCAP grading of {matrix.shape[0]} patterns: serial "
         f"{serial_s*1000:.0f} ms, resilient pool {clean_s*1000:.0f} ms "
         f"clean, {chaos_s*1000:.0f} ms surviving one SIGKILL "
-        f"({report.pool_rebuilds} rebuild(s), "
-        f"{report.total_retries} retried chunk attempt(s))"
+        f"({len(report.failures)} crash; the chunks without a result "
+        f"finished serially)"
     )

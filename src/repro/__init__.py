@@ -28,11 +28,7 @@ from .core import (
     run_noise_tolerant_flow,
     validate_pattern_set,
 )
-from .perf import (
-    RetryPolicy,
-    execution_policy,
-    resilient_map,
-)
+from .perf import resilient_map
 from .power import PatternPowerProfile, ScapCalculator
 from .reporting import CheckpointStore, RunReport
 from .timing import (
@@ -64,7 +60,6 @@ __all__ = [
     "K_VOLT",
     "NoiseAwarePatternGenerator",
     "PatternPowerProfile",
-    "RetryPolicy",
     "RunReport",
     "ScapCalculator",
     "ServiceClient",
@@ -77,7 +72,6 @@ __all__ = [
     "build_turbo_eagle",
     "check_design",
     "derive_scap_thresholds",
-    "execution_policy",
     "DroopBoundAnalyzer",
     "DroopBoundReport",
     "ir_scaled_endpoint_comparison",

@@ -277,7 +277,7 @@ class AtpgEngine:
                 if fill == "per-block":
                     v1 = apply_per_block_fill(
                         cube, n_flops, self._flop_blocks(),
-                        block_fill or {}, default_policy="0",
+                        block_fill or {}, default_fill="0",
                         scan=self.scan, rng=self.rng,
                     )
                 else:

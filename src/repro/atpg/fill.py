@@ -127,7 +127,7 @@ def apply_per_block_fill(
     n_flops: int,
     flop_blocks: Sequence[Optional[str]],
     block_policies: Dict[str, str],
-    default_policy: str = "0",
+    default_fill: str = "0",
     scan: Optional[ScanConfig] = None,
     rng: Optional[np.random.Generator] = None,
     preferred: Optional[np.ndarray] = None,
@@ -141,12 +141,12 @@ def apply_per_block_fill(
     minimum." (Section 3.1.)
 
     Each block's don't-care cells are filled with its own policy
-    (``block_policies``, falling back to *default_policy*); care bits
+    (``block_policies``, falling back to *default_fill*); care bits
     are preserved everywhere.
     """
     if len(flop_blocks) != n_flops:
         raise AtpgError("flop_blocks must cover every scan cell")
-    policies = set(block_policies.values()) | {default_policy}
+    policies = set(block_policies.values()) | {default_fill}
     unknown = policies - set(FILL_POLICIES)
     if unknown:
         raise AtpgError(f"unknown fill policies {sorted(unknown)}")
@@ -163,8 +163,8 @@ def apply_per_block_fill(
     v1 = np.zeros(n_flops, dtype=np.uint8)
     for fi in range(n_flops):
         block = flop_blocks[fi]
-        policy = block_policies.get(block, default_policy) \
-            if block is not None else default_policy
+        policy = block_policies.get(block, default_fill) \
+            if block is not None else default_fill
         v1[fi] = filled[policy][fi]
     for fi, bit in cube.items():
         v1[fi] = bit & 1

@@ -320,9 +320,9 @@ class FaultSimulator:
             chunks against the settled frames).  ``<= 1`` stays serial
             in-process; ``"auto"`` lets
             :func:`repro.perf.resilient.resolve_workers` pick serial or
-            pool from the work size and usable cores.  The pooled path's
-            timeouts, retries and crash recovery follow the ambient
-            :func:`repro.perf.resilient.execution_policy`.
+            pool from the work size and usable cores.  If a worker
+            dies, the chunks it left finish serially in this process
+            (see :func:`repro.perf.resilient.resilient_map`).
         """
         v1_matrix = np.asarray(v1_matrix)
         if v1_matrix.ndim != 2:

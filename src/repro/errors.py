@@ -70,21 +70,18 @@ class ConfigError(ReproError):
 class TransientError(ReproError):
     """A failure that is expected to succeed if simply retried.
 
-    Tasks running under :func:`repro.perf.resilient.resilient_map` may
-    raise this (or a subclass) to request a backoff-and-retry instead of
-    failing the whole map; any other task exception is treated as a
-    genuine bug and propagates.  The chaos harness's ``fail`` injection
-    raises it to exercise the retry path.
+    A job-service shard that raises this (or a subclass) is requeued
+    with backoff instead of failing its job (see
+    :mod:`repro.service.jobstore`); any other exception is treated as a
+    genuine bug and fails the job at once.
     """
 
 
 class ExecutionError(ReproError):
-    """A work chunk failed inside the fault-tolerant execution layer.
+    """A work chunk's task raised inside :mod:`repro.perf.resilient`.
 
-    Carries enough context for callers to tell *what* failed and *how
-    often* it was attempted: ``chunk_index`` (position of the chunk in
-    the submitted item list), ``attempts`` (tries consumed, first try
-    included) and ``cause`` (the underlying exception, also chained as
+    Carries ``chunk_index`` (position of the chunk in the submitted
+    item list) and ``cause`` (the underlying exception, also chained as
     ``__cause__`` when raised via ``raise ... from``).
     """
 
@@ -93,27 +90,11 @@ class ExecutionError(ReproError):
         message: str,
         *,
         chunk_index: "int | None" = None,
-        attempts: "int | None" = None,
         cause: "BaseException | None" = None,
     ):
         super().__init__(message)
         self.chunk_index = chunk_index
-        self.attempts = attempts
         self.cause = cause
-
-
-class WorkerCrashError(ExecutionError):
-    """A worker process died (SIGKILL, OOM, segfault) while running a
-    chunk — the task may be fine; the *infrastructure* failed."""
-
-
-class TaskTimeoutError(ExecutionError):
-    """A chunk exceeded its per-task timeout and its worker was
-    cancelled.  ``timeout_s`` records the limit that was breached."""
-
-    def __init__(self, message: str, *, timeout_s: "float | None" = None, **kw):
-        super().__init__(message, **kw)
-        self.timeout_s = timeout_s
 
 
 class CheckpointError(ReproError):

@@ -9,7 +9,7 @@ Three coordinated layers behind one run-scoped facade:
   trace-event JSON;
 * **metrics** (:mod:`~repro.obs.metrics`) — counters/gauges/histograms
   (patterns generated, faults detected/dropped, SCAP violations per
-  block, retries, worker crashes, cache hits, checkpoint resumes) with
+  block, worker crashes, serial fallbacks, checkpoint resumes) with
   Prometheus text exposition and a JSON snapshot folded into
   ``RunReport.telemetry``;
 * **profiling + logging** (:mod:`~repro.obs.profiler`,

@@ -2,11 +2,11 @@
 
 The registry is deliberately small: enough to account for what a
 pattern-generation service must watch (patterns generated, faults
-detected/dropped, SCAP violations per block, executor retries and
-crashes, cache hits, checkpoint resumes) without pulling in a client
-library.  Metric names are dotted (``exec.retries``); the Prometheus
-exposition mangles them to the conventional form
-(``repro_exec_retries_total``), while the JSON snapshot keeps the
+detected/dropped, SCAP violations per block, executor crashes and
+serial fallbacks, checkpoint resumes) without pulling in a client
+library.  Metric names are dotted (``exec.worker_crashes``); the
+Prometheus exposition mangles them to the conventional form
+(``repro_exec_worker_crashes_total``), while the JSON snapshot keeps the
 dotted names for the :class:`~repro.reporting.runreport.RunReport`.
 
 Labels are plain keyword arguments::

@@ -20,8 +20,7 @@ The facade travels two ways: explicitly
 :func:`use_telemetry` / :func:`current_telemetry`, which is how deep
 layers (fault simulation, SCAP grading, DRC rules, the resilient
 executor) see the run's telemetry without threading a parameter through
-every signature — the same pattern as
-:func:`repro.perf.resilient.execution_policy`.
+every signature.
 """
 
 from __future__ import annotations

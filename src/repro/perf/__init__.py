@@ -10,14 +10,13 @@ those hot paths cheap:
   pool: :func:`~repro.perf.resilient.resilient_map` with per-worker
   one-time initialisation (rebuild the netlist/simulator once per
   worker, not once per task; pattern matrices ride the initializer's
-  arguments), chunk helpers, ordered results, per-chunk futures,
-  bounded retries with backoff, per-task timeouts with hung-worker
-  cancellation, crash isolation onto rebuilt pools, a serial fallback
-  reserved for infrastructure failure, and a structured
-  :class:`~repro.perf.resilient.ExecutionReport` of what was survived,
-* :mod:`~repro.perf.chaos` — deterministic fault injection (kill /
-  hang / transient-fail chosen workers on chosen chunks) so every
-  recovery path above is exercised by tests rather than trusted.
+  arguments), chunk helpers, ordered results, one recovery rule (a
+  dead worker's chunks finish serially in the calling process; a task
+  exception raises at once) and an
+  :class:`~repro.perf.resilient.ExecutionReport` of what happened,
+* :mod:`~repro.perf.chaos` — deterministic worker kills on chosen
+  chunks, so the recovery rule is exercised by tests rather than
+  trusted.
 
 Every grading call site sizes its pool with
 :func:`~repro.perf.resilient.resolve_workers`, the one worker-count
@@ -36,13 +35,9 @@ from . import chaos
 from .resilient import (
     ChunkFailure,
     ExecutionReport,
-    RetryPolicy,
     chunk_slices,
     chunked,
     collect_reports,
-    default_policy,
-    execution_policy,
-    last_report,
     resilient_map,
     resolve_workers,
     usable_cpus,
@@ -51,14 +46,10 @@ from .resilient import (
 __all__ = [
     "ChunkFailure",
     "ExecutionReport",
-    "RetryPolicy",
     "chaos",
     "chunk_slices",
     "chunked",
     "collect_reports",
-    "default_policy",
-    "execution_policy",
-    "last_report",
     "resilient_map",
     "resolve_workers",
     "usable_cpus",

@@ -1,90 +1,49 @@
-"""Deterministic fault injection for the resilient execution layer.
+"""Deterministic worker kills for the pool in :mod:`repro.perf.resilient`.
 
-Every recovery path in :mod:`repro.perf.resilient` — worker-crash
-requeue, hang cancellation, transient retry — is exercised by tests
-through this harness instead of being trusted.  A :class:`ChaosSpec`
-names, per *chunk index* and *attempt number*, which misfortune to
-inflict on the worker that picks the chunk up:
-
-* ``kill`` — ``os.kill(getpid(), SIGKILL)``: the worker dies without
-  cleanup, breaking the process pool exactly like an OOM kill;
-* ``hang`` — sleep far past any reasonable per-task timeout, so the
-  executor must cancel and replace the worker;
-* ``fail`` — raise :class:`~repro.errors.TransientError` (or another
-  configured exception type), exercising backoff-and-retry.
-
-Keying on ``(chunk_index, attempt)`` makes every scenario fully
-deterministic and cross-process consistent: "kill chunk 2 on its first
-attempt" injects exactly once, and the retry of chunk 2 runs clean.
-The spec travels to workers alongside each submitted chunk, so it works
-under both fork and spawn start methods.
+The pool's one recovery path (a dead worker's chunks finish serially in
+the calling process) is exercised by tests through this harness instead
+of being trusted.  A :class:`ChaosSpec` names the chunk indices whose
+worker is killed with ``os.kill(getpid(), SIGKILL)`` as it picks the
+chunk up: the worker dies without cleanup, breaking the process pool
+exactly like an OOM kill.  No chunk gets a second pool attempt, so the
+chunk index alone keys the injection.  The spec travels to workers
+alongside each submitted chunk, so it works under both fork and spawn
+start methods.
 
 Usage::
 
     from repro.perf import chaos
 
-    with chaos.inject(chaos.ChaosSpec(kill={2: (0,)})):
+    with chaos.inject(chaos.ChaosSpec(kill={2})):
         out = fsim.run_batch(matrix, faults, n_workers=2)
 
-Injection applies only to the pooled execution path; serial runs (and
-the last-resort serial fallback) execute the bare task.
+Injection applies only to the pool; serial runs (and the serial finish
+after a kill) execute the bare task.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Type
-
-from ..errors import TransientError
-
-#: How long a ``hang`` injection sleeps.  Long enough that only timeout
-#: cancellation (never patience) can get past it, short enough that a
-#: leaked worker cannot outlive a CI job.
-HANG_SLEEP_S = 600.0
+from dataclasses import dataclass
+from typing import AbstractSet, Optional
 
 
 @dataclass(frozen=True)
 class ChaosSpec:
-    """Which chunks, on which attempts, suffer which failure.
+    """The chunk indices whose worker is killed; empty kills nothing."""
 
-    Each mapping is ``chunk_index -> attempts`` (attempt numbers are
-    0-based; the first try is attempt 0).  An empty spec injects
-    nothing.
+    kill: AbstractSet[int] = frozenset()
+
+
+def apply(spec: Optional[ChaosSpec], chunk_index: int) -> None:
+    """Kill this worker if *spec* names *chunk_index*.
+
+    Runs *inside the worker process*, before the real task.
     """
-
-    kill: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    hang: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    fail: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    #: Exception type raised by ``fail`` injections; must be a
-    #: module-level class (it crosses the process boundary).
-    fail_with: Type[BaseException] = TransientError
-    hang_s: float = HANG_SLEEP_S
-
-    def is_empty(self) -> bool:
-        return not (self.kill or self.hang or self.fail)
-
-
-def apply(spec: Optional[ChaosSpec], chunk_index: int, attempt: int) -> None:
-    """Inflict the spec's misfortune for ``(chunk_index, attempt)``.
-
-    Runs *inside the worker process*, before the real task.  Order is
-    kill > hang > fail, though a sane spec assigns at most one per key.
-    """
-    if spec is None:
-        return
-    if attempt in spec.kill.get(chunk_index, ()):
+    if spec is not None and chunk_index in spec.kill:
         os.kill(os.getpid(), signal.SIGKILL)
-    if attempt in spec.hang.get(chunk_index, ()):
-        time.sleep(spec.hang_s)
-    if attempt in spec.fail.get(chunk_index, ()):
-        raise spec.fail_with(
-            f"chaos: injected failure on chunk {chunk_index} "
-            f"attempt {attempt}"
-        )
 
 
 #: The spec currently armed by :func:`inject` (``None`` = no chaos).

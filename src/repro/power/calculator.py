@@ -207,9 +207,9 @@ class ScapCalculator:
             work items are ``(indices, start, stop)`` row ranges).
             ``<= 1`` stays serial; ``"auto"`` lets
             :func:`repro.perf.resilient.resolve_workers` pick serial or
-            pool from the work size and usable cores.  The pooled path
-            follows the ambient
-            :func:`repro.perf.resilient.execution_policy`.
+            pool from the work size and usable cores.  If a worker
+            dies, the chunks it left finish serially in this process
+            (see :func:`repro.perf.resilient.resilient_map`).
         lane_width:
             Patterns per bit-parallel logic-simulation lane (clamped to
             one machine word).

@@ -3,8 +3,8 @@
 A long flow used to answer "what happened?" with either a full result
 or a bare traceback.  :class:`RunReport` is the third answer: a
 machine-readable record of which stages completed (and whether they
-came from checkpoints), the per-chunk failure log and retry counts of
-the execution layer, and the error that stopped a partial run — enough
+came from checkpoints), the execution layer's per-chunk failure log,
+and the error that stopped a partial run — enough
 to decide whether to resume, where to resume from, and what to page an
 operator about.  ``python -m repro flow --report out.json`` writes one,
 and CI uploads it as a build artifact for deliberately-interrupted
@@ -50,10 +50,9 @@ class RunReport:
     status: str = RUN_COMPLETED
     stages: List[StageRecord] = field(default_factory=list)
     #: Per-chunk failure log aggregated from the execution layer
-    #: (dicts shaped like :class:`repro.perf.resilient.ChunkFailure`).
+    #: (dicts shaped like :class:`repro.perf.resilient.ChunkFailure`,
+    #: plus the ``stage`` they ran in).
     failures: List[Dict[str, Any]] = field(default_factory=list)
-    #: Retries consumed per stage name.
-    retries: Dict[str, int] = field(default_factory=dict)
     checkpoint_dir: Optional[str] = None
     #: Repr of the exception that ended a partial/failed run.
     error: Optional[str] = None
@@ -91,10 +90,6 @@ class RunReport:
     def pending_stages(self) -> List[str]:
         return [s.name for s in self.stages if s.status == "pending"]
 
-    @property
-    def total_retries(self) -> int:
-        return sum(self.retries.values())
-
     # ------------------------------------------------------------------
     def record_stage(
         self,
@@ -114,12 +109,10 @@ class RunReport:
         return record
 
     def absorb_execution_report(self, stage: str, exec_report) -> None:
-        """Fold one :class:`~repro.perf.resilient.ExecutionReport` in."""
+        """Fold one :class:`~repro.perf.resilient.ExecutionReport`'s
+        failures in, each tagged with *stage*."""
         if exec_report is None:
             return
-        retries = exec_report.total_retries
-        if retries:
-            self.retries[stage] = self.retries.get(stage, 0) + retries
         for failure in exec_report.failures:
             entry = failure.to_dict()
             entry["stage"] = stage
@@ -135,8 +128,6 @@ class RunReport:
             "resumed_stages": self.resumed_stages(),
             "pending_stages": self.pending_stages(),
             "failures": list(self.failures),
-            "retries": dict(self.retries),
-            "total_retries": self.total_retries,
             "checkpoint_dir": self.checkpoint_dir,
             "error": self.error,
             "drc": self.drc,
@@ -165,7 +156,7 @@ class RunReport:
         loadable by older readers and vice versa.  Raises
         :class:`ValueError` on a wrong shape: *data* must be an object;
         ``stages`` a list of objects whose ``detail`` has a numeric
-        ``elapsed_s`` or none; ``retries`` an object of integers; and
+        ``elapsed_s`` or none; ``failures`` a list of objects; and
         ``telemetry`` null, or an object whose ``metrics`` is absent or
         maps names to objects, each with an object ``series`` when
         present.
@@ -187,11 +178,11 @@ class RunReport:
                 "run report stage 'detail' is not an object with a "
                 "numeric 'elapsed_s'"
             )
-        retries = data.get("retries") or {}
-        if not isinstance(retries, dict) or not all(
-            isinstance(n, int) for n in retries.values()
+        failures = data.get("failures", [])
+        if not isinstance(failures, list) or not all(
+            isinstance(failure, dict) for failure in failures
         ):
-            raise ValueError("run report 'retries' is not an object of integers")
+            raise ValueError("run report 'failures' is not a list of objects")
         telemetry = data.get("telemetry")
         metrics = (
             telemetry.get("metrics", {}) if isinstance(telemetry, dict) else None
@@ -225,8 +216,7 @@ class RunReport:
                     detail=dict(detail),
                 )
             )
-        report.failures = [dict(f) for f in data.get("failures", [])]
-        report.retries = {str(k): int(v) for k, v in retries.items()}
+        report.failures = [dict(f) for f in failures]
         return report
 
     @classmethod

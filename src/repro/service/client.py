@@ -41,9 +41,8 @@ import urllib.parse
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import JobNotFoundError, ServiceBusyError, ServiceError
-from ..perf.resilient import backoff_delay_s
 from ..reporting.runreport import RunReport
-from .jobstore import JobRecord, JobSpec, JobStore
+from .jobstore import JobRecord, JobSpec, JobStore, backoff_delay_s
 from .worker import ServiceWorker
 
 
@@ -66,7 +65,7 @@ def _wait_until_terminal(
     ``wait`` loop.
 
     Polling backs off exponentially from 0.2 s to 2 s (the shared
-    :func:`~repro.perf.resilient.backoff_delay_s` curve) while the job
+    :func:`~repro.service.jobstore.backoff_delay_s` curve) while the job
     record does not change, and snaps back to 0.2 s whenever it does.
     *step* runs after each non-terminal poll; when it returns true (it
     made progress) the job is polled again at once.  Raises

@@ -21,8 +21,8 @@ The state machine, enforced by the store::
 * **leased/running → queued**: the lease expired (worker SIGKILLed,
   hung, or unplugged) or the task raised a
   :class:`~repro.errors.TransientError`; the shard is requeued with
-  ``attempts + 1`` and a deterministic exponential backoff shared with
-  :func:`repro.perf.resilient.backoff_delay_s`.
+  ``attempts + 1`` and a deterministic exponential backoff
+  (:func:`backoff_delay_s`).
 * **→ dead**: a shard that has burned ``max_shard_attempts`` leases —
   i.e. killed that many consecutive workers — is *quarantined*: the
   job ends ``dead`` with a synthesized RunReport carrying the full
@@ -49,6 +49,7 @@ import fcntl
 import json
 import os
 import pickle
+import random
 import time
 import uuid
 import warnings
@@ -70,7 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from ..errors import JobNotFoundError, ServiceBusyError, ServiceError
 from ..obs import current_telemetry
-from ..perf.resilient import backoff_delay_s
 from ..reporting.checkpoint import atomic_write_bytes
 from ..reporting.runreport import RUN_FAILED, RunReport
 from .lease import Lease
@@ -95,11 +95,34 @@ SHARD_TERMINAL = frozenset({SHARD_DONE, SHARD_FAILED, SHARD_DEAD})
 
 #: Requeue backoff of a retried shard: ``base * 2**attempt`` capped at
 #: ``max``, plus up to ``jitter`` extra, derived from the shard index
-#: and attempt — the curve :class:`repro.perf.resilient.RetryPolicy`
-#: applies to chunks.
+#: and attempt (see :func:`backoff_delay_s`).
 SHARD_BACKOFF_BASE_S = 0.25
 SHARD_BACKOFF_MAX_S = 10.0
 SHARD_BACKOFF_JITTER = 0.25
+
+
+def backoff_delay_s(
+    base_s: float,
+    factor: float,
+    max_s: float,
+    jitter: float,
+    seed: int,
+    index: int,
+    attempt: int,
+) -> float:
+    """Exponential backoff with deterministic jitter, shared math.
+
+    Delay before retry *attempt* (0-based) of work unit *index*:
+    ``base * factor**attempt`` capped at *max_s*, plus up to
+    ``jitter`` fraction extra derived from ``(seed, index, attempt)``
+    so every layer that backs off (the shard requeue here, the
+    clients' wait and request retries in :mod:`repro.service.client`)
+    is reproducible run to run.
+    """
+    base = min(max_s, base_s * (factor ** attempt))
+    rng = random.Random((seed * 1_000_003) ^ (index * 7_919 + attempt))
+    return base * (1.0 + jitter * rng.random())
+
 
 _CONFIG_FILE = "config.json"
 _JOB_FILE = "job.json"

@@ -138,8 +138,11 @@ class TestCli:
             (["obs", "chrome", "t.jsonl"], {"t.jsonl": '{"name": "x"}\n'},
              "not a span event"),
             (["obs", "report", "r.json"],
-             {"r.json": '{"stages": [], "retries": [1, 2]}'},
-             "'retries' is not an object of integers"),
+             {"r.json": '{"stages": [], "failures": [1]}'},
+             "'failures' is not a list of objects"),
+            (["obs", "report", "r.json"],
+             {"r.json": '{"stages": [], "failures": "ab"}'},
+             "'failures' is not a list of objects"),
             (["obs", "report", "r.json"], {"r.json": '{"telemetry": [1]}'},
              "'telemetry' is not an object"),
             (["obs", "report", "r.json"],
@@ -174,7 +177,8 @@ class TestCli:
             "obs-report-not-object", "obs-report-stages-not-list",
             "obs-summary-no-timestamp", "obs-check-no-timestamp",
             "obs-chrome-no-timestamp",
-            "obs-report-retries-not-object",
+            "obs-report-failures-not-objects",
+            "obs-report-failures-not-list",
             "obs-report-telemetry-not-object",
             "obs-report-metrics-not-object", "obs-report-metric-not-object",
             "obs-report-elapsed-not-number", "serve-http-root-is-file",

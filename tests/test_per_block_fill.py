@@ -24,7 +24,7 @@ class TestApplyPerBlockFill:
         blocks = [f.block for f in design.netlist.flops]
         cube = {0: 1}
         v1 = apply_per_block_fill(
-            cube, n, blocks, {"B1": "1"}, default_policy="0",
+            cube, n, blocks, {"B1": "1"}, default_fill="0",
             scan=design.scan,
         )
         for fi in range(1, n):
@@ -39,7 +39,7 @@ class TestApplyPerBlockFill:
         blocks = [f.block for f in design.netlist.flops]
         rng = np.random.default_rng(3)
         v1 = apply_per_block_fill(
-            {}, n, blocks, {"B5": "random"}, default_policy="0",
+            {}, n, blocks, {"B5": "random"}, default_fill="0",
             scan=design.scan, rng=rng,
         )
         b5 = [v1[fi] for fi in range(n) if blocks[fi] == "B5"]

@@ -9,6 +9,7 @@ a full-cone interpreted fault simulation, and per-pattern profiling.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import warnings
 
@@ -20,24 +21,19 @@ from hypothesis import strategies as st
 from repro.atpg.faults import build_fault_universe, collapse_faults
 from repro.atpg.fsim import FaultSimulator, first_detection_index
 from repro.core.validation import digest_key
-from repro.errors import (
-    AtpgError,
-    ExecutionError,
-    TransientError,
-    WorkerCrashError,
-)
+from repro.errors import AtpgError, ExecutionError
 from repro.netlist.cells import CELL_FUNCTIONS
+from repro.obs import Telemetry, use_telemetry
 from repro.perf import chaos, usable_cpus
 from repro.perf.resilient import (
-    RetryPolicy,
     chunk_slices,
     chunked,
-    default_policy,
-    execution_policy,
+    collect_reports,
     resilient_map,
     resolve_workers,
 )
 from repro.power.calculator import ScapCalculator
+from repro.service.jobstore import backoff_delay_s
 from repro.sim.logic import loc_launch_capture, pack_matrix
 from repro.soc import build_turbo_eagle
 
@@ -383,12 +379,32 @@ def _traced_square(arg):
     return x * x
 
 
-#: Fast backoff so chaos tests retry in milliseconds, not seconds.
-FAST = RetryPolicy(backoff_base_s=0.001, backoff_max_s=0.01, jitter=0.0)
+def _offset_square(x):
+    """Square x plus the offset the initializer installed."""
+    return x * x + _OFFSET
+
+
+_OFFSET = 0
+
+
+def _set_offset(offset):
+    global _OFFSET
+    _OFFSET = offset
+
+
+def _mapped(task, items, **kw):
+    """``resilient_map`` plus its report and the RuntimeWarnings raised."""
+    with collect_reports() as reports, warnings.catch_warnings(
+        record=True
+    ) as caught:
+        warnings.simplefilter("always")
+        out = resilient_map(task, items, **kw)
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return out, reports[0], runtime
 
 
 class TestResilientMap:
-    """The recovery ladder, rung by rung, under deterministic chaos."""
+    """The one recovery rule, under deterministic worker kills."""
 
     def test_task_bug_propagates_never_degrades(self):
         # A task exception must never silently re-run everything
@@ -405,170 +421,102 @@ class TestResilientMap:
         )
 
     def test_task_bug_propagates_serially_too(self):
-        with pytest.raises(ExecutionError) as info:
-            resilient_map(_buggy, [3], n_workers=1, policy=FAST)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ExecutionError) as info:
+                resilient_map(_buggy, [3], n_workers=1)
         assert isinstance(info.value.__cause__, ValueError)
-
-    def test_transient_failure_retries_to_success(self):
-        spec = chaos.ChaosSpec(fail={1: (0,)})
-        from repro.perf.resilient import ExecutionReport
-
-        report = ExecutionReport()
-        with chaos.inject(spec):
-            out = resilient_map(
-                _square, [0, 1, 2, 3], n_workers=2,
-                policy=FAST, report=report,
-            )
-        assert out == [0, 1, 4, 9]
-        assert report.chunk_attempts[1] == 2
-        assert report.total_retries == 1
-        assert report.retried_chunks == [1]
-        assert not report.serial_fallback
+        assert info.value.chunk_index == 0
+        assert not any(
+            issubclass(w.category, RuntimeWarning) for w in caught
+        )
 
     def test_worker_kill_requeues_only_inflight_chunks(self, tmp_path):
-        # SIGKILL the worker holding chunk 0 on its first attempt.
-        # Completed chunks must not re-run (exactly one marker each)
-        # and the pool must recover without the serial fallback.
+        # SIGKILL the worker that picks up chunk 0.  Delivered chunks
+        # must not run again, and the rest finish serially here.
         items = [(x, str(tmp_path)) for x in range(8)]
-        spec = chaos.ChaosSpec(kill={0: (0,)})
-        from repro.perf.resilient import ExecutionReport
-
-        report = ExecutionReport()
-        with chaos.inject(spec):
-            out = resilient_map(
-                _traced_square, items, n_workers=2,
-                policy=FAST, report=report,
+        with chaos.inject(chaos.ChaosSpec(kill={0})):
+            out, report, runtime = _mapped(
+                _traced_square, items, n_workers=2
             )
         assert out == [x * x for x in range(8)]
-        assert report.pool_rebuilds >= 1
-        assert not report.serial_fallback
-        assert any(f.kind == "crash" for f in report.failures)
+        assert len(runtime) == 1
+        assert report.serial_fallback
         runs_per_item = {}
         for marker in os.listdir(tmp_path):
             x = int(marker.split("_")[0])
             runs_per_item[x] = runs_per_item.get(x, 0) + 1
-        # Every item executed, and only the chunks in flight at the
-        # crash (at most n_workers) may have executed a second time —
-        # a wholesale serial re-run would double all eight.
+        # Every item executed, and only the chunks in flight when the
+        # pool broke (at most n_workers) executed a second time — a
+        # wholesale serial re-run would double all eight.
         assert set(runs_per_item) == set(range(8))
         extra = sum(n - 1 for n in runs_per_item.values())
         assert extra <= 2, runs_per_item
 
-    def test_hang_past_timeout_is_cancelled_and_retried(self):
-        spec = chaos.ChaosSpec(hang={0: (0,)}, hang_s=30.0)
-        policy = RetryPolicy(
-            timeout_s=1.0, backoff_base_s=0.001, jitter=0.0
-        )
-        from repro.perf.resilient import ExecutionReport
-
-        report = ExecutionReport()
-        with chaos.inject(spec):
-            out = resilient_map(
-                _square, [0, 1, 2, 3], n_workers=2,
-                policy=policy, report=report,
+    def test_worker_kill_falls_back_to_serial_for_remaining(
+        self, monkeypatch
+    ):
+        # The serial finish runs the initializer in this process first:
+        # without it the offset would be missing from those results.
+        monkeypatch.setattr(f"{__name__}._OFFSET", 0)  # restored after
+        tel = Telemetry(run_id="kill")
+        with use_telemetry(tel), chaos.inject(chaos.ChaosSpec(kill={0})):
+            out, report, runtime = _mapped(
+                _offset_square, [0, 1, 2, 3], n_workers=2,
+                initializer=_set_offset, initargs=(10,),
             )
-        assert out == [0, 1, 4, 9]
-        assert report.n_timeouts >= 1
-        assert report.pool_rebuilds >= 1
-        assert not report.serial_fallback
-        assert any(f.kind == "timeout" for f in report.failures)
-
-    def test_retry_exhaustion_raises_with_context(self):
-        spec = chaos.ChaosSpec(fail={0: (0, 1, 2)})
-        with chaos.inject(spec):
-            with pytest.raises(ExecutionError) as info:
-                resilient_map(
-                    _square, [0, 1], n_workers=2,
-                    policy=dataclass_replace(FAST, max_attempts=3),
-                )
-        assert info.value.chunk_index == 0
-        assert info.value.attempts == 3
-
-    def test_rebuild_cap_falls_back_to_serial_for_remaining(self):
-        # Two kills on the same chunk exhaust a rebuild cap of 1: the
-        # remaining chunks (chaos-free by design of the fallback) run
-        # serially and the run still completes correctly.
-        spec = chaos.ChaosSpec(kill={0: (0, 1)})
-        policy = dataclass_replace(
-            FAST, max_attempts=4, max_pool_rebuilds=1
-        )
-        from repro.perf.resilient import ExecutionReport
-
-        report = ExecutionReport()
-        with chaos.inject(spec):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                out = resilient_map(
-                    _square, [0, 1, 2, 3], n_workers=2,
-                    policy=policy, report=report,
-                )
-        assert out == [0, 1, 4, 9]
+        assert out == [x * x + 10 for x in range(4)]
+        assert len(runtime) == 1
+        assert "serially" in str(runtime[0].message)
         assert report.serial_fallback
-        assert any(
-            issubclass(w.category, RuntimeWarning) for w in caught
+        assert [(f.chunk_index, f.kind) for f in report.failures] == [
+            (0, "crash")
+        ]
+        assert tel.metrics.counter("exec.worker_crashes").total == 1
+        assert tel.metrics.counter("exec.serial_fallbacks").total == 1
+
+    def test_pool_that_cannot_start_runs_serially(self, monkeypatch):
+        def no_pool(**kw):
+            raise OSError("no processes left")
+
+        monkeypatch.setattr(
+            "repro.perf.resilient.ProcessPoolExecutor", no_pool
         )
+        out, report, runtime = _mapped(_square, [1, 2, 3], n_workers=2)
+        assert out == [1, 4, 9]
+        assert len(runtime) == 1
+        assert report.serial_fallback
+        assert not report.failures
 
-    def test_rebuild_cap_without_fallback_raises(self):
-        spec = chaos.ChaosSpec(kill={0: (0, 1)})
-        policy = dataclass_replace(
-            FAST, max_attempts=4, max_pool_rebuilds=1,
-            serial_fallback=False,
-        )
-        with chaos.inject(spec):
-            with pytest.raises(WorkerCrashError):
-                resilient_map(
-                    _square, [0, 1, 2, 3], n_workers=2, policy=policy
-                )
-
-    def test_serial_path_retries_transients(self):
-        calls = {"n": 0}
-
-        def flaky(x):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise TransientError("first try fails")
-            return x * x
-
-        from repro.perf.resilient import ExecutionReport
-
-        report = ExecutionReport()
-        out = resilient_map(
-            flaky, [5], n_workers=1, policy=FAST, report=report
-        )
-        assert out == [25]
-        assert report.chunk_attempts[0] == 2
+    @pytest.mark.parametrize("case", ["clean", "kill", "error"])
+    def test_no_worker_outlives_the_map(self, case):
+        items = list(range(6))
+        spec = chaos.ChaosSpec(kill={1} if case == "kill" else set())
+        task = _buggy if case == "error" else _square
+        with chaos.inject(spec), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                resilient_map(task, items, n_workers=2)
+            except ExecutionError:
+                assert case == "error"
+        assert multiprocessing.active_children() == []
 
     def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(seed=7)
-        a = policy.backoff_s(3, 1)
-        assert a == policy.backoff_s(3, 1)
-        assert a != policy.backoff_s(3, 2) or policy.jitter == 0
+        # The shard requeue's backoff curve (the pool itself never
+        # backs off).
+        a = backoff_delay_s(0.05, 2.0, 2.0, 0.25, 7, 3, 1)
+        assert a == backoff_delay_s(0.05, 2.0, 2.0, 0.25, 7, 3, 1)
+        assert a != backoff_delay_s(0.05, 2.0, 2.0, 0.25, 7, 3, 2)
         for attempt in range(10):
-            delay = policy.backoff_s(0, attempt)
-            assert 0 < delay <= policy.backoff_max_s * (1 + policy.jitter)
-
-    def test_execution_policy_scopes_and_restores(self):
-        before = default_policy()
-        with execution_policy(timeout_s=9.0, max_attempts=5) as scoped:
-            assert default_policy() is scoped
-            assert scoped.timeout_s == 9.0
-            assert scoped.max_attempts == 5
-            with execution_policy(max_attempts=2) as inner:
-                assert inner.timeout_s == 9.0  # nested scopes compose
-                assert inner.max_attempts == 2
-            assert default_policy() is scoped
-        assert default_policy() is before
+            delay = backoff_delay_s(0.05, 2.0, 2.0, 0.25, 7, 0, attempt)
+            assert 0 < delay <= 2.0 * 1.25
+        assert backoff_delay_s(0.05, 2.0, 2.0, 0.0, 7, 0, 3) == 0.4
 
     def test_results_in_input_order_under_chaos(self):
-        spec = chaos.ChaosSpec(fail={2: (0,), 5: (0,)})
-        with chaos.inject(spec):
-            out = resilient_map(
-                _square, list(range(12)), n_workers=3, policy=FAST
+        with chaos.inject(chaos.ChaosSpec(kill={2, 5})):
+            out, report, runtime = _mapped(
+                _square, list(range(12)), n_workers=3
             )
         assert out == [x * x for x in range(12)]
-
-
-def dataclass_replace(policy, **kw):
-    import dataclasses
-
-    return dataclasses.replace(policy, **kw)
+        assert len(runtime) == 1
+        assert report.serial_fallback

@@ -64,8 +64,10 @@ class TestRunReportRoundTrip:
             "stage1", "completed", from_checkpoint=True,
             detail={"patterns": 7},
         )
-        report.retries = {"stage0": 2}
-        report.failures = [{"stage": "stage0", "kind": "crash", "chunk": 3}]
+        report.failures = [{
+            "stage": "stage0", "kind": "crash", "chunk_index": 3,
+            "error": "worker process died",
+        }]
         report.drc = {"status": "clean", "violations": 0}
         report.telemetry = {
             "run_id": "rt1",
@@ -84,7 +86,7 @@ class TestRunReportRoundTrip:
         assert loaded.to_dict() == report.to_dict()
         assert loaded.completed_stages() == ["stage0", "stage1"]
         assert loaded.resumed_stages() == ["stage1"]
-        assert loaded.total_retries == 2
+        assert loaded.failures == report.failures
         assert loaded.telemetry["run_id"] == "rt1"
 
     def test_failed_save_keeps_the_previous_report(self, tmp_path):

@@ -184,15 +184,15 @@ class TestRunReport:
         rep = self._report()
         exec_rep = ExecutionReport(
             n_chunks=4,
-            chunk_attempts={0: 1, 1: 3},
-            failures=[ChunkFailure(1, 0, "transient", "x"),
-                      ChunkFailure(1, 1, "transient", "x")],
+            failures=[ChunkFailure(1, "crash", "worker process died")],
+            serial_fallback=True,
         )
         rep.absorb_execution_report("s1", exec_rep)
-        assert rep.retries["s1"] == 2
-        assert rep.total_retries == 2
-        assert len(rep.failures) == 2
-        assert rep.failures[0]["kind"] == "transient"
+        assert rep.failures == [{
+            "chunk_index": 1, "kind": "crash",
+            "error": "worker process died", "stage": "s1",
+        }]
+        assert "retries" not in rep.to_dict()
 
     def test_json_roundtrip_and_save(self, tmp_path):
         rep = self._report()

@@ -4,10 +4,10 @@ Part one: the headline result is not one lucky seed — the
 conventional-vs-staged comparison holds on three independently
 generated tiny SOCs.
 
-Part two (``-m chaos``): the execution layer survives deliberately
-injected infrastructure failures — workers SIGKILLed mid-batch, hung
-past their deadline, transient faults — and interrupted flows resume
-from checkpoints, all **bit-identical** to an undisturbed serial run.
+Part two (``-m chaos``): the execution layer survives workers
+SIGKILLed mid-batch (their chunks finish serially), and interrupted
+flows resume from checkpoints, all **bit-identical** to an undisturbed
+serial run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from repro import CaseStudy
 from repro.core.flow import NoiseAwarePatternGenerator, run_noise_tolerant_flow
 from repro.perf import chaos
-from repro.perf.resilient import execution_policy, last_report
+from repro.perf.resilient import collect_reports
 from repro.power.calculator import ScapCalculator
 from repro.soc import build_turbo_eagle
 
@@ -75,34 +75,65 @@ def fault_batch(tiny_design):
     return list(reps), matrix
 
 
+def _survive_kills(kill, run):
+    """Run *run* under worker kills on the chunk indices *kill*.
+
+    Returns its result, the RuntimeWarnings raised and the reports of
+    every pool map inside.
+    """
+    with chaos.inject(chaos.ChaosSpec(kill=kill)), collect_reports() as \
+            reports, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run()
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return out, runtime, reports
+
+
+def _flow_matrix(design, **kwargs):
+    result, report = run_noise_tolerant_flow(design, **kwargs)
+    return result.pattern_set.as_matrix(), report
+
+
+def test_flow_on_the_pool_matches_serial(tiny_design):
+    serial, _ = _flow_matrix(tiny_design)
+    pooled, report = _flow_matrix(tiny_design, n_workers=2)
+    assert report.status == "completed"
+    assert not report.failures
+    assert np.array_equal(pooled, serial)
+
+
 @pytest.mark.chaos
 class TestChaosPipeline:
-    """Kill, hang and fail workers under the paper's real workloads."""
+    """Kill workers under the paper's real workloads."""
 
-    def test_fsim_survives_worker_kill_bit_identical(
-        self, tiny_design, fault_batch
-    ):
+    @staticmethod
+    def _fsim_survives_kill(tiny_design, fault_batch, drop):
         from repro.atpg.fsim import FaultSimulator
 
         faults, matrix = fault_batch
         fsim = FaultSimulator(tiny_design.netlist, tiny_design.dominant_domain())
-        serial = fsim.run_batch(matrix, faults, lane_width=64)
-        spec = chaos.ChaosSpec(kill={1: (0,)})
-        with chaos.inject(spec), execution_policy(
-            backoff_base_s=0.001, jitter=0.0
-        ):
-            survived = fsim.run_batch(
-                matrix, faults, lane_width=64, n_workers=2
-            )
+        serial = fsim.run_batch(matrix, faults, lane_width=64, drop=drop)
+        survived, runtime, reports = _survive_kills(
+            {1},
+            lambda: fsim.run_batch(
+                matrix, faults, lane_width=64, drop=drop, n_workers=2
+            ),
+        )
         assert survived == serial
-        report = last_report()
-        assert report.pool_rebuilds >= 1
-        assert not report.serial_fallback  # recovered, not degraded
-        # bounded recovery: at most the chunks in flight when the
-        # worker died (<= n_workers) burned an extra try — completed
-        # chunks were never re-run
-        assert 1 <= len(report.retried_chunks) <= 2
-        assert all(a <= 2 for a in report.chunk_attempts.values())
+        assert len(runtime) == 1
+        (report,) = reports
+        assert report.serial_fallback
+        assert [f.kind for f in report.failures] == ["crash"]
+
+    def test_fsim_survives_worker_kill_bit_identical(
+        self, tiny_design, fault_batch
+    ):
+        self._fsim_survives_kill(tiny_design, fault_batch, drop=False)
+
+    def test_fsim_with_drop_survives_worker_kill_bit_identical(
+        self, tiny_design, fault_batch
+    ):
+        self._fsim_survives_kill(tiny_design, fault_batch, drop=True)
 
     def test_scap_survives_worker_kill_bit_identical(
         self, tiny_design, fault_batch
@@ -113,48 +144,29 @@ class TestChaosPipeline:
             matrix[:60]
         )
         calc = ScapCalculator(tiny_design, domain)
-        spec = chaos.ChaosSpec(kill={0: (0,)})
-        with chaos.inject(spec), execution_policy(
-            backoff_base_s=0.001, jitter=0.0
-        ):
-            survived = calc.profile_patterns(matrix[:60], n_workers=2)
-        assert survived == serial
-        assert not last_report().serial_fallback
-
-    def test_scap_hang_past_timeout_recovers(self, tiny_design, fault_batch):
-        _faults, matrix = fault_batch
-        domain = tiny_design.dominant_domain()
-        serial = ScapCalculator(tiny_design, domain).profile_patterns(
-            matrix[:60]
+        survived, runtime, reports = _survive_kills(
+            {0}, lambda: calc.profile_patterns(matrix[:60], n_workers=2)
         )
-        calc = ScapCalculator(tiny_design, domain)
-        spec = chaos.ChaosSpec(hang={0: (0,)}, hang_s=60.0)
-        with chaos.inject(spec), execution_policy(
-            timeout_s=15.0, backoff_base_s=0.001, jitter=0.0
-        ):
-            survived = calc.profile_patterns(matrix[:60], n_workers=2)
         assert survived == serial
-        report = last_report()
-        assert report.n_timeouts >= 1
-        assert not report.serial_fallback
+        assert len(runtime) == 1
+        (report,) = reports
+        assert report.serial_fallback
+        assert [f.kind for f in report.failures] == ["crash"]
 
-    def test_fsim_transient_failures_retry_to_success(
-        self, tiny_design, fault_batch
-    ):
-        from repro.atpg.fsim import FaultSimulator
-
-        faults, matrix = fault_batch
-        fsim = FaultSimulator(tiny_design.netlist, tiny_design.dominant_domain())
-        serial = fsim.run_batch(matrix, faults, lane_width=64)
-        spec = chaos.ChaosSpec(fail={0: (0,), 2: (0, 1)})
-        with chaos.inject(spec), execution_policy(
-            backoff_base_s=0.001, jitter=0.0
-        ):
-            survived = fsim.run_batch(
-                matrix, faults, lane_width=64, n_workers=2
-            )
-        assert survived == serial
-        assert last_report().total_retries >= 3
+    def test_flow_survives_worker_kills(self, tiny_design):
+        serial, _ = _flow_matrix(tiny_design)
+        (survived, report), runtime, _ = _survive_kills(
+            {1}, lambda: _flow_matrix(tiny_design, n_workers=2)
+        )
+        assert report.status == "completed"
+        assert np.array_equal(survived, serial)
+        # every pooled grading call lost a worker: one warning and one
+        # crash entry each, tagged with the stage that ran it
+        crashes = [f for f in report.failures if f["kind"] == "crash"]
+        assert len(crashes) == len(runtime) == len(report.failures)
+        assert {f["stage"] for f in crashes} == set(
+            report.completed_stages()
+        )
 
 
 @pytest.mark.chaos
