@@ -123,6 +123,14 @@ class AtpgEngine:
         pool from the work size and usable cores."""
         if protocol == "los" and scan is None:
             raise AtpgError("LOS ATPG needs the scan configuration")
+        if batch_size < 1:
+            raise AtpgError("batch_size must be >= 1")
+        for name, limit in (
+            ("backtrack_limit", backtrack_limit),
+            ("merge_backtrack_limit", merge_backtrack_limit),
+        ):
+            if limit < 0:
+                raise AtpgError(f"{name} must be >= 0")
         self.netlist = netlist
         self.domain = domain
         self.scan = scan
@@ -381,7 +389,10 @@ class AtpgEngine:
         With ``max_targets_per_block`` set, candidates from a block that
         already holds its quota of targets in this pattern are skipped
         (without counting as merge failures) — the paper's wished-for
-        power-limiting ATPG option.
+        power-limiting ATPG option.  A candidate the cube already blocks
+        (its frame-1 site value defeats activation or its good frame-2
+        value defeats the launch) counts as a failure without a PODEM
+        call: values only refine, so that call could not succeed.
         """
         fails = 0
         merged = 1
@@ -405,6 +416,9 @@ class AtpgEngine:
                 block = fault_block(self.netlist, candidate)
                 if block_counts.get(block, 0) >= cap:
                     continue
+            if self.state.blocked_under(cube, candidate):
+                fails += 1
+                continue
             result = generate_test(
                 self.state, candidate, cube, self.merge_backtrack_limit
             )

@@ -30,7 +30,7 @@ from ..netlist.cells import controlling_value
 from ..netlist.netlist import Netlist
 from .faults import STF, STR, TransitionFault
 from .podem import FRAME1, FRAME2, _backtrace
-from .twoframe import TwoFrameState
+from .twoframe import Mark, TwoFrameState
 from .values import X
 
 
@@ -199,7 +199,7 @@ def generate_path_test(
 
     capture_net = path.nets(netlist)[-1]
 
-    stack: List[Tuple[int, int, int, bool]] = []
+    stack: List[Tuple[int, int, Mark, bool]] = []
     backtracks = 0
 
     def satisfied() -> bool:

@@ -15,31 +15,26 @@ PODEM succeeds under the base constraints.
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .faults import TransitionFault
-from .twoframe import TwoFrameState
+from .twoframe import (
+    STEER_AOI,
+    STEER_DIRECT,
+    STEER_INVERT,
+    STEER_MUX,
+    STEER_XNOR,
+    STEER_XOR,
+    Mark,
+    TwoFrameState,
+)
 from .values import X
 
 FRAME1 = 1
 FRAME2 = 2
 
 Objective = Tuple[int, int, int]  # (frame, net, value)
-
-#: How the backtrace steers an objective through a gate (see
-#: :func:`_choose_input`).
-STEER_DIRECT = 0  # BUF, AND*, OR*: drive an X input to the objective
-STEER_INVERT = 1  # INV, NAND*, NOR*: drive an X input to its inverse
-STEER_XOR = 2
-STEER_XNOR = 3
-STEER_MUX = 4
-STEER_AOI = 5  # AOI21 / OAI21: drive C (else an X input) to the inverse
-STEER_NONE = 6  # TIE cells: nothing to drive
-
-# Per-gate steering classes of each live state, built on first use.
-_STEER_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class PodemStatus(enum.Enum):
@@ -74,25 +69,25 @@ def generate_test(
 
     The returned cube contains every assigned care bit, base included.
     ``UNTESTABLE`` under a non-empty base means "not mergeable into this
-    pattern", not that the fault is redundant.
+    pattern", not that the fault is redundant.  A success leaves its
+    cube's frames in the state's snapshot, so merges under that cube
+    start without replaying it (:meth:`TwoFrameState.load`).
     """
     # Structural prune: a stem that cannot reach any capture net is
     # untestable in this domain, no search needed.
     if state.obs_dist[fault.net] == float("inf"):
         return PodemResult(PodemStatus.UNTESTABLE, None, 0, 0)
 
-    state.set_fault(fault)
-    if base:
-        for flop, bit in base.items():
-            state.assign(flop, bit)
+    state.load(fault, base)
 
     # decision stack entries: (flop, bit, trail_mark, alternative_tried)
-    stack: List[Tuple[int, int, int, bool]] = []
+    stack: List[Tuple[int, int, Mark, bool]] = []
     backtracks = 0
     decisions = 0
 
     while True:
         if state.detected():
+            state.keep_snapshot()
             return PodemResult(
                 PodemStatus.SUCCESS, state.cube(), backtracks, decisions
             )
@@ -134,14 +129,18 @@ def generate_test(
 def _objective(state: TwoFrameState) -> Optional[Objective]:
     """Next PODEM objective, or None when the current path is dead."""
     fault = state.fault
-    if state.activation_blocked():
-        return None
-    if state.activation_value() == X:
-        return (FRAME1, fault.net, fault.initial_value)
-    if state.launch_blocked():
-        return None
-    if state.g2[fault.net] == X:
-        return (FRAME2, fault.net, fault.final_value)
+    site = fault.net
+    initial = fault.initial_value
+    v = state.f1[site]
+    if v == X:
+        return (FRAME1, site, initial)
+    if v != initial:
+        return None  # activation blocked
+    v = state.g2[site]
+    if v == X:
+        return (FRAME2, site, 1 - initial)
+    if v != 1 - initial:
+        return None  # launch blocked
 
     # Fault is active and launched; advance the D-frontier.  Default:
     # prefer the gate closest to a capture net (observability-guided,
@@ -186,8 +185,9 @@ def _backtrace(
     """
     frame, net, val = objective
     net_gate = state._net_gate
-    steer = _steer_table(state)
+    steer = state.steer
     gate_ins = state._gate_ins
+    arrival = state.arrival
     guard = 4 * state.netlist.n_nets  # cycle guard (paranoia; acyclic)
     while guard > 0:
         guard -= 1
@@ -213,35 +213,25 @@ def _backtrace(
             return (target, val)
 
         vals = state.f1 if frame == FRAME1 else state.g2
-        step = _choose_input(steer[gi], gate_ins[gi], vals, val,
-                             arrival=state.arrival)
+        steer_gi = steer[gi]
+        if arrival is None and steer_gi <= STEER_INVERT:
+            # _choose_input's pin-order rule for BUF/AND/OR and
+            # INV/NAND/NOR, inline: the first X input.
+            for p in gate_ins[gi]:
+                if vals[p] == X:
+                    break
+            else:
+                return None
+            net = p
+            if steer_gi == STEER_INVERT:
+                val = 1 - val
+            continue
+        step = _choose_input(steer_gi, gate_ins[gi], vals, val,
+                             arrival=arrival)
         if step is None:
             return None
         net, val = step
     return None
-
-
-def _steer_class(kind: str) -> int:
-    if kind in ("BUF", "CLKBUF") or kind.startswith(("AND", "OR")):
-        return STEER_DIRECT
-    if kind == "INV" or kind.startswith(("NAND", "NOR")):
-        return STEER_INVERT
-    return {
-        "XOR2": STEER_XOR,
-        "XNOR2": STEER_XNOR,
-        "MUX2": STEER_MUX,
-        "AOI21": STEER_AOI,
-        "OAI21": STEER_AOI,
-    }.get(kind, STEER_NONE)
-
-
-def _steer_table(state: TwoFrameState) -> List[int]:
-    """Steering class of every gate of *state*'s netlist (cached)."""
-    table = _STEER_TABLES.get(state)
-    if table is None:
-        table = [_steer_class(g.kind) for g in state.netlist.gates]
-        _STEER_TABLES[state] = table
-    return table
 
 
 def _choose_input(
@@ -253,32 +243,20 @@ def _choose_input(
 ) -> Optional[Tuple[int, int]]:
     """Pick one X input of a gate and the value to drive it toward.
 
-    *steer* is the gate's steering class (``STEER_*``).  With an
-    *arrival* map, X inputs are considered latest-arriving first
-    (timing-aware long-path preference); otherwise in pin order.
+    *steer* is the gate's steering class (``STEER_*``).  XOR, MUX and
+    AOI gates first try the input their function singles out; otherwise
+    the pick is the first X input, in pin order or, with an *arrival*
+    map, latest-arriving first (timing-aware long-path preference).
     """
-    xs = [p for p in inputs if vals[p] == X]
-    if not xs:
-        return None
-    if arrival is not None and len(xs) > 1:
-        xs = sorted(xs, key=lambda p: -float(arrival[p]))
-
-    if steer == STEER_DIRECT:
-        # BUF, AND (one controlling 0 or all 1s), OR (one 1 or all 0s).
-        return (xs[0], desired)
-    if steer == STEER_INVERT:
-        return (xs[0], 1 - desired)
-
     if steer == STEER_XOR or steer == STEER_XNOR:
         a, b = inputs
-        parity = 1 if steer == STEER_XNOR else 0
+        if steer == STEER_XNOR:
+            desired ^= 1
         if vals[a] != X and vals[b] == X:
-            return (b, desired ^ vals[a] ^ parity)
+            return (b, desired ^ vals[a])
         if vals[b] != X and vals[a] == X:
-            return (a, desired ^ vals[b] ^ parity)
-        return (xs[0], desired ^ parity)
-
-    if steer == STEER_MUX:
+            return (a, desired ^ vals[b])
+    elif steer == STEER_MUX:
         d0, d1, sel = inputs
         if vals[sel] == 0 and vals[d0] == X:
             return (d0, desired)
@@ -286,15 +264,23 @@ def _choose_input(
             return (d1, desired)
         if vals[sel] == X:
             return (sel, 0)
-        return (xs[0], desired)
-
-    if steer == STEER_AOI:
+    elif steer == STEER_AOI:
         # AOI21 output 1 needs (a&b)|c == 0, OAI21 output 1 needs
         # (a|b)&c == 0: either way drive C first, to the inverse.
+        desired = 1 - desired
         c = inputs[2]
         if vals[c] == X:
-            return (c, 1 - desired)
-        return (xs[0], 1 - desired)
+            return (c, desired)
+    elif steer == STEER_INVERT:
+        desired = 1 - desired
+    elif steer != STEER_DIRECT:
+        return None  # TIE cells: nothing to drive
 
-    # TIE cells: nothing to drive.
-    return None
+    # BUF, AND (one controlling 0 or all 1s), OR (one 1 or all 0s) and
+    # their inversions, or no singled-out input: the first X input.
+    xs = [p for p in inputs if vals[p] == X]
+    if not xs:
+        return None
+    if arrival is not None and len(xs) > 1:
+        xs = sorted(xs, key=lambda p: -float(arrival[p]))
+    return (xs[0], desired)

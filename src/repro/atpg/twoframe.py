@@ -23,14 +23,27 @@ input slots a gate does not use point at a pad net that always reads 0.
 The value lists ``f1``/``g2``/``f2`` therefore hold ``n_nets + 1``
 entries, the last being that pad.  Outside the fault site's
 transitive-fanout cone the faulty machine always equals the good one, so
-frame 2 is evaluated once there and written to both.  Every trail entry
-names the container it wrote to, so undo is ``container[key] = old``
-with no dispatch on the entry's kind.
+frame 2 is evaluated once there and written to both.
+
+Every write PODEM can undo takes a value from X (implication only
+refines), so each container keeps its own trail of written nets (or
+flops): ``f1``, ``g2``, ``f2``, ``g2`` and ``f2`` together outside the
+cone, ``v1`` and ``d_nets``.  A mark is the trails' lengths, and undo
+writes X back, deletes ``v1`` keys and discards ``d_nets`` entries,
+newest first.  The one non-monotone pass, forcing the fault stem in
+:meth:`TwoFrameState.set_fault`, runs before any mark and is not
+trailed.
+
+The state also keeps one snapshot of ``f1``/``g2`` under the last full
+cube it held (after a PODEM success and after replaying a base cube).
+Neither frame depends on the fault, so the snapshot screens merge
+candidates (:meth:`TwoFrameState.blocked_under`) and installs a fault
+under that cube without replaying it (:meth:`TwoFrameState.load`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import AtpgError
 from ..netlist.levelize import levelize
@@ -38,18 +51,33 @@ from ..netlist.netlist import Netlist
 from .faults import TransitionFault
 from .values import MAX_TABLE_ARITY, X, truth_table
 
+#: How PODEM's backtrace steers an objective through a gate (the
+#: state's ``steer`` table holds one class per gate).
+STEER_DIRECT = 0  # BUF, AND*, OR*: drive an X input to the objective
+STEER_INVERT = 1  # INV, NAND*, NOR*: drive an X input to its inverse
+STEER_XOR = 2
+STEER_XNOR = 3
+STEER_MUX = 4
+STEER_AOI = 5  # AOI21 / OAI21: drive C (else an X input) to the inverse
+STEER_NONE = 6  # TIE cells: nothing to drive
 
-class _KeyRemover:
-    """Trail target that undoes an insertion: ``r[key] = old`` removes
-    *key* from the wrapped dict or set."""
+#: Trail-length tuple returned by :meth:`TwoFrameState.mark`.
+Mark = Tuple[int, int, int, int, int, int]
 
-    __slots__ = ("_remove",)
 
-    def __init__(self, remove: Callable[[int], Any]):
-        self._remove = remove
-
-    def __setitem__(self, key: int, _old: int) -> None:
-        self._remove(key)
+def _steer_class(kind: str) -> int:
+    """The ``STEER_*`` class of a cell kind."""
+    if kind in ("BUF", "CLKBUF") or kind.startswith(("AND", "OR")):
+        return STEER_DIRECT
+    if kind == "INV" or kind.startswith(("NAND", "NOR")):
+        return STEER_INVERT
+    return {
+        "XOR2": STEER_XOR,
+        "XNOR2": STEER_XNOR,
+        "MUX2": STEER_MUX,
+        "AOI21": STEER_AOI,
+        "OAI21": STEER_AOI,
+    }.get(kind, STEER_NONE)
 
 
 def _settle(vals: List[int], order, records) -> None:
@@ -159,6 +187,8 @@ class TwoFrameState:
                 self._net_gate[net] = drv[1]
             elif drv is not None and drv[0] == "flop":
                 self._net_flop[net] = drv[1]
+        #: Backtrace steering class (``STEER_*``) of every gate.
+        self.steer: List[int] = [_steer_class(g.kind) for g in gates]
 
         # Static observability distance: gates to the nearest capture
         # net along the fanout graph (inf when a net cannot reach one).
@@ -212,58 +242,177 @@ class TwoFrameState:
         # Per-fault mutable state (populated by set_fault).
         self.fault: Optional[TransitionFault] = None
         self._site = -1
-        self._cone: FrozenSet[int] = frozenset()
+        self._cone = bytearray()  # 1 at each net of the fault's cone
         self.f1: List[int] = []
         self.g2: List[int] = []
         self.f2: List[int] = []
         self.v1: Dict[int, int] = {}
         self.d_nets: set = set()
-        self._v1_undo = _KeyRemover(self.v1.__delitem__)
-        self._d_undo = _KeyRemover(self.d_nets.discard)
-        self._trail: List[Tuple[Any, int, int]] = []
+        # Undo trails, one per container (see the module docstring).
+        # Cleared in place, never rebound, so _trails stays current.
+        self._f1_trail: List[int] = []
+        self._g2_trail: List[int] = []
+        self._f2_trail: List[int] = []
+        self._both_trail: List[int] = []  # g2 and f2, outside the cone
+        self._v1_trail: List[int] = []
+        self._d_trail: List[int] = []
+        self._trails = (
+            self._f1_trail, self._g2_trail, self._f2_trail,
+            self._both_trail, self._v1_trail, self._d_trail,
+        )
+        #: ``(cube, f1, g2)``: copies of both frames under the last
+        #: full cube held (see :meth:`keep_snapshot`).
+        self._snapshot: Optional[
+            Tuple[Dict[int, int], List[int], List[int]]
+        ] = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def set_fault(self, fault: TransitionFault) -> None:
         """Reset all state and install *fault* (forced in frame 2)."""
+        self._install(fault, self._base, self._base2, {})
+
+    def load(
+        self, fault: TransitionFault, base: Optional[Dict[int, int]]
+    ) -> None:
+        """Install *fault* and assign every bit of *base*, in its order.
+
+        Equivalent to :meth:`set_fault` followed by :meth:`assign` of
+        each base bit.  When the snapshot holds *base* and the site's
+        good frame-2 value is X under it, the fault installs from the
+        snapshot instead: with the site unlaunched, every net whose good
+        value is defined has the same faulty value (implication is
+        monotone), so no net carries a D and the replay would leave
+        ``d_nets`` empty too.  Replaying any other base refreshes the
+        snapshot.
+        """
+        snap = self._snapshot
+        held = bool(base) and snap is not None and snap[0] == base
+        if held and snap[2][fault.net] == X:
+            self._install(fault, snap[1], snap[2], base)
+            return
+        self.set_fault(fault)
+        if base:
+            for flop, bit in base.items():
+                self.assign(flop, bit)
+            if not held:
+                self.keep_snapshot()
+
+    def _install(
+        self,
+        fault: TransitionFault,
+        f1: List[int],
+        g2: List[int],
+        v1: Dict[int, int],
+    ) -> None:
+        """Copy the frames *f1*/*g2* implied by the cube *v1*, force
+        *fault*'s stem in the faulty frame 2 and empty every trail."""
         self.fault = fault
         site = self._site = fault.net
-        self._cone = self.fanout_cone(site)
-        self.f1 = list(self._base)
-        self.g2 = list(self._base2)
-        self.f2 = list(self._base2)
+        self._cone = self._cone_flags(site)
+        self.f1 = list(f1)
+        self.g2 = list(g2)
+        self.f2 = list(g2)
         self.v1.clear()
+        self.v1.update(v1)
         self.d_nets.clear()
-        self._trail = []
         # Force the faulty machine's stem; re-derive its fanout cone in f2.
         stuck = fault.initial_value
         if self.f2[site] != stuck:
             self.f2[site] = stuck
             self._check_d(site)
             self._propagate_faulty(site)
+        for trail in self._trails:
+            trail.clear()
+
+    def keep_snapshot(self) -> None:
+        """Remember ``f1``/``g2`` under the current cube (copies)."""
+        self._snapshot = (dict(self.v1), list(self.f1), list(self.g2))
+
+    def blocked_under(
+        self, base: Dict[int, int], fault: TransitionFault
+    ) -> bool:
+        """True when the snapshot holds *base* and shows *fault*
+        activation-blocked (frame-1 site value defined and not the
+        initial value) or launch-blocked (good frame-2 value defined and
+        not the final value).  Values only refine, so PODEM under *base*
+        cannot succeed for such a fault."""
+        snap = self._snapshot
+        if snap is None or snap[0] != base:
+            return False
+        site = fault.net
+        v = snap[1][site]
+        if v != X and v != fault.initial_value:
+            return True
+        v = snap[2][site]
+        return v != X and v != fault.final_value
 
     def fanout_cone(self, site: int) -> FrozenSet[int]:
         """*site* plus the output of every gate in its combinational
         transitive fanout: the only nets where the faulty frame 2 can
         differ from the good one."""
-        out = self._gate_out
         return frozenset(
-            [site]
-            + [out[gi] for gi in self.netlist.transitive_fanout_gates(site)]
+            net for net, flag in enumerate(self._cone_flags(site)) if flag
         )
 
-    def mark(self) -> int:
-        """Current trail position; pass to :meth:`undo_to`."""
-        return len(self._trail)
+    def _cone_flags(self, site: int) -> bytearray:
+        """The fanout cone of *site* as one flag per net (and the pad)."""
+        cone = bytearray(self.netlist.n_nets + 1)
+        cone[site] = 1
+        fanout, gate_out = self._fanout_gates, self._gate_out
+        stack = [site]
+        while stack:
+            for gi in fanout[stack.pop()]:
+                out = gate_out[gi]
+                if not cone[out]:
+                    cone[out] = 1
+                    stack.append(out)
+        return cone
 
-    def undo_to(self, mark: int) -> None:
-        """Roll back every write made after *mark*."""
-        trail = self._trail
-        if len(trail) > mark:
-            for target, key, old in reversed(trail[mark:]):
-                target[key] = old
-            del trail[mark:]
+    def mark(self) -> Mark:
+        """Current trail lengths; pass to :meth:`undo_to`."""
+        return (
+            len(self._f1_trail), len(self._g2_trail), len(self._f2_trail),
+            len(self._both_trail), len(self._v1_trail), len(self._d_trail),
+        )
+
+    def undo_to(self, mark: Mark) -> None:
+        """Roll back every write made after *mark*, newest first."""
+        m_f1, m_g2, m_f2, m_both, m_v1, m_d = mark
+        f1, g2, f2 = self.f1, self.g2, self.f2
+        trail = self._f1_trail
+        if len(trail) > m_f1:
+            for net in reversed(trail[m_f1:]):
+                f1[net] = X
+            del trail[m_f1:]
+        trail = self._g2_trail
+        if len(trail) > m_g2:
+            for net in reversed(trail[m_g2:]):
+                g2[net] = X
+            del trail[m_g2:]
+        trail = self._f2_trail
+        if len(trail) > m_f2:
+            for net in reversed(trail[m_f2:]):
+                f2[net] = X
+            del trail[m_f2:]
+        trail = self._both_trail
+        if len(trail) > m_both:
+            for net in reversed(trail[m_both:]):
+                g2[net] = f2[net] = X
+            del trail[m_both:]
+        trail = self._v1_trail
+        if len(trail) > m_v1:
+            v1 = self.v1
+            for flop in reversed(trail[m_v1:]):
+                del v1[flop]
+            del trail[m_v1:]
+        trail = self._d_trail
+        if len(trail) > m_d:
+            discard = self.d_nets.discard
+            for net in reversed(trail[m_d:]):
+                discard(net)
+            del trail[m_d:]
 
     # ------------------------------------------------------------------
     # assignment + implication
@@ -272,8 +421,8 @@ class TwoFrameState:
         """Assign scan bit V1[flop] and imply both frames."""
         if flop in self.v1:
             raise AtpgError(f"flop {flop} already assigned")
-        self._trail.append((self._v1_undo, flop, X))
         self.v1[flop] = bit
+        self._v1_trail.append(flop)
 
         q = self._flop_q[flop]
         seeds2: List[int] = []
@@ -289,8 +438,8 @@ class TwoFrameState:
                 self._write2(self._flop_q[down], bit, seeds2)
             if flop not in self.los_upstream:
                 self._write2(q, bit, seeds2)
-        self._trail.append((self.f1, q, self.f1[q]))
         self.f1[q] = bit
+        self._f1_trail.append(q)
         for launch_q in self._launch_qs[q]:
             self._write2(launch_q, bit, seeds2)
         self._propagate1([q], seeds2)
@@ -316,15 +465,16 @@ class TwoFrameState:
         return ("v1", flop)
 
     def _write2(self, net: int, val: int, seeds2: List[int]) -> None:
+        # Frame-2 Q nets: X until launched (or constant from the start).
         g2, f2 = self.g2, self.f2
         changed = False
         if g2[net] != val:
-            self._trail.append((g2, net, g2[net]))
             g2[net] = val
+            self._g2_trail.append(net)
             changed = True
         if net != self._site and f2[net] != val:
-            self._trail.append((f2, net, f2[net]))
             f2[net] = val
+            self._f2_trail.append(net)
             changed = True
         if changed:
             self._check_d(net)
@@ -334,7 +484,7 @@ class TwoFrameState:
         g, f = self.g2[net], self.f2[net]
         if g != X and f != X and g != f and net not in self.d_nets:
             self.d_nets.add(net)
-            self._trail.append((self._d_undo, net, 0))
+            self._d_trail.append(net)
 
     # The propagation loops iterate a list while appending to it: a FIFO
     # queue in visit order, identical to the breadth-first deque order.
@@ -343,7 +493,7 @@ class TwoFrameState:
     # evaluated.
     def _propagate1(self, queue: List[int], seeds2: List[int]) -> None:
         f1 = self.f1
-        push = self._trail.append
+        trail = self._f1_trail.append
         records = self._fanout_records
         launch_qs = self._launch_qs
         for net in queue:
@@ -352,20 +502,23 @@ class TwoFrameState:
                     continue
                 new = tbl[f1[a] + 3 * f1[b] + 9 * f1[c] + 27 * f1[d]]
                 if new != X:
-                    push((f1, out, X))
                     f1[out] = new
-                    for launch_q in launch_qs[out]:
-                        self._write2(launch_q, new, seeds2)
+                    trail(out)
+                    if launch_qs[out]:
+                        for launch_q in launch_qs[out]:
+                            self._write2(launch_q, new, seeds2)
                     queue.append(out)
 
     def _propagate2(self, queue: List[int]) -> None:
         g2, f2 = self.g2, self.f2
-        push = self._trail.append
+        g2_trail = self._g2_trail.append
+        f2_trail = self._f2_trail.append
+        both_trail = self._both_trail.append
+        d_trail = self._d_trail.append
         records = self._fanout_records
         cone = self._cone
         site = self._site
         d_nets = self.d_nets
-        d_undo = self._d_undo
         for net in queue:
             for out, tbl, a, b, c, d in records[net]:
                 g = g2[out]
@@ -377,59 +530,57 @@ class TwoFrameState:
                     # whose faulty value is forced).
                     f = tbl[f2[a] + 3 * f2[b] + 9 * f2[c] + 27 * f2[d]]
                     if f != X:
-                        push((f2, out, X))
                         f2[out] = f
+                        f2_trail(out)
                         if g != f and out not in d_nets:
                             d_nets.add(out)
-                            push((d_undo, out, 0))
+                            d_trail(out)
                         queue.append(out)
                     continue
                 g = tbl[g2[a] + 3 * g2[b] + 9 * g2[c] + 27 * g2[d]]
-                if out not in cone:
+                if not cone[out]:
                     # Outside the fault cone f2 == g2: one evaluation
                     # serves both machines, and there is never a D.
                     if g != X:
-                        push((g2, out, X))
-                        push((f2, out, X))
                         g2[out] = f2[out] = g
+                        both_trail(out)
                         queue.append(out)
                     continue
                 changed = False
                 if g != X:
-                    push((g2, out, X))
                     g2[out] = g
+                    g2_trail(out)
                     changed = True
                 f = f2[out]
                 if f == X and out != site:
                     f = tbl[f2[a] + 3 * f2[b] + 9 * f2[c] + 27 * f2[d]]
                     if f != X:
-                        push((f2, out, X))
                         f2[out] = f
+                        f2_trail(out)
                         changed = True
                 if changed:
                     if g != X and f != X and g != f and out not in d_nets:
                         d_nets.add(out)
-                        push((d_undo, out, 0))
+                        d_trail(out)
                     queue.append(out)
 
     def _propagate_faulty(self, site: int) -> None:
         """Re-derive the faulty frame 2 below a newly forced stem.
 
         The stem may flip between defined values, so this pass is not
-        monotone and evaluates every gate it reaches.  A reconvergent net
-        can pass through a D and settle back; its ``d_nets`` entry stays
-        (:meth:`d_frontier` still offers its fanout), which is why
-        :meth:`detected` checks values.
+        monotone and evaluates every gate it reaches; it runs only while
+        a fault is installed, before any mark, and is not trailed.  A
+        reconvergent net can pass through a D and settle back; its
+        ``d_nets`` entry stays (:meth:`d_frontier` still offers its
+        fanout), which is why :meth:`detected` checks values.
         """
         f2 = self.f2
-        push = self._trail.append
         records = self._fanout_records
         queue = [site]
         for net in queue:
             for out, tbl, a, b, c, d in records[net]:
                 new = tbl[f2[a] + 3 * f2[b] + 9 * f2[c] + 27 * f2[d]]
                 if new != f2[out]:
-                    push((f2, out, f2[out]))
                     f2[out] = new
                     self._check_d(out)
                     queue.append(out)
@@ -437,21 +588,8 @@ class TwoFrameState:
     # ------------------------------------------------------------------
     # status queries
     # ------------------------------------------------------------------
-    def activation_value(self) -> int:
-        """Frame-1 value at the fault stem (X if still free)."""
-        return self.f1[self.fault.net]
-
     def activated(self) -> bool:
         return self.f1[self.fault.net] == self.fault.initial_value
-
-    def activation_blocked(self) -> bool:
-        v = self.f1[self.fault.net]
-        return v != X and v != self.fault.initial_value
-
-    def launch_blocked(self) -> bool:
-        """True when the good frame 2 can no longer drive the transition."""
-        v = self.g2[self.fault.net]
-        return v != X and v != self.fault.final_value
 
     def detected(self) -> bool:
         """Fault effect captured: activated and D at a capture D net.

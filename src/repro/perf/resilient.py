@@ -215,19 +215,33 @@ def _invoke_chunk(
     )
 
 
+#: Longest wait for a killed pool's manager thread (it exits within
+#: milliseconds once the workers are gone).
+_MANAGER_JOIN_S = 10.0
+
+
 def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:
     """Stop *pool* at once and reap its workers, busy or idle.
 
     ``shutdown(wait=False)`` alone leaves a busy worker running its
     task, so the workers are terminated and joined explicitly
-    (``_processes`` is a private but long-stable attribute).
+    (``_processes`` and ``_executor_manager_thread`` are private but
+    long-stable attributes).  The pool's manager thread joins the same
+    workers, and a ``join`` that loses the ``waitpid`` race to it
+    returns while ``multiprocessing.active_children()`` still lists the
+    worker, so the manager thread is joined first.  That join is
+    bounded: a manager stuck writing to a dead worker's pipe is left
+    behind, as ``shutdown(wait=False)`` always left it.
     """
     if pool is None:
         return
     procs = list((pool._processes or {}).values())
+    manager = pool._executor_manager_thread
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in procs:
         proc.terminate()
+    if manager is not None:
+        manager.join(_MANAGER_JOIN_S)
     for proc in procs:
         proc.join()
 

@@ -129,6 +129,21 @@ class TestEngineEdges:
         with pytest.raises(AtpgError):
             AtpgEngine(design.netlist, "clk_nonexistent")
 
+    @pytest.mark.parametrize("setting", [
+        {"batch_size": 0},
+        {"batch_size": -3},
+        {"backtrack_limit": -1},
+        {"merge_backtrack_limit": -1},
+    ])
+    def test_out_of_range_limits_rejected(self, design, setting):
+        """A batch of no patterns would end the run with nothing
+        classified, and a negative budget aborts every search."""
+        from repro.atpg import AtpgEngine
+
+        name = next(iter(setting))
+        with pytest.raises(AtpgError, match=name):
+            AtpgEngine(design.netlist, "clka", scan=design.scan, **setting)
+
 
 class TestFlowEdges:
     def test_max_patterns_budget_across_steps(self):
