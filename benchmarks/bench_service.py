@@ -1,17 +1,18 @@
 """Service overhead: submit→done latency vs the in-process flow.
 
-The job service wraps every flow stage in durable bookkeeping — fsync'd
-job records, lease grants and renewals, per-shard flow restarts that
-re-load earlier stages from checkpoints.  That buys crash survival; the
-question this bench answers is what it costs when nothing crashes.
+The job service wraps the flow in durable bookkeeping — fsync'd job
+records, a lease grant and its renewals, a checkpoint written after
+every stage so a reclaimed job resumes where it stopped.  That buys
+crash survival; the question this bench answers is what it costs when
+nothing crashes.
 
-Measured on one tiny job (three shards):
+Measured on one tiny job (three stages under one lease):
 
 * ``inproc``   — plain ``run_noise_tolerant_flow``, the baseline;
 * ``inline``   — submit + ``ServiceClient.wait`` draining the job in
   the client process (the graceful-degradation path);
 * ``workers1/2/4`` — submit + a supervised worker fleet, end to end
-  (process spawn, claim, per-shard flow, fenced commit);
+  (process spawn, claim, the job's flow, fenced commit);
 * ``http``     — submit over the wire to a live :mod:`repro.service.http`
   server with an in-process tenant fleet: the full stack of request
   parsing, a connection thread per request, JSON marshalling and
@@ -48,10 +49,10 @@ from repro.service import (
 _OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
 #: Inline service time may be at most this multiple of in-process time.
-#: The per-shard flow restarts re-build the design and re-load earlier
-#: stages from checkpoints, so ~2x is expected on a seconds-long job;
-#: 3x leaves headroom for CI noise while still catching a regression
-#: that makes the bookkeeping dominate.
+#: The job adds fsync'd records, a lease, stage checkpoints and the
+#: result write around one flow run; 3x leaves headroom for CI noise
+#: while still catching a regression that makes the bookkeeping
+#: dominate.
 MAX_INLINE_OVERHEAD = 3.0
 
 #: HTTP submit→done may be at most this multiple of the inline path.
@@ -159,7 +160,6 @@ def test_service_overhead_bounded(tmp_path):
     http_overhead = http_s / max(1e-9, inline_s)
     payload = {
         "design": "turbo_eagle_tiny",
-        "shards_per_job": 3,
         "latency_s": {
             "inproc": round(inproc_s, 3),
             "inline": round(inline_s, 3),

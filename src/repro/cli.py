@@ -16,9 +16,9 @@ Commands
 ``sta``         static timing per clock domain (nominal, derated, or under
                 the worst-case droop bound), gated by the TIM-* rules,
 ``schedule``    power/TAM-constrained SOC test schedule (greedy vs binpack),
-``serve``       run the sharded ATPG job service over a store directory,
+``serve``       run the ATPG job service over a store directory,
 ``submit``      enqueue one flow job (optionally ``--wait`` for it),
-``jobs``        list a store's jobs and their shard progress,
+``jobs``        list a store's jobs, their states and attempts,
 ``obs``         inspect telemetry artifacts (traces, reports).
 
 Every command accepts ``--scale`` (tiny/small/bench/full), ``--seed``
@@ -979,20 +979,18 @@ def cmd_jobs(args) -> int:
     if not jobs:
         print("no jobs")
         return 0
-    rows = []
-    for job in jobs:
-        done = sum(1 for s in job.shards if s.state == "done")
-        attempts = sum(s.attempts for s in job.shards)
-        rows.append({
+    rows = [
+        {
             "job": job.id,
             "state": job.state,
-            "shards": f"{done}/{len(job.shards)}",
-            "attempts": attempts,
+            "attempts": job.attempts,
             "error": (job.error or "")[:48],
-        })
+        }
+        for job in jobs
+    ]
     print(format_table(
         rows,
-        columns=["job", "state", "shards", "attempts", "error"],
+        columns=["job", "state", "attempts", "error"],
         title=f"jobs in {client.store.root}:",
     ))
     return 0
@@ -1181,14 +1179,14 @@ def main(argv=None) -> int:
     p.add_argument("--poll", type=float, default=0.5, metavar="S",
                    help="supervision tick interval (default: 0.5)")
     p.add_argument("--no-inline", action="store_true",
-                   help="never execute shards in the supervisor process "
+                   help="never execute jobs in the supervisor process "
                         "even when every worker is dead")
     p.add_argument("--queue-depth", type=int, metavar="N",
                    help="override the store's max queue depth")
     p.add_argument("--lease-ttl", type=float, metavar="S",
                    help="override the store's lease TTL in seconds")
     p.add_argument("--max-attempts", type=int, metavar="N",
-                   help="override the per-shard attempt budget")
+                   help="override the per-job attempt budget")
     p.add_argument("--log-level", default="warning",
                    choices=list(LOG_LEVELS))
     p.set_defaults(fn=cmd_serve)
@@ -1203,11 +1201,11 @@ def main(argv=None) -> int:
     p.add_argument("--max-patterns", type=_positive_int,
                    help="total pattern budget across stages")
     p.add_argument("--obs", action="store_true",
-                   help="persist per-shard trace/metrics artifacts in "
+                   help="persist the job's trace/metrics artifacts in "
                         "the job directory")
     p.add_argument("--wait", action="store_true",
-                   help="block until the job is terminal (running its "
-                        "shards in-process if no worker is alive)")
+                   help="block until the job is terminal (running it "
+                        "in-process if no worker is alive)")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
                    help="give up waiting after S seconds (with --wait)")
     p.add_argument("--log-level", default="warning",
@@ -1215,7 +1213,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_submit)
 
     p = sub.add_parser(
-        "jobs", help="list the jobs (and shard progress) in a store"
+        "jobs", help="list the jobs (states and attempts) in a store"
     )
     p.add_argument("store", help="job store root directory "
                                  "(or an HTTP data root with --tenant)")

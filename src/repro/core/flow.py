@@ -48,21 +48,8 @@ STAGE_PLAN_TURBO_EAGLE: Tuple[Tuple[str, ...], ...] = (
 )
 
 def stage_key(index: int, blocks: Sequence[str]) -> str:
-    """Stable stage identifier used as the checkpoint (and shard) key."""
+    """Stable stage identifier used as the checkpoint key."""
     return f"stage{index}_{'+'.join(blocks)}"
-
-
-def flow_stage_names(
-    stage_plan: Sequence[Sequence[str]] = STAGE_PLAN_TURBO_EAGLE,
-) -> List[str]:
-    """The stage/checkpoint keys a staged flow over *stage_plan* uses.
-
-    This is the shard-extraction hook for :mod:`repro.service`: each
-    name is one independently schedulable unit of the flow, and because
-    the names are also the :class:`CheckpointStore` keys, a shard
-    executed by any process resumes its predecessors bit-identically.
-    """
-    return [stage_key(i, tuple(s)) for i, s in enumerate(stage_plan)]
 
 
 #: DRC families the flow gate runs: everything static and cheap.  The

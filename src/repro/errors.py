@@ -70,7 +70,7 @@ class ConfigError(ReproError):
 class TransientError(ReproError):
     """A failure that is expected to succeed if simply retried.
 
-    A job-service shard that raises this (or a subclass) is requeued
+    A job-service run that raises this (or a subclass) is requeued
     with backoff instead of failing its job (see
     :mod:`repro.service.jobstore`); any other exception is treated as a
     genuine bug and fails the job at once.
@@ -125,5 +125,5 @@ class JobNotFoundError(ServiceError):
 
 
 class LeaseLostError(ServiceError):
-    """A worker's lease on a shard expired (or was fenced off) while it
+    """A worker's lease on a job expired (or was fenced off) while it
     was still working; its result must be discarded, not committed."""

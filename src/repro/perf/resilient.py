@@ -32,7 +32,7 @@ import os
 import pickle
 import time
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -332,8 +332,12 @@ def _pooled_map(
 ) -> Optional[str]:
     """One pool pass over *items*, filling *results* by chunk index.
 
-    Returns ``None`` once every chunk has delivered, or why the chunks
-    still without a result must finish serially.
+    At most ``n_workers`` chunks are in flight; the next is submitted
+    when one delivers.  A dead worker breaks the pool and fails every
+    undelivered future, including results a surviving worker finished
+    but the pool had not read yet, so the cap bounds how many chunks
+    run twice.  Returns ``None`` once every chunk has delivered, or why
+    the chunks still without a result must finish serially.
     """
     # Only the callables are checked (pickled by reference, cheap);
     # initargs may be huge and are inherited wholesale under fork.
@@ -345,40 +349,42 @@ def _pooled_map(
     spec = _chaos.active_spec()
     collect_spans = tel.wants_worker_spans
     pool: Optional[ProcessPoolExecutor] = None
-    futures: List[Future] = []
+    in_flight: Dict[Future, int] = {}
+    next_ci = 0
+    broken = False
     try:
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=report.n_workers,
-                mp_context=_mp_context(),
-                initializer=initializer,
-                initargs=initargs,
-            )
-            for ci, item in enumerate(items):
-                futures.append(
-                    pool.submit(
-                        _invoke_chunk, task, item, ci, spec, collect_spans
-                    )
+        pool = ProcessPoolExecutor(
+            max_workers=report.n_workers,
+            mp_context=_mp_context(),
+            initializer=initializer,
+            initargs=initargs,
+        )
+        while not broken and (in_flight or next_ci < len(items)):
+            while next_ci < len(items) and len(in_flight) < report.n_workers:
+                fut = pool.submit(
+                    _invoke_chunk, task, items[next_ci], next_ci, spec,
+                    collect_spans,
                 )
-        except OSError as exc:
-            return f"process pool unavailable ({exc!r})"
-        except BrokenProcessPool:
-            pass  # a worker died while chunks were still being submitted
-        else:
-            wait(futures, return_when=FIRST_EXCEPTION)
-        for ci, fut in enumerate(futures):
-            if not fut.done():
-                continue
-            exc = fut.exception()
-            if isinstance(exc, BrokenProcessPool):
-                continue
-            if exc is not None:
-                raise _task_error(report, ci, exc) from exc
-            value = fut.result()
-            if isinstance(value, _WorkerEnvelope):
-                tel.absorb_worker_events(value.events)
-                value = value.value
-            results[ci] = value
+                in_flight[fut] = next_ci
+                next_ci += 1
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for fut in sorted(done, key=in_flight.__getitem__):
+                ci = in_flight.pop(fut)
+                exc = fut.exception()
+                if isinstance(exc, BrokenProcessPool):
+                    broken = True
+                elif exc is not None:
+                    raise _task_error(report, ci, exc) from exc
+                else:
+                    value = fut.result()
+                    if isinstance(value, _WorkerEnvelope):
+                        tel.absorb_worker_events(value.events)
+                        value = value.value
+                    results[ci] = value
+    except OSError as exc:
+        return f"process pool unavailable ({exc!r})"
+    except BrokenProcessPool:
+        pass  # a worker died while a chunk was being submitted
     finally:
         _kill_pool(pool)
     if len(results) == len(items):

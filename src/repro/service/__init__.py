@@ -1,18 +1,18 @@
-"""ATPG-as-a-service: a durable, sharded job backend for the flow.
+"""ATPG-as-a-service: a durable job backend for the flow.
 
 ``repro.service`` turns :func:`repro.core.run_noise_tolerant_flow`
 into submit/poll/fetch jobs that survive worker crashes, hangs and
 restarts:
 
-* :class:`JobStore` — crash-safe, file-backed job/shard state machine
-  (``queued → leased → running → done | failed | dead``, plus
-  ``cancelled`` for jobs pulled back before any shard ran) with
-  explicit back-pressure;
-* :class:`Lease` / :class:`LeaseHeartbeat` — expiring, fenced shard
-  ownership; dead or hung workers forfeit their shard after one TTL;
-* :class:`ServiceWorker` — claims shards (= flow stages keyed by the
-  flow's checkpoint keys) and resumes predecessors' work
-  bit-identically from the job's checkpoint store;
+* :class:`JobStore` — crash-safe, file-backed job state machine
+  (``queued → running → done | failed | dead``, plus ``cancelled``
+  for jobs pulled back before any worker ran them) with explicit
+  back-pressure;
+* :class:`Lease` / :class:`LeaseHeartbeat` — expiring, fenced job
+  ownership; dead or hung workers forfeit their job after one TTL;
+* :class:`ServiceWorker` — claims a job, runs its whole flow under one
+  lease, and resumes a predecessor's work bit-identically from the
+  job's checkpoint store;
 * :class:`ServiceSupervisor` — keeps a worker fleet alive, respawns
   crashes, and degrades to in-process serial execution when the fleet
   is gone;
@@ -42,12 +42,11 @@ from .jobstore import (
     JobSpec,
     JobStore,
     ServiceConfig,
-    ShardRecord,
 )
 from .lease import Lease, LeaseHeartbeat
 from .supervisor import ServiceSupervisor
 from .tenants import TenantFleet, TenantManager, validate_tenant_name
-from .worker import ServiceWorker, result_payload, run_shard_flow
+from .worker import ServiceWorker, result_payload
 
 __all__ = [
     "JOB_CANCELLED",
@@ -67,10 +66,8 @@ __all__ = [
     "ServiceConfig",
     "ServiceSupervisor",
     "ServiceWorker",
-    "ShardRecord",
     "TenantFleet",
     "TenantManager",
     "result_payload",
-    "run_shard_flow",
     "validate_tenant_name",
 ]

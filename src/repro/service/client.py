@@ -26,9 +26,9 @@ contracts the service makes:
   nothing is queued silently past the limit, nothing is dropped.
 * **Graceful degradation** — :meth:`wait` (with the default
   ``inline_fallback=True``) notices when no worker is alive and
-  executes the job's shards itself, serially, through the exact worker
-  code path.  A submitted job completes even on a machine where no
-  worker or supervisor was ever started.
+  executes the job itself through the exact worker code path.  A
+  submitted job completes even on a machine where no worker or
+  supervisor was ever started.
 """
 
 from __future__ import annotations
@@ -73,15 +73,12 @@ def _wait_until_terminal(
     """
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     idle_polls = 0
-    last_observed: Optional[tuple] = None
+    last_observed: Optional[Tuple[str, int]] = None
     while True:
         job = status(job_id)
         if job.terminal:
             return job
-        observed = (
-            job.state,
-            tuple((s.state, s.attempts) for s in job.shards),
-        )
+        observed = (job.state, job.attempts)
         if observed != last_observed:
             idle_polls = 0
             last_observed = observed
@@ -145,15 +142,15 @@ class ServiceClient:
         """Block until the job is terminal; returns its final record.
 
         While waiting the client reaps expired leases (so a dead
-        worker's shard is reclaimed even with no supervisor running)
+        worker's job is reclaimed even with no supervisor running)
         and, when ``inline_fallback`` and no live worker is registered,
-        runs the pending shards itself.  Raises
+        runs the job itself.  Raises
         :class:`~repro.errors.ServiceError` on timeout — the job keeps
         whatever progress it made and can be waited on again.
 
         Polling backs off exponentially from 0.2 s to 2 s while the job
         record does not change, and snaps back whenever it does — a
-        long-running shard costs a few capped polls per lease TTL, not
+        long-running job costs a few capped polls per lease TTL, not
         thousands of busy reads of a flock'd ``job.json``.
         """
         def step() -> bool:

@@ -64,7 +64,7 @@ from ..errors import (
 )
 from ..obs import Telemetry, use_telemetry
 from ..obs.metrics import MetricsRegistry
-from .jobstore import SHARD_BACKOFF_BASE_S, JobRecord, JobSpec, JobStore
+from .jobstore import JOB_BACKOFF_BASE_S, JobRecord, JobSpec, JobStore
 from .tenants import TenantFleet, TenantManager, validate_tenant_name
 
 SERVER_NAME = "repro-service-http/1.0"
@@ -76,8 +76,8 @@ _MAX_BODY_BYTES = 32 * 1024 * 1024  # netlist uploads are text, MBs
 _IDLE_TIMEOUT_S = 30.0
 #: How often the accept loop looks for :meth:`HttpServerThread.stop`.
 _SHUTDOWN_POLL_S = 0.05
-#: ``Retry-After`` of a 429: the shard requeue backoff, in whole seconds.
-_RETRY_AFTER_S = max(1, int(round(SHARD_BACKOFF_BASE_S + 0.5)))
+#: ``Retry-After`` of a 429: the job requeue backoff, in whole seconds.
+_RETRY_AFTER_S = max(1, int(round(JOB_BACKOFF_BASE_S + 0.5)))
 
 #: Keys a submitted JobSpec JSON body may carry; anything else is a
 #: loud 400 — a typo'd field silently ignored would be a silent wrong
@@ -608,8 +608,8 @@ class _Handler(BaseHTTPRequestHandler):
 
         The watcher polls the job's durable record (reads are
         lock-free: every store write is an atomic rename) and emits
-        one event per observed change — job state, any shard state, or
-        a shard attempt counter.  The first event is the current
+        one event per observed change of the job's state or attempt
+        counter.  The first event is the current
         snapshot, so a late subscriber still sees a well-formed,
         in-order sequence; the stream ends with the terminal event, or
         early when the server stops.
@@ -633,14 +633,11 @@ class _Handler(BaseHTTPRequestHandler):
             "Connection": "close",
         })
         seq = 0
-        last: Optional[Tuple[str, Tuple[Tuple[str, int], ...]]] = None
+        last: Optional[Tuple[str, int]] = None
         deadline = time.monotonic() + timeout_s
         try:
             while True:
-                observed = (
-                    job.state,
-                    tuple((s.state, s.attempts) for s in job.shards),
-                )
+                observed = (job.state, job.attempts)
                 if observed != last:
                     last = observed
                     self.wfile.write(_chunk({
@@ -650,14 +647,7 @@ class _Handler(BaseHTTPRequestHandler):
                         "state": job.state,
                         "terminal": job.terminal,
                         "error": job.error,
-                        "shards": [
-                            {
-                                "name": s.name,
-                                "state": s.state,
-                                "attempts": s.attempts,
-                            }
-                            for s in job.shards
-                        ],
+                        "attempts": job.attempts,
                     }))
                     seq += 1
                 if job.terminal:
@@ -715,7 +705,7 @@ class HttpServerThread:
         #: Its registry is what ``/metrics`` serves.
         self.telemetry = Telemetry(tracing=False, metrics=True)
         if fleet is not None:
-            # Fleet activity (shards completed, leases expired, inline
+            # Fleet activity (jobs completed, leases expired, inline
             # executions) should land in the same /metrics exposition.
             fleet.telemetry = self.telemetry
         self._server: Optional[_Server] = None

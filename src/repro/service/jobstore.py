@@ -1,4 +1,4 @@
-"""File-backed, crash-safe store of ATPG jobs and their shards.
+"""File-backed, crash-safe store of ATPG jobs.
 
 One :class:`JobStore` directory is the whole service state — no
 database, no daemon that must stay alive for the state to exist.  Each
@@ -9,33 +9,32 @@ checkpoint directory for its flow stages, and its result artefacts.
 
 The state machine, enforced by the store::
 
-    job:    queued ──► running ──► done | failed | dead
-    shard:  queued ──► leased ──► running ──► done
-                 ▲         │           │
-                 │         └───────────┴──► failed | dead
-                 └── reclaim (lease expired / transient failure,
-                     attempts < max, backoff applied)
+    queued ──► running ──► done | failed | dead
+      │          ▲   │
+      │          └───┘ reclaim (lease expired / transient failure,
+      │                attempts < max, backoff applied)
+      └──► cancelled
 
-* **queued → leased**: :meth:`claim` grants an expiring, fenced
-  :class:`~repro.service.lease.Lease` (see :mod:`repro.service.lease`).
-* **leased/running → queued**: the lease expired (worker SIGKILLed,
-  hung, or unplugged) or the task raised a
-  :class:`~repro.errors.TransientError`; the shard is requeued with
-  ``attempts + 1`` and a deterministic exponential backoff
-  (:func:`backoff_delay_s`).
-* **→ dead**: a shard that has burned ``max_shard_attempts`` leases —
-  i.e. killed that many consecutive workers — is *quarantined*: the
-  job ends ``dead`` with a synthesized RunReport carrying the full
-  failure log, and the queue moves on.  Poison never loops forever.
+* **claim**: :meth:`claim` grants the job an expiring, fenced
+  :class:`~repro.service.lease.Lease` (see :mod:`repro.service.lease`);
+  the first claim moves it ``queued → running``.
+* **reclaim**: the lease expired (worker SIGKILLed, hung, or
+  unplugged) or the run raised a :class:`~repro.errors.TransientError`;
+  the lease is dropped, ``attempts`` grows by one and a deterministic
+  exponential backoff (:func:`backoff_delay_s`) passes before the next
+  claim.  The job stays ``running``.
+* **→ dead**: a job that has burned ``max_shard_attempts`` leases —
+  i.e. killed that many consecutive workers — is *quarantined*: it
+  ends ``dead`` with a synthesized RunReport carrying the full failure
+  log, and the queue moves on.  Poison never loops forever.
 * **→ failed**: the flow raised a deterministic error; retrying would
   reproduce it, so the job fails immediately.
 
-Shards of one job are sequential (stage *k* consumes stage *k-1*'s RNG
-state and cross-graded faults), so :meth:`claim` only ever offers the
-first non-``done`` shard of a job; parallelism comes from many jobs in
-flight.  Because shard keys are the flow's checkpoint keys, any worker
-— or the in-process supervisor — resumes a predecessor's work
-bit-identically from the job's :class:`CheckpointStore`.
+A job is leased whole: one lease runs the whole staged flow against the
+job's :class:`~repro.reporting.checkpoint.CheckpointStore`, which saves
+every stage as it completes.  A reclaimed job therefore resumes
+bit-identically from its last completed stage, in any worker or in the
+in-process supervisor.  Parallelism comes from many jobs in flight.
 
 **Back-pressure** is explicit: :meth:`submit` refuses work beyond
 ``max_queue_depth`` active jobs with
@@ -63,15 +62,24 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..soc.design import SocDesign
 
-from ..errors import JobNotFoundError, ServiceBusyError, ServiceError
+from ..errors import (
+    CheckpointError,
+    ConfigError,
+    JobNotFoundError,
+    LibraryError,
+    NetlistError,
+    ServiceBusyError,
+    ServiceError,
+)
 from ..obs import current_telemetry
-from ..reporting.checkpoint import atomic_write_bytes
+from ..reporting.checkpoint import CheckpointStore, atomic_write_bytes
 from ..reporting.runreport import RUN_FAILED, RunReport
 from .lease import Lease
 
@@ -84,21 +92,12 @@ JOB_DEAD = "dead"
 JOB_CANCELLED = "cancelled"
 JOB_TERMINAL = frozenset({JOB_DONE, JOB_FAILED, JOB_DEAD, JOB_CANCELLED})
 
-#: Shard states.
-SHARD_QUEUED = "queued"
-SHARD_LEASED = "leased"
-SHARD_RUNNING = "running"
-SHARD_DONE = "done"
-SHARD_FAILED = "failed"
-SHARD_DEAD = "dead"
-SHARD_TERMINAL = frozenset({SHARD_DONE, SHARD_FAILED, SHARD_DEAD})
-
-#: Requeue backoff of a retried shard: ``base * 2**attempt`` capped at
-#: ``max``, plus up to ``jitter`` extra, derived from the shard index
-#: and attempt (see :func:`backoff_delay_s`).
-SHARD_BACKOFF_BASE_S = 0.25
-SHARD_BACKOFF_MAX_S = 10.0
-SHARD_BACKOFF_JITTER = 0.25
+#: Backoff before a reclaimed job's next lease: ``base * 2**attempt``
+#: capped at ``max``, plus up to ``jitter`` extra, derived from the
+#: job's sequence number and attempt (see :func:`backoff_delay_s`).
+JOB_BACKOFF_BASE_S = 0.25
+JOB_BACKOFF_MAX_S = 10.0
+JOB_BACKOFF_JITTER = 0.25
 
 
 def backoff_delay_s(
@@ -115,7 +114,7 @@ def backoff_delay_s(
     Delay before retry *attempt* (0-based) of work unit *index*:
     ``base * factor**attempt`` capped at *max_s*, plus up to
     ``jitter`` fraction extra derived from ``(seed, index, attempt)``
-    so every layer that backs off (the shard requeue here, the
+    so every layer that backs off (the job requeue here, the
     clients' wait and request retries in :mod:`repro.service.client`)
     is reproducible run to run.
     """
@@ -146,10 +145,12 @@ class ServiceConfig:
     #: Active (non-terminal) jobs accepted before :meth:`JobStore.submit`
     #: raises :class:`~repro.errors.ServiceBusyError`.
     max_queue_depth: int = 32
-    #: Lease TTL: a worker silent this long forfeits its shard.
+    #: Lease TTL: a worker silent this long forfeits its job.
     lease_ttl_s: float = 30.0
-    #: Leases burned before a shard is quarantined as ``dead``
-    #: (= consecutive workers it is allowed to kill).
+    #: Leases burned before a job is quarantined as ``dead``
+    #: (= consecutive workers it is allowed to kill).  The name predates
+    #: whole-job leases; it stays so existing ``config.json`` files open
+    #: with their settings.
     max_shard_attempts: int = 3
 
     @property
@@ -181,10 +182,10 @@ class ServiceConfig:
 class JobSpec:
     """What to run: one staged noise-tolerant flow, parameterised.
 
-    The spec is the *whole* definition of the job's results — shard
-    execution derives everything else (design, stage plan, checkpoint
+    The spec is the *whole* definition of the job's results — execution
+    derives everything else (design, stage plan, checkpoint
     fingerprint) deterministically from it, which is what makes a
-    reclaimed shard's rerun bit-identical.
+    reclaimed job's rerun bit-identical.
     """
 
     #: Design scale (``tiny``/``small``/``bench``/``full``).
@@ -195,26 +196,27 @@ class JobSpec:
     flow_seed: int = 1
     #: Total pattern budget across stages (``None`` = unbounded).
     max_patterns: Optional[int] = None
-    #: Persist per-shard obs artefacts (trace + metrics) in the job dir.
+    #: Persist the job's obs artefacts (trace + metrics) in the job dir.
     telemetry: bool = False
     #: Deterministic fault injection for chaos tests, e.g.
-    #: ``{"kill_shard": 1}`` (SIGKILL own process when shard 1 starts)
-    #: or ``{"fail_shard": 0}`` (raise TransientError).  Test-only.
+    #: ``{"kill_stage": 1}`` (SIGKILL own process once the stages before
+    #: stage 1 are checkpointed) or ``{"fail_stage": 0}`` (raise
+    #: TransientError there).  Test-only.
     chaos: Optional[Dict[str, int]] = None
     #: External design: structural Verilog text (the subset
     #: :mod:`repro.netlist.verilog` round-trips).  When set, ``scale``
     #: and ``seed`` are ignored — the design is reconstructed from this
     #: text (see :func:`repro.soc.design_from_netlist`) and the stage
     #: plan derived from it (:func:`repro.soc.derive_stage_plan`), both
-    #: deterministically, so every worker re-derives the same shards.
+    #: deterministically, so every worker re-derives the same stages.
     netlist_verilog: Optional[str] = None
 
     def build_design_and_plan(
         self,
     ) -> Tuple["SocDesign", Sequence[Sequence[str]]]:
         """``(design, stage_plan)`` this spec runs — the single source
-        shared by :meth:`shard_names`, the worker and the server-side
-        DRC gate, so all three agree bit-for-bit."""
+        shared by the worker and the server-side DRC gate, so both
+        agree bit-for-bit."""
         if self.netlist_verilog is not None:
             import io
 
@@ -230,15 +232,6 @@ class JobSpec:
 
         design = build_turbo_eagle(scale=self.scale, seed=self.seed)
         return design, STAGE_PLAN_TURBO_EAGLE
-
-    def shard_names(self) -> List[str]:
-        """The job's shard keys — the flow's stage/checkpoint keys."""
-        from ..core.flow import flow_stage_names
-
-        if self.netlist_verilog is None:
-            return flow_stage_names()
-        _, plan = self.build_design_and_plan()
-        return flow_stage_names(plan)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -270,27 +263,41 @@ class JobSpec:
 
 
 @dataclass
-class ShardRecord:
-    """One schedulable unit of a job: one flow stage."""
+class JobRecord:
+    """One submitted job: its spec, state and lease bookkeeping."""
 
-    index: int
-    name: str
-    state: str = SHARD_QUEUED
+    id: str
+    spec: JobSpec
+    state: str = JOB_QUEUED
+    seq: int = 0
+    created_at: float = 0.0
+    updated_at: float = 0.0
+    error: Optional[str] = None
     #: Leases burned so far (granted and then lost or failed).
     attempts: int = 0
-    #: Earliest wall-clock time the shard may be claimed again.
+    #: Earliest wall-clock time the job may be claimed again.
     not_before: float = 0.0
     #: Monotonic fencing-token counter; each grant increments it.
     next_token: int = 0
+    #: The live lease; ``None`` while no worker holds the job.
     lease: Optional[Lease] = None
     #: Append-only failure log: every lost lease / failed attempt.
     failures: List[Dict[str, Any]] = field(default_factory=list)
 
+    @property
+    def terminal(self) -> bool:
+        return self.state in JOB_TERMINAL
+
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "index": self.index,
-            "name": self.name,
+            "version": _FORMAT_VERSION,
+            "id": self.id,
+            "spec": self.spec.to_dict(),
             "state": self.state,
+            "seq": self.seq,
+            "created_at": self.created_at,
+            "updated_at": self.updated_at,
+            "error": self.error,
             "attempts": self.attempts,
             "not_before": self.not_before,
             "next_token": self.next_token,
@@ -299,12 +306,19 @@ class ShardRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ShardRecord":
+    def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":
+        """Records written when each flow stage was leased on its own
+        carry a ``shards`` list instead of the lease fields.  It is
+        ignored: a queued or finished job needs nothing from it."""
         lease = data.get("lease")
         return cls(
-            index=int(data["index"]),
-            name=str(data["name"]),
-            state=str(data.get("state", SHARD_QUEUED)),
+            id=str(data["id"]),
+            spec=JobSpec.from_dict(data.get("spec") or {}),
+            state=str(data.get("state", JOB_QUEUED)),
+            seq=int(data.get("seq", 0)),
+            created_at=float(data.get("created_at", 0.0)),
+            updated_at=float(data.get("updated_at", 0.0)),
+            error=data.get("error"),
             attempts=int(data.get("attempts", 0)),
             not_before=float(data.get("not_before", 0.0)),
             next_token=int(data.get("next_token", 0)),
@@ -313,70 +327,8 @@ class ShardRecord:
         )
 
 
-@dataclass
-class JobRecord:
-    """One submitted job: a spec plus the live state of its shards."""
-
-    id: str
-    spec: JobSpec
-    state: str = JOB_QUEUED
-    shards: List[ShardRecord] = field(default_factory=list)
-    seq: int = 0
-    created_at: float = 0.0
-    updated_at: float = 0.0
-    error: Optional[str] = None
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in JOB_TERMINAL
-
-    def shard(self, index: int) -> ShardRecord:
-        if not 0 <= index < len(self.shards):
-            raise ServiceError(
-                f"job {self.id} has no shard {index} "
-                f"(0..{len(self.shards) - 1})"
-            )
-        return self.shards[index]
-
-    def active_shard(self) -> Optional[ShardRecord]:
-        """The first shard that is not ``done`` (sequential execution),
-        or ``None`` when every shard finished."""
-        for shard in self.shards:
-            if shard.state != SHARD_DONE:
-                return shard
-        return None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": _FORMAT_VERSION,
-            "id": self.id,
-            "spec": self.spec.to_dict(),
-            "state": self.state,
-            "shards": [s.to_dict() for s in self.shards],
-            "seq": self.seq,
-            "created_at": self.created_at,
-            "updated_at": self.updated_at,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":
-        return cls(
-            id=str(data["id"]),
-            spec=JobSpec.from_dict(data.get("spec") or {}),
-            state=str(data.get("state", JOB_QUEUED)),
-            shards=[
-                ShardRecord.from_dict(s) for s in data.get("shards", [])
-            ],
-            seq=int(data.get("seq", 0)),
-            created_at=float(data.get("created_at", 0.0)),
-            updated_at=float(data.get("updated_at", 0.0)),
-            error=data.get("error"),
-        )
-
-
 class JobStore:
-    """The durable job/shard state machine under one directory.
+    """The durable job state machine under one directory.
 
     All *transitions* run under an exclusive ``flock`` on
     ``<root>/.lock`` (read-modify-write of a job record is a critical
@@ -393,6 +345,9 @@ class JobStore:
         self.workers_dir = os.path.join(self.root, "workers")
         self._lock_path = os.path.join(self.root, ".lock")
         self._config_path = os.path.join(self.root, _CONFIG_FILE)
+        #: Ids read in a terminal state.  No transition leaves one, so
+        #: the active-job scans never read these records again.
+        self._terminal_ids: Set[str] = set()
         if os.path.exists(self.root) and not os.path.isdir(self.root):
             raise ServiceError(f"job store {self.root!r} is not a directory")
         # Read before creating anything: a store that fails to open is
@@ -475,36 +430,45 @@ class JobStore:
         job.updated_at = time.time() if now is None else now
         _atomic_write_json(self._job_path(job.id), job.to_dict())
 
-    def _job_ids(self) -> List[str]:
-        try:
-            names = os.listdir(self.jobs_dir)
-        except OSError:
-            return []
-        return [
-            n for n in names
-            if os.path.exists(self._job_path(n))
-        ]
-
     # -- queries (lock-free) -------------------------------------------
     def get(self, job_id: str) -> JobRecord:
         return self._read_job(job_id)
 
-    def list_jobs(self) -> List[JobRecord]:
+    def _read_jobs(self, active_only: bool) -> List[JobRecord]:
+        try:
+            names = os.listdir(self.jobs_dir)
+        except OSError:
+            return []
         jobs: List[JobRecord] = []
-        for job_id in self._job_ids():
+        for job_id in names:
+            if active_only and job_id in self._terminal_ids:
+                continue
+            if not os.path.exists(self._job_path(job_id)):
+                continue
             try:
-                jobs.append(self._read_job(job_id))
+                job = self._read_job(job_id)
             except ServiceError as exc:
                 warnings.warn(
                     f"skipping unreadable job record: {exc}",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
+                continue
+            if job.terminal:
+                self._terminal_ids.add(job_id)
+                if active_only:
+                    continue
+            jobs.append(job)
         jobs.sort(key=lambda j: (j.seq, j.id))
         return jobs
 
+    def list_jobs(self) -> List[JobRecord]:
+        return self._read_jobs(active_only=False)
+
     def active_jobs(self) -> List[JobRecord]:
-        return [j for j in self.list_jobs() if not j.terminal]
+        """Non-terminal jobs, oldest first; reads no record already
+        seen terminal."""
+        return self._read_jobs(active_only=True)
 
     def queue_depth(self) -> int:
         """Active (non-terminal) jobs — the back-pressure measure."""
@@ -518,10 +482,26 @@ class JobStore:
     def submit(self, spec: JobSpec, now: Optional[float] = None) -> JobRecord:
         """Durably enqueue one job; refuse loudly past the depth limit.
 
+        A spec no worker could run — an unknown ``scale``, a netlist
+        that does not parse, or a ``max_patterns`` below 1 — raises
+        :class:`~repro.errors.ServiceError` before anything is queued.
         Submission succeeds whether or not any worker is alive — a
         supervisor (or :meth:`ServiceClient.wait`'s inline fallback)
         can always drain the queue in-process.
         """
+        if spec.max_patterns is not None and spec.max_patterns < 1:
+            raise ServiceError(
+                f"max_patterns must be at least 1, got {spec.max_patterns}"
+            )
+        from ..soc.generator import scale_preset
+
+        try:
+            if spec.netlist_verilog is None:
+                scale_preset(spec.scale)
+            else:
+                spec.build_design_and_plan()
+        except (ConfigError, LibraryError, NetlistError) as exc:
+            raise ServiceError(f"job spec rejected: {exc}") from exc
         now = time.time() if now is None else now
         tel = current_telemetry()
         with self._lock():
@@ -537,20 +517,7 @@ class JobStore:
                 )
             seq = self._next_seq()
             job_id = f"j{seq:06d}-{uuid.uuid4().hex[:8]}"
-            shards = [
-                ShardRecord(index=i, name=name)
-                for i, name in enumerate(spec.shard_names())
-            ]
-            if not shards:
-                raise ServiceError("job spec produced zero shards")
-            job = JobRecord(
-                id=job_id,
-                spec=spec,
-                state=JOB_QUEUED,
-                shards=shards,
-                seq=seq,
-                created_at=now,
-            )
+            job = JobRecord(id=job_id, spec=spec, seq=seq, created_at=now)
             os.makedirs(self.job_dir(job_id), exist_ok=True)
             os.makedirs(self.checkpoint_dir(job_id), exist_ok=True)
             self._write_job(job, now)
@@ -561,9 +528,9 @@ class JobStore:
     def cancel(self, job_id: str, now: Optional[float] = None) -> JobRecord:
         """``queued → cancelled``; any other state is a loud error.
 
-        Only a job no worker has touched can be cancelled — once a
-        shard is leased the job is ``running`` and the honest answers
-        are "wait" or "let it finish".  Raises
+        Only a job no worker has touched can be cancelled — once it is
+        leased the job is ``running`` and the honest answers are "wait"
+        or "let it finish".  Raises
         :class:`~repro.errors.JobNotFoundError` for unknown ids and
         :class:`~repro.errors.ServiceError` naming the actual state
         otherwise, so callers (and the HTTP DELETE route) can tell
@@ -579,7 +546,7 @@ class JobStore:
                     f"only queued jobs can be cancelled"
                 )
             job.state = JOB_CANCELLED
-            job.error = "cancelled before any shard ran"
+            job.error = "cancelled before any worker ran it"
             self._write_job(job, now)
             tel = current_telemetry()
             tel.count("service.jobs_cancelled")
@@ -602,50 +569,49 @@ class JobStore:
     # -- claiming and leases -------------------------------------------
     def claim(
         self, worker: str, now: Optional[float] = None
-    ) -> Optional[Tuple[JobRecord, ShardRecord]]:
-        """Lease the oldest runnable shard to *worker*, or ``None``.
+    ) -> Optional[JobRecord]:
+        """Lease the oldest claimable job to *worker*, or ``None``.
 
-        Expired leases encountered during the scan are reclaimed first
-        (lazy reaping), so a fleet of plain workers needs no separate
-        janitor for progress — the supervisor's periodic
-        :meth:`reap_expired` only tightens latency.
+        A job is claimable when it is not terminal, holds no lease and
+        its backoff has passed.  Expired leases met during the scan are
+        reclaimed first (lazy reaping), so a fleet of plain workers
+        needs no separate janitor for progress — the supervisor's
+        periodic :meth:`reap_expired` only tightens latency.
         """
         now = time.time() if now is None else now
         with self._lock():
             for job in self.active_jobs():
                 changed = self._reap_job(job, now)
-                if job.terminal:
-                    if changed:
-                        self._write_job(job, now)
-                    continue
-                shard = job.active_shard()
-                claimable = (
-                    shard is not None
-                    and shard.state == SHARD_QUEUED
-                    and shard.not_before <= now
-                )
-                if shard is None or not claimable:
-                    if changed:
-                        self._write_job(job, now)
-                    continue
-                assert shard is not None
-                shard.next_token += 1
-                shard.lease = Lease(
-                    worker=worker,
-                    token=shard.next_token,
-                    expires_at=now + self.config.lease_ttl_s,
-                )
-                shard.state = SHARD_LEASED
-                if job.state == JOB_QUEUED:
+                if (
+                    not job.terminal
+                    and job.lease is None
+                    and job.not_before <= now
+                ):
+                    job.next_token += 1
+                    job.lease = Lease(
+                        worker=worker,
+                        token=job.next_token,
+                        expires_at=now + self.config.lease_ttl_s,
+                    )
                     job.state = JOB_RUNNING
-                self._write_job(job, now)
-                return job, shard
+                    self._write_job(job, now)
+                    return job
+                if changed:
+                    self._write_job(job, now)
         return None
+
+    def _fenced(
+        self, job_id: str, worker: str, token: int
+    ) -> Optional[JobRecord]:
+        """The job, if *worker* still holds its lease under *token*."""
+        job = self._read_job(job_id)
+        if job.lease is None or not job.lease.matches(worker, token):
+            return None
+        return job
 
     def heartbeat(
         self,
         job_id: str,
-        shard_index: int,
         worker: str,
         token: int,
         now: Optional[float] = None,
@@ -654,47 +620,23 @@ class JobStore:
         now = time.time() if now is None else now
         with self._lock():
             try:
-                job = self._read_job(job_id)
+                job = self._fenced(job_id, worker, token)
             except ServiceError:
                 return False
-            shard = job.shards[shard_index]
-            if (
-                shard.state not in (SHARD_LEASED, SHARD_RUNNING)
-                or shard.lease is None
-                or not shard.lease.matches(worker, token)
-            ):
+            if job is None or job.lease is None:
                 return False
-            shard.lease.expires_at = now + self.config.lease_ttl_s
+            job.lease.expires_at = now + self.config.lease_ttl_s
             self._write_job(job, now)
             return True
 
-    def start_shard(
-        self,
-        job_id: str,
-        shard_index: int,
-        worker: str,
-        token: int,
-        now: Optional[float] = None,
-    ) -> bool:
-        """``leased → running``; ``False`` when the lease was lost."""
-        now = time.time() if now is None else now
-        with self._lock():
-            job = self._read_job(job_id)
-            shard = job.shard(shard_index)
-            if (
-                shard.state != SHARD_LEASED
-                or shard.lease is None
-                or not shard.lease.matches(worker, token)
-            ):
-                return False
-            shard.state = SHARD_RUNNING
-            self._write_job(job, now)
-            return True
+    def start_shard(self, job_id: str, worker: str, token: int) -> bool:
+        """The worker's check before it runs the flow: ``True`` while
+        *worker* still holds the job's lease under *token*."""
+        return self._fenced(job_id, worker, token) is not None
 
     def complete_shard(
         self,
         job_id: str,
-        shard_index: int,
         worker: str,
         token: int,
         now: Optional[float] = None,
@@ -708,28 +650,19 @@ class JobStore:
         now = time.time() if now is None else now
         tel = current_telemetry()
         with self._lock():
-            job = self._read_job(job_id)
-            shard = job.shard(shard_index)
-            if (
-                shard.state not in (SHARD_LEASED, SHARD_RUNNING)
-                or shard.lease is None
-                or not shard.lease.matches(worker, token)
-            ):
+            job = self._fenced(job_id, worker, token)
+            if job is None:
                 return False
-            shard.state = SHARD_DONE
-            shard.lease = None
-            tel.count("service.shards_completed")
-            if all(s.state == SHARD_DONE for s in job.shards):
-                job.state = JOB_DONE
-                tel.count("service.jobs_completed")
-                tel.gauge_set("service.queue_depth", self.queue_depth() - 1)
+            job.state = JOB_DONE
+            job.lease = None
+            tel.count("service.jobs_completed")
+            tel.gauge_set("service.queue_depth", self.queue_depth() - 1)
             self._write_job(job, now)
             return True
 
     def fail_shard(
         self,
         job_id: str,
-        shard_index: int,
         worker: str,
         token: int,
         error: str,
@@ -739,27 +672,21 @@ class JobStore:
         """Record a failed attempt under the fencing token.
 
         *retryable* failures (transient errors) requeue with backoff
-        until the attempt budget quarantines the shard; deterministic
+        until the attempt budget quarantines the job; deterministic
         failures end the job as ``failed`` immediately — rerunning a
         bug reproduces it.
         """
         now = time.time() if now is None else now
         with self._lock():
-            job = self._read_job(job_id)
-            shard = job.shard(shard_index)
-            if (
-                shard.state not in (SHARD_LEASED, SHARD_RUNNING)
-                or shard.lease is None
-                or not shard.lease.matches(worker, token)
-            ):
+            job = self._fenced(job_id, worker, token)
+            if job is None:
                 return False
             kind = "transient" if retryable else "error"
-            self._record_failure(shard, worker, kind, error, now)
+            self._record_failure(job, worker, kind, error, now)
             if retryable:
-                self._requeue_or_quarantine(job, shard, now)
+                self._requeue_or_quarantine(job, now)
             else:
-                shard.state = SHARD_FAILED
-                shard.lease = None
+                job.lease = None
                 job.state = JOB_FAILED
                 job.error = error
                 current_telemetry().count("service.jobs_failed")
@@ -781,100 +708,80 @@ class JobStore:
 
     def _reap_job(self, job: JobRecord, now: float) -> bool:
         """Reclaim the job's expired lease, if any (lock held)."""
-        shard = job.active_shard()
-        if (
-            shard is None
-            or shard.state not in (SHARD_LEASED, SHARD_RUNNING)
-            or shard.lease is None
-            or not shard.lease.expired(now)
-        ):
+        lease = job.lease
+        if lease is None or not lease.expired(now):
             return False
-        tel = current_telemetry()
-        tel.count("service.leases_expired")
+        current_telemetry().count("service.leases_expired")
         self._record_failure(
-            shard,
-            shard.lease.worker,
+            job,
+            lease.worker,
             "lease_expired",
             f"lease expired after {self.config.lease_ttl_s}s "
-            f"(worker {shard.lease.worker} presumed dead or hung)",
+            f"(worker {lease.worker} presumed dead or hung)",
             now,
         )
-        self._requeue_or_quarantine(job, shard, now)
+        self._requeue_or_quarantine(job, now)
         return True
 
     def _record_failure(
         self,
-        shard: ShardRecord,
+        job: JobRecord,
         worker: str,
         kind: str,
         error: str,
         now: float,
     ) -> None:
-        shard.failures.append({
+        job.failures.append({
             "time": now,
             "worker": worker,
-            "attempt": shard.attempts,
+            "attempt": job.attempts,
             "kind": kind,
             "error": error,
         })
 
-    def _requeue_or_quarantine(
-        self, job: JobRecord, shard: ShardRecord, now: float
-    ) -> None:
+    def _requeue_or_quarantine(self, job: JobRecord, now: float) -> None:
         """Burn one attempt: backoff-requeue, or quarantine past the cap."""
         tel = current_telemetry()
-        shard.attempts += 1
-        shard.lease = None
-        if shard.attempts >= self.config.max_shard_attempts:
-            shard.state = SHARD_DEAD
+        job.attempts += 1
+        job.lease = None
+        if job.attempts >= self.config.max_shard_attempts:
             job.state = JOB_DEAD
             job.error = (
-                f"shard {shard.name!r} quarantined after "
-                f"{shard.attempts} failed attempt(s); see failure log"
+                f"job quarantined after {job.attempts} failed "
+                f"attempt(s); see failure log"
             )
-            tel.count("service.shards_quarantined")
+            tel.count("service.jobs_quarantined")
             self._write_failure_report(job)
             return
-        shard.state = SHARD_QUEUED
-        shard.not_before = now + backoff_delay_s(
-            SHARD_BACKOFF_BASE_S, 2.0, SHARD_BACKOFF_MAX_S,
-            SHARD_BACKOFF_JITTER, 0, shard.index, shard.attempts - 1,
+        job.not_before = now + backoff_delay_s(
+            JOB_BACKOFF_BASE_S, 2.0, JOB_BACKOFF_MAX_S,
+            JOB_BACKOFF_JITTER, 0, job.seq, job.attempts - 1,
         )
-        tel.count("service.shard_retries")
+        tel.count("service.job_retries")
 
     def _write_failure_report(self, job: JobRecord) -> None:
         """Synthesize the job's RunReport with the failure log intact.
 
         Written on quarantine and deterministic failure so a dead job
         always answers "what happened?" the same way a crashed
-        in-process flow does — stage statuses plus the per-attempt
-        failure log — even when the workers died without a word.
+        in-process flow does — the stages its checkpoint store holds,
+        listed as completed, plus the per-attempt failure log — even
+        when the workers died without a word.
         """
+        checkpoint_dir = self.checkpoint_dir(job.id)
         report = RunReport(
             flow="service:noise_aware_staged",
             status=RUN_FAILED,
-            checkpoint_dir=self.checkpoint_dir(job.id),
+            checkpoint_dir=checkpoint_dir,
             error=job.error,
         )
-        status_map = {
-            SHARD_DONE: "completed",
-            SHARD_FAILED: "failed",
-            SHARD_DEAD: "failed",
-        }
-        for shard in job.shards:
-            report.record_stage(
-                shard.name,
-                status_map.get(shard.state, "pending"),
-                detail={
-                    "shard_state": shard.state,
-                    "attempts": shard.attempts,
-                },
-            )
-        for shard in job.shards:
-            for failure in shard.failures:
-                entry = dict(failure)
-                entry["stage"] = shard.name
-                report.failures.append(entry)
+        try:
+            completed = CheckpointStore(checkpoint_dir).keys()
+        except CheckpointError:
+            completed = []
+        for name in completed:
+            report.record_stage(name, "completed")
+        report.failures.extend(dict(f) for f in job.failures)
         report.save(self.report_path(job.id))
 
     # -- results --------------------------------------------------------

@@ -1,14 +1,14 @@
-"""Shard leases: expiring, fenced ownership of one unit of work.
+"""Job leases: expiring, fenced ownership of one unit of work.
 
-A worker that claims a shard holds a :class:`Lease` — ownership that
+A worker that claims a job holds a :class:`Lease` — ownership that
 *expires* unless renewed.  The lease is the service's only liveness
 signal: a worker that is SIGKILLed stops renewing, a worker that is
 SIGSTOPped (hung) stops renewing too (the heartbeat thread freezes with
-the process), and in both cases the shard becomes reclaimable once
+the process), and in both cases the job becomes reclaimable once
 ``expires_at`` passes.  No pings, no health endpoints — just a deadline
 in the job record.
 
-Every grant increments the shard's **fencing token**.  A mutation
+Every grant increments the job's **fencing token**.  A mutation
 (heartbeat, start, complete, fail) must present the token it was
 granted; a worker whose lease was reclaimed while it was stalled holds
 a stale token and every commit it attempts is refused (and surfaced as
@@ -33,14 +33,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class Lease:
-    """One worker's expiring, fenced hold on one shard."""
+    """One worker's expiring, fenced hold on one job."""
 
-    #: Id of the worker the shard is leased to.
+    #: Id of the worker the job is leased to.
     worker: str
-    #: Fencing token: monotonically increasing per shard; stale holders
+    #: Fencing token: monotonically increasing per job; stale holders
     #: fail every commit.
     token: int
-    #: Wall-clock deadline (``time.time()``); past it the shard is
+    #: Wall-clock deadline (``time.time()``); past it the job is
     #: reclaimable by anyone.
     expires_at: float
 
@@ -67,7 +67,7 @@ class Lease:
 
 
 class LeaseHeartbeat:
-    """Background renewal of one lease while its shard executes.
+    """Background renewal of one lease while its job executes.
 
     Renews every *interval_s* via :meth:`JobStore.heartbeat`.  A failed
     renewal means the lease was reclaimed (or the job is gone): the
@@ -79,14 +79,12 @@ class LeaseHeartbeat:
         self,
         store: "JobStore",
         job_id: str,
-        shard_index: int,
         worker: str,
         token: int,
         interval_s: float,
     ) -> None:
         self._store = store
         self._job_id = job_id
-        self._shard_index = shard_index
         self._worker = worker
         self._token = token
         self._interval_s = max(0.01, interval_s)
@@ -105,8 +103,7 @@ class LeaseHeartbeat:
         while not self._stop.wait(self._interval_s):
             try:
                 ok = self._store.heartbeat(
-                    self._job_id, self._shard_index, self._worker,
-                    self._token,
+                    self._job_id, self._worker, self._token
                 )
             except Exception:
                 ok = False

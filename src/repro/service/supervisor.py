@@ -8,11 +8,11 @@ that:
 * reaps expired leases (tightening reclaim latency below the lazy
   reaping :meth:`~repro.service.jobstore.JobStore.claim` already does);
 * respawns workers that died — up to three respawns per slot, so a
-  crash loop cannot fork-bomb the host (the shard-level quarantine in
-  the store is what actually contains poison jobs);
+  crash loop cannot fork-bomb the host (the job quarantine in the
+  store is what actually contains poison jobs);
 * **degrades gracefully**: when not a single worker process is alive —
   all crashed out, or the pool was started with ``n_workers=0`` — the
-  supervisor executes shards *in-process, serially*, via the very same
+  supervisor executes jobs *in-process, serially*, via the very same
   :class:`~repro.service.worker.ServiceWorker` code path (lease,
   heartbeat, fencing token and all).  Submitted jobs therefore always
   finish; a dead fleet costs throughput, never completion or
@@ -142,9 +142,9 @@ class ServiceSupervisor:
             and not self.store.alive_workers(now)
         ):
             # Graceful degradation: no fleet — the supervisor itself
-            # becomes a (serial) worker for one shard per tick.
+            # becomes a (serial) worker for one job per tick.
             if self._inline_worker.run_once():
-                tel.count("service.inline_shards")
+                tel.count("service.inline_jobs")
 
     def run_until_drained(self, timeout_s: Optional[float] = None) -> None:
         """Tick until every job is terminal (or *timeout_s* elapses)."""

@@ -1,19 +1,21 @@
-"""Worker process: claim a shard, run its flow stage, commit fenced.
+"""Worker process: claim a job, run its flow, commit fenced.
 
 A :class:`ServiceWorker` is deliberately dumb — the whole protocol is:
 
-1. :meth:`JobStore.claim` one shard (a lease with a fencing token);
+1. :meth:`JobStore.claim` one job (a lease with a fencing token);
 2. start a :class:`~repro.service.lease.LeaseHeartbeat` renewal thread;
-3. run the staged noise-tolerant flow up to (and including) that
-   stage against the *job's* checkpoint directory — earlier stages
-   load from checkpoints a previous worker wrote, so the shard picks
-   up exactly (bit-identically) where its predecessor stopped;
-4. commit with the fencing token.  A refused commit means the lease
-   was reclaimed while we stalled: the result is discarded
-   (:class:`~repro.errors.LeaseLostError`), never half-written.
+3. run the staged noise-tolerant flow against the *job's* checkpoint
+   directory — stages an earlier attempt completed load from their
+   checkpoints, so a reclaimed job picks up exactly (bit-identically)
+   where its predecessor stopped;
+4. write the result and RunReport, then commit with the fencing token.
+   A refused commit means the lease was reclaimed while we stalled:
+   the execution is discarded (:class:`~repro.errors.LeaseLostError`)
+   and the replacement's is the one of record.
 
 Workers never talk to each other and hold no state outside the store;
-``kill -9`` at any instruction loses at most one lease TTL of work.
+``kill -9`` at any instruction loses at most one lease TTL plus the
+stage that was running.
 
 Runnable stand-alone::
 
@@ -31,11 +33,12 @@ import signal
 import socket
 import time
 import uuid
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import LeaseLostError, TransientError
-from ..obs import current_telemetry
-from .jobstore import JobRecord, JobSpec, JobStore, ShardRecord
+from ..obs import Telemetry, current_telemetry
+from ..reporting.runreport import RunReport
+from .jobstore import JobRecord, JobStore
 from .lease import LeaseHeartbeat
 
 
@@ -47,34 +50,28 @@ def _default_worker_id() -> str:
     return f"w-{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
 
-def _maybe_inject_chaos(spec: JobSpec, shard: ShardRecord) -> None:
-    """Deterministic fault injection for chaos tests (no-op otherwise).
+def _chaos_hit(job: JobRecord) -> Optional[Tuple[str, int]]:
+    """Deterministic fault injection for chaos tests: ``(action,
+    stage)`` when this attempt is hit, else ``None``.
 
-    ``kill_shard``/``fail_shard`` name the shard index to hit;
+    ``kill_stage``/``fail_stage`` name the stage index to stop at: the
+    worker checkpoints the stages before it, then SIGKILLs itself or
+    raises :class:`~repro.errors.TransientError`.
     ``kill_attempts``/``fail_attempts`` bound how many attempts are hit
     (default 1 kill — so the retry succeeds and the job completes — and
     unbounded failures — so the quarantine path is reachable).
     """
-    chaos = spec.chaos
-    if not chaos:
-        return
-    if (
-        chaos.get("kill_shard") == shard.index
-        and shard.attempts < chaos.get("kill_attempts", 1)
-    ):
-        os.kill(os.getpid(), signal.SIGKILL)
-    if (
-        chaos.get("fail_shard") == shard.index
-        and shard.attempts < chaos.get("fail_attempts", 10 ** 9)
-    ):
-        raise TransientError(
-            f"chaos: injected transient failure on shard {shard.name} "
-            f"(attempt {shard.attempts})"
-        )
+    chaos = job.spec.chaos or {}
+    for action, default_attempts in (("kill", 1), ("fail", 10 ** 9)):
+        stage = chaos.get(f"{action}_stage")
+        attempts = chaos.get(f"{action}_attempts", default_attempts)
+        if stage is not None and job.attempts < attempts:
+            return action, stage
+    return None
 
 
 class ServiceWorker:
-    """One shard-executing loop over a :class:`JobStore`."""
+    """One job-executing loop over a :class:`JobStore`."""
 
     def __init__(
         self,
@@ -86,33 +83,32 @@ class ServiceWorker:
 
     # ------------------------------------------------------------------
     def run_once(self) -> bool:
-        """Claim and fully process one shard; ``False`` when idle."""
-        claimed = self.store.claim(self.worker_id)
-        if claimed is None:
+        """Claim and fully process one job; ``False`` when idle."""
+        job = self.store.claim(self.worker_id)
+        if job is None:
             return False
-        job, shard = claimed
-        assert shard.lease is not None
-        token = shard.lease.token
+        assert job.lease is not None
+        token = job.lease.token
         tel = current_telemetry()
         try:
-            self.execute_shard(job, shard, token)
+            self.execute(job, token)
         except LeaseLostError:
-            # Someone else owns the shard now; our work is discarded.
+            # Someone else owns the job now; our work is discarded.
             tel.count("service.lease_lost")
         except TransientError as exc:
             self.store.fail_shard(
-                job.id, shard.index, self.worker_id, token,
+                job.id, self.worker_id, token,
                 error=repr(exc), retryable=True,
             )
         except Exception as exc:  # noqa: BLE001 - worker must survive
             self.store.fail_shard(
-                job.id, shard.index, self.worker_id, token,
+                job.id, self.worker_id, token,
                 error=repr(exc), retryable=False,
             )
         return True
 
     def run(self, drain: bool = False) -> int:
-        """Process shards until told to stop; returns shards processed.
+        """Process jobs until told to stop; returns jobs processed.
 
         ``drain=True`` exits once no job needs work; otherwise an idle
         worker polls the queue every 0.2 s.  The worker registers
@@ -137,111 +133,89 @@ class ServiceWorker:
         return processed
 
     # ------------------------------------------------------------------
-    def execute_shard(
-        self, job: JobRecord, shard: ShardRecord, token: int
-    ) -> None:
-        """Run one flow stage under heartbeat + fencing.
+    def execute(self, job: JobRecord, token: int) -> None:
+        """Run the job's flow under heartbeat + fencing.
 
         Raises :class:`LeaseLostError` when the lease was reclaimed
         (the execution is discarded), propagates flow errors for
         :meth:`run_once` to classify as transient or deterministic.
         """
-        tel = current_telemetry()
         heartbeat = LeaseHeartbeat(
             self.store,
             job.id,
-            shard.index,
             self.worker_id,
             token,
             interval_s=self.store.config.heartbeat_s,
         )
         heartbeat.start()
         try:
-            if not self.store.start_shard(
-                job.id, shard.index, self.worker_id, token
-            ):
-                raise LeaseLostError(
-                    f"lease on {job.id}/{shard.name} lost before start"
-                )
-            _maybe_inject_chaos(job.spec, shard)
-            is_final = shard.index == len(job.shards) - 1
-            with tel.span(
-                "service.shard",
+            if not self.store.start_shard(job.id, self.worker_id, token):
+                raise LeaseLostError(f"lease on {job.id} lost before start")
+            hit = _chaos_hit(job)
+            with current_telemetry().span(
+                "service.job",
                 job=job.id,
-                shard=shard.name,
+                attempt=job.attempts,
                 worker=self.worker_id,
             ):
-                result, report = run_shard_flow(
-                    self.store, job.id, job.spec, shard.index, is_final
+                result, report = self._run_flow(
+                    job, None if hit is None else hit[1]
+                )
+            if hit is not None:
+                if hit[0] == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise TransientError(
+                    f"chaos: injected transient failure at stage "
+                    f"{hit[1]} (attempt {job.attempts})"
                 )
             if heartbeat.lost.is_set():
-                raise LeaseLostError(
-                    f"lease on {job.id}/{shard.name} expired mid-run"
-                )
-            if is_final:
-                # Artefacts first, then the fenced state flip: a job
-                # observed `done` always has its result on disk.  A
-                # stale worker writing these too is harmless — its
-                # bytes are identical by construction.
-                if result is None:
-                    raise TransientError(
-                        f"final shard {shard.name} produced no result "
-                        f"(status {report.status})"
-                    )
-                self.store.save_result(
-                    job.id, result_payload(result)
-                )
-                report.save(self.store.report_path(job.id))
-            if not self.store.complete_shard(
-                job.id, shard.index, self.worker_id, token
-            ):
-                raise LeaseLostError(
-                    f"lease on {job.id}/{shard.name} lost at commit"
-                )
+                raise LeaseLostError(f"lease on {job.id} expired mid-run")
+            # Artefacts first, then the fenced state flip: a job
+            # observed `done` always has its result on disk.  A stale
+            # worker writing these too is harmless — its bytes are
+            # identical by construction.
+            self.store.save_result(job.id, result_payload(result))
+            report.save(self.store.report_path(job.id))
+            if not self.store.complete_shard(job.id, self.worker_id, token):
+                raise LeaseLostError(f"lease on {job.id} lost at commit")
         finally:
             heartbeat.stop()
 
+    def _run_flow(
+        self, job: JobRecord, stop_after_stage: Optional[int]
+    ) -> Tuple[Any, RunReport]:
+        """The flow of *job* against its checkpoint directory.
 
-def run_shard_flow(
-    store: JobStore,
-    job_id: str,
-    spec: JobSpec,
-    shard_index: int,
-    is_final: bool,
-) -> Any:
-    """Run the flow for one shard against the job's checkpoint dir.
+        The same call serves workers and both in-process fallbacks —
+        same design build, same checkpoint store, same flow arguments —
+        which is what the bit-identity invariant rests on.
+        """
+        from ..core.flow import run_noise_tolerant_flow
 
-    Returns the flow's ``(result, report)``.  Shared by the worker and
-    the supervisor's in-process degradation path so both execute shards
-    *identically* — same design build, same checkpoint store, same
-    flow arguments — which is what the bit-identity invariant rests on.
-    """
-    from ..core.flow import run_noise_tolerant_flow
-
-    design, stage_plan = spec.build_design_and_plan()
-    telemetry = None
-    if spec.telemetry:
-        from ..obs import Telemetry
-
-        telemetry = Telemetry(tracing=True, metrics=True)
-    outcome = run_noise_tolerant_flow(
-        design,
-        checkpoint_dir=store.checkpoint_dir(job_id),
-        resume=True,
-        max_patterns=spec.max_patterns,
-        stop_after_stage=None if is_final else shard_index + 1,
-        strict=True,
-        telemetry=telemetry,
-        seed=spec.flow_seed,
-        stage_plan=stage_plan,
-    )
-    if telemetry is not None:
-        obs_dir = store.obs_dir(job_id)
-        os.makedirs(obs_dir, exist_ok=True)
-        stem = os.path.join(obs_dir, f"shard{shard_index}")
-        telemetry.save_trace_jsonl(f"{stem}.trace.jsonl")
-        telemetry.save_metrics_json(f"{stem}.metrics.json")
-    return outcome
+        spec = job.spec
+        design, stage_plan = spec.build_design_and_plan()
+        telemetry = (
+            Telemetry(tracing=True, metrics=True) if spec.telemetry else None
+        )
+        result, report = run_noise_tolerant_flow(
+            design,
+            checkpoint_dir=self.store.checkpoint_dir(job.id),
+            resume=True,
+            max_patterns=spec.max_patterns,
+            stop_after_stage=stop_after_stage,
+            strict=True,
+            telemetry=telemetry,
+            seed=spec.flow_seed,
+            stage_plan=stage_plan,
+        )
+        if telemetry is not None:
+            obs_dir = self.store.obs_dir(job.id)
+            os.makedirs(obs_dir, exist_ok=True)
+            telemetry.save_trace_jsonl(os.path.join(obs_dir, "trace.jsonl"))
+            telemetry.save_metrics_json(
+                os.path.join(obs_dir, "metrics.json")
+            )
+        return result, report
 
 
 def result_payload(result: Any) -> Dict[str, Any]:
@@ -264,7 +238,7 @@ def result_payload(result: Any) -> Dict[str, Any]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-service-worker",
-        description="Claim and execute ATPG job shards from a job store.",
+        description="Claim and execute ATPG jobs from a job store.",
     )
     parser.add_argument("store", help="job store root directory")
     parser.add_argument(

@@ -336,8 +336,8 @@ class TestFlowTelemetry:
         )
 
     def test_none_telemetry_ignores_the_enclosing_scope(self, tiny_design):
-        # In-process service shards run under the HTTP fleet's telemetry
-        # scope; a shard without telemetry must not leak into it.
+        # In-process service jobs run under the HTTP fleet's telemetry
+        # scope; a job without telemetry must not leak into it.
         from repro.core import run_noise_tolerant_flow
 
         tel = Telemetry(run_id="outer")

@@ -502,7 +502,7 @@ class TestResilientMap:
         assert multiprocessing.active_children() == []
 
     def test_backoff_is_deterministic_and_bounded(self):
-        # The shard requeue's backoff curve (the pool itself never
+        # The job requeue's backoff curve (the pool itself never
         # backs off).
         a = backoff_delay_s(0.05, 2.0, 2.0, 0.25, 7, 3, 1)
         assert a == backoff_delay_s(0.05, 2.0, 2.0, 0.25, 7, 3, 1)

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core import run_noise_tolerant_flow
-from repro.core.flow import flow_stage_names
+from repro.core.flow import STAGE_PLAN_TURBO_EAGLE, stage_key
 from repro.errors import (
     JobNotFoundError,
     ServiceBusyError,
@@ -37,9 +39,14 @@ from repro.service import (
     ServiceConfig,
     ServiceSupervisor,
 )
+from repro.reporting import CheckpointStore, RunReport
 from repro.soc import build_turbo_eagle
 
 TTL = 30.0
+#: The checkpoint keys of the built-in stage plan, in order.
+STAGE_NAMES = [
+    stage_key(i, blocks) for i, blocks in enumerate(STAGE_PLAN_TURBO_EAGLE)
+]
 
 
 @pytest.fixture
@@ -53,67 +60,50 @@ def store(tmp_path) -> JobStore:
 
 def drive_job_to_done(store: JobStore, job_id: str, worker: str = "w",
                       now: float = 0.0) -> None:
-    """Walk every shard through claim/start/complete by hand."""
-    while True:
-        job = store.get(job_id)
-        if job.terminal:
-            return
-        claimed = store.claim(worker, now=now)
-        assert claimed is not None, f"nothing claimable for {job_id}"
-        job, shard = claimed
-        token = shard.lease.token
-        assert store.start_shard(job.id, shard.index, worker, token,
-                                 now=now)
-        assert store.complete_shard(job.id, shard.index, worker, token,
-                                    now=now)
+    """Walk the job through claim/start/complete by hand."""
+    job = store.claim(worker, now=now)
+    assert job is not None and job.id == job_id, (
+        f"{job_id} is not the next claimable job"
+    )
+    token = job.lease.token
+    assert store.start_shard(job.id, worker, token)
+    assert store.complete_shard(job.id, worker, token, now=now)
 
 
 # ----------------------------------------------------------------------
 # state machine
 # ----------------------------------------------------------------------
 class TestStateMachine:
-    def test_submit_creates_queued_job_with_stage_shards(self, store):
+    def test_submit_creates_queued_job(self, store):
         job = store.submit(JobSpec(), now=1.0)
         assert job.state == JOB_QUEUED
-        assert [s.name for s in job.shards] == flow_stage_names()
-        assert all(s.state == "queued" for s in job.shards)
-        assert store.get(job.id).id == job.id
+        assert (job.attempts, job.lease, job.failures) == (0, None, [])
+        assert store.get(job.id).to_dict() == job.to_dict()
 
     def test_full_lifecycle_to_done(self, store):
         job = store.submit(JobSpec(), now=0.0)
-        for index in range(len(job.shards)):
-            claimed = store.claim("w1", now=0.0)
-            assert claimed is not None
-            cjob, shard = claimed
-            assert (cjob.id, shard.index) == (job.id, index)
-            assert shard.state == "leased"
-            assert store.get(job.id).state == JOB_RUNNING
-            token = shard.lease.token
-            assert store.start_shard(job.id, index, "w1", token, now=0.0)
-            assert store.get(job.id).shards[index].state == "running"
-            assert store.complete_shard(job.id, index, "w1", token,
-                                        now=0.0)
+        claimed = store.claim("w1", now=0.0)
+        assert claimed is not None and claimed.id == job.id
+        assert claimed.lease.worker == "w1"
+        assert store.get(job.id).state == JOB_RUNNING
+        token = claimed.lease.token
+        assert store.start_shard(job.id, "w1", token)
+        # one lease covers the whole job: nothing else is claimable
+        assert store.claim("w2", now=0.0) is None
+        assert store.complete_shard(job.id, "w1", token, now=0.0)
         final = store.get(job.id)
         assert final.state == JOB_DONE
-        assert all(s.state == "done" for s in final.shards)
+        assert (final.attempts, final.lease) == (0, None)
         assert store.claim("w1", now=0.0) is None
-
-    def test_shards_are_sequential_within_a_job(self, store):
-        job = store.submit(JobSpec(), now=0.0)
-        claimed = store.claim("w1", now=0.0)
-        assert claimed is not None and claimed[1].index == 0
-        # shard 1 must not be claimable while shard 0 is leased
-        assert store.claim("w2", now=0.0) is None
-        assert store.get(job.id).shards[1].state == "queued"
 
     def test_jobs_claimed_fifo_across_jobs(self, store):
         a = store.submit(JobSpec(), now=0.0)
         b = store.submit(JobSpec(), now=1.0)
         first = store.claim("w1", now=2.0)
         second = store.claim("w2", now=2.0)
-        assert first is not None and first[0].id == a.id
-        # job A's next shard is blocked, so worker 2 gets job B
-        assert second is not None and second[0].id == b.id
+        assert first is not None and first.id == a.id
+        # job A is leased, so worker 2 gets job B
+        assert second is not None and second.id == b.id
 
     def test_missing_job_raises(self, store):
         with pytest.raises(JobNotFoundError):
@@ -156,6 +146,65 @@ class TestStateMachine:
 
 
 # ----------------------------------------------------------------------
+# records written when each flow stage was leased on its own
+# ----------------------------------------------------------------------
+def write_staged_record(store: JobStore, seq: int, state: str) -> str:
+    """A ``job.json`` as the per-stage store wrote it: a ``shards``
+    list carries the lease bookkeeping, one entry per flow stage."""
+    job_id = f"j{seq:06d}-0ldf0rm{seq}"
+    shard_state = "done" if state == JOB_DONE else "queued"
+    record = {
+        "version": 1,
+        "id": job_id,
+        "spec": JobSpec(scale="tiny").to_dict(),
+        "state": state,
+        "shards": [
+            {"index": i, "name": name, "state": shard_state,
+             "attempts": 0, "not_before": 0.0, "next_token": 1,
+             "lease": None, "failures": []}
+            for i, name in enumerate(STAGE_NAMES)
+        ],
+        "seq": seq,
+        "created_at": 0.0,
+        "updated_at": 0.0,
+        "error": None,
+    }
+    os.makedirs(store.checkpoint_dir(job_id))
+    with open(os.path.join(store.job_dir(job_id), "job.json"), "w") as fh:
+        json.dump(record, fh)
+    with open(os.path.join(store.jobs_dir, ".seq"), "w") as fh:
+        fh.write(str(seq))
+    return job_id
+
+
+class TestStagedRecords:
+    def test_finished_job_serves_its_result_and_report(self, store):
+        job_id = write_staged_record(store, 1, JOB_DONE)
+        with open(store.result_path(job_id), "wb") as fh:
+            pickle.dump({"matrix": np.zeros((2, 3)), "n_patterns": 2}, fh)
+        RunReport(flow="noise_aware_staged", status="completed").save(
+            store.report_path(job_id)
+        )
+        client = ServiceClient(store)
+        assert client.status(job_id).state == JOB_DONE
+        assert client.result(job_id)["n_patterns"] == 2
+        assert client.report(job_id).status == "completed"
+        assert [j.id for j in client.jobs()] == [job_id]
+        assert store.claim("w", now=0.0) is None
+
+    def test_queued_job_is_claimed_and_completes(self, store):
+        job_id = write_staged_record(store, 1, JOB_QUEUED)
+        client = ServiceClient(store)
+        job = client.wait(job_id, timeout_s=300)
+        assert job.state == JOB_DONE
+        assert np.array_equal(
+            client.result(job_id)["matrix"], reference_matrix()
+        )
+        # new submissions keep counting from the old sequence
+        assert store.submit(JobSpec(), now=0.0).seq == 2
+
+
+# ----------------------------------------------------------------------
 # cancellation
 # ----------------------------------------------------------------------
 class TestCancel:
@@ -184,9 +233,14 @@ class TestCancel:
         with pytest.raises(ServiceError) as err:
             store.cancel(job.id, now=1.0)
         assert "only queued jobs" in str(err.value)
+        # a reclaimed job stays running: a worker has touched it
+        assert store.reap_expired(now=TTL + 1.0) == 1
+        assert store.get(job.id).lease is None
+        with pytest.raises(ServiceError):
+            store.cancel(job.id, now=TTL + 2.0)
         # terminal states refuse too
         done = store.submit(JobSpec(), now=2.0)
-        drive_job_to_done(store, done.id)
+        drive_job_to_done(store, done.id, now=TTL + 1.0)
         with pytest.raises(ServiceError):
             store.cancel(done.id)
 
@@ -204,36 +258,39 @@ class TestCancel:
 # external-netlist specs
 # ----------------------------------------------------------------------
 class TestNetlistSpec:
-    def test_netlist_spec_round_trips_and_derives_shards(self, store):
+    def test_netlist_spec_round_trips(self, store):
         import io
 
         from repro.netlist.verilog import write_verilog
-        from repro.soc import derive_stage_plan, design_from_netlist
+        from repro.soc import derive_stage_plan
 
         design = build_turbo_eagle(scale="tiny", seed=2007)
         buf = io.StringIO()
         write_verilog(design.netlist, buf)
         spec = JobSpec(netlist_verilog=buf.getvalue())
         job = store.submit(spec, now=0.0)
-        # shard names come from the plan *derived from the netlist*
-        # (which for the round-tripped design reproduces the paper's
-        # built-in staging — the activity heuristic lands on the same
-        # all-but-two / second-busiest / busiest split)
+        # the stage plan is *derived from the netlist*, and for the
+        # round-tripped design it reproduces the paper's built-in
+        # staging — the activity heuristic lands on the same
+        # all-but-two / second-busiest / busiest split
         rebuilt, plan = spec.build_design_and_plan()
         assert tuple(plan) == derive_stage_plan(rebuilt)
-        assert [s.name for s in job.shards] == flow_stage_names(plan)
-        assert len(job.shards) == len(plan)
-        # and they survive the job.json round trip
+        assert tuple(plan) == STAGE_PLAN_TURBO_EAGLE
+        # the spec survives the job.json round trip ...
         reopened = JobStore(store.root).get(job.id)
         assert reopened.spec.netlist_verilog == spec.netlist_verilog
-        assert [s.name for s in reopened.shards] == [
-            s.name for s in job.shards
-        ]
-        # the reconstruction is deterministic: a re-parse agrees
-        again, _ = reopened.spec.build_design_and_plan()
-        assert design_from_netlist is not None
+        # ... and the reconstruction is deterministic: a re-parse agrees
+        again, again_plan = reopened.spec.build_design_and_plan()
+        assert tuple(again_plan) == tuple(plan)
         assert again.netlist.n_flops == rebuilt.netlist.n_flops
         assert again.blocks() == rebuilt.blocks()
+
+
+    def test_unparseable_netlist_is_refused_at_submit(self, store):
+        with pytest.raises(ServiceError) as err:
+            store.submit(JobSpec(netlist_verilog="module broken (a;\n"))
+        assert "job spec rejected" in str(err.value)
+        assert store.list_jobs() == []
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +383,37 @@ class TestBackPressure:
         drive_job_to_done(store, job.id)
         assert store.queue_depth() == 0
 
+    def test_scans_read_no_record_seen_terminal(self, tmp_path,
+                                                monkeypatch):
+        """No transition leaves a terminal state, so after N finished
+        jobs a claim reads only the live records; ``list_jobs`` still
+        returns every job."""
+        store = JobStore(str(tmp_path / "s"),
+                         ServiceConfig(max_queue_depth=2))
+        finished = set()
+        for _ in range(5):
+            job = store.submit(JobSpec(), now=0.0)
+            drive_job_to_done(store, job.id)
+            finished.add(job.id)
+        live = store.submit(JobSpec(), now=0.0)
+        reads = []
+        read_job = JobStore._read_job
+
+        def counting_read(self, job_id):
+            reads.append(job_id)
+            return read_job(self, job_id)
+
+        monkeypatch.setattr(JobStore, "_read_job", counting_read)
+        claimed = store.claim("w", now=0.0)
+        assert claimed is not None and claimed.id == live.id
+        assert reads == [live.id]
+        # another process's store object reads each finished record once
+        other = JobStore(store.root)
+        for _ in range(2):
+            assert other.claim("w2", now=0.0) is None
+        assert sorted(r for r in reads if r in finished) == sorted(finished)
+        assert len(store.list_jobs()) == 6
+
 
 # ----------------------------------------------------------------------
 # leases: expiry, fencing, heartbeats, backoff
@@ -337,55 +425,57 @@ class TestLeases:
         assert first is not None
         # before expiry nothing is claimable
         assert store.claim("w2", now=TTL - 1.0) is None
-        # at expiry the shard is reaped into its backoff window ...
+        # at expiry the job is reaped into its backoff window ...
         assert store.claim("w2", now=TTL) is None
-        shard = store.get(job.id).shards[0]
-        assert shard.state == "queued"
-        assert shard.attempts == 1
-        assert shard.failures[0]["kind"] == "lease_expired"
-        assert shard.not_before > TTL
+        reaped = store.get(job.id)
+        assert reaped.state == JOB_RUNNING  # running through requeues
+        assert reaped.lease is None
+        assert reaped.attempts == 1
+        assert reaped.failures[0]["kind"] == "lease_expired"
+        assert reaped.not_before > TTL
         # ... and claimable once the backoff has elapsed
         reclaimed = store.claim("w2", now=TTL + 60.0)
         assert reclaimed is not None
-        assert reclaimed[1].lease.worker == "w2"
+        assert reclaimed.lease.worker == "w2"
 
     def test_fencing_token_blocks_stale_worker(self, store):
         job = store.submit(JobSpec(), now=0.0)
         first = store.claim("w1", now=0.0)
-        token1 = first[1].lease.token
+        token1 = first.lease.token
         # first post-expiry claim reaps into the backoff window ...
         assert store.claim("w2", now=TTL + 60.0) is None
         # ... and the next one (past the backoff) re-grants, fenced
         reclaimed = store.claim("w2", now=TTL + 120.0)
-        token2 = reclaimed[1].lease.token
+        token2 = reclaimed.lease.token
         assert token2 > token1
         t = TTL + 121.0
         # the zombie's every move is refused
-        assert not store.heartbeat(job.id, 0, "w1", token1, now=t)
-        assert not store.start_shard(job.id, 0, "w1", token1, now=t)
-        assert not store.complete_shard(job.id, 0, "w1", token1, now=t)
-        assert not store.fail_shard(job.id, 0, "w1", token1, "boom",
+        assert not store.heartbeat(job.id, "w1", token1, now=t)
+        assert not store.start_shard(job.id, "w1", token1)
+        assert not store.complete_shard(job.id, "w1", token1, now=t)
+        assert not store.fail_shard(job.id, "w1", token1, "boom",
                                     retryable=True, now=t)
         # the new holder proceeds normally
-        assert store.start_shard(job.id, 0, "w2", token2, now=t)
-        assert store.complete_shard(job.id, 0, "w2", token2, now=t)
-        assert store.get(job.id).shards[0].state == "done"
+        assert store.start_shard(job.id, "w2", token2)
+        assert store.complete_shard(job.id, "w2", token2, now=t)
+        assert store.get(job.id).state == JOB_DONE
 
     def test_heartbeat_extends_the_lease(self, store):
         job = store.submit(JobSpec(), now=0.0)
         claimed = store.claim("w1", now=0.0)
-        token = claimed[1].lease.token
-        assert store.heartbeat(job.id, 0, "w1", token, now=TTL - 5.0)
+        token = claimed.lease.token
+        assert store.heartbeat(job.id, "w1", token, now=TTL - 5.0)
         # would have expired at TTL without the renewal
         assert store.claim("w2", now=TTL + 1.0) is None
-        assert store.get(job.id).shards[0].lease.worker == "w1"
+        assert store.get(job.id).lease.worker == "w1"
 
     def test_reap_expired_is_explicit_too(self, store):
         job = store.submit(JobSpec(), now=0.0)
         store.claim("w1", now=0.0)
         assert store.reap_expired(now=1.0) == 0
         assert store.reap_expired(now=TTL + 1.0) == 1
-        assert store.get(job.id).shards[0].state == "queued"
+        reaped = store.get(job.id)
+        assert (reaped.lease, reaped.attempts) == (None, 1)
 
 
 # ----------------------------------------------------------------------
@@ -393,58 +483,61 @@ class TestLeases:
 # ----------------------------------------------------------------------
 class TestQuarantine:
     def test_repeatedly_dying_shard_is_quarantined_dead(self, store):
+        """A job whose every lease fails burns its attempt budget and
+        ends ``dead``."""
         job = store.submit(JobSpec(), now=0.0)
         now = 0.0
         for attempt in range(store.config.max_shard_attempts):
             claimed = store.claim("w", now=now)
             assert claimed is not None, f"attempt {attempt} not claimable"
-            token = claimed[1].lease.token
-            assert store.fail_shard(job.id, 0, "w", token,
+            token = claimed.lease.token
+            assert store.fail_shard(job.id, "w", token,
                                     f"crash #{attempt}", retryable=True,
                                     now=now)
             now += 120.0  # comfortably past any backoff
         final = store.get(job.id)
         assert final.state == JOB_DEAD
-        assert final.shards[0].state == "dead"
+        assert (final.attempts, final.lease) == (3, None)
         assert "quarantined" in final.error
         # never claimable again — no infinite retry
         assert store.claim("w", now=now + 1000.0) is None
         # the failure log survives, one entry per burned lease
-        assert len(final.shards[0].failures) == 3
-        assert [f["error"] for f in final.shards[0].failures] == [
+        assert [f["error"] for f in final.failures] == [
             "crash #0", "crash #1", "crash #2",
         ]
+        assert [f["attempt"] for f in final.failures] == [0, 1, 2]
 
     def test_dead_job_has_failure_report_on_disk(self, store):
-        from repro.reporting import RunReport
-
         job = store.submit(JobSpec(), now=0.0)
+        # an earlier attempt checkpointed the first stage
+        CheckpointStore(store.checkpoint_dir(job.id)).save(
+            STAGE_NAMES[0], {"patterns": []}
+        )
         now = 0.0
         for _ in range(store.config.max_shard_attempts):
             claimed = store.claim("w", now=now)
-            token = claimed[1].lease.token
-            store.fail_shard(job.id, 0, "w", token, "kaboom",
+            token = claimed.lease.token
+            store.fail_shard(job.id, "w", token, "kaboom",
                              retryable=True, now=now)
             now += 120.0
         report = RunReport.load(store.report_path(job.id))
         assert report.status == "failed"
         assert "quarantined" in report.error
-        assert len(report.failures) == 3
-        assert all(f["stage"] == job.shards[0].name
-                   for f in report.failures)
-        # untouched shards are reported pending, not lost
-        assert report.pending_stages() == [s.name for s in job.shards[1:]]
+        assert [f["error"] for f in report.failures] == ["kaboom"] * 3
+        # the checkpointed stage is reported completed, not lost
+        assert report.completed_stages() == [STAGE_NAMES[0]]
 
     def test_deterministic_error_fails_job_immediately(self, store):
         job = store.submit(JobSpec(), now=0.0)
         claimed = store.claim("w", now=0.0)
-        token = claimed[1].lease.token
-        assert store.fail_shard(job.id, 0, "w", token,
+        token = claimed.lease.token
+        assert store.fail_shard(job.id, "w", token,
                                 "ValueError('bad')", retryable=False,
                                 now=0.0)
         final = store.get(job.id)
         assert final.state == JOB_FAILED
-        assert final.shards[0].state == "failed"
+        assert (final.attempts, final.lease) == (0, None)
+        assert final.failures[0]["kind"] == "error"
         assert final.error == "ValueError('bad')"
         assert store.load_report(job.id) is not None
 
@@ -488,7 +581,7 @@ class TestClientIntegration:
         assert np.array_equal(result["matrix"], reference_matrix())
         report = client.report(job_id)
         assert report.status == "completed"
-        assert [s.name for s in report.stages] == flow_stage_names()
+        assert [s.name for s in report.stages] == STAGE_NAMES
 
     def test_supervisor_inline_degradation(self, tmp_path):
         """A supervisor with zero workers still finishes the queue."""
@@ -501,19 +594,50 @@ class TestClientIntegration:
         assert client.result(job_id)["n_patterns"] > 0
 
     def test_transient_chaos_retries_then_succeeds(self, tmp_path):
-        """An injected transient failure burns one attempt, then the
-        retry completes the job with identical patterns."""
+        """An injected transient failure at stage 1 burns one attempt;
+        the retry resumes from the checkpointed stage 0 and completes
+        the job with identical patterns."""
         client = ServiceClient(str(tmp_path / "store"))
         job_id = client.submit(
             JobSpec(scale="tiny",
-                    chaos={"fail_shard": 1, "fail_attempts": 1})
+                    chaos={"fail_stage": 1, "fail_attempts": 1})
         )
         job = client.wait(job_id, timeout_s=300)
         assert job.state == JOB_DONE
-        assert job.shards[1].attempts == 1
-        assert job.shards[1].failures[0]["kind"] == "transient"
+        assert job.attempts == 1
+        assert [f["kind"] for f in job.failures] == ["transient"]
         result = client.result(job_id)
         assert np.array_equal(result["matrix"], reference_matrix())
+        stages = client.report(job_id).stages
+        assert [s.from_checkpoint for s in stages] == [True, False, False]
+
+    def test_one_design_build_and_drc_gate_per_execution(
+        self, tmp_path, monkeypatch
+    ):
+        """A job runs its whole flow in one execution: one design
+        build, one DRC gate, no stage reloaded from a checkpoint."""
+        import repro.core.flow as flow_mod
+
+        calls = {"build": 0, "drc": 0}
+        build = JobSpec.build_design_and_plan
+        gate = flow_mod.run_drc_gate
+
+        def counting_build(spec):
+            calls["build"] += 1
+            return build(spec)
+
+        def counting_gate(*args, **kwargs):
+            calls["drc"] += 1
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(JobSpec, "build_design_and_plan", counting_build)
+        monkeypatch.setattr(flow_mod, "run_drc_gate", counting_gate)
+        client = ServiceClient(str(tmp_path / "store"))
+        job_id = client.submit(JobSpec(scale="tiny", max_patterns=12))
+        assert client.wait(job_id, timeout_s=300).state == JOB_DONE
+        assert calls == {"build": 1, "drc": 1}
+        stages = client.report(job_id).stages
+        assert not any(s.from_checkpoint for s in stages)
 
     def test_result_before_done_raises(self, tmp_path):
         client = ServiceClient(str(tmp_path / "store"))
@@ -527,6 +651,19 @@ class TestClientIntegration:
         with pytest.raises(ServiceError):
             client.wait(job_id, timeout_s=0.0, inline_fallback=False)
         assert client.status(job_id).state == JOB_QUEUED
+
+    def test_jobs_cli_lists_state_and_attempts(self, store, capsys):
+        from repro.cli import main
+
+        job = store.submit(JobSpec(), now=0.0)
+        store.claim("w", now=0.0)
+        assert store.reap_expired(now=TTL + 1.0) == 1
+        assert main(["jobs", store.root]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == [
+            "job", "|", "state", "|", "attempts", "|", "error",
+        ]
+        assert lines[3].split()[:5] == [job.id, "|", JOB_RUNNING, "|", "1"]
 
     def test_submit_spec_xor_kwargs(self, tmp_path):
         client = ServiceClient(str(tmp_path / "store"))

@@ -3,7 +3,7 @@
 These run real worker *subprocesses* over a real tiny flow and break
 them mid-job:
 
-* SIGKILL a worker while it is executing a shard — the supervisor
+* SIGKILL a worker while it is executing a job — the supervisor
   respawns, the lease expires, the replacement resumes from the job's
   checkpoints, and the finished job's patterns are **bit-identical**
   to a single-process ``run_noise_tolerant_flow``;
@@ -11,8 +11,8 @@ them mid-job:
   freezes with it, the lease genuinely expires, another worker takes
   over, and when the zombie is resumed its stale fencing token keeps
   it from corrupting the finished job;
-* a shard that kills every worker that touches it ends ``dead`` with
-  the failure log on disk — bounded retries, never an infinite loop.
+* a job that kills every worker that runs it ends ``dead`` with the
+  failure log on disk — bounded retries, never an infinite loop.
 
 Marked ``chaos``: CI runs them in their own lane with a hard timeout
 (see ``service-chaos`` in ci.yml).
@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core import run_noise_tolerant_flow
+from repro.core.flow import STAGE_PLAN_TURBO_EAGLE, stage_key
 from repro.service import (
     JOB_DEAD,
     JOB_DONE,
@@ -59,20 +60,18 @@ def make_store(tmp_path, **overrides) -> JobStore:
     return JobStore(str(tmp_path / "store"), config)
 
 
-def wait_for_running_shard(store: JobStore, job_id: str,
-                           timeout_s: float = 120.0):
-    """Poll until some shard of the job is being executed; returns it."""
+def wait_for_lease(store: JobStore, job_id: str, timeout_s: float = 120.0):
+    """Poll until a worker holds the job's lease; returns the lease."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         job = store.get(job_id)
-        for shard in job.shards:
-            if shard.state == "running" and shard.lease is not None:
-                return shard
+        if job.lease is not None:
+            return job.lease
         if job.terminal:
             pytest.fail(f"job went terminal ({job.state}) before a "
-                        f"shard was observed running")
+                        f"lease was observed")
         time.sleep(0.05)
-    pytest.fail("no shard entered the running state in time")
+    pytest.fail("no worker leased the job in time")
 
 
 def registry_pid(store: JobStore, worker_id: str) -> int:
@@ -83,23 +82,40 @@ def registry_pid(store: JobStore, worker_id: str) -> int:
 
 
 def test_sigkilled_worker_mid_shard_job_completes_bit_identical(tmp_path):
-    """kill -9 mid-shard: lease expires, respawned worker resumes from
+    """kill -9 mid-job: lease expires, respawned worker resumes from
     the checkpoints, and the result matches single-process exactly."""
     store = make_store(tmp_path)
     client = ServiceClient(store)
     job_id = client.submit(JobSpec(scale="tiny"))
     with ServiceSupervisor(store, n_workers=1) as sup:
-        shard = wait_for_running_shard(store, job_id)
-        victim = registry_pid(store, shard.lease.worker)
+        lease = wait_for_lease(store, job_id)
+        victim = registry_pid(store, lease.worker)
         os.kill(victim, signal.SIGKILL)
         sup.run_until_drained(timeout_s=240)
     job = client.status(job_id)
     assert job.state == JOB_DONE
-    # the kill left a lease-expiry scar on exactly the shard it hit
-    scars = [f for s in job.shards for f in s.failures]
-    assert any(f["kind"] == "lease_expired" for f in scars)
+    # the kill left a lease-expiry scar on the job
+    assert any(f["kind"] == "lease_expired" for f in job.failures)
     result = client.result(job_id)
     assert np.array_equal(result["matrix"], reference_matrix())
+
+
+def test_kill_at_stage_one_resumes_from_stage_zero_bit_identical(tmp_path):
+    """A worker SIGKILLs itself once stage 0 is checkpointed: the
+    respawned worker loads stage 0, computes the rest, and the result
+    matches single-process exactly."""
+    store = make_store(tmp_path)
+    client = ServiceClient(store)
+    job_id = client.submit(JobSpec(scale="tiny", chaos={"kill_stage": 1}))
+    with ServiceSupervisor(store, n_workers=1) as sup:
+        sup.run_until_drained(timeout_s=240)
+    job = client.status(job_id)
+    assert job.state == JOB_DONE
+    assert any(f["kind"] == "lease_expired" for f in job.failures)
+    assert np.array_equal(client.result(job_id)["matrix"], reference_matrix())
+    stages = client.report(job_id).stages
+    assert len(stages) == len(STAGE_PLAN_TURBO_EAGLE)
+    assert stages[0].from_checkpoint
 
 
 def test_hung_worker_lease_expires_and_peer_completes(tmp_path):
@@ -112,8 +128,8 @@ def test_hung_worker_lease_expires_and_peer_completes(tmp_path):
     stopped = None
     try:
         with ServiceSupervisor(store, n_workers=2) as sup:
-            shard = wait_for_running_shard(store, job_id)
-            stopped = registry_pid(store, shard.lease.worker)
+            lease = wait_for_lease(store, job_id)
+            stopped = registry_pid(store, lease.worker)
             os.kill(stopped, signal.SIGSTOP)
             sup.run_until_drained(timeout_s=240)
             job = client.status(job_id)
@@ -130,11 +146,7 @@ def test_hung_worker_lease_expires_and_peer_completes(tmp_path):
             assert np.array_equal(
                 client.result(job_id)["matrix"], result["matrix"]
             )
-        hung_shard = [s for s in final.shards if s.failures]
-        assert any(
-            f["kind"] == "lease_expired"
-            for s in hung_shard for f in s.failures
-        )
+        assert any(f["kind"] == "lease_expired" for f in final.failures)
     finally:
         if stopped is not None:  # don't leak a stopped process on fail
             os.kill(stopped, signal.SIGCONT)
@@ -145,7 +157,8 @@ def test_http_netlist_chaos_job_bit_identical(tmp_path):
     over HTTP to a subprocess-worker fleet whose worker is SIGKILLed
     mid-job still finishes with patterns bit-identical to the
     single-process flow on the same reconstructed design — and the
-    ``/events`` NDJSON stream arrives strictly in order."""
+    ``/events`` NDJSON stream arrives strictly in order.  The kill
+    comes once stage 0 is checkpointed, so the retry resumes from it."""
     import io
 
     from repro.netlist.verilog import parse_verilog, write_verilog
@@ -170,12 +183,13 @@ def test_http_netlist_chaos_job_bit_identical(tmp_path):
     with HttpServerThread(tenants, fleet=fleet) as srv:
         client = HttpServiceClient(srv.base_url, tenant="chaos")
         job_id = client.submit(
-            netlist_verilog=verilog, chaos={"kill_shard": 1}
+            netlist_verilog=verilog, chaos={"kill_stage": 1}
         )
         events = list(client.events(job_id, timeout_s=300))
         job = client.wait(job_id, timeout_s=300)
         assert job.state == JOB_DONE
         result = client.result(job_id)
+        report = client.report(job_id)
         metrics = client.metrics()
 
     # the stream was strictly in order and ended terminal
@@ -183,10 +197,12 @@ def test_http_netlist_chaos_job_bit_identical(tmp_path):
     assert events[-1]["terminal"] is True
     assert events[-1]["state"] == JOB_DONE
     assert any(e["state"] == "running" for e in events)
-    # the kill left its scar on exactly the shard it hit
-    scars = [f for s in job.shards for f in s.failures]
-    assert any(f["kind"] == "lease_expired" for f in scars)
-    assert job.shards[1].attempts >= 1
+    # the kill burned a lease, and the retry loaded stage 0 from the
+    # checkpoint the killed attempt left
+    assert job.attempts >= 1
+    assert any(f["kind"] == "lease_expired" for f in job.failures)
+    assert report.stages[0].from_checkpoint
+    assert any(e["attempts"] >= 1 for e in events)
     # bit-identical to the single-process flow on the same
     # netlist-reconstructed design and derived stage plan
     rebuilt = design_from_netlist(parse_verilog(io.StringIO(verilog)))
@@ -200,8 +216,8 @@ def test_http_netlist_chaos_job_bit_identical(tmp_path):
 
 
 def test_worker_killing_shard_is_quarantined_dead(tmp_path):
-    """A shard that SIGKILLs every worker that claims it burns its
-    attempt budget and the job ends ``dead`` — with the failure log on
+    """A job whose stage 1 SIGKILLs every worker that reaches it burns
+    its attempt budget and ends ``dead`` — with the failure log on
     disk — instead of respawn-retrying forever."""
     from repro.reporting import RunReport
 
@@ -209,15 +225,13 @@ def test_worker_killing_shard_is_quarantined_dead(tmp_path):
     client = ServiceClient(store)
     job_id = client.submit(
         JobSpec(scale="tiny",
-                chaos={"kill_shard": 1, "kill_attempts": 10 ** 9})
+                chaos={"kill_stage": 1, "kill_attempts": 10 ** 9})
     )
     with ServiceSupervisor(store, n_workers=1) as sup:
         sup.run_until_drained(timeout_s=240)
     job = client.status(job_id)
     assert job.state == JOB_DEAD
-    assert job.shards[0].state == "done"      # the healthy shard kept
-    assert job.shards[1].state == "dead"      # the poison one contained
-    assert job.shards[1].attempts == 2
+    assert job.attempts == 2
     assert "quarantined" in job.error
     # never claimable again
     assert store.claim("post-mortem") is None
@@ -226,3 +240,7 @@ def test_worker_killing_shard_is_quarantined_dead(tmp_path):
     assert report.status == "failed"
     assert len(report.failures) == 2
     assert all(f["kind"] == "lease_expired" for f in report.failures)
+    # the healthy stage the poison one follows is kept
+    assert report.completed_stages() == [
+        stage_key(0, STAGE_PLAN_TURBO_EAGLE[0])
+    ]

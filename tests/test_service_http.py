@@ -34,7 +34,7 @@ from repro.errors import (
     ServiceBusyError,
     ServiceError,
 )
-from repro.netlist.verilog import parse_verilog, write_verilog
+from repro.netlist.verilog import write_verilog
 from repro.service import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -48,7 +48,7 @@ from repro.service import (
     TenantManager,
     validate_tenant_name,
 )
-from repro.soc import build_turbo_eagle, derive_stage_plan, design_from_netlist
+from repro.soc import build_turbo_eagle
 
 from .test_service import FakeTime
 
@@ -391,7 +391,7 @@ class TestNetlistGate:
             client.submit(netlist_verilog=verilog)
         assert "placement metadata" in str(err.value)
 
-    def test_valid_netlist_is_accepted_with_derived_shards(self, server):
+    def test_valid_netlist_is_accepted(self, server):
         srv, _ = server
         design = build_turbo_eagle(scale="tiny", seed=2007)
         buf = io.StringIO()
@@ -399,11 +399,35 @@ class TestNetlistGate:
         client = HttpServiceClient(srv.base_url, tenant="t0")
         job_id = client.submit(netlist_verilog=buf.getvalue())
         job = client.status(job_id)
-        plan = derive_stage_plan(
-            design_from_netlist(parse_verilog(io.StringIO(buf.getvalue())))
-        )
-        assert len(job.shards) == len(plan)
-        assert job.shards[0].name.startswith("stage0_")
+        assert job.state == JOB_QUEUED
+        assert job.spec.netlist_verilog == buf.getvalue()
+
+
+# ----------------------------------------------------------------------
+# specs no worker could run are refused at submit, by both clients
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["store", "http"])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (JobSpec(scale="huge"), "unknown scale 'huge'"),
+        (JobSpec(max_patterns=0), "max_patterns must be at least 1"),
+        (JobSpec(max_patterns=-5), "max_patterns must be at least 1"),
+    ],
+    ids=["unknown-scale", "zero-patterns", "negative-patterns"],
+)
+def test_unrunnable_spec_is_rejected_at_submit(server, kind, spec, message):
+    srv, tenants = server
+    if kind == "http":
+        client = HttpServiceClient(srv.base_url, tenant="t0")
+    else:
+        client = ServiceClient(tenants.store("t0"))
+    with pytest.raises(ServiceError) as err:
+        client.submit(spec)
+    assert message in str(err.value)
+    if kind == "http":
+        assert "HTTP 400 (rejected)" in str(err.value)
+    assert client.jobs() == []
 
 
 # ----------------------------------------------------------------------
