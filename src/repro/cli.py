@@ -87,6 +87,19 @@ def _non_negative_int(raw: str) -> int:
     )
 
 
+def _positive_float(raw: str) -> float:
+    """An argparse ``type`` for durations that must be above 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = float("nan")
+    if 0 < value < float("inf"):
+        return value
+    raise argparse.ArgumentTypeError(
+        f"expected a positive number, got {raw!r}"
+    )
+
+
 def _workers_arg(raw: str):
     """``--workers`` value: a positive count or ``"auto"``."""
     if raw == "auto":
@@ -107,24 +120,14 @@ def _study(args) -> CaseStudy:
     )
 
 
-def _checkpointed_study(args):
-    """:func:`_study` for a ``--checkpoint`` command, or ``None`` after
-    a one-line error on stderr: a corrupt or uncreatable checkpoint
-    directory is an operator mistake, not a bug."""
+def cmd_casestudy(args) -> int:
     from .errors import CheckpointError
 
     try:
-        return _study(args)
+        hc = _study(args).headline_comparison()
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def cmd_casestudy(args) -> int:
-    study = _checkpointed_study(args)
-    if study is None:
         return 2
-    hc = study.headline_comparison()
     rows = [{"metric": k, "value": v} for k, v in hc.items()]
     print(format_table(rows, title="DAC'07 reproduction headline:"))
     return 0
@@ -656,12 +659,14 @@ def cmd_sta(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .errors import CheckpointError
     from .reporting import export_case_study
 
-    study = _checkpointed_study(args)
-    if study is None:
+    try:
+        written = export_case_study(_study(args), args.out)
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    written = export_case_study(study, args.out)
     print(f"wrote {len(written)} artefacts to {args.out}/")
     for path in written:
         print(f"  {path}")
@@ -1167,16 +1172,17 @@ def main(argv=None) -> int:
                         "(port 0 picks a free port); the store becomes "
                         "a multi-tenant data root with per-tenant "
                         "stores under <store>/tenants/")
-    p.add_argument("--workers", dest="workers_count", type=int, default=2,
-                   metavar="N",
+    p.add_argument("--workers", dest="workers_count",
+                   type=_non_negative_int, default=2, metavar="N",
                    help="worker processes to supervise; 0 runs jobs "
                         "in-process serially (default: 2)")
     p.add_argument("--drain", action="store_true",
                    help="exit once every job is terminal instead of "
                         "serving forever")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
+    p.add_argument("--timeout", type=_positive_float, default=None,
+                   metavar="S",
                    help="give up draining after S seconds (with --drain)")
-    p.add_argument("--poll", type=float, default=0.5, metavar="S",
+    p.add_argument("--poll", type=_positive_float, default=0.5, metavar="S",
                    help="supervision tick interval (default: 0.5)")
     p.add_argument("--no-inline", action="store_true",
                    help="never execute jobs in the supervisor process "

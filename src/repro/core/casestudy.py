@@ -8,6 +8,7 @@ number in EXPERIMENTS.md has a single authoritative source.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -22,11 +23,19 @@ from ..pgrid.statistical_ir import StatisticalIrRow, statistical_ir_analysis
 from ..power.calculator import ScapCalculator
 from ..reporting.checkpoint import CheckpointStore, config_fingerprint
 from ..soc.generator import build_turbo_eagle
-from .flow import ConventionalFlow, FlowResult, NoiseAwarePatternGenerator
+from .flow import (
+    ConventionalFlow,
+    FlowResult,
+    run_drc_gate,
+    run_noise_tolerant_flow,
+)
 from .irscale import IrScaledComparison, ir_scaled_endpoint_comparison
 from .scheduling import TestSchedule, schedule_flow
 from .thresholds import derive_scap_thresholds
 from .validation import ValidationReport, validate_pattern_set
+
+#: ATPG engine seed of both flows.
+ENGINE_SEED = 1
 
 
 class CaseStudy:
@@ -36,14 +45,9 @@ class CaseStudy:
         self,
         scale: str = "small",
         seed: int = 2007,
-        grid_nx: int = 24,
-        grid_ny: int = 24,
-        atpg_seed: int = 1,
         backtrack_limit: int = 100,
-        target_statistical_drop_v: float = 0.15,
         n_workers: Union[int, str, None] = 1,
         checkpoint_dir: Optional[str] = None,
-        drc: bool = True,
     ):
         """``n_workers`` fans fault simulation and SCAP grading out
         across a process pool (see :mod:`repro.perf`); results are
@@ -52,16 +56,19 @@ class CaseStudy:
         :func:`repro.perf.resilient.resolve_workers`, which sizes the
         pool to the cores this process may actually use.
 
-        ``checkpoint_dir`` makes the heavy stages durable: flows,
-        per-stage ATPG results and SCAP validations persist there (via
-        :class:`repro.reporting.CheckpointStore`), so a crashed or
-        interrupted reproduction resumes instead of recomputing.  The
-        store is fingerprinted with every constructor parameter that
-        changes results; pointing it at a directory from a different
-        configuration ignores the stale stages.
+        ``checkpoint_dir`` makes the heavy stages durable, so a crashed
+        or interrupted reproduction resumes instead of recomputing.
+        The staged flow is :func:`~repro.core.flow.run_noise_tolerant_flow`
+        and checkpoints each stage under ``<checkpoint_dir>/staged``;
+        the conventional flow and the SCAP validation chunks persist in
+        ``checkpoint_dir`` itself (via
+        :class:`repro.reporting.CheckpointStore`).  Both stores are
+        fingerprinted with what changes their results; pointing one at
+        a directory from a different configuration ignores the stale
+        stages with a warning.
 
-        ``drc`` gates every flow behind the static design-rule check:
-        the first :meth:`conventional`/:meth:`staged` call raises
+        Both flows first pass the static DRC gate
+        (:func:`~repro.core.flow.run_drc_gate`), which raises
         :class:`~repro.errors.DrcError` if the generated design has
         unwaived ERROR violations (it never should — the gate exists so
         modified generators and hand-edited netlists fail fast).
@@ -71,26 +78,15 @@ class CaseStudy:
         """
         self.design = build_turbo_eagle(scale, seed)
         self.domain = self.design.dominant_domain()
-        self.atpg_seed = atpg_seed
         self.backtrack_limit = backtrack_limit
         self.n_workers = n_workers
-        self.grid_nx = grid_nx
-        self.grid_ny = grid_ny
-        self.target_statistical_drop_v = target_statistical_drop_v
         self.checkpoint_dir = checkpoint_dir
         self._checkpoint: Optional[CheckpointStore] = None
         if checkpoint_dir is not None:
             fingerprint = config_fingerprint(
-                scale=scale,
-                seed=seed,
-                grid=(grid_nx, grid_ny),
-                atpg_seed=atpg_seed,
-                backtrack_limit=backtrack_limit,
-                target_statistical_drop_v=target_statistical_drop_v,
+                scale=scale, seed=seed, backtrack_limit=backtrack_limit
             )
             self._checkpoint = CheckpointStore(checkpoint_dir, fingerprint)
-        self.drc_enabled = drc
-        self._drc_gate_report = None
         self._model: Optional[GridModel] = None
         self._calculator: Optional[ScapCalculator] = None
         self._thresholds: Optional[Dict[str, float]] = None
@@ -98,43 +94,14 @@ class CaseStudy:
         self._validations: Dict[str, ValidationReport] = {}
 
     # ------------------------------------------------------------------
-    # static DRC
-    # ------------------------------------------------------------------
-    def _drc_gate(self) -> None:
-        """Run the flow gate once, lazily, before the first flow."""
-        if not self.drc_enabled or self._drc_gate_report is not None:
-            return
-        from .flow import run_drc_gate
-
-        self._drc_gate_report = run_drc_gate(self.design)
-
-    def drc_report(self, include_power: bool = True):
-        """The full DRC report for this design (all rule families).
-
-        With ``include_power`` the SCAP pre-screen runs against the
-        Case-2 thresholds, which calibrates the power grid on first use
-        (the expensive part — the flow gate itself never does this).
-        Returns a :class:`~repro.drc.DrcReport`.
-        """
-        from ..drc import DrcContext, run_drc
-
-        thresholds = self.thresholds_mw if include_power else None
-        return run_drc(
-            DrcContext.for_design(self.design, thresholds_mw=thresholds)
-        )
-
-    # ------------------------------------------------------------------
     # cached infrastructure
     # ------------------------------------------------------------------
     @property
     def model(self) -> GridModel:
+        """The calibrated power grid (the one the flow's timing stage
+        builds)."""
         if self._model is None:
-            self._model = GridModel.calibrated(
-                self.design,
-                target_worst_drop_v=self.target_statistical_drop_v,
-                nx=self.grid_nx,
-                ny=self.grid_ny,
-            )
+            self._model = GridModel.calibrated(self.design)
         return self._model
 
     @property
@@ -153,112 +120,75 @@ class CaseStudy:
     # ------------------------------------------------------------------
     # flows
     # ------------------------------------------------------------------
-    def _stage_key(self, kind: str, name: str, max_patterns=None) -> str:
-        key = f"{kind}_{name}"
-        if max_patterns is not None:
-            key += f"_max{max_patterns}"
-        return key
-
-    def conventional(self, max_patterns: Optional[int] = None) -> FlowResult:
+    def conventional(self) -> FlowResult:
         """The random-fill baseline flow (cached + checkpointed)."""
         if "conventional" not in self._flows:
-            self._drc_gate()
-            key = self._stage_key("flow", "conventional", max_patterns)
-            cached = (
-                self._checkpoint.try_load(key)
+            run_drc_gate(self.design)
+            result = (
+                self._checkpoint.try_load("flow_conventional")
                 if self._checkpoint is not None else None
             )
-            if cached is not None:
-                self._flows["conventional"] = cached
-            else:
+            if result is None:
                 flow = ConventionalFlow(
                     self.design,
                     self.domain,
-                    seed=self.atpg_seed,
+                    seed=ENGINE_SEED,
                     backtrack_limit=self.backtrack_limit,
                     n_workers=self.n_workers,
                 )
                 with current_telemetry().span(
                     "flow.run", flow="conventional"
                 ):
-                    result = flow.run(max_patterns=max_patterns)
+                    result = flow.run()
                 if self._checkpoint is not None:
                     self._checkpoint.save(
-                        key, result, meta={"patterns": result.n_patterns}
+                        "flow_conventional", result,
+                        meta={"patterns": result.n_patterns},
                     )
-                self._flows["conventional"] = result
+            self._flows["conventional"] = result
         return self._flows["conventional"]
 
-    def staged(self, max_patterns: Optional[int] = None) -> FlowResult:
-        """The paper's staged fill-0 noise-aware flow (cached +
-        checkpointed, both whole-flow and per stage)."""
+    def staged(self) -> FlowResult:
+        """The paper's staged fill-0 noise-aware flow: one
+        :func:`~repro.core.flow.run_noise_tolerant_flow` run (cached,
+        and checkpointed per stage under ``<checkpoint_dir>/staged``)."""
         if "staged" not in self._flows:
-            self._drc_gate()
-            key = self._stage_key("flow", "staged", max_patterns)
-            cached = (
-                self._checkpoint.try_load(key)
-                if self._checkpoint is not None else None
+            self._flows["staged"], _report = run_noise_tolerant_flow(
+                self.design,
+                self.domain,
+                checkpoint_dir=(
+                    os.path.join(self.checkpoint_dir, "staged")
+                    if self.checkpoint_dir is not None else None
+                ),
+                strict=True,
+                telemetry=current_telemetry(),
+                seed=ENGINE_SEED,
+                backtrack_limit=self.backtrack_limit,
+                n_workers=self.n_workers,
             )
-            if cached is not None:
-                self._flows["staged"] = cached
-            else:
-                flow = NoiseAwarePatternGenerator(
-                    self.design,
-                    self.domain,
-                    seed=self.atpg_seed,
-                    backtrack_limit=self.backtrack_limit,
-                    n_workers=self.n_workers,
-                )
-                # Stage-level checkpoints only for the unbounded flow:
-                # stage keys do not encode a pattern budget, and mixing
-                # budgets in one store would alias different results.
-                stage_checkpoint = (
-                    self._checkpoint if max_patterns is None else None
-                )
-                with current_telemetry().span(
-                    "flow.run", flow="noise_aware_staged"
-                ):
-                    result = flow.run(
-                        max_patterns=max_patterns,
-                        checkpoint=stage_checkpoint,
-                    )
-                if self._checkpoint is not None:
-                    self._checkpoint.save(
-                        key, result, meta={"patterns": result.n_patterns}
-                    )
-                self._flows["staged"] = result
         return self._flows["staged"]
 
+    def _flow(self, name: str) -> FlowResult:
+        """The ``"conventional"`` or ``"staged"`` flow by name."""
+        if name == "conventional":
+            return self.conventional()
+        if name == "staged":
+            return self.staged()
+        raise ConfigError(
+            f"unknown flow {name!r}: expected 'conventional' or 'staged'"
+        )
+
     def validation(self, flow_name: str) -> ValidationReport:
-        """SCAP screening of one flow's pattern set (cached +
+        """SCAP screening of one flow's pattern set (cached, and
         checkpointed per chunk of patterns)."""
         if flow_name not in self._validations:
-            flow = (
-                self.conventional()
-                if flow_name == "conventional"
-                else self.staged()
+            self._validations[flow_name] = validate_pattern_set(
+                self.calculator, self._flow(flow_name).pattern_set,
+                self.thresholds_mw,
+                n_workers=self.n_workers,
+                checkpoint=self._checkpoint,
+                checkpoint_key=f"validation_{flow_name}",
             )
-            key = self._stage_key("validation", flow_name)
-            cached = (
-                self._checkpoint.try_load(key)
-                if self._checkpoint is not None else None
-            )
-            if cached is not None:
-                self._validations[flow_name] = cached
-            else:
-                report = validate_pattern_set(
-                    self.calculator, flow.pattern_set,
-                    self.thresholds_mw,
-                    n_workers=self.n_workers,
-                    checkpoint=self._checkpoint,
-                    checkpoint_key=key,
-                )
-                if self._checkpoint is not None:
-                    self._checkpoint.save(
-                        key, report,
-                        meta={"violations": len(report.violations)},
-                    )
-                self._validations[flow_name] = report
         return self._validations[flow_name]
 
     # ------------------------------------------------------------------
@@ -441,13 +371,8 @@ class CaseStudy:
         :func:`~repro.core.scheduling.schedule_flow`).  Returns a
         validated :class:`~repro.core.scheduling.TestSchedule`.
         """
-        flow = (
-            self.conventional()
-            if flow_name == "conventional"
-            else self.staged()
-        )
         return schedule_flow(
-            self.design, self.domain, flow,
+            self.design, self.domain, self._flow(flow_name),
             budget_mw=power_budget_mw,
             strategy=strategy,
             tam_width=tam_width,

@@ -17,6 +17,8 @@ pattern-count increase (Figure 4).
 
 from __future__ import annotations
 
+import hashlib
+import io
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -28,6 +30,7 @@ from ..atpg.faults import TransitionFault, build_fault_universe, collapse_faults
 from ..atpg.fsim import FaultSimulator, first_detection_index
 from ..atpg.patterns import PatternSet
 from ..errors import ConfigError, DrcError, PowerGridError
+from ..netlist.verilog import write_verilog
 from ..obs import AnyTelemetry, current_telemetry, use_telemetry
 from ..perf.resilient import collect_reports
 from ..reporting.checkpoint import CheckpointStore, config_fingerprint
@@ -54,7 +57,7 @@ def stage_key(index: int, blocks: Sequence[str]) -> str:
 
 #: DRC families the flow gate runs: everything static and cheap.  The
 #: power family needs thresholds (grid calibration) and never gates —
-#: it is available via ``CaseStudy.drc_report()`` and ``repro drc``.
+#: it is available via ``repro drc --power``.
 DRC_GATE_FAMILIES: Tuple[str, ...] = ("structural", "scan", "clocking")
 
 
@@ -463,7 +466,6 @@ def run_noise_tolerant_flow(
     stop_after_stage: Optional[int] = None,
     strict: bool = False,
     report_path: Optional[str] = None,
-    drc: bool = True,
     drc_waivers=None,
     telemetry: Optional[AnyTelemetry] = None,
     schedule_budget_mw: Optional[float] = None,
@@ -477,11 +479,11 @@ def run_noise_tolerant_flow(
 
     This is the production entry point around
     :class:`NoiseAwarePatternGenerator`: the design first passes the
-    static DRC gate (see :func:`run_drc_gate`; disable with
-    ``drc=False``, excuse reviewed findings with *drc_waivers* — a
-    :class:`~repro.drc.WaiverSet` or waiver-file path), per-stage
-    results persist to *checkpoint_dir* (guarded by a fingerprint of
-    the design + flow configuration, so a stale directory is never
+    static DRC gate (see :func:`run_drc_gate`; excuse reviewed findings
+    with *drc_waivers* — a :class:`~repro.drc.WaiverSet` or waiver-file
+    path), per-stage results persist to *checkpoint_dir* (guarded by a
+    fingerprint of the design's content and every generator and engine
+    setting that changes patterns, so a stale directory is never
     resumed), a rerun skips completed stages, and an unrecoverable
     error returns a structured partial
     :class:`~repro.reporting.runreport.RunReport` instead of a bare
@@ -491,11 +493,13 @@ def run_noise_tolerant_flow(
     when the run failed before producing a usable pattern set; a
     deliberate *stop_after_stage* interruption returns the partial
     pattern set with ``report.status == "partial"``.  With
-    ``strict=True`` the underlying exception propagates after the
-    report is finalised (and written to *report_path*, if given).  A
-    DRC failure always raises :class:`~repro.errors.DrcError` (after
-    writing the report): generating patterns on a netlist that fails
-    its design rules would waste every downstream stage.
+    ``strict=True`` the underlying exception propagates.  A DRC
+    failure always raises :class:`~repro.errors.DrcError`: generating
+    patterns on a netlist that fails its design rules would waste
+    every downstream stage.  Every exit, raising or not, finalises the
+    report once and writes it to *report_path* (if given); an error no
+    stage records (an unreadable checkpoint directory, say) ends the
+    report ``failed`` with that error.
 
     *telemetry* is scoped over the run and its snapshot lands in
     ``report.telemetry``.  ``None`` runs on the null facade — no
@@ -531,157 +535,188 @@ def run_noise_tolerant_flow(
         report = RunReport(
             flow="noise_aware_staged", checkpoint_dir=checkpoint_dir
         )
-
-        def finalize() -> None:
-            report.telemetry = tel.snapshot()
-
-        with tel.span(
-            "flow.run", flow="noise_aware_staged", design=design.name
-        ):
-            tel.log.info(
-                "flow start: design=%s domain=%s", design.name,
-                generator.domain,
-            )
-            if drc:
+        # The exception a stage recorded on the report before raising
+        # it; anything else that escapes marks the run failed.
+        recorded: Optional[BaseException] = None
+        try:
+            with tel.span(
+                "flow.run", flow="noise_aware_staged", design=design.name
+            ):
+                tel.log.info(
+                    "flow start: design=%s domain=%s", design.name,
+                    generator.domain,
+                )
                 try:
                     run_drc_gate(
                         design, waivers=drc_waivers, run_report=report
                     )
-                except DrcError:
+                except DrcError as exc:
                     report.status = RUN_FAILED
                     report.error = "DrcError: unwaived ERROR violations"
-                    finalize()
-                    if report_path is not None:
-                        report.save(report_path)
+                    recorded = exc
                     raise
-            checkpoint = None
-            if checkpoint_dir is not None:
-                netlist = design.netlist
-                fingerprint = config_fingerprint(
-                    design=(
-                        netlist.name, netlist.n_nets, netlist.n_gates,
-                        netlist.n_flops,
-                    ),
-                    domain=generator.domain,
-                    stage_plan=tuple(generator.stage_plan),
-                    fill=generator.fill,
-                    isolate=generator.isolate_untargeted,
-                    power_critical=generator.power_critical_blocks,
-                    max_patterns=max_patterns,
-                    engine_seed=generator.engine.rng.bit_generator.state[
-                        "state"
-                    ],
-                )
-                checkpoint = CheckpointStore(checkpoint_dir, fingerprint)
-                if not resume:
-                    checkpoint.clear()
+                checkpoint = None
+                if checkpoint_dir is not None:
+                    checkpoint = CheckpointStore(
+                        checkpoint_dir,
+                        _checkpoint_fingerprint(
+                            design, generator, max_patterns
+                        ),
+                    )
+                    if not resume:
+                        checkpoint.clear()
 
-            flow_result: Optional[FlowResult] = None
-            try:
-                flow_result = generator.run(
-                    max_patterns=max_patterns,
-                    checkpoint=checkpoint,
-                    run_report=report,
-                    stop_after_stage=stop_after_stage,
-                )
-                if report.status != RUN_PARTIAL:
-                    report.status = RUN_COMPLETED
-            except Exception as exc:
-                report.status = (
-                    RUN_PARTIAL if report.completed_stages() else RUN_FAILED
-                )
-                report.error = repr(exc)
-                tel.log.error("flow %s: %r", report.status, exc)
-                finalize()
-                if report_path is not None:
-                    report.save(report_path)
-                if strict:
-                    raise
-                return None, report
-
-            if schedule_budget_mw is not None:
-                stage_started = time.perf_counter()
                 try:
-                    schedule = schedule_flow(
-                        design, generator.domain, flow_result,
-                        budget_mw=schedule_budget_mw,
-                        strategy=schedule_strategy,
-                        tam_width=schedule_tam_width,
+                    flow_result = generator.run(
+                        max_patterns=max_patterns,
+                        checkpoint=checkpoint,
+                        run_report=report,
+                        stop_after_stage=stop_after_stage,
                     )
-                except ConfigError as exc:
-                    report.schedule = {
-                        "error": str(exc),
-                        "strategy": schedule_strategy,
-                        "power_budget_mw": schedule_budget_mw,
-                    }
-                    report.record_stage(
-                        "schedule", "failed", detail={"error": repr(exc)}
+                    if report.status != RUN_PARTIAL:
+                        report.status = RUN_COMPLETED
+                except Exception as exc:
+                    report.status = (
+                        RUN_PARTIAL if report.completed_stages()
+                        else RUN_FAILED
                     )
-                    report.status = RUN_PARTIAL
-                    tel.log.error("schedule stage failed: %s", exc)
+                    report.error = repr(exc)
+                    tel.log.error("flow %s: %r", report.status, exc)
                     if strict:
-                        finalize()
-                        if report_path is not None:
-                            report.save(report_path)
+                        recorded = exc
                         raise
-                else:
-                    report.schedule = schedule.summary()
-                    report.record_stage(
-                        "schedule", "completed",
-                        detail={
-                            "strategy": schedule.strategy,
-                            "makespan_us": schedule.makespan_us,
-                            "elapsed_s": round(
-                                time.perf_counter() - stage_started, 6
-                            ),
-                        },
-                    )
+                    return None, report
 
-            if timing_prescreen:
-                stage_started = time.perf_counter()
-                try:
-                    with tel.span("flow.timing", domain=generator.domain):
-                        timing = _timing_from_flow(
+                if schedule_budget_mw is not None:
+                    stage_started = time.perf_counter()
+                    try:
+                        schedule = schedule_flow(
                             design, generator.domain, flow_result,
-                            max_patterns=timing_max_patterns,
+                            budget_mw=schedule_budget_mw,
+                            strategy=schedule_strategy,
+                            tam_width=schedule_tam_width,
                         )
-                except (ConfigError, PowerGridError) as exc:
-                    report.timing = {"error": str(exc)}
-                    report.record_stage(
-                        "timing", "failed", detail={"error": repr(exc)}
-                    )
-                    report.status = RUN_PARTIAL
-                    tel.log.error("timing stage failed: %s", exc)
-                    if strict:
-                        finalize()
-                        if report_path is not None:
-                            report.save(report_path)
-                        raise
-                else:
-                    report.timing = timing.to_dict()
-                    report.record_stage(
-                        "timing", "completed",
-                        detail={
-                            "patterns": timing.n_patterns,
-                            "pruned_endpoint_fraction": round(
-                                timing.pruned_endpoint_fraction, 6
-                            ),
-                            "at_risk": timing.endpoint_counts["at_risk"],
-                            "soundness_violations":
-                                timing.soundness_violations,
-                            "elapsed_s": round(
-                                time.perf_counter() - stage_started, 6
-                            ),
-                        },
-                    )
-        tel.log.info(
-            "flow %s: %d pattern(s)", report.status,
-            flow_result.n_patterns if flow_result is not None else 0,
-        )
-        finalize()
-        if report_path is not None:
-            report.save(report_path)
-        return flow_result, report
+                    except ConfigError as exc:
+                        report.schedule = {
+                            "error": str(exc),
+                            "strategy": schedule_strategy,
+                            "power_budget_mw": schedule_budget_mw,
+                        }
+                        report.record_stage(
+                            "schedule", "failed", detail={"error": repr(exc)}
+                        )
+                        report.status = RUN_PARTIAL
+                        tel.log.error("schedule stage failed: %s", exc)
+                        if strict:
+                            recorded = exc
+                            raise
+                    else:
+                        report.schedule = schedule.summary()
+                        report.record_stage(
+                            "schedule", "completed",
+                            detail={
+                                "strategy": schedule.strategy,
+                                "makespan_us": schedule.makespan_us,
+                                "elapsed_s": round(
+                                    time.perf_counter() - stage_started, 6
+                                ),
+                            },
+                        )
+
+                if timing_prescreen:
+                    stage_started = time.perf_counter()
+                    try:
+                        with tel.span(
+                            "flow.timing", domain=generator.domain
+                        ):
+                            timing = _timing_from_flow(
+                                design, generator.domain, flow_result,
+                                max_patterns=timing_max_patterns,
+                            )
+                    except (ConfigError, PowerGridError) as exc:
+                        report.timing = {"error": str(exc)}
+                        report.record_stage(
+                            "timing", "failed", detail={"error": repr(exc)}
+                        )
+                        report.status = RUN_PARTIAL
+                        tel.log.error("timing stage failed: %s", exc)
+                        if strict:
+                            recorded = exc
+                            raise
+                    else:
+                        report.timing = timing.to_dict()
+                        report.record_stage(
+                            "timing", "completed",
+                            detail={
+                                "patterns": timing.n_patterns,
+                                "pruned_endpoint_fraction": round(
+                                    timing.pruned_endpoint_fraction, 6
+                                ),
+                                "at_risk": timing.endpoint_counts["at_risk"],
+                                "soundness_violations":
+                                    timing.soundness_violations,
+                                "elapsed_s": round(
+                                    time.perf_counter() - stage_started, 6
+                                ),
+                            },
+                        )
+            tel.log.info(
+                "flow %s: %d pattern(s)", report.status,
+                flow_result.n_patterns,
+            )
+            return flow_result, report
+        except BaseException as exc:  # a KeyboardInterrupt included
+            if exc is not recorded:
+                report.status = RUN_FAILED
+                report.error = repr(exc)
+            raise
+        finally:
+            report.telemetry = tel.snapshot()
+            if report_path is not None:
+                report.save(report_path)
+
+
+def _checkpoint_fingerprint(
+    design: SocDesign,
+    generator: NoiseAwarePatternGenerator,
+    max_patterns: Optional[int],
+) -> str:
+    """Digest of everything that changes the staged flow's patterns.
+
+    The design enters as a SHA-256 of its structural Verilog (cells,
+    wiring, blocks, placement and scan chains), so two designs that
+    merely share a name and size never share a checkpoint.  Engine
+    settings are read from the built engine, never from a ``repr`` of
+    keyword arguments (a delay model's ``repr`` holds its memory
+    address).  ``n_workers`` is left out: it does not change results.
+    """
+    verilog = io.StringIO()
+    write_verilog(design.netlist, verilog)
+    engine = generator.engine
+    arrival = engine.state.arrival
+    return config_fingerprint(
+        design=hashlib.sha256(verilog.getvalue().encode()).hexdigest(),
+        domain=generator.domain,
+        stage_plan=tuple(generator.stage_plan),
+        fill=generator.fill,
+        isolate=generator.isolate_untargeted,
+        power_critical=generator.power_critical_blocks,
+        max_patterns=max_patterns,
+        engine=(
+            engine.protocol,
+            engine.backtrack_limit,
+            engine.merge_backtrack_limit,
+            engine.merge_fail_limit,
+            engine.max_merge_per_pattern,
+            engine.max_targets_per_block,
+            engine.batch_size,
+        ),
+        arrivals=(
+            None if arrival is None
+            else hashlib.sha256(np.asarray(arrival).tobytes()).hexdigest()
+        ),
+        engine_seed=engine.rng.bit_generator.state["state"],
+    )
 
 
 def _timing_from_flow(

@@ -21,6 +21,10 @@ from ..power.calculator import ScapCalculator
 from ..power.scap import PatternPowerProfile
 from ..reporting.checkpoint import CheckpointStore
 
+#: Patterns per durable chunk of a checkpointed screening: four
+#: 64-pattern grading lanes.
+CHECKPOINT_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class ScapViolation:
@@ -86,7 +90,6 @@ def validate_pattern_set(
     n_workers: Union[int, str, None] = 1,
     checkpoint: Optional[CheckpointStore] = None,
     checkpoint_key: str = "validation",
-    checkpoint_chunk: int = 256,
 ) -> ValidationReport:
     """Profile every pattern and screen against per-block thresholds.
 
@@ -98,7 +101,7 @@ def validate_pattern_set(
     :func:`repro.perf.resilient.resolve_workers`.
 
     With a *checkpoint* store the pattern set is graded in chunks of
-    *checkpoint_chunk* patterns and every finished chunk persists its
+    :data:`CHECKPOINT_CHUNK` patterns and every finished chunk persists its
     SCAP profiles; an interrupted screening rerun over the same store
     resumes at the first unfinished chunk.  Chunk keys embed a digest
     of the chunk's launch states plus the calculator's checkpoint
@@ -111,7 +114,7 @@ def validate_pattern_set(
         if checkpoint is not None:
             profiles = _profile_with_checkpoint(
                 calculator, pattern_set, n_workers,
-                checkpoint, checkpoint_key, checkpoint_chunk,
+                checkpoint, checkpoint_key,
             )
         else:
             profiles = calculator.profile_patterns(
@@ -143,19 +146,17 @@ def _profile_with_checkpoint(
     n_workers: Union[int, str, None],
     checkpoint: CheckpointStore,
     key_prefix: str,
-    chunk: int,
 ) -> List[PatternPowerProfile]:
     """Chunked profiling with per-chunk durable results.
 
-    Chunk size is kept a multiple of the grading lane width upstream
-    (the default 256 = 4 lanes), and profiles are re-stamped with their
-    global pattern indices, so the output is identical to one
-    uninterrupted :meth:`profile_patterns` call.
+    Profiles are re-stamped with their global pattern indices, so the
+    output is identical to one uninterrupted :meth:`profile_patterns`
+    call.
     """
     indices, matrix = pattern_rows(
         pattern_set, calculator.design.netlist.n_flops
     )
-    chunk = max(1, int(chunk))
+    chunk = CHECKPOINT_CHUNK
     profiles: List[PatternPowerProfile] = []
     for start in range(0, matrix.shape[0], chunk):
         stop = min(start + chunk, matrix.shape[0])

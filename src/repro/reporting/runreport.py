@@ -57,8 +57,8 @@ class RunReport:
     #: Repr of the exception that ended a partial/failed run.
     error: Optional[str] = None
     #: Summary of the pre-flow static DRC gate (see
-    #: :meth:`repro.drc.DrcReport.summary`); None when the gate was
-    #: skipped.
+    #: :meth:`repro.drc.DrcReport.summary`); None when the run ended
+    #: before the gate finished (an unloadable waiver file, say).
     drc: Optional[Dict[str, Any]] = None
     #: Telemetry digest (run id, metric snapshot, trace-event count,
     #: profiler hotspots) from :meth:`repro.obs.Telemetry.snapshot`;

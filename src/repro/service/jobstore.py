@@ -153,6 +153,24 @@ class ServiceConfig:
     #: with their settings.
     max_shard_attempts: int = 3
 
+    def __post_init__(self) -> None:
+        """A queue of depth 0, a lease that expires at once or a zero
+        attempt budget would leave the store unable to run any job."""
+        if self.max_queue_depth < 1:
+            raise ServiceError(
+                f"max_queue_depth must be at least 1, got "
+                f"{self.max_queue_depth}"
+            )
+        if not self.lease_ttl_s > 0:
+            raise ServiceError(
+                f"lease_ttl_s must be above 0, got {self.lease_ttl_s}"
+            )
+        if self.max_shard_attempts < 1:
+            raise ServiceError(
+                f"max_shard_attempts must be at least 1, got "
+                f"{self.max_shard_attempts}"
+            )
+
     @property
     def heartbeat_s(self) -> float:
         """Renewal interval: a third of the TTL, so one missed beat is
@@ -377,7 +395,9 @@ class JobStore:
             return ServiceConfig.from_dict(data)
         except FileNotFoundError:
             return None
-        except (OSError, TypeError, ValueError) as exc:  # incl. JSON, UTF-8
+        # JSON and UTF-8 errors are ValueErrors; ServiceError is a value
+        # ServiceConfig rejects.
+        except (OSError, TypeError, ValueError, ServiceError) as exc:
             raise ServiceError(
                 f"unreadable job store config {self._config_path!r}: {exc}"
             ) from exc

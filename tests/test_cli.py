@@ -161,6 +161,9 @@ class TestCli:
             (["serve", "st", "--http", "127.0.0.1:0", "--drain"],
              {"st/tenants/bad/config.json": "{not json"},
              "unreadable job store"),
+            (["serve", "st", "--drain"],
+             {"st/config.json": '{"max_queue_depth": 0}'},
+             "max_queue_depth must be at least 1, got 0"),
         ],
         ids=[
             "drc-netlist-missing", "drc-netlist-empty",
@@ -183,6 +186,7 @@ class TestCli:
             "obs-report-metrics-not-object", "obs-report-metric-not-object",
             "obs-report-elapsed-not-number", "serve-http-root-is-file",
             "serve-http-tenants-is-file", "serve-http-corrupt-tenant",
+            "serve-config-queue-depth-0",
         ],
     )
     def test_bad_input_file_is_one_line_error(
@@ -212,6 +216,49 @@ class TestCli:
         after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
         assert after == before
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--poll", "-1"],
+             "argument --poll: expected a positive number, got '-1'"),
+            (["--poll", "0"],
+             "argument --poll: expected a positive number, got '0'"),
+            (["--timeout", "0"],
+             "argument --timeout: expected a positive number, got '0'"),
+            (["--workers", "-1"],
+             "argument --workers: expected a non-negative integer, "
+             "got '-1'"),
+            (["--queue-depth", "0"],
+             "max_queue_depth must be at least 1, got 0"),
+            (["--max-attempts", "0"],
+             "max_shard_attempts must be at least 1, got 0"),
+            (["--lease-ttl", "0"], "lease_ttl_s must be above 0, got 0.0"),
+            (["--http", "127.0.0.1:0", "--queue-depth", "0"],
+             "max_queue_depth must be at least 1, got 0"),
+        ],
+        ids=[
+            "poll-negative", "poll-zero", "timeout-zero", "workers-negative",
+            "queue-depth-0", "max-attempts-0", "lease-ttl-0",
+            "http-queue-depth-0",
+        ],
+    )
+    def test_bad_serve_setting_is_one_line_error(
+        self, tmp_path, capsys, argv, message
+    ):
+        """A setting that would break the store or crash the server is
+        rejected before any store is created."""
+        store = tmp_path / "st"
+        try:
+            code = main(["serve", str(store), "--drain", *argv])
+        except SystemExit as exc:  # argparse rejected the value
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0], err
+        assert not store.exists()
+
     def test_serve_http_port_in_use_is_one_line_error(self, tmp_path, capsys):
         import socket
 
@@ -228,22 +275,37 @@ class TestCli:
         assert len(lines) == 1, captured.err
         assert lines[0].startswith("error: ") and "in use" in lines[0]
 
-    @pytest.mark.parametrize("command", ["flow", "casestudy", "export"])
     @pytest.mark.parametrize(
-        "files, message",
+        "command, files, message",
         [
-            ({"ck/manifest.json": "garbage"}, "unreadable checkpoint manifest"),
-            ({"ck/manifest.json": "[1, 2]"}, "not a JSON object"),
-            ({"ck": ""}, "cannot create checkpoint directory"),
+            pytest.param(
+                command, files, message, id=f"{case}-{command}"
+            )
+            for case, files, message in [
+                ("corrupt-manifest", {"ck/manifest.json": "garbage"},
+                 "unreadable checkpoint manifest"),
+                ("manifest-not-object", {"ck/manifest.json": "[1, 2]"},
+                 "not a JSON object"),
+                ("path-is-file", {"ck": ""},
+                 "cannot create checkpoint directory"),
+                # The case study's staged flow keeps its stages in
+                # ck/staged and opens that store on first use.
+                ("corrupt-staged-manifest",
+                 {"ck/staged/manifest.json": "garbage"},
+                 "unreadable checkpoint manifest"),
+            ]
+            for command in ["flow", "casestudy", "export"]
+            if command != "flow" or case != "corrupt-staged-manifest"
         ],
-        ids=["corrupt-manifest", "manifest-not-object", "path-is-file"],
     )
     def test_bad_checkpoint_dir_is_one_line_error(
         self, tmp_path, capsys, monkeypatch, command, files, message
     ):
         """These commands build the design before they open the store
         (its fingerprint covers the design), so they are kept apart
-        from the build-free cases above."""
+        from the build-free cases above.  A bad store is left as it
+        was; only the lazily opened staged store lets the case study's
+        earlier work land next to it."""
         monkeypatch.chdir(tmp_path)
         for name, content in files.items():
             path = tmp_path / name
@@ -256,8 +318,11 @@ class TestCli:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1, captured.err
         assert lines[0].startswith("error: ") and message in lines[0]
+        for name, content in files.items():
+            assert (tmp_path / name).read_text() == content
         after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
-        assert after == before
+        if "ck/staged/manifest.json" not in files:
+            assert after == before
 
     @pytest.mark.parametrize("index", ["3", "100000"])
     def test_irmap_pattern_out_of_range_names_the_count(
@@ -448,6 +513,26 @@ class TestFlowCli:
             f"{kind} integer, got {value!r}"
         ]
         assert not (tmp_path / "store").exists()
+
+    def test_checkpoint_of_another_design_is_not_resumed(
+        self, tmp_path, capsys
+    ):
+        """Tiny designs of seeds 11 and 97 share name and size; the
+        fingerprint covers the netlist's content, so the second run
+        warns, resumes nothing and equals a fresh run."""
+        ck = str(tmp_path / "ck")
+        common = ["--scale", "tiny", "--max-patterns", "30"]
+        assert main(["flow", "--seed", "11", "--checkpoint", ck, *common]) == 0
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning, match="different run configuration"):
+            assert main(
+                ["flow", "--seed", "97", "--checkpoint", ck, *common]
+            ) == 0
+        reused = capsys.readouterr().out
+        assert "(from checkpoint)" not in reused
+        assert main(["flow", "--seed", "97", *common]) == 0
+        fresh = capsys.readouterr().out
+        assert reused.splitlines()[-1] == fresh.splitlines()[-1]
 
     def test_stop_after_zero_is_accepted(self, tmp_path, capsys):
         report = tmp_path / "partial.json"

@@ -120,6 +120,14 @@ class TestValidation:
         report = study.validation("conventional")
         assert len(report.scap_series("B5")) == report.n_patterns
 
+    def test_unknown_flow_name_rejected(self, study):
+        with pytest.raises(ConfigError, match="'bogus'"):
+            study.validation("bogus")
+
+    def test_unknown_schedule_flow_rejected(self, study):
+        with pytest.raises(ConfigError, match="'bogus'"):
+            study.schedule(flow_name="bogus")
+
 
 class TestCaseStudyTables:
     def test_table1(self, study):

@@ -12,6 +12,7 @@ serial run.
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -19,12 +20,20 @@ import pytest
 
 from repro import CaseStudy
 from repro.core.flow import NoiseAwarePatternGenerator, run_noise_tolerant_flow
+from repro.obs import Telemetry, use_telemetry
 from repro.perf import chaos
 from repro.perf.resilient import collect_reports
 from repro.power.calculator import ScapCalculator
 from repro.soc import build_turbo_eagle
 
 SEEDS = (11, 97, 2024)
+
+
+def _counter(tel, name):
+    """The unlabelled value of counter *name* (0 when never counted)."""
+    return tel.metrics.snapshot().get(name, {"series": {}})["series"].get(
+        "", 0
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -256,23 +265,42 @@ class TestCheckpointResume:
             )
 
     def test_casestudy_checkpoint_roundtrip(self, tmp_path):
-        ckdir = str(tmp_path / "cs")
+        """A second study resumes the staged flow's three stages from
+        ``<dir>/staged`` and its validation chunk from the study's own
+        store, which holds no whole-flow or whole-report copy."""
+        ckdir = tmp_path / "cs"
         first = CaseStudy(
-            scale="tiny", seed=11, backtrack_limit=60, checkpoint_dir=ckdir
+            scale="tiny", seed=11, backtrack_limit=60,
+            checkpoint_dir=str(ckdir),
         )
         staged1 = first.staged()
         val1 = first.validation("staged")
-        assert first._checkpoint.saves >= 2
 
         second = CaseStudy(
-            scale="tiny", seed=11, backtrack_limit=60, checkpoint_dir=ckdir
+            scale="tiny", seed=11, backtrack_limit=60,
+            checkpoint_dir=str(ckdir),
         )
-        staged2 = second.staged()
-        val2 = second.validation("staged")
-        assert second._checkpoint.loads >= 1  # reran nothing from scratch
+        tel = Telemetry(tracing=False)
+        with use_telemetry(tel):
+            staged2 = second.staged()
+            val2 = second.validation("staged")
+        assert _counter(tel, "flow.stages_resumed") == 3
+        assert _counter(tel, "flow.checkpoint_resumes") == 1  # one chunk
+        assert second._checkpoint.saves == 0
+        assert [
+            key.split("_rows")[0] for key in second._checkpoint.keys()
+        ] == ["validation_staged"]
+        staged_manifest = json.loads(
+            (ckdir / "staged" / "manifest.json").read_text()
+        )
+        assert sorted(staged_manifest["stages"]) == [
+            "stage0_B1+B2+B3+B4", "stage1_B6", "stage2_B5",
+        ]
         assert np.array_equal(
             staged1.pattern_set.as_matrix(), staged2.pattern_set.as_matrix()
         )
+        assert staged1.step_boundaries == staged2.step_boundaries
+        assert staged1.cross_detected == staged2.cross_detected
         assert val1.profiles == val2.profiles
         assert val1.violations == val2.violations
 
@@ -281,13 +309,152 @@ class TestCheckpointResume:
         CaseStudy(
             scale="tiny", seed=11, backtrack_limit=60, checkpoint_dir=ckdir
         ).staged()
-        # Same directory, different configuration: the fingerprint
-        # mismatch must discard the store, never serve stale results.
-        with warnings.catch_warnings(record=True) as caught:
+        # Same directory, another design of the same name and size: the
+        # staged flow's fingerprint must discard its stages, never serve
+        # the seed-11 patterns.
+        tel = Telemetry(tracing=False)
+        with warnings.catch_warnings(record=True) as caught, \
+                use_telemetry(tel):
             warnings.simplefilter("always")
             other = CaseStudy(
                 scale="tiny", seed=97, backtrack_limit=60,
                 checkpoint_dir=ckdir,
             )
-        assert any("checkpoint" in str(w.message) for w in caught)
-        assert not other._checkpoint.keys()
+            staged = other.staged()
+        assert any(
+            "different run configuration" in str(w.message)
+            and "staged" in str(w.message)
+            for w in caught
+        )
+        assert _counter(tel, "flow.stages_resumed") == 0
+        fresh = CaseStudy(scale="tiny", seed=97, backtrack_limit=60).staged()
+        assert np.array_equal(
+            staged.pattern_set.as_matrix(), fresh.pattern_set.as_matrix()
+        )
+        assert staged.step_boundaries == fresh.step_boundaries
+
+    def test_flow_checkpoint_of_other_engine_settings_is_not_resumed(
+        self, tiny_design, tmp_path
+    ):
+        """The fingerprint covers the engine's settings, not only its
+        seed: a directory written with one backtrack limit is not
+        resumed under another."""
+        ckdir = str(tmp_path / "ck")
+        run_noise_tolerant_flow(
+            tiny_design, checkpoint_dir=ckdir, seed=1, backtrack_limit=60
+        )
+        with pytest.warns(RuntimeWarning, match="different run configuration"):
+            result, report = run_noise_tolerant_flow(
+                tiny_design, checkpoint_dir=ckdir, seed=1, backtrack_limit=0
+            )
+        assert report.resumed_stages() == []
+        fresh, _ = run_noise_tolerant_flow(
+            tiny_design, seed=1, backtrack_limit=0
+        )
+        assert np.array_equal(
+            result.pattern_set.as_matrix(), fresh.pattern_set.as_matrix()
+        )
+        assert result.test_coverage == fresh.test_coverage
+
+    def test_interrupted_validation_resumes_from_its_chunks(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core import validation
+
+        monkeypatch.setattr(validation, "CHECKPOINT_CHUNK", 64)
+        reference = CaseStudy(
+            scale="tiny", seed=11, backtrack_limit=60
+        ).validation("staged")
+        assert reference.n_patterns > 64  # two chunks
+
+        ckdir = str(tmp_path / "cs")
+        first = CaseStudy(
+            scale="tiny", seed=11, backtrack_limit=60, checkpoint_dir=ckdir
+        )
+        first.staged()
+        real = ScapCalculator.profile_patterns
+        calls = []
+
+        def interrupted(self, patterns, *args, **kwargs):
+            calls.append(len(patterns))
+            if len(calls) == 2:
+                raise RuntimeError("interrupted in the second chunk")
+            return real(self, patterns, *args, **kwargs)
+
+        monkeypatch.setattr(ScapCalculator, "profile_patterns", interrupted)
+        with pytest.raises(RuntimeError, match="second chunk"):
+            first.validation("staged")
+        monkeypatch.setattr(ScapCalculator, "profile_patterns", real)
+
+        second = CaseStudy(
+            scale="tiny", seed=11, backtrack_limit=60, checkpoint_dir=ckdir
+        )
+        tel = Telemetry(tracing=False)
+        with use_telemetry(tel):
+            resumed = second.validation("staged")
+        assert _counter(tel, "flow.checkpoint_resumes") == 1  # chunk 0
+        assert resumed.profiles == reference.profiles
+        assert resumed.violations == reference.violations
+
+
+class TestRunReportExits:
+    """Every exit of the flow writes its report once, to *report_path*."""
+
+    def test_unopenable_checkpoint_writes_failed_report(
+        self, tiny_design, tmp_path
+    ):
+        from repro.errors import CheckpointError
+        from repro.reporting import RUN_FAILED, RunReport
+
+        not_a_dir = tmp_path / "ck"
+        not_a_dir.write_text("")
+        report_path = str(tmp_path / "run.json")
+        with pytest.raises(CheckpointError):
+            run_noise_tolerant_flow(
+                tiny_design, checkpoint_dir=str(not_a_dir),
+                report_path=report_path, max_patterns=4,
+            )
+        report = RunReport.load(report_path)
+        assert report.status == RUN_FAILED
+        assert "cannot create checkpoint directory" in report.error
+        assert report.drc is not None and report.stages == []
+
+    @pytest.mark.parametrize("stage", ["schedule", "timing"])
+    def test_unexpected_stage_error_writes_failed_report(
+        self, tiny_design, tmp_path, monkeypatch, stage
+    ):
+        import repro.core.flow as flow_module
+        from repro.reporting import RUN_FAILED, RunReport
+
+        def broken(*args, **kwargs):
+            raise KeyError(f"{stage} bug")
+
+        target = "schedule_flow" if stage == "schedule" else "_timing_from_flow"
+        monkeypatch.setattr(flow_module, target, broken)
+        report_path = str(tmp_path / "run.json")
+        with pytest.raises(KeyError, match=f"{stage} bug"):
+            run_noise_tolerant_flow(
+                tiny_design, max_patterns=4, report_path=report_path,
+                schedule_budget_mw=1e6, timing_prescreen=True,
+            )
+        report = RunReport.load(report_path)
+        assert report.status == RUN_FAILED
+        assert f"{stage} bug" in report.error
+        assert report.completed_stages()  # generation finished
+
+    def test_strict_stage_failure_stays_partial(self, tiny_design, tmp_path):
+        from repro.errors import ConfigError
+        from repro.reporting import RUN_PARTIAL, RunReport
+
+        report_path = str(tmp_path / "run.json")
+        with pytest.raises(ConfigError):
+            run_noise_tolerant_flow(
+                tiny_design, max_patterns=4, report_path=report_path,
+                schedule_budget_mw=0.001, strict=True,
+            )
+        report = RunReport.load(report_path)
+        assert report.status == RUN_PARTIAL
+        assert report.error is None
+        assert "error" in report.schedule
+        assert report.stages[-1].name == "schedule"
+        assert report.stages[-1].status == "failed"
