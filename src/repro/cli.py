@@ -21,25 +21,44 @@ Commands
 ``jobs``        list a store's jobs, their states and attempts,
 ``obs``         inspect telemetry artifacts (traces, reports).
 
-Every command accepts ``--scale`` (tiny/small/bench/full), ``--seed``
-and ``--log-level``.  ``flow`` adds the observability flags
-(``--trace``, ``--chrome``, ``--metrics``, ``--metrics-json``,
-``--profile``) that scope a :class:`repro.obs.Telemetry` over the run;
-``repro obs summary|chrome|check trace.jsonl`` works with the traces
-they write, and ``repro obs report run.json`` digests a saved
+Every command accepts ``--log-level``; the commands that build a
+design also accept ``--scale`` (tiny/small/bench/full), ``--seed`` and
+``--workers``.  ``flow`` adds the observability flags (``--trace``,
+``--chrome``, ``--metrics``, ``--metrics-json``, ``--profile``) that
+scope a :class:`repro.obs.Telemetry` over the run; ``repro obs
+summary|chrome|check trace.jsonl`` works with the traces they write,
+and ``repro obs report run.json`` digests a saved
 :class:`~repro.reporting.RunReport`.
+
+Errors have one boundary, :func:`main`: a
+:class:`~repro.errors.ReproError` or :class:`OSError` raised by a
+command is one ``error: <message>`` line on stderr and exit 2, with the
+traceback in the debug log.  Paths a command writes, ``--http`` and
+``--derate`` are checked while the arguments are parsed, so a bad
+value fails before any design is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 
 from . import CaseStudy
 from .drc import FAIL_ON_CHOICES
+from .errors import (
+    ConfigError,
+    LibraryError,
+    NetlistError,
+    ReproError,
+    ScanError,
+    ServiceError,
+)
 from .obs import LOG_LEVELS, setup_logging
 from .reporting import format_table
+
+_log = logging.getLogger(__name__)
 
 
 def package_version() -> str:
@@ -52,21 +71,6 @@ def package_version() -> str:
         from . import __version__
 
         return __version__
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", default="tiny",
-                        choices=["tiny", "small", "bench", "full"])
-    parser.add_argument("--seed", type=int, default=2007)
-    parser.add_argument("--log-level", default="warning",
-                        choices=list(LOG_LEVELS),
-                        help="stdlib logging level for the repro tree "
-                             "(default: warning)")
-    parser.add_argument("--workers", type=_workers_arg, default=1,
-                        metavar="N|auto",
-                        help="worker processes for grading pools: a "
-                             "count, or 'auto' to size from the work "
-                             "and usable cores (default: 1)")
 
 
 def _positive_int(raw: str) -> int:
@@ -112,6 +116,64 @@ def _workers_arg(raw: str):
         ) from None
 
 
+def _derate(raw: str) -> float:
+    """``sta --derate``: a factor of at least 1.0."""
+    value = _positive_float(raw)
+    if value >= 1.0:
+        return value
+    raise argparse.ArgumentTypeError(
+        f"expected a factor >= 1.0 (droop only slows cells), got {raw!r}"
+    )
+
+
+def _http_address(raw: str) -> tuple:
+    """``serve --http``: ``HOST:PORT`` as ``(host, port)``; the host
+    defaults to 127.0.0.1 and port 0 picks a free port."""
+    host, _, port = raw.rpartition(":")
+    if port.isdecimal() and int(port) < 65536:
+        return host or "127.0.0.1", int(port)
+    raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {raw!r}")
+
+
+def _output_path(raw: str) -> str:
+    """An argparse ``type`` for a file or directory a command writes:
+    its parent directory must exist, so a bad path fails before the
+    work instead of after it."""
+    parent = os.path.dirname(os.path.abspath(raw))
+    if os.path.isdir(parent):
+        return raw
+    problem = (
+        "not a directory" if os.path.exists(parent)
+        else "directory does not exist"
+    )
+    raise argparse.ArgumentTypeError(f"{problem}: {parent!r}")
+
+
+def _load(kind: str, path: str, read, errors: tuple = ()):
+    """``read(path)``, with a missing or malformed input file raised as
+    one :class:`~repro.errors.ConfigError` naming *kind* and *path*."""
+    try:
+        return read(path)
+    except FileNotFoundError:
+        raise ConfigError(f"no {kind} at {path!r}") from None
+    except (OSError, ValueError, *errors) as exc:
+        raise ConfigError(f"unreadable {kind} {path!r}: {exc}") from exc
+
+
+def _parsed(parse):
+    """A path reader for *parse*, which reads an open text file."""
+    def read(path: str):
+        with open(path) as fh:
+            return parse(fh)
+    return read
+
+
+def _load_run_report(path: str):
+    from .reporting import RunReport
+
+    return _load("run report", path, RunReport.load, (TypeError,))
+
+
 def _study(args) -> CaseStudy:
     return CaseStudy(
         scale=args.scale, seed=args.seed,
@@ -121,13 +183,7 @@ def _study(args) -> CaseStudy:
 
 
 def cmd_casestudy(args) -> int:
-    from .errors import CheckpointError
-
-    try:
-        hc = _study(args).headline_comparison()
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    hc = _study(args).headline_comparison()
     rows = [{"metric": k, "value": v} for k, v in hc.items()]
     print(format_table(rows, title="DAC'07 reproduction headline:"))
     return 0
@@ -184,33 +240,15 @@ def cmd_atpg(args) -> int:
     return 0
 
 
-def _load_patterns(path: str):
-    """Read a STIL pattern file for the CLI, or ``None`` after a one-line
-    error on stderr (the :func:`_load_run_report` contract)."""
-    from .dft import read_stil
-    from .errors import ScanError
-
-    try:
-        with open(path) as fh:
-            return read_stil(fh)
-    except FileNotFoundError:
-        print(f"error: no pattern file at {path!r}", file=sys.stderr)
-    except (OSError, ScanError, ValueError) as exc:
-        print(
-            f"error: unreadable pattern file {path!r}: {exc}",
-            file=sys.stderr,
-        )
-    return None
-
-
 def cmd_scap(args) -> int:
     from .core import validate_pattern_set
+    from .dft import read_stil
 
     # Parse the file before building the case study: a bad path fails
     # in milliseconds instead of after the design build.
-    patterns = _load_patterns(args.patterns)
-    if patterns is None:
-        return 2
+    patterns = _load(
+        "pattern file", args.patterns, _parsed(read_stil), (ScanError,)
+    )
     study = _study(args)
     report = validate_pattern_set(
         study.calculator, patterns, study.thresholds_mw
@@ -234,12 +272,10 @@ def cmd_irmap(args) -> int:
     flow = study.conventional()
     n_patterns = len(flow.pattern_set)
     if args.pattern >= n_patterns:
-        print(
-            f"error: no pattern #{args.pattern}: the conventional flow "
-            f"has {n_patterns} patterns",
-            file=sys.stderr,
+        raise ConfigError(
+            f"no pattern #{args.pattern}: the conventional flow has "
+            f"{n_patterns} patterns"
         )
-        return 2
     pattern = flow.pattern_set[args.pattern]
     _profile, timing = study.calculator.profile_pattern_with_timing(pattern)
     ir = dynamic_ir_for_pattern(study.model, timing)
@@ -254,30 +290,6 @@ def cmd_floorplan(args) -> int:
     study = _study(args)
     print(study.figure1())
     return 0
-
-
-def _load_run_report(path: str):
-    """Load a RunReport JSON for the CLI, or ``None`` after a one-line
-    error on stderr.
-
-    A missing or corrupt report file is an operator mistake (wrong
-    path, interrupted copy), not a bug — it gets a clean diagnostic
-    and exit code 2, never a traceback.
-    """
-    import json
-
-    from .reporting import RunReport
-
-    try:
-        return RunReport.load(path)
-    except FileNotFoundError:
-        print(f"error: no run report at {path!r}", file=sys.stderr)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        print(
-            f"error: unreadable run report {path!r}: {exc}",
-            file=sys.stderr,
-        )
-    return None
 
 
 def _flow_telemetry(args):
@@ -297,39 +309,26 @@ def _flow_telemetry(args):
 
 def cmd_flow(args) -> int:
     from .core import run_noise_tolerant_flow
-    from .errors import CheckpointError
     from .reporting import RUN_FAILED
     from .soc import build_turbo_eagle
 
-    if args.report:
-        parent = os.path.dirname(os.path.abspath(args.report))
-        if not os.path.isdir(parent):
-            print(
-                f"error: report directory does not exist: {parent!r}",
-                file=sys.stderr,
-            )
-            return 2
     design = build_turbo_eagle(scale=args.scale, seed=args.seed)
     telemetry = _flow_telemetry(args)
-    try:
-        result, report = run_noise_tolerant_flow(
-            design,
-            checkpoint_dir=args.checkpoint,
-            resume=args.resume,
-            max_patterns=args.max_patterns,
-            stop_after_stage=args.stop_after,
-            report_path=args.report,
-            telemetry=telemetry,
-            schedule_budget_mw=args.schedule_budget,
-            schedule_strategy=args.schedule_strategy,
-            timing_prescreen=args.timing_prescreen,
-            timing_max_patterns=args.timing_max_patterns,
-            seed=1,
-            n_workers=args.workers,
-        )
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result, report = run_noise_tolerant_flow(
+        design,
+        checkpoint_dir=args.checkpoint,
+        resume=args.resume,
+        max_patterns=args.max_patterns,
+        stop_after_stage=args.stop_after,
+        report_path=args.report,
+        telemetry=telemetry,
+        schedule_budget_mw=args.schedule_budget,
+        schedule_strategy=args.schedule_strategy,
+        timing_prescreen=args.timing_prescreen,
+        timing_max_patterns=args.timing_max_patterns,
+        seed=1,
+        n_workers=args.workers,
+    )
     if report.timing is not None:
         if "error" in report.timing:
             print(f"timing: {report.timing['error']}", file=sys.stderr)
@@ -388,8 +387,6 @@ def cmd_flow(args) -> int:
         # Round-trip through RunReport.load so what is printed is what
         # a later `repro obs report` sees, not in-memory state.
         loaded = _load_run_report(args.report)
-        if loaded is None:
-            return 2
         print(format_table(
             loaded.stage_times(),
             columns=["stage", "status", "elapsed_s", "patterns"],
@@ -410,51 +407,46 @@ def cmd_schedule(args) -> int:
         schedule_tests,
         specs_from_design,
     )
-    from .errors import ConfigError
     from .power.static_bound import StaticScapBound
 
     strategies = (
         ["greedy", "binpack"] if args.strategy == "both"
         else [args.strategy]
     )
+    if args.synthetic is not None:
+        specs = generate_block_specs(args.synthetic, seed=args.seed)
+        tam = args.tam_width
+    else:
+        study = _study(args)
+        design = study.design
+        bound = StaticScapBound(design, study.domain)
+        specs = specs_from_design(
+            design,
+            bound.test_power_bounds_mw(),
+            {b: args.patterns for b in design.blocks()},
+        )
+        tam = (
+            args.tam_width
+            if args.tam_width is not None
+            else design.tam_width
+        )
+    if args.power_budget is not None:
+        budgets = [args.power_budget]
+    else:
+        budgets = budget_sweep(specs)
     rows = []
-    try:
-        if args.synthetic is not None:
-            specs = generate_block_specs(args.synthetic, seed=args.seed)
-            tam = args.tam_width
-        else:
-            study = _study(args)
-            design = study.design
-            bound = StaticScapBound(design, study.domain)
-            specs = specs_from_design(
-                design,
-                bound.test_power_bounds_mw(),
-                {b: args.patterns for b in design.blocks()},
-            )
-            tam = (
-                args.tam_width
-                if args.tam_width is not None
-                else design.tam_width
-            )
-        if args.power_budget is not None:
-            budgets = [args.power_budget]
-        else:
-            budgets = budget_sweep(specs)
-        for budget_mw in budgets:
-            budget = ScheduleBudget(power_mw=budget_mw, tam_width=tam)
-            for strategy in strategies:
-                schedule = schedule_tests(specs, budget, strategy=strategy)
-                schedule.validate()
-                rows.append({
-                    "budget_mw": round(budget_mw, 3),
-                    "strategy": strategy,
-                    "makespan_us": round(schedule.makespan_us, 3),
-                    "peak_power_mw": round(schedule.peak_power_mw, 3),
-                    "speedup": round(schedule.speedup, 3),
-                })
-    except ConfigError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
+    for budget_mw in budgets:
+        budget = ScheduleBudget(power_mw=budget_mw, tam_width=tam)
+        for strategy in strategies:
+            schedule = schedule_tests(specs, budget, strategy=strategy)
+            schedule.validate()
+            rows.append({
+                "budget_mw": round(budget_mw, 3),
+                "strategy": strategy,
+                "makespan_us": round(schedule.makespan_us, 3),
+                "peak_power_mw": round(schedule.peak_power_mw, 3),
+                "speedup": round(schedule.speedup, 3),
+            })
     print(format_table(
         rows, title=f"power-constrained test schedules "
                     f"({len(specs)} blocks, TAM width {tam}):",
@@ -467,40 +459,16 @@ def cmd_schedule(args) -> int:
     return 0
 
 
-def _load_netlist(path: str):
-    """Read a Verilog netlist for the CLI, or ``None`` after a one-line
-    error on stderr (the :func:`_load_run_report` contract)."""
-    from .errors import LibraryError, NetlistError
-    from .netlist.verilog import parse_verilog
-
-    try:
-        with open(path) as fh:
-            return parse_verilog(fh)
-    except FileNotFoundError:
-        print(f"error: no netlist file at {path!r}", file=sys.stderr)
-    except (OSError, ValueError, NetlistError, LibraryError) as exc:
-        print(
-            f"error: unreadable netlist file {path!r}: {exc}",
-            file=sys.stderr,
-        )
-    return None
-
-
 def cmd_drc(args) -> int:
     from .drc import DrcContext, load_waivers, run_drc
-    from .errors import ConfigError
+    from .netlist.verilog import parse_verilog
 
-    waivers = None
-    if args.waivers:
-        try:
-            waivers = load_waivers(args.waivers)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    waivers = load_waivers(args.waivers) if args.waivers else None
     if args.netlist:
-        netlist = _load_netlist(args.netlist)
-        if netlist is None:
-            return 2
+        netlist = _load(
+            "netlist file", args.netlist, _parsed(parse_verilog),
+            (NetlistError, LibraryError),
+        )
         ctx = DrcContext.for_netlist(netlist)
     else:
         study = _study(args)
@@ -535,12 +503,6 @@ def cmd_sta(args) -> int:
     from .sim.delays import DelayModel
     from .sim.sta import StaticTimingAnalyzer
 
-    if args.derate is not None and args.derate < 1.0:
-        print(
-            "error: --derate must be >= 1.0 (droop only slows cells)",
-            file=sys.stderr,
-        )
-        return 2
     study = _study(args)
     design = study.design
     mode = (
@@ -659,14 +621,9 @@ def cmd_sta(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from .errors import CheckpointError
     from .reporting import export_case_study
 
-    try:
-        written = export_case_study(_study(args), args.out)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    written = export_case_study(_study(args), args.out)
     print(f"wrote {len(written)} artefacts to {args.out}/")
     for path in written:
         print(f"  {path}")
@@ -683,8 +640,6 @@ def cmd_obs(args) -> int:
 
     if args.action == "report":
         report = _load_run_report(args.input)
-        if report is None:
-            return 2
         print(format_table(
             report.stage_times(),
             columns=["stage", "status", "elapsed_s", "patterns"],
@@ -713,17 +668,7 @@ def cmd_obs(args) -> int:
             print(format_table(rows, title="metrics:"))
         return 0
 
-    try:
-        events = load_trace_jsonl(args.input)
-    except FileNotFoundError:
-        print(f"error: no trace file at {args.input!r}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(
-            f"error: unreadable trace file {args.input!r}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
+    events = _load("trace file", args.input, load_trace_jsonl)
     if args.action == "summary":
         print(format_summary(events))
         return 0
@@ -746,31 +691,17 @@ def cmd_obs(args) -> int:
 
 
 def _service_config(args):
-    """The ``ServiceConfig`` a service command's overrides ask for, or
-    ``None`` when it sets none (the store keeps its persisted config)."""
+    """The ``ServiceConfig`` ``serve``'s overrides ask for, or ``None``
+    when it sets none (the store keeps its persisted config)."""
     from .service import ServiceConfig
 
     overrides = {
-        "max_queue_depth": getattr(args, "queue_depth", None),
-        "lease_ttl_s": getattr(args, "lease_ttl", None),
-        "max_shard_attempts": getattr(args, "max_attempts", None),
+        "max_queue_depth": args.queue_depth,
+        "lease_ttl_s": args.lease_ttl,
+        "max_shard_attempts": args.max_attempts,
     }
     set_overrides = {k: v for k, v in overrides.items() if v is not None}
     return ServiceConfig(**set_overrides) if set_overrides else None
-
-
-def _service_store(args):
-    """Open (or create) the job store named by ``args.store``, applying
-    any config overrides the command supplies; ``None`` after a one-line
-    error on stderr when the store cannot be opened."""
-    from .errors import ServiceError
-    from .service import JobStore
-
-    try:
-        return JobStore(args.store, config=_service_config(args))
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
 
 
 def _serve_http(args) -> int:
@@ -778,40 +709,25 @@ def _serve_http(args) -> int:
 
     Every tenant store on disk is opened before the port is bound, so a
     data root or ``tenants/`` that is not a directory, an unreadable
-    tenant store and a port already in use are each one ``error:`` line
-    and exit 2.  A store that turns unreadable while serving is skipped
-    (see :meth:`~repro.service.TenantManager.open_stores`).
+    tenant store and a port already in use each fail before serving.
+    A store that turns unreadable while serving is skipped (see
+    :meth:`~repro.service.TenantManager.open_stores`).
     """
     import time
 
-    from .errors import ServiceError
     from .service import HttpServerThread, TenantFleet, TenantManager
 
-    host, _, port_text = args.http.rpartition(":")
-    host = host or "127.0.0.1"
-    try:
-        port = int(port_text)
-    except ValueError:
-        print(f"bad --http address {args.http!r}: want HOST:PORT",
-              file=sys.stderr)
-        return 2
-    try:
-        tenants = TenantManager(
-            args.store, default_config=_service_config(args)
-        )
-        for name in tenants.tenant_names():
-            tenants.store(name)
-        fleet = TenantFleet(
-            tenants,
-            n_workers=args.workers_count,
-            inline_fallback=not args.no_inline,
-        )
-        server = HttpServerThread(
-            tenants, host=host, port=port, fleet=fleet
-        ).start()
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    host, port = args.http
+    tenants = TenantManager(args.store, default_config=_service_config(args))
+    for name in tenants.tenant_names():
+        tenants.store(name)
+    fleet = TenantFleet(
+        tenants,
+        n_workers=args.workers_count,
+        inline_fallback=not args.no_inline,
+    )
+    server = HttpServerThread(tenants, host=host, port=port, fleet=fleet)
+    server.start()
     print(f"serving HTTP on {server.base_url} "
           f"(tenant stores under {tenants.tenants_dir}, "
           f"{args.workers_count} worker(s) per tenant)")
@@ -844,14 +760,11 @@ def _serve_http(args) -> int:
 def cmd_serve(args) -> int:
     import time
 
-    from .errors import ServiceError
-    from .service import ServiceSupervisor
+    from .service import JobStore, ServiceSupervisor
 
     if args.http:
         return _serve_http(args)
-    store = _service_store(args)
-    if store is None:
-        return 2
+    store = JobStore(args.store, config=_service_config(args))
     supervisor = ServiceSupervisor(
         store,
         n_workers=args.workers_count,
@@ -874,42 +787,23 @@ def cmd_serve(args) -> int:
                     time.sleep(args.poll)
         except KeyboardInterrupt:
             print("stopping workers")
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     return 0
 
 
 def cmd_submit(args) -> int:
-    from .errors import ServiceBusyError, ServiceError
-    from .service import JobSpec, ServiceClient
+    from .service import JobSpec, JobStore, ServiceClient
 
-    store = _service_store(args)
-    if store is None:
-        return 2
-    client = ServiceClient(store)
-    spec = JobSpec(
+    client = ServiceClient(JobStore(args.store))
+    job_id = client.submit(JobSpec(
         scale=args.scale,
         seed=args.seed,
         max_patterns=args.max_patterns,
         telemetry=args.obs,
-    )
-    try:
-        job_id = client.submit(spec)
-    except ServiceBusyError as exc:
-        print(
-            f"busy: {exc} — retry when the queue drains",
-            file=sys.stderr,
-        )
-        return 2
+    ))
     print(job_id)
     if not args.wait:
         return 0
-    try:
-        job = client.wait(job_id, timeout_s=args.timeout)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    job = client.wait(job_id, timeout_s=args.timeout)
     print(f"job {job_id}: {job.state}")
     if job.state == "done":
         result = client.result(job_id)
@@ -923,52 +817,26 @@ def cmd_submit(args) -> int:
     return 3
 
 
-def _existing_store(root: str):
-    """Open the job store at *root*, or ``None`` after a one-line error
-    on stderr.  Unlike :func:`_service_store` this never creates one:
-    listing or cancelling needs a store that is already there."""
-    from .errors import ServiceError
-    from .service import JobStore
-
-    if not os.path.isdir(os.path.join(root, "jobs")):
-        print(f"error: no job store at {root!r}", file=sys.stderr)
-        return None
-    try:
-        return JobStore(root)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    return None
-
-
 def cmd_jobs(args) -> int:
+    """List or cancel jobs of a store that is already there: unlike
+    ``serve`` and ``submit`` this never creates one."""
     import json
 
-    from .errors import ServiceError
-    from .service import ServiceClient, validate_tenant_name
+    from .service import JobStore, ServiceClient, validate_tenant_name
 
     root = args.store
     if args.tenant:
-        try:
-            validate_tenant_name(args.tenant)
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        root = os.path.join(args.store, "tenants", args.tenant)
+        tenants = os.path.join(args.store, "tenants")
+        root = os.path.join(tenants, validate_tenant_name(args.tenant))
         if not os.path.isdir(root):
-            print(f"no such tenant {args.tenant!r} under "
-                  f"{os.path.join(args.store, 'tenants')}",
-                  file=sys.stderr)
-            return 2
-    store = _existing_store(root)
-    if store is None:
-        return 2
-    client = ServiceClient(store)
+            raise ServiceError(
+                f"no such tenant {args.tenant!r} under {tenants}"
+            )
+    if not os.path.isdir(os.path.join(root, "jobs")):
+        raise ServiceError(f"no job store at {root!r}")
+    client = ServiceClient(JobStore(root))
     if args.cancel:
-        try:
-            job = client.cancel(args.cancel)
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        job = client.cancel(args.cancel)
         print(f"cancelled {job.id}")
         return 0
     jobs = client.jobs()
@@ -1001,7 +869,25 @@ def cmd_jobs(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    # Parent parsers: every command logs; the design commands also take
+    # the design and its grading pool.
+    logs = argparse.ArgumentParser(add_help=False)
+    logs.add_argument("--log-level", default="warning",
+                      choices=list(LOG_LEVELS),
+                      help="stdlib logging level for the repro tree "
+                           "(default: warning)")
+    design = argparse.ArgumentParser(add_help=False, parents=[logs])
+    design.add_argument("--scale", default="tiny",
+                        choices=["tiny", "small", "bench", "full"])
+    design.add_argument("--seed", type=int, default=2007)
+    study = argparse.ArgumentParser(add_help=False, parents=[design])
+    study.add_argument("--workers", type=_workers_arg, default=1,
+                       metavar="N|auto",
+                       help="worker processes for grading pools: a "
+                            "count, or 'auto' to size from the work "
+                            "and usable cores (default: 1)")
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Supply-noise-aware TDF ATPG (DAC'07 reproduction)",
@@ -1012,54 +898,44 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("casestudy", help="run the full reproduction")
-    _add_common(p)
+    def command(name, fn, help, parent=study):
+        p = sub.add_parser(name, help=help, parents=[parent])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("casestudy", cmd_casestudy, "run the full reproduction")
     p.add_argument("--checkpoint", help="persist/reuse results in DIR")
-    p.set_defaults(fn=cmd_casestudy)
 
-    p = sub.add_parser("table", help="print one paper table")
-    _add_common(p)
+    p = command("table", cmd_table, "print one paper table")
     p.add_argument("number", type=int, choices=[1, 2, 3, 4])
-    p.set_defaults(fn=cmd_table)
 
-    p = sub.add_parser("atpg", help="generate transition patterns")
-    _add_common(p)
+    p = command("atpg", cmd_atpg, "generate transition patterns")
     p.add_argument("--fill", default="random",
                    choices=["random", "0", "1", "adjacent", "preferred"])
     p.add_argument("--protocol", default="loc", choices=["loc", "los"])
-    p.add_argument("--output", help="write patterns as STIL")
-    p.set_defaults(fn=cmd_atpg)
+    p.add_argument("--output", type=_output_path,
+                   help="write patterns as STIL")
 
-    p = sub.add_parser("scap", help="screen a STIL file against thresholds")
-    _add_common(p)
+    p = command("scap", cmd_scap, "screen a STIL file against thresholds")
     p.add_argument("patterns", help="STIL file from `repro atpg`")
-    p.set_defaults(fn=cmd_scap)
 
-    p = sub.add_parser("irmap", help="IR-drop map of one pattern")
-    _add_common(p)
+    p = command("irmap", cmd_irmap, "IR-drop map of one pattern")
     p.add_argument("--pattern", type=_non_negative_int, default=0)
-    p.set_defaults(fn=cmd_irmap)
 
-    p = sub.add_parser("floorplan", help="print the floorplan")
-    _add_common(p)
-    p.set_defaults(fn=cmd_floorplan)
+    command("floorplan", cmd_floorplan, "print the floorplan")
 
-    p = sub.add_parser("export", help="write every table/figure to files")
-    _add_common(p)
-    p.add_argument("--out", default="artifacts",
+    p = command("export", cmd_export, "write every table/figure to files")
+    p.add_argument("--out", type=_output_path, default="artifacts",
                    help="output directory (default: artifacts/)")
     p.add_argument("--checkpoint", help="persist/reuse results in DIR")
-    p.set_defaults(fn=cmd_export)
 
-    p = sub.add_parser(
-        "drc", help="static design-rule check / testability lint"
-    )
-    _add_common(p)
+    p = command("drc", cmd_drc, "static design-rule check / testability lint")
     p.add_argument("--netlist", metavar="FILE",
                    help="check a structural Verilog file instead of a "
                         "generated design (scan rules use its "
                         "`// pragma ... chain=c:p` metadata)")
-    p.add_argument("--json", dest="json_out", metavar="FILE",
+    p.add_argument("--json", dest="json_out", type=_output_path,
+                   metavar="FILE",
                    help="write the full violation report as JSON")
     p.add_argument("--waivers", metavar="FILE",
                    help="JSON waiver file excusing reviewed findings")
@@ -1074,15 +950,13 @@ def main(argv=None) -> int:
                    help="calibrate the power grid so the droop-bound "
                         "rule (TIM-DROOP) runs too (generated designs "
                         "only)")
-    p.set_defaults(fn=cmd_drc)
 
-    p = sub.add_parser(
-        "sta",
-        help="static timing per clock domain, gated by the TIM-* rules",
+    p = command(
+        "sta", cmd_sta,
+        "static timing per clock domain, gated by the TIM-* rules",
     )
-    _add_common(p)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--derate", type=float, metavar="K",
+    mode.add_argument("--derate", type=_derate, metavar="K",
                       help="multiply every cell delay by K >= 1.0 "
                            "(uniform voltage-noise margin)")
     mode.add_argument("--droop-bound", action="store_true",
@@ -1090,18 +964,17 @@ def main(argv=None) -> int:
                            "droop bound (calibrates the power grid)")
     p.add_argument("--guard-band", type=float, metavar="NS",
                    help="TIM-MARGIN guard band in ns (default: 0.5)")
-    p.add_argument("--json", dest="json_out", metavar="FILE",
+    p.add_argument("--json", dest="json_out", type=_output_path,
+                   metavar="FILE",
                    help="write the per-domain report and the TIM DRC "
                         "findings as JSON")
     p.add_argument("--fail-on", default="error", choices=FAIL_ON_CHOICES,
                    help="lowest TIM severity that makes the command "
                         "exit non-zero (default: error)")
-    p.set_defaults(fn=cmd_sta)
 
-    p = sub.add_parser(
-        "flow", help="staged noise-tolerant flow with checkpoint/resume"
+    p = command(
+        "flow", cmd_flow, "staged noise-tolerant flow with checkpoint/resume"
     )
-    _add_common(p)
     p.add_argument("--checkpoint", help="stage checkpoint directory")
     p.add_argument("--no-resume", dest="resume", action="store_false",
                    help="ignore existing checkpoints and start fresh")
@@ -1109,15 +982,16 @@ def main(argv=None) -> int:
                    help="deliberately stop after stage index N")
     p.add_argument("--max-patterns", type=_positive_int,
                    help="total pattern budget across stages")
-    p.add_argument("--report", help="write the RunReport JSON here and "
-                                    "print per-stage wall times")
-    p.add_argument("--trace", metavar="FILE",
+    p.add_argument("--report", type=_output_path,
+                   help="write the RunReport JSON here and print "
+                        "per-stage wall times")
+    p.add_argument("--trace", type=_output_path, metavar="FILE",
                    help="write the span trace as JSONL")
-    p.add_argument("--chrome", metavar="FILE",
+    p.add_argument("--chrome", type=_output_path, metavar="FILE",
                    help="write the trace as Chrome trace-event JSON")
-    p.add_argument("--metrics", metavar="FILE",
+    p.add_argument("--metrics", type=_output_path, metavar="FILE",
                    help="write metrics in Prometheus text format")
-    p.add_argument("--metrics-json", metavar="FILE",
+    p.add_argument("--metrics-json", type=_output_path, metavar="FILE",
                    help="write the metrics snapshot as JSON")
     p.add_argument("--profile", action="store_true",
                    help="cProfile each stage and print the hotspot table")
@@ -1135,13 +1009,11 @@ def main(argv=None) -> int:
     p.add_argument("--timing-max-patterns", type=_positive_int, metavar="N",
                    help="cap how many patterns the timing pre-screen "
                         "examines")
-    p.set_defaults(fn=cmd_flow)
 
-    p = sub.add_parser(
-        "schedule",
-        help="power/TAM-constrained SOC test schedule (greedy vs binpack)",
+    p = command(
+        "schedule", cmd_schedule,
+        "power/TAM-constrained SOC test schedule (greedy vs binpack)",
     )
-    _add_common(p)
     p.add_argument("--strategy", default="both",
                    choices=["greedy", "binpack", "both"],
                    help="scheduler(s) to run (default: both, for "
@@ -1158,16 +1030,15 @@ def main(argv=None) -> int:
     p.add_argument("--synthetic", type=_positive_int, metavar="N",
                    help="schedule a generated N-block abstract SOC "
                         "instead of the Turbo-Eagle design")
-    p.add_argument("--json", dest="json_out", metavar="FILE",
-                   help="write the schedule rows as JSON")
-    p.set_defaults(fn=cmd_schedule)
+    p.add_argument("--json", dest="json_out", type=_output_path,
+                   metavar="FILE", help="write the schedule rows as JSON")
 
-    p = sub.add_parser(
-        "serve",
-        help="run the ATPG job service over a store directory",
+    p = command(
+        "serve", cmd_serve,
+        "run the ATPG job service over a store directory", parent=logs,
     )
     p.add_argument("store", help="job store root directory")
-    p.add_argument("--http", metavar="HOST:PORT", default=None,
+    p.add_argument("--http", type=_http_address, metavar="HOST:PORT",
                    help="serve the HTTP/1.1 wire API on this address "
                         "(port 0 picks a free port); the store becomes "
                         "a multi-tenant data root with per-tenant "
@@ -1193,17 +1064,12 @@ def main(argv=None) -> int:
                    help="override the store's lease TTL in seconds")
     p.add_argument("--max-attempts", type=int, metavar="N",
                    help="override the per-job attempt budget")
-    p.add_argument("--log-level", default="warning",
-                   choices=list(LOG_LEVELS))
-    p.set_defaults(fn=cmd_serve)
 
-    p = sub.add_parser(
-        "submit", help="submit one flow job to a job store"
+    p = command(
+        "submit", cmd_submit, "submit one flow job to a job store",
+        parent=design,
     )
     p.add_argument("store", help="job store root directory")
-    p.add_argument("--scale", default="tiny",
-                   choices=["tiny", "small", "bench", "full"])
-    p.add_argument("--seed", type=int, default=2007)
     p.add_argument("--max-patterns", type=_positive_int,
                    help="total pattern budget across stages")
     p.add_argument("--obs", action="store_true",
@@ -1214,12 +1080,10 @@ def main(argv=None) -> int:
                         "in-process if no worker is alive)")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
                    help="give up waiting after S seconds (with --wait)")
-    p.add_argument("--log-level", default="warning",
-                   choices=list(LOG_LEVELS))
-    p.set_defaults(fn=cmd_submit)
 
-    p = sub.add_parser(
-        "jobs", help="list the jobs (states and attempts) in a store"
+    p = command(
+        "jobs", cmd_jobs, "list the jobs (states and attempts) in a store",
+        parent=logs,
     )
     p.add_argument("store", help="job store root directory "
                                  "(or an HTTP data root with --tenant)")
@@ -1231,15 +1095,11 @@ def main(argv=None) -> int:
                         "the table")
     p.add_argument("--cancel", metavar="JOB_ID", default=None,
                    help="cancel a still-queued job instead of listing")
-    p.add_argument("--log-level", default="warning",
-                   choices=list(LOG_LEVELS))
-    p.set_defaults(fn=cmd_jobs)
 
-    p = sub.add_parser(
-        "obs", help="inspect telemetry artifacts (traces, run reports)"
+    p = command(
+        "obs", cmd_obs, "inspect telemetry artifacts (traces, run reports)",
+        parent=logs,
     )
-    p.add_argument("--log-level", default="warning",
-                   choices=list(LOG_LEVELS))
     p.add_argument("action",
                    choices=["summary", "chrome", "check", "report"],
                    help="summary: per-span table; chrome: convert to "
@@ -1247,14 +1107,30 @@ def main(argv=None) -> int:
                         "nesting; report: digest a RunReport JSON")
     p.add_argument("input", help="trace JSONL (or RunReport JSON for "
                                  "`report`)")
-    p.add_argument("-o", "--output",
+    p.add_argument("-o", "--output", type=_output_path,
                    help="output path for `chrome` (default: "
                         "INPUT.chrome.json)")
-    p.set_defaults(fn=cmd_obs)
+    return parser
 
-    args = parser.parse_args(argv)
-    setup_logging(getattr(args, "log_level", "warning"))
-    return args.fn(args)
+
+def main(argv=None) -> int:
+    """Run one command: the only place an error becomes an exit code.
+
+    A :class:`~repro.errors.ReproError` (the library's documented
+    failures) or :class:`OSError` (a file or socket the command could
+    not use) is one ``error: <message>`` line on stderr and exit 2; its
+    traceback goes to the debug log.  Any other exception is a bug and
+    keeps its traceback.
+    """
+    args = _parser().parse_args(argv)
+    setup_logging(args.log_level)
+    try:
+        return args.fn(args)
+    except (ReproError, OSError) as exc:
+        _log.debug("repro %s failed", args.command, exc_info=True)
+        message = " ".join(str(exc).splitlines())
+        print(f"error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ class CaseStudy:
         ``checkpoint_dir`` itself (via
         :class:`repro.reporting.CheckpointStore`).  Both stores are
         fingerprinted with what changes their results; pointing one at
-        a directory from a different configuration ignores the stale
+        a directory from a different configuration discards the stale
         stages with a warning.
 
         Both flows first pass the static DRC gate

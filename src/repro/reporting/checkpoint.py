@@ -17,7 +17,8 @@ Safety: the store is bound to a *fingerprint* (a digest of everything
 that determines the run's results — design scale/seed, ATPG seed,
 stage plan, …).  Opening a directory whose manifest carries a
 different fingerprint resets the store instead of resuming from stale
-state, so a checkpoint can never leak results across configurations.
+state, so a checkpoint can never leak results across configurations;
+the reset deletes the payload files the old manifest named.
 
 Writes are atomic (:func:`atomic_write_bytes`) so a crash mid-save
 leaves the previous manifest intact.
@@ -132,24 +133,37 @@ class CheckpointStore:
                 "JSON object"
             )
         if manifest.get("version") != _FORMAT_VERSION:
-            warnings.warn(
-                "checkpoint format version changed; starting fresh",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return fresh
-        if (
+            reason = "checkpoint format version changed; starting fresh"
+        elif (
             self.fingerprint is not None
             and manifest.get("fingerprint") != self.fingerprint
         ):
-            warnings.warn(
+            reason = (
                 f"checkpoint dir {self.directory!r} belongs to a different "
-                "run configuration; ignoring its stages",
-                RuntimeWarning,
-                stacklevel=3,
+                "run configuration; discarding its stages"
             )
-            return fresh
-        return manifest
+        else:
+            return manifest
+        warnings.warn(reason, RuntimeWarning, stacklevel=3)
+        self._delete_payloads(manifest)
+        return fresh
+
+    def _delete_payloads(self, manifest: Dict[str, Any]) -> None:
+        """Remove the payload files a discarded *manifest* names.  Only
+        plain ``*.pkl`` names are touched, so an entry that points
+        outside the directory deletes nothing."""
+        stages = manifest.get("stages")
+        for entry in stages.values() if isinstance(stages, dict) else ():
+            name = entry.get("file") if isinstance(entry, dict) else None
+            if (
+                isinstance(name, str)
+                and name.endswith(".pkl")
+                and name == os.path.basename(name)
+            ):
+                try:
+                    os.remove(os.path.join(self.directory, name))
+                except OSError:
+                    pass
 
     def _write_manifest(self) -> None:
         atomic_write_bytes(

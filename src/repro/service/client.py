@@ -143,8 +143,8 @@ class ServiceClient:
 
         While waiting the client reaps expired leases (so a dead
         worker's job is reclaimed even with no supervisor running)
-        and, when ``inline_fallback`` and no live worker is registered,
-        runs the job itself.  Raises
+        and, when ``inline_fallback`` and no worker is alive (see
+        :meth:`JobStore.alive_workers`), runs the job itself.  Raises
         :class:`~repro.errors.ServiceError` on timeout — the job keeps
         whatever progress it made and can be waited on again.
 

@@ -859,13 +859,19 @@ class JobStore:
             pass
 
     def alive_workers(self, now: Optional[float] = None) -> List[str]:
-        """Workers whose registry heartbeat is within one lease TTL."""
+        """Workers whose registry heartbeat is within one lease TTL, and
+        the holder of every unexpired lease: a worker on a job longer
+        than the TTL renews the job's lease, not its registry entry."""
         now = time.time() if now is None else now
-        alive: List[str] = []
+        alive = {
+            job.lease.worker
+            for job in self.active_jobs()
+            if job.lease is not None and not job.lease.expired(now)
+        }
         try:
             names = os.listdir(self.workers_dir)
         except OSError:
-            return alive
+            return sorted(alive)
         for name in names:
             if not name.endswith(".json"):
                 continue
@@ -876,5 +882,5 @@ class JobStore:
             except (OSError, json.JSONDecodeError, ValueError):
                 continue
             if now - beat <= self.config.lease_ttl_s:
-                alive.append(name[: -len(".json")])
+                alive.add(name[: -len(".json")])
         return sorted(alive)

@@ -42,8 +42,9 @@ from .jobstore import JobRecord, JobStore
 from .lease import LeaseHeartbeat
 
 
-#: Queue poll interval of an idle :meth:`ServiceWorker.run`.
-_IDLE_SLEEP_S = 0.2
+#: Queue poll interval of an idle :meth:`ServiceWorker.run`: a job
+#: submitted to an idle worker waits at most this long for its lease.
+_IDLE_SLEEP_S = 0.02
 
 
 def _default_worker_id() -> str:
@@ -111,17 +112,21 @@ class ServiceWorker:
         """Process jobs until told to stop; returns jobs processed.
 
         ``drain=True`` exits once no job needs work; otherwise an idle
-        worker polls the queue every 0.2 s.  The worker registers
-        itself (and heartbeats) in the store's worker registry so the
-        supervisor can tell "workers are alive" from "I must degrade
-        gracefully".
+        worker polls the queue every 0.02 s.  The worker registers
+        itself in the store's worker registry, and rewrites its entry at
+        most once per ``config.heartbeat_s``, so the supervisor can tell
+        "workers are alive" from "I must degrade gracefully"; while a
+        job runs, its renewed lease says the same.
         """
         self.store.register_worker(self.worker_id, os.getpid())
+        beat_at = time.monotonic()
         processed = 0
         try:
             while True:
                 did_work = self.run_once()
-                self.store.worker_heartbeat(self.worker_id)
+                if time.monotonic() - beat_at >= self.store.config.heartbeat_s:
+                    self.store.worker_heartbeat(self.worker_id)
+                    beat_at = time.monotonic()
                 if did_work:
                     processed += 1
                     continue

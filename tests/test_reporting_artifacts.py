@@ -105,6 +105,43 @@ class TestCheckpointStore:
             fresh = CheckpointStore(str(tmp_path), "fp2")
         assert not fresh.has("s")
 
+    def test_reset_deletes_the_payloads_it_discards(self, tmp_path):
+        CheckpointStore(str(tmp_path), "fp1").save("s", 42)
+        assert len(list(tmp_path.glob("*.pkl"))) == 1
+        with pytest.warns(RuntimeWarning, match="different .*configuration"):
+            fresh = CheckpointStore(str(tmp_path), "fp2")
+        assert not list(tmp_path.glob("*.pkl"))
+        fresh.save("s", 7)
+        assert CheckpointStore(str(tmp_path), "fp2").load("s") == 7
+
+    def test_reset_deletes_only_plain_payload_names(self, tmp_path):
+        """A tampered manifest cannot make a reset delete anything but
+        a ``*.pkl`` file directly inside the store's directory."""
+        ck = tmp_path / "ck"
+        (ck / "sub").mkdir(parents=True)
+        keep = [tmp_path / "outside.pkl", ck / "sub" / "nested.pkl",
+                ck / "notes.txt"]
+        for path in keep + [ck / "stale.pkl"]:
+            path.write_bytes(b"x")
+        files = ["../outside.pkl", str(tmp_path / "outside.pkl"),
+                 "sub/nested.pkl", "notes.txt", "stale.pkl", "gone.pkl", 3]
+        stages = {f"k{i}": {"file": f, "seq": i} for i, f in enumerate(files)}
+        stages["junk"] = "not an entry"
+        (ck / "manifest.json").write_text(json.dumps(
+            {"version": 1, "fingerprint": "fp1", "seq": 9, "stages": stages}
+        ))
+        with pytest.warns(RuntimeWarning, match="different .*configuration"):
+            CheckpointStore(str(ck), "fp2")
+        assert all(path.exists() for path in keep)
+        assert not (ck / "stale.pkl").exists()
+
+    def test_corrupt_manifest_is_left_as_it_was(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("garbage")
+        (tmp_path / "stage.pkl").write_bytes(b"x")
+        with pytest.raises(CheckpointError, match="unreadable"):
+            CheckpointStore(str(tmp_path), "fp")
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json", "stage.pkl"]
+
     def test_discard_and_clear(self, tmp_path):
         store = CheckpointStore(str(tmp_path), "fp")
         store.save("a", 1)

@@ -669,3 +669,88 @@ class TestClientIntegration:
         client = ServiceClient(str(tmp_path / "store"))
         with pytest.raises(ServiceError):
             client.submit(JobSpec(), scale="tiny")
+
+
+# ----------------------------------------------------------------------
+# worker liveness
+# ----------------------------------------------------------------------
+class TestWorkerLiveness:
+    def test_worker_on_a_job_longer_than_the_ttl_reads_alive(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker renews its job's lease, not its registry entry, so
+        the lease keeps it alive: a client waiting meanwhile runs no
+        other job beside it, and the worker runs that job next."""
+        import threading
+        import time
+
+        from repro.service.worker import ServiceWorker
+
+        store = JobStore(
+            str(tmp_path / "store"), ServiceConfig(lease_ttl_s=0.6)
+        )
+        client = ServiceClient(store)
+        slow = client.submit(JobSpec(scale="tiny", max_patterns=8))
+        other = client.submit(JobSpec(scale="tiny", max_patterns=8))
+        ran = []
+        release = threading.Event()
+        run_flow = ServiceWorker._run_flow
+
+        def slow_flow(worker, job, stop_after_stage):
+            ran.append((job.id, worker.worker_id))
+            if job.id == slow:
+                release.wait(60)
+            return run_flow(worker, job, stop_after_stage)
+
+        monkeypatch.setattr(ServiceWorker, "_run_flow", slow_flow)
+        standalone = ServiceWorker(store, worker_id="standalone")
+        thread = threading.Thread(
+            target=standalone.run, kwargs={"drain": True}
+        )
+        thread.start()
+        try:
+            deadline = time.monotonic() + 60
+            while not ran and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(1.0)  # the registry entry is now past the TTL
+            assert store.alive_workers() == ["standalone"]
+            with pytest.raises(ServiceError, match="timed out"):
+                client.wait(other, timeout_s=0.3)
+            assert ran == [(slow, "standalone")]
+        finally:
+            release.set()
+            thread.join(120)
+        assert ran == [(slow, "standalone"), (other, "standalone")]
+        assert client.status(other).state == JOB_DONE
+
+    def test_idle_worker_rewrites_its_entry_once_per_heartbeat(
+        self, store, monkeypatch
+    ):
+        """An idle worker polls every few milliseconds, but its
+        registry entry (a fsync'd file) is rewritten at most once per
+        ``heartbeat_s``."""
+        from repro.service.worker import ServiceWorker
+
+        class Stop(Exception):
+            pass
+
+        polls = []
+        rewrites = []
+
+        def idle_poll():
+            polls.append(1)
+            assert store.alive_workers() == ["idle"]
+            if len(polls) == 10:
+                raise Stop
+            return False
+
+        worker = ServiceWorker(store, worker_id="idle")
+        monkeypatch.setattr(worker, "run_once", idle_poll)
+        monkeypatch.setattr(
+            store, "worker_heartbeat", lambda *a, **k: rewrites.append(a)
+        )
+        with pytest.raises(Stop):
+            worker.run()
+        assert len(polls) == 10
+        assert rewrites == []  # heartbeat_s is TTL / 3 = 10 s
+        assert store.alive_workers() == []  # deregistered on the way out
