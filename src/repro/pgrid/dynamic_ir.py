@@ -105,12 +105,16 @@ def dynamic_ir_for_pattern(
 
     caps = design.parasitics.net_cap_ff
     net_energy_fj = timing.toggles * caps * vdd * vdd
+    # Added in net order, then the clock buffers in buffer order, so
+    # every float is a per-net loop's running sum.
     node_power_mw = np.zeros(model.vdd_grid.n_nodes)
-    toggled = np.nonzero(timing.toggles)[0]
-    for net in toggled:
-        node = model.net_node[net]
-        if node >= 0:
-            node_power_mw[node] += net_energy_fj[net] / window_ns * 1e-3
+    toggled = np.flatnonzero(timing.toggles)
+    toggled = toggled[model.net_node[toggled] >= 0]
+    np.add.at(
+        node_power_mw,
+        model.net_node[toggled],
+        net_energy_fj[toggled] / window_ns * 1e-3,
+    )
 
     if include_clock:
         # The clock burst is the same every cycle; averaging it over the
@@ -134,9 +138,11 @@ def dynamic_ir_for_pattern(
             )
         else:
             energies = clock_buffer_energies_fj(tree, vdd, edges=1)
-        nodes = model.clock_nodes[dom]
-        for bi, energy in energies.items():
-            node_power_mw[nodes[bi]] += energy / clock_window_ns * 1e-3
+        np.add.at(
+            node_power_mw,
+            model.clock_nodes[dom][list(energies)],
+            np.array(list(energies.values())) / clock_window_ns * 1e-3,
+        )
 
     injection = model.injection_from_node_power(node_power_mw, vdd)
     drop_vdd, drop_vss = model.solve_both(injection)

@@ -18,21 +18,29 @@ grid resistance is *calibrated*, not taken from metal sheet resistance:
 :meth:`GridModel.calibrated` scales the mesh so that the vectorless
 functional analysis lands at a realistic few-percent-of-VDD worst drop,
 preserving the paper's drop *fractions* at any design scale.
+
+Only this module's :class:`PowerGrid` needs scipy (for SuperLU), and it
+imports it when the first grid is built, so a process that never solves
+a grid — a service worker, the HTTP front-end, ``repro atpg`` — never
+loads it.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse import csc_matrix, lil_matrix
-from scipy.sparse.linalg import splu
 
 from ..config import SUPPLY_PAD_COUNT, VDD_NOMINAL
 from ..errors import PowerGridError
 from ..soc.design import SocDesign
-from ..soc.floorplan import Floorplan, periphery_pad_positions
+from ..soc.floorplan import Coord, Floorplan, periphery_pad_positions
+
+#: A node index or, elementwise, an array of them.
+Index = Union[int, np.ndarray]
 
 
 class PowerGrid:
@@ -47,54 +55,79 @@ class PowerGrid:
         pad_res_ohm: float = 2.0,
         n_pads: int = SUPPLY_PAD_COUNT,
     ):
+        if not (isinstance(nx, numbers.Integral)
+                and isinstance(ny, numbers.Integral)):
+            raise PowerGridError(
+                f"grid size must be integers, got {nx!r}x{ny!r}"
+            )
         if nx < 2 or ny < 2:
             raise PowerGridError("grid needs at least 2x2 nodes")
-        if seg_res_ohm <= 0 or pad_res_ohm <= 0:
-            raise PowerGridError("resistances must be positive")
+        if not (0 < seg_res_ohm < math.inf and 0 < pad_res_ohm < math.inf):
+            raise PowerGridError(
+                f"resistances must be positive and finite, got segment "
+                f"{seg_res_ohm!r} and pad {pad_res_ohm!r} ohm"
+            )
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
         self.floorplan = floorplan
         self.nx = nx
         self.ny = ny
         self.seg_res_ohm = seg_res_ohm
         self.pad_res_ohm = pad_res_ohm
-        self.n_nodes = nx * ny
+        n = self.n_nodes = nx * ny
+        pads = np.array(periphery_pad_positions(floorplan, n_pads))
+        self.pad_nodes = self.nearest_node(pads[:, 0], pads[:, 1]).tolist()
 
+        # The nodal conductance matrix, summed as an element-by-element
+        # build would: every off-diagonal is -g_seg, and each diagonal
+        # adds g_seg per segment end in visiting order (row-major nodes,
+        # a node's right segment before its lower one), then g_pad per
+        # pad in pad order.
         g_seg = 1.0 / seg_res_ohm
         g_pad = 1.0 / pad_res_ohm
-        G = lil_matrix((self.n_nodes, self.n_nodes))
-        for iy in range(ny):
-            for ix in range(nx):
-                a = self.node_index(ix, iy)
-                for jx, jy in ((ix + 1, iy), (ix, iy + 1)):
-                    if jx < nx and jy < ny:
-                        b = self.node_index(jx, jy)
-                        G[a, a] += g_seg
-                        G[b, b] += g_seg
-                        G[a, b] -= g_seg
-                        G[b, a] -= g_seg
-
-        self.pad_nodes: List[int] = []
-        for px, py in periphery_pad_positions(floorplan, n_pads):
-            node = self.nearest_node(px, py)
-            self.pad_nodes.append(node)
-            G[node, node] += g_pad
-
-        self._lu = splu(csc_matrix(G))
+        node = np.arange(n)
+        iy, ix = divmod(node, nx)
+        # Column j holds rows j-nx, j-1, j, j+1 and j+nx where those
+        # nodes exist, already ascending as CSC wants.
+        offsets = np.array([-nx, -1, 0, 1, nx])
+        rows = node[:, None] + offsets
+        present = np.stack(
+            [iy > 0, ix > 0, np.ones(n, dtype=bool), ix < nx - 1,
+             iy < ny - 1],
+            axis=1,
+        )
+        ends = np.stack([rows[:, [2, 3]], rows[:, [2, 4]]], axis=1)
+        diag = np.zeros(n)
+        np.add.at(diag, ends[present[:, 3:]].ravel(), g_seg)
+        np.add.at(diag, self.pad_nodes, g_pad)
+        values = np.where(offsets == 0, diag[:, None], -g_seg)
+        indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
+        conductance = csc_matrix(
+            (values[present], rows[present], indptr), shape=(n, n)
+        )
+        self._lu = splu(conductance)
 
     # ------------------------------------------------------------------
-    def node_index(self, ix: int, iy: int) -> int:
+    def node_index(self, ix: Index, iy: Index) -> Index:
         return iy * self.nx + ix
 
-    def node_position(self, node: int) -> Tuple[float, float]:
+    def node_position(self, node: Index) -> Tuple[Coord, Coord]:
+        """Centre of *node* in micrometres (elementwise over an array)."""
         iy, ix = divmod(node, self.nx)
         return (
             (ix + 0.5) / self.nx * self.floorplan.width,
             (iy + 0.5) / self.ny * self.floorplan.height,
         )
 
-    def nearest_node(self, x: float, y: float) -> int:
-        ix = min(self.nx - 1, max(0, int(x / self.floorplan.width * self.nx)))
-        iy = min(self.ny - 1, max(0, int(y / self.floorplan.height * self.ny)))
-        return self.node_index(ix, iy)
+    def nearest_node(self, x: Coord, y: Coord) -> Index:
+        """The node whose cell holds (x, y), clipped onto the mesh
+        (elementwise over arrays)."""
+        ix = np.clip(np.trunc(x / self.floorplan.width * self.nx),
+                     0, self.nx - 1)
+        iy = np.clip(np.trunc(y / self.floorplan.height * self.ny),
+                     0, self.ny - 1)
+        return self.node_index(ix.astype(np.intp), iy.astype(np.intp))
 
     def drop_v(self, injection_a: np.ndarray) -> np.ndarray:
         """Solve for per-node drop (V) given per-node currents (A)."""
@@ -149,39 +182,30 @@ class GridModel:
         netlist = design.netlist
         center = fp.center
 
-        gate_node = np.zeros(netlist.n_gates, dtype=np.int32)
-        for gi, g in enumerate(netlist.gates):
-            pos = g.pos if g.pos is not None else center
-            gate_node[gi] = vdd.nearest_node(*pos)
-        flop_node = np.zeros(netlist.n_flops, dtype=np.int32)
-        for fi, f in enumerate(netlist.flops):
-            pos = f.pos if f.pos is not None else center
-            flop_node[fi] = vdd.nearest_node(*pos)
+        def taps(instances: Sequence) -> np.ndarray:
+            xy = np.array(
+                [i.pos if i.pos is not None else center for i in instances],
+                dtype=float,
+            ).reshape(-1, 2)
+            return vdd.nearest_node(xy[:, 0], xy[:, 1]).astype(np.int32)
 
+        gate_node = taps(netlist.gates)
+        flop_node = taps(netlist.flops)
         # Net tap = driver instance tap (energy is charged to drivers).
         net_node = np.full(netlist.n_nets, -1, dtype=np.int32)
-        for gi, g in enumerate(netlist.gates):
-            net_node[g.output] = gate_node[gi]
-        for fi, f in enumerate(netlist.flops):
-            net_node[f.q] = flop_node[fi]
-
+        net_node[[g.output for g in netlist.gates]] = gate_node
+        net_node[[f.q for f in netlist.flops]] = flop_node
         clock_nodes = {
-            name: np.array(
-                [vdd.nearest_node(*buf.pos) for buf in tree.buffers],
-                dtype=np.int32,
-            )
+            name: taps(tree.buffers)
             for name, tree in design.clock_trees.items()
         }
 
-        block_nodes: Dict[str, np.ndarray] = {}
-        for block in design.blocks():
-            region = fp.region(block)
-            nodes = [
-                node
-                for node in range(vdd.n_nodes)
-                if region.contains(*vdd.node_position(node))
-            ]
-            block_nodes[block] = np.array(nodes, dtype=np.int32)
+        x, y = vdd.node_position(np.arange(vdd.n_nodes))
+        block_nodes = {
+            block: np.flatnonzero(fp.region(block).contains(x, y))
+            .astype(np.int32)
+            for block in design.blocks()
+        }
 
         return cls(
             design=design,
@@ -211,6 +235,11 @@ class GridModel:
         """
         from .statistical_ir import statistical_ir_analysis
 
+        if not 0 < target_worst_drop_v < math.inf:
+            raise PowerGridError(
+                f"calibration target must be positive and finite, got "
+                f"{target_worst_drop_v!r} V"
+            )
         model = cls.build(design, nx=nx, ny=ny, **kwargs)
         rows = statistical_ir_analysis(model, window_fraction=0.5)
         worst = max(r.worst_drop_vdd_v for r in rows)

@@ -57,22 +57,26 @@ def statistical_ir_analysis(
     window_ns = next(iter(stats.values())).window_ns
 
     # Per-node power: each driver's statistical switched energy over the
-    # window lands on its tap node.
+    # window lands on its tap node, added in instance order (gates,
+    # flops, then clock buffers) so every float is a per-instance loop's
+    # running sum.
     netlist = design.netlist
     caps = design.parasitics.net_cap_ff
     node_power_mw = np.zeros(model.vdd_grid.n_nodes)
     unit = vdd * vdd * toggle_rate / window_ns * 1e-3  # fJ/ns -> mW
-    for gi, g in enumerate(netlist.gates):
-        node_power_mw[model.gate_node[gi]] += caps[g.output] * unit
-    for fi, f in enumerate(netlist.flops):
-        node_power_mw[model.flop_node[fi]] += caps[f.q] * unit
+    outputs = np.array([g.output for g in netlist.gates], dtype=np.intp)
+    np.add.at(node_power_mw, model.gate_node, caps[outputs] * unit)
+    outputs = np.array([f.q for f in netlist.flops], dtype=np.intp)
+    np.add.at(node_power_mw, model.flop_node, caps[outputs] * unit)
     if include_clock:
         for name, tree in design.clock_trees.items():
             energies = clock_buffer_energies_fj(tree, vdd, edges=2)
             period_ns = design.domains[name].period_ns
-            nodes = model.clock_nodes[name]
-            for bi, energy in energies.items():
-                node_power_mw[nodes[bi]] += energy / period_ns * 1e-3
+            np.add.at(
+                node_power_mw,
+                model.clock_nodes[name][list(energies)],
+                np.array(list(energies.values())) / period_ns * 1e-3,
+            )
 
     injection = model.injection_from_node_power(node_power_mw, vdd)
     drop_vdd, drop_vss = model.solve_both(injection)

@@ -9,11 +9,15 @@ in Tables 3/4 and Figures 2/3.  The remaining blocks hug the periphery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import ConfigError
+
+#: A scalar coordinate or flag or, elementwise, an array of them.
+Coord = Union[float, np.ndarray]
+Flag = Union[bool, np.ndarray]
 
 #: Canonical block names of the Turbo-Eagle case study.
 BLOCK_NAMES = ("B1", "B2", "B3", "B4", "B5", "B6")
@@ -49,8 +53,10 @@ class BlockRegion:
     def center(self) -> Tuple[float, float]:
         return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
+    def contains(self, x: Coord, y: Coord) -> Flag:
+        """Half-open ``[x0, x1) x [y0, y1)`` test, elementwise over
+        arrays."""
+        return (self.x0 <= x) & (x < self.x1) & (self.y0 <= y) & (y < self.y1)
 
     def random_point(self, rng: np.random.Generator) -> Tuple[float, float]:
         """A uniform random placement location inside the region."""

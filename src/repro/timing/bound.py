@@ -50,7 +50,9 @@ post-simulation derated re-analysis of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -62,10 +64,8 @@ from ..sim.delays import DelayModel
 from ..sim.sta import SETUP_NS, StaticTimingAnalyzer
 from ..soc.design import SocDesign
 
-try:  # the grid is optional: without it only derated re-analysis works
+if TYPE_CHECKING:  # optional: without a grid only derated re-analysis works
     from ..pgrid.grid import GridModel
-except Exception:  # pragma: no cover - scipy is a hard dep in practice
-    GridModel = None  # type: ignore[assignment,misc]
 
 #: Endpoint classifications, ordered from cheapest proof to none.
 INACTIVE = "inactive"

@@ -11,7 +11,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.atpg import build_fault_universe, collapse_faults
@@ -169,3 +169,53 @@ def test_podem_verdicts_match_exhaustive_oracle(nl):
         assert result.status is not PodemStatus.ABORT, fault
         detected = oracle[fault] != 0
         assert detected == (result.status is PodemStatus.SUCCESS), fault
+
+
+def vectors_agreeing(nl, cube):
+    """Bit *v* set when V1 vector *v* loads every care bit of *cube*."""
+    n_vectors = 1 << nl.n_flops
+    word = (1 << n_vectors) - 1
+    for flop, bit in cube.items():
+        word &= sum(1 << v for v in range(n_vectors) if (v >> flop & 1) == bit)
+    return word
+
+
+@settings(max_examples=120, deadline=None)
+@given(nl=random_netlist(max_flops=8, max_gates=24))
+def test_podem_merges_match_exhaustive_oracle(nl):
+    """Under the cube C of each success, PODEM with an unbounded search
+    succeeds for every other fault iff some V1 that agrees with C
+    detects it, its cube extends C, and the merge pre-filter never
+    rejects a fault that a V1 agreeing with C detects.  Checked with the
+    plain backtrace and with the timing-aware one."""
+    reps, _ = collapse_faults(nl, build_fault_universe(nl))
+    oracle = exhaustive_loc_detections(nl, reps)
+    for arrival in (None, DelayModel(nl).static_arrivals_ns()):
+        state = TwoFrameState(nl, "clka")
+        state.arrival = arrival
+        for primary in reps:
+            result = generate_test(state, primary, max_backtracks=10**6)
+            assert result.status is not PodemStatus.ABORT, primary
+            assert (oracle[primary] != 0) == result.success, primary
+            if not result.success:
+                continue
+            cube = result.cube
+            agree = vectors_agreeing(nl, cube)
+            for fault in reps:
+                if fault == primary:
+                    continue
+                # Loading C again puts its frames back in the snapshot
+                # the pre-filter reads (a merge success replaces them).
+                state.load(primary, cube)
+                blocked = state.blocked_under(cube, fault)
+                merged = generate_test(state, fault, cube,
+                                       max_backtracks=10**6)
+                assert merged.status is not PodemStatus.ABORT, fault
+                detected = oracle[fault] & agree != 0
+                assert detected == merged.success, (fault, cube)
+                if merged.success:
+                    event("merge succeeded")
+                    assert cube.items() <= merged.cube.items(), fault
+                if blocked:
+                    event("pre-filter rejected a candidate")
+                    assert not detected, (fault, cube)
